@@ -42,7 +42,6 @@ from .linalg import Spectrum, eigensolve_hermitian
 from .metrics import (
     MaterialReport,
     detectable_dipole_min,
-    dipole_from_gamma,
     loss_tangent,
     material_report,
     participation_ratio,
@@ -63,6 +62,7 @@ from .stm import (
     Location,
     SensorDesign,
     TlsParams,
+    TlsTable,
     asymmetry,
     coupling_strength,
     design_thickness,

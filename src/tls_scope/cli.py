@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format
 error, 4 no traces found (without --allow-empty), 5 coupled-fit failure.
-All outputs are deterministic for a fixed seed and independent of the
-thread count; no timestamps are written.
+All outputs are deterministic for a fixed seed; no timestamps are
+written.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .pairfit import fit_coupled_pair, panel_points_from_dataset
 from .pipeline import AnalysisOptions, analyze_dataset
 from .spectro import default_sweep_plan, t1_map
 from .stm import (
+    SCHEMA_VERSION,
     SensorDesign,
     TlsParams,
     design_thickness,
@@ -57,18 +57,6 @@ def _load_config(path, defaults: dict) -> dict:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg.update(raw)
     return cfg
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("TLS_SCOPE_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"TLS_SCOPE_THREADS is not an integer: {env!r}")
-    return 1
 
 
 def _outdir(args) -> Path:
@@ -184,7 +172,6 @@ def cmd_fit(args) -> int:
         first_link_factor=cfg["first_link_factor"],
         boundary_tol=cfg["boundary_tol"],
         thickness_m=cfg["thickness_nm"] * 1e-9,
-        threads=_threads(args),
     )
     result = analyze_dataset(ds, opts)
     if not result.traces and not args.allow_empty:
@@ -259,7 +246,7 @@ def cmd_coupled(args) -> int:
         print(f"coupled fit failed: {exc}", file=sys.stderr)
         return EXIT_COUPLED
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "g_z_MHz": fit.g_z,
         "g_x_MHz": fit.g_x,
         "gamma_p2_GHz_per_V": fit.gamma_p2,
@@ -273,14 +260,7 @@ def cmd_coupled(args) -> int:
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     for k, (ds, panel) in enumerate(zip(datasets, panels)):
-        bias = ds.segments[0].bias
-        lo, hi = fit.model_transitions(tls1, tls2, panel.v_p, bias)
-        d_lo, d_hi = _split_branches(panel, lo, hi, bias)
-        dataio.write_table_csv(
-            out / f"crossing_panel_{k}.csv",
-            "bias_V,transition1_GHz,transition2_GHz,model1_GHz,model2_GHz",
-            (bias, d_lo, d_hi, lo, hi),
-        )
+        _write_crossing(out / f"crossing_panel_{k}.csv", ds, panel, fit, tls1, tls2)
     print(
         f"g_z = {fit.g_z:.3f} MHz, g_x = {fit.g_x:.3f} MHz, "
         f"gamma_p2 = {fit.gamma_p2:.5f} GHz/V"
@@ -288,8 +268,11 @@ def cmd_coupled(args) -> int:
     return EXIT_OK
 
 
-def _split_branches(panel, lo, hi, bias):
-    """Nearest data point per model branch and bias step (NaN if none)."""
+def _write_crossing(path, ds, panel, fit, tls1, tls2) -> None:
+    """Crossing CSV of one panel: model branches and, per bias step, the
+    nearest data point on each branch (NaN if none)."""
+    bias = ds.segments[0].bias
+    lo, hi = fit.model_transitions(tls1, tls2, panel.v_p, bias)
     d_lo = np.full(bias.size, np.nan)
     d_hi = np.full(bias.size, np.nan)
     for v, f in zip(panel.v_s, panel.freq):
@@ -300,7 +283,11 @@ def _split_branches(panel, lo, hi, bias):
         else:
             if np.isnan(d_hi[i]) or abs(f - hi[i]) < abs(d_hi[i] - hi[i]):
                 d_hi[i] = f
-    return d_lo, d_hi
+    dataio.write_table_csv(
+        path,
+        "bias_V,transition1_GHz,transition2_GHz,model1_GHz,model2_GHz",
+        (bias, d_lo, d_hi, lo, hi),
+    )
 
 
 DESIGN_DEFAULTS = {
@@ -340,7 +327,7 @@ def cmd_design(args) -> int:
     )
     gamma_diel = gamma1 - cfg["gamma_background_per_us"]
     report = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "V_rms_uV": v_rms * 1e6,
         "d_rule_nm": d_rule * 1e9,
         "d_chosen_nm": cfg["d_nm"],
@@ -424,14 +411,7 @@ def cmd_plotdata(args) -> int:
             n_points=payload["n_points"],
         )
         panel = panel_points_from_dataset(ds)
-        bias = ds.segments[0].bias
-        lo, hi = fit.model_transitions(tls1, tls2, panel.v_p, bias)
-        d_lo, d_hi = _split_branches(panel, lo, hi, bias)
-        dataio.write_table_csv(
-            out / "crossing.csv",
-            "bias_V,transition1_GHz,transition2_GHz,model1_GHz,model2_GHz",
-            (bias, d_lo, d_hi, lo, hi),
-        )
+        _write_crossing(out / "crossing.csv", ds, panel, fit, tls1, tls2)
         print(f"wrote {out / 'crossing.csv'}")
     else:
         raise ConfigError(f"unknown plotdata kind {args.kind!r}")
@@ -449,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("generate", help="synthesize a swap-spectroscopy dataset")
     common(p)
@@ -489,10 +468,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemaError as exc:

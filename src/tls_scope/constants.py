@@ -21,21 +21,5 @@ J_PER_GHZ = H_PLANCK * 1e9
 CM_PER_EA = E_CHARGE * 1e-10
 
 # Handy scale factors
-UM3_PER_M3 = 1e18  # cubic micrometres per cubic metre
-GHZ = 1e9  # Hz
 MHZ = 1e6  # Hz
-
-
-def dipole_energy_rate(p_parallel_ea: float, d_m: float) -> float:
-    """Asymmetry tuning rate 2*p/d of a dipole across a plate gap, in GHz/V.
-
-    A voltage V across a dielectric of thickness d produces the field V/d;
-    a dipole projection p picks up the energy 2*p*V/d, i.e. the asymmetry
-    energy responds at gamma = 2*p/d per volt.
-    """
-    return 2.0 * p_parallel_ea * CM_PER_EA / (d_m * J_PER_GHZ)
-
-
-def rate_to_dipole(gamma_ghz_per_v: float, d_m: float) -> float:
-    """Inverse of :func:`dipole_energy_rate`: p = gamma*d/2, in e*Angstrom."""
-    return gamma_ghz_per_v * J_PER_GHZ * d_m / 2.0 / CM_PER_EA
+MHZ_PER_GHZ = 1e3  # couplings are quoted in MHz, energies in GHz

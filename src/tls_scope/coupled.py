@@ -17,11 +17,12 @@ energies are in GHz like everywhere else in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .constants import MHZ_PER_GHZ
 from .errors import NoCrossingInRange
 from .linalg import Spectrum, eigensolve_hermitian
 from .stm import BiasPoint, TlsParams, asymmetry, transition_energy
@@ -29,8 +30,6 @@ from .stm import BiasPoint, TlsParams, asymmetry, transition_energy
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 ID2 = np.eye(2)
-
-MHZ_PER_GHZ = 1e3
 
 
 @dataclass(frozen=True)
@@ -173,17 +172,8 @@ def transitions_truncated(
 
 
 def _splitting(pair: CoupledPair, base: BiasPoint, control: str, v: float) -> float:
-    b = _bias_with(base, control, v)
-    spec = pair_spectrum(pair, b)
+    spec = pair_spectrum(pair, replace(base, **{control: v}))
     return spec.transition_02 - spec.transition_01
-
-
-def _bias_with(b: BiasPoint, control: str, v: float) -> BiasPoint:
-    fields = {"v_p": b.v_p, "v_g": b.v_g, "v_s": b.v_s}
-    fields[control] = v
-    return BiasPoint(
-        qubit_freq=b.qubit_freq, v_s_limit=b.v_s_limit, **fields
-    )
 
 
 def crossing_geometry(

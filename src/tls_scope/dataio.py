@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .spectro import SCHEMA_VERSION, SegmentSpec, SpectroscopyDataset
-from .stm import TlsParams
+from .spectro import SegmentSpec, SpectroscopyDataset
+from .stm import SCHEMA_VERSION, TlsParams, check_schema_version
 
 DATASET_HEADER = "segment,control,bias_V,freq_GHz,t1_us"
 
@@ -57,10 +57,16 @@ def write_dataset(ds: SpectroscopyDataset, csv_path) -> None:
     _meta_path(csv_path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _check_version(obj: dict, what: str) -> None:
-    version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"{what}: unsupported schema_version {version!r}")
+def _read_json(path: Path) -> dict:
+    """The JSON object in ``path``, if it parses and has our schema_version."""
+    try:
+        obj = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path.name}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path.name}: expected a JSON object")
+    check_schema_version(obj.get("schema_version"), path.name)
+    return obj
 
 
 def read_dataset(csv_path) -> SpectroscopyDataset:
@@ -69,18 +75,19 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
     Raises
     ------
     SchemaError
-        On a missing/strange sidecar, bad header, or a corrupt row; the
-        message carries the 1-based row number.
+        On a missing/strange sidecar, bad header, a corrupt row (the
+        message carries the 1-based row number), or values the dataset
+        itself rejects, such as a non-positive T1.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path(csv_path)
     if not meta_path.exists():
         raise SchemaError(f"missing sidecar {meta_path.name}")
-    meta = json.loads(meta_path.read_text())
-    _check_version(meta, meta_path.name)
+    meta = _read_json(meta_path)
 
     rows_by_segment: dict[int, dict] = {}
-    with open(csv_path) as fh:
+    # Undecodable bytes become U+FFFD, which the header and row checks reject.
+    with open(csv_path, errors="replace") as fh:
         header = fh.readline().strip()
         if header != DATASET_HEADER:
             raise SchemaError(f"unexpected CSV header {header!r}")
@@ -113,41 +120,45 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
     seg_meta = meta.get("segments", [])
     segments, grids = [], []
     freq_axis = None
-    for s in sorted(rows_by_segment):
-        seg = rows_by_segment[s]
-        bias = np.array(seg["bias"])
-        freq = np.array(seg["freq"])
-        t1 = np.array(seg["t1"])
-        uniq_freq = np.unique(freq)
-        n_f = uniq_freq.size
-        if bias.size % n_f != 0:
-            raise SchemaError(f"segment {s}: ragged grid")
-        n_b = bias.size // n_f
-        if freq_axis is None:
-            freq_axis = uniq_freq
-        elif not np.array_equal(freq_axis, uniq_freq):
-            raise SchemaError(f"segment {s}: frequency axis differs")
-        held = {}
-        direction = "up"
-        if s < len(seg_meta):
-            held = seg_meta[s].get("held", {})
-            direction = seg_meta[s].get("direction", "up")
-        bias_axis = bias.reshape(n_b, n_f)[:, 0]
-        segments.append(
-            SegmentSpec(
-                control=seg["control"],
-                bias=bias_axis,
-                held={k: float(v) for k, v in held.items()},
-                direction=direction,
+    # SegmentSpec and SpectroscopyDataset raise ValueError on bad content.
+    try:
+        for s in sorted(rows_by_segment):
+            seg = rows_by_segment[s]
+            bias = np.array(seg["bias"])
+            freq = np.array(seg["freq"])
+            t1 = np.array(seg["t1"])
+            uniq_freq = np.unique(freq)
+            n_f = uniq_freq.size
+            if bias.size % n_f != 0:
+                raise SchemaError(f"segment {s}: ragged grid")
+            n_b = bias.size // n_f
+            if freq_axis is None:
+                freq_axis = uniq_freq
+            elif not np.array_equal(freq_axis, uniq_freq):
+                raise SchemaError(f"segment {s}: frequency axis differs")
+            held = {}
+            direction = "up"
+            if s < len(seg_meta):
+                held = seg_meta[s].get("held", {})
+                direction = seg_meta[s].get("direction", "up")
+            bias_axis = bias.reshape(n_b, n_f)[:, 0]
+            segments.append(
+                SegmentSpec(
+                    control=seg["control"],
+                    bias=bias_axis,
+                    held={k: float(v) for k, v in held.items()},
+                    direction=direction,
+                )
             )
+            grids.append(t1.reshape(n_b, n_f))
+        return SpectroscopyDataset(
+            segments=tuple(segments),
+            freq_ghz=freq_axis,
+            t1_us=tuple(grids),
+            meta=meta,
         )
-        grids.append(t1.reshape(n_b, n_f))
-    return SpectroscopyDataset(
-        segments=tuple(segments),
-        freq_ghz=freq_axis,
-        t1_us=tuple(grids),
-        meta=meta,
-    )
+    except ValueError as exc:
+        raise SchemaError(f"{csv_path.name}: {exc}") from None
 
 
 def write_ground_truth(tls_list, path) -> None:
@@ -160,8 +171,7 @@ def write_ground_truth(tls_list, path) -> None:
 
 
 def read_ground_truth(path) -> list[TlsParams]:
-    payload = json.loads(Path(path).read_text())
-    _check_version(payload, Path(path).name)
+    payload = _read_json(Path(path))
     return [TlsParams.from_dict(d) for d in payload["tls"]]
 
 
@@ -180,9 +190,7 @@ def write_fit_report(records, density_by_class, path, extra: dict | None = None)
 
 
 def read_fit_report(path) -> dict:
-    payload = json.loads(Path(path).read_text())
-    _check_version(payload, Path(path).name)
-    return payload
+    return _read_json(Path(path))
 
 
 def write_table_csv(path, header: str, columns) -> None:

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import truncnorm
 
-from .constants import dipole_energy_rate
 from .errors import BiasLimitExceeded, InvalidBand
-from .stm import Location, TlsParams, V_S_LIMIT_DEFAULT
+from .stm import Location, TlsParams, V_S_LIMIT_DEFAULT, dipole_to_gamma_s
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:
                     gamma_p=float(gamma_p[k]),
                     gamma_g=0.0,
                     gamma_s=float(
-                        sign[k] * dipole_energy_rate(p_par[k], cfg.thickness_m)
+                        sign[k] * dipole_to_gamma_s(p_par[k], cfg.thickness_m)
                     ),
                     p_parallel=float(p_par[k]),
                     gamma2_tls=cfg.gamma2_tls,

@@ -1,9 +1,6 @@
-"""Small dense Hermitian eigensolver (cyclic Jacobi).
+"""Small dense Hermitian eigensolver: input checks around numpy.linalg.eigh.
 
-The spectra needed here are 2x2 and 4x4 Hamiltonians, so a short cyclic
-Jacobi sweep is plenty: it is backward stable, needs no external solver,
-and converges in a handful of sweeps for such sizes.  Complex Hermitian
-input is handled through the standard [[A, -B], [B, A]] real embedding.
+The spectra needed here are 2x2 and 4x4 Hamiltonians.
 """
 
 from __future__ import annotations
@@ -13,9 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonHermitianInput
-
-JACOBI_THRESHOLD = 1e-14
-MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -40,40 +34,8 @@ class Spectrum:
         return float(self.eigenvalues[2] - self.eigenvalues[0])
 
 
-def _jacobi_real(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi on a real symmetric matrix; returns (values, vectors)."""
-    a = a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = np.abs(a).max() or 1.0
-    for _ in range(MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= JACOBI_THRESHOLD * scale:
-                    continue
-                # Rotation angle that annihilates a[p, q]
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = -np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot.T
-                v[:, [p, q]] = v[:, [p, q]] @ rot.T
-        if off <= JACOBI_THRESHOLD * scale:
-            break
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
-
-
 def eigensolve_hermitian(h: np.ndarray, tol: float = 1e-10) -> Spectrum:
-    """Diagonalize a small Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a small Hermitian matrix; eigenvalues ascending.
 
     Parameters
     ----------
@@ -96,21 +58,5 @@ def eigensolve_hermitian(h: np.ndarray, tol: float = 1e-10) -> Spectrum:
     if np.abs(h - h.conj().T).max() > tol * scale:
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
 
-    if np.iscomplexobj(h) and np.abs(h.imag).max() > tol * scale:
-        # Real embedding: eigenpairs of [[A, -B], [B, A]] come in duplicated
-        # pairs; every second one reconstructs the complex eigenvector.
-        a, b = h.real, h.imag
-        big = np.block([[a, -b], [b, a]])
-        vals, vecs = _jacobi_real(big)
-        n = h.shape[0]
-        values = vals[::2]
-        vectors = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            col = vecs[:, 2 * k]
-            vec = col[:n] + 1j * col[n:]
-            vec /= np.linalg.norm(vec)
-            vectors[:, k] = vec
-        return Spectrum(values, vectors)
-
-    vals, vecs = _jacobi_real(h.real.astype(float))
-    return Spectrum(vals, vecs)
+    values, vectors = np.linalg.eigh(h)
+    return Spectrum(values, vectors)

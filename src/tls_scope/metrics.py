@@ -1,10 +1,11 @@
 """Material-level quantities derived from fitted defect parameters.
 
-Converts tuning rates into dipole moments, trace densities into volume
-densities, and those into the intrinsic loss tangent; also evaluates the
-participation-ratio relaxation budget used to size the sample capacitor.
+Converts trace densities into volume densities, and those into the
+intrinsic loss tangent; also evaluates the participation-ratio
+relaxation budget used to size the sample capacitor.  Dipole moments
+come from the tuning rates through :func:`tls_scope.stm.gamma_s_to_dipole`.
 Arguments use the natural units of the quantities as usually quoted:
-GHz/V, nm, e*Angstrom, (um^3 GHz)^-1.
+nm, e*Angstrom, (um^3 GHz)^-1.
 """
 
 from __future__ import annotations
@@ -15,20 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import EPS0, HBAR, J_PER_GHZ, CM_PER_EA
-from .stm import SensorDesign, sample_capacitance
-
-
-def dipole_from_gamma(gamma_s: float, d_nm: float) -> float:
-    """Dipole projection p = gamma_s*d/2 [e*A] from the V_s tuning rate.
-
-    ``gamma_s`` in GHz/V (cold-end volts), ``d_nm`` the dielectric
-    thickness in nm.  Follows from the dipole energy in the plate field:
-    2*p*V/d = gamma_s*V.  Some published tables quote p = gamma_s*d
-    (no factor 1/2, twice this value); this sticks to the identity above.
-    """
-    if d_nm <= 0:
-        raise ValueError("thickness must be positive")
-    return abs(gamma_s) * J_PER_GHZ * (d_nm * 1e-9) / 2.0 / CM_PER_EA
+from .stm import SCHEMA_VERSION, SensorDesign, sample_capacitance
 
 
 def volume_density(spectral_density_per_ghz: float, volume_um3: float) -> float:
@@ -99,7 +87,7 @@ class MaterialReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "n_tls_total": self.n_tls_total,
             "n_sample_tls": self.n_sample_tls,
             "p_parallel_mean_eA": self.p_parallel_mean,

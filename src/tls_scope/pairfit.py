@@ -17,16 +17,15 @@ bare hyperbolas), so its sign is measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .constants import MHZ_PER_GHZ
 from .coupled import transitions_truncated
 from .errors import AmbiguousSigns, NoConvergence
 from .lm import lm_fit
-from .stm import TlsParams
-
-MHZ_PER_GHZ = 1e3
+from .stm import TlsParams, energies
 
 
 @dataclass(frozen=True)
@@ -64,14 +63,16 @@ class PairFitResult:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) transition branches [GHz] along a V_s sweep."""
         v_s = np.asarray(v_s, dtype=float)
-        e1, e2 = _bare_energies(tls1, tls2, self.gamma_p2, v_p, v_s)
+        (_, e1), (_, e2) = _bare_energies(tls1, tls2, self.gamma_p2, v_p, v_s)
         return transitions_truncated(e1, e2, self.g_z, self.g_x)
 
 
 def _bare_energies(tls1, tls2, gamma_p2, v_p, v_s):
-    eps1 = tls1.eps_i + tls1.gamma_s * v_s + tls1.gamma_p * v_p
-    eps2 = tls2.eps_i + tls2.gamma_s * v_s + gamma_p2 * v_p
-    return np.hypot(tls1.delta0, eps1), np.hypot(tls2.delta0, eps2)
+    """(eps, E) [GHz] of each defect at V_g = 0; gamma_p2 replaces tls2.gamma_p."""
+    return (
+        energies(tls1, v_p, 0.0, v_s),
+        energies(replace(tls2, gamma_p=gamma_p2), v_p, 0.0, v_s),
+    )
 
 
 def panel_points_from_dataset(ds, **extract_kwargs) -> CrossingPanel:
@@ -152,8 +153,9 @@ def fit_coupled_pair(
 
     def model_branches(x):
         gz, gx, gp2 = x
-        e1, e2 = _bare_energies(tls1, tls2, gp2, v_p, v_s)
-        return transitions_truncated(e1, e2, gz, gx), (e1, e2)
+        bare = _bare_energies(tls1, tls2, gp2, v_p, v_s)
+        (_, e1), (_, e2) = bare
+        return transitions_truncated(e1, e2, gz, gx), bare
 
     def residuals(x):
         (t_lo, t_hi), _ = model_branches(x)
@@ -163,7 +165,7 @@ def fit_coupled_pair(
 
     def jacobian(x):
         gz, gx, gp2 = x
-        (t_lo, t_hi), (e1, e2) = model_branches(x)
+        (t_lo, t_hi), ((_, e1), (eps2, e2)) = model_branches(x)
         upper = np.abs(f_data - t_hi) < np.abs(f_data - t_lo)
         pm = np.where(upper, 1.0, -1.0)
         gx_ghz = gx / MHZ_PER_GHZ
@@ -171,7 +173,6 @@ def fit_coupled_pair(
         d = np.hypot(e1 - e2, gx_ghz)
         dt_dgz = np.full(f_data.shape, -1.0 / MHZ_PER_GHZ)
         dt_dgx = (gx_ghz / MHZ_PER_GHZ) * 0.5 * (1.0 / s + pm / d)
-        eps2 = tls2.eps_i + tls2.gamma_s * v_s + gp2 * v_p
         de2 = np.divide(eps2, e2, out=np.zeros_like(e2), where=e2 > 0) * v_p
         dt_de2 = 0.5 * ((e1 + e2) / s - pm * (e1 - e2) / d)
         dt_dgp2 = dt_de2 * de2

@@ -10,7 +10,6 @@ its own uncertainty.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,16 +89,14 @@ class AnalysisOptions:
     response_grid_factor: float = 3.0
     response_sigma_factor: float = 3.0
     thickness_m: float = 50e-9
-    threads: int = 1
 
 
-def _fit_one_trace(args):
-    trace, = args
+def _fit_one_trace(trace: Trace) -> TraceFit | None:
     v, f, w = trace.arrays()
     try:
-        return trace, fit_hyperbola(v, f, w)
+        return fit_hyperbola(v, f, w)
     except (DegenerateTrace, NoConvergence):
-        return trace, None
+        return None
 
 
 def analyze_dataset(
@@ -116,13 +113,7 @@ def analyze_dataset(
     )
     tracks = link_tracks(traces, ds, boundary_tol=opts.boundary_tol)
 
-    jobs = [(t,) for t in traces]
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            fitted = list(pool.map(_fit_one_trace, jobs))
-    else:
-        fitted = [_fit_one_trace(j) for j in jobs]
-    fit_of = {id(tr): fit for tr, fit in fitted}
+    fit_of = {id(tr): _fit_one_trace(tr) for tr in traces}
 
     grid_step = ds.grid_step_ghz
     span = float(ds.freq_ghz[-1] - ds.freq_ghz[0])

@@ -10,8 +10,7 @@ with g the (angular) qubit-TLS coupling, Gamma2 the TLS dephasing rate
 and dw the angular detuning from the TLS transition.  Measurement noise
 is multiplicative log-normal on T1 (positive, right-skewed, like actual
 T1 estimators); every segment draws its noise from its own child stream
-of the dataset seed, so parallel and serial evaluation produce identical
-bytes.
+of the dataset seed, so the bytes depend only on the seed and the inputs.
 """
 
 from __future__ import annotations
@@ -21,12 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CM_PER_EA, H_PLANCK
+from .constants import MHZ_PER_GHZ
 from .coupled import CoupledPair, transitions_truncated
-from .ensemble import ControlChain, Ensemble
-from .stm import SensorDesign, TlsParams, capacitor_field_rms, transition_energy
-
-SCHEMA_VERSION = 1
+from .ensemble import ControlChain, Ensemble, apply_control_chain
+from .stm import (
+    SCHEMA_VERSION,
+    SensorDesign,
+    TlsTable,
+    capacitor_field_rms,
+    coupling_mhz,
+    energies,
+)
 
 CONTROLS = ("piezo", "global", "sample")
 _CONTROL_ATTR = {"piezo": "v_p", "global": "v_g", "sample": "v_s"}
@@ -122,8 +126,6 @@ def default_sweep_plan(
     chain.  All controls hold their last value while others sweep.
     """
     chain = chain or ControlChain()
-    from .ensemble import apply_control_chain
-
     amp = apply_control_chain(v_s_source_amplitude, chain)
     counts = {c: order.count(c) for c in CONTROLS}
     edges = {}
@@ -157,13 +159,6 @@ def default_sweep_plan(
     return plan
 
 
-def tls_coupling_mhz(
-    tls: TlsParams, field_rms: float, matrix_el: np.ndarray | float
-) -> np.ndarray | float:
-    """Qubit coupling g [MHz] of one TLS at the given matrix element."""
-    return tls.p_parallel * CM_PER_EA * matrix_el * field_rms / H_PLANCK / 1e6
-
-
 def _lorentzian_rate(
     freq_ghz: np.ndarray,
     f_tls_ghz: np.ndarray,
@@ -180,7 +175,7 @@ def _lorentzian_rate(
     g_ang = 2.0 * math.pi * g_mhz  # rad/us
     for start in range(0, f_tls_ghz.shape[1], 16):
         sl = slice(start, start + 16)
-        dw = 2.0 * math.pi * 1e3 * (
+        dw = 2.0 * math.pi * MHZ_PER_GHZ * (
             freq_ghz[None, :, None] - f_tls_ghz[:, None, sl]
         )  # rad/us
         g2 = gamma2_per_us[None, None, sl]
@@ -229,14 +224,7 @@ def t1_map(
     chain = chain or ControlChain()
     field = capacitor_field_rms(design) if field_rms is None else field_rms
 
-    tls = ensemble.tls_list
-    delta0 = np.array([t.delta0 for t in tls])
-    eps_i = np.array([t.eps_i for t in tls])
-    gp = np.array([t.gamma_p for t in tls])
-    gg = np.array([t.gamma_g for t in tls])
-    gs = np.array([t.gamma_s for t in tls])
-    p_par = np.array([t.p_parallel for t in tls])
-    gamma2 = np.array([t.gamma2_tls for t in tls])
+    table = TlsTable.of(ensemble.tls_list)
 
     children = np.random.SeedSequence(seed).spawn(len(plan))
     grids = []
@@ -244,20 +232,11 @@ def t1_map(
         v_p, v_g, v_s = seg.bias_vectors()
         if np.any(np.abs(v_s) > chain.v_s_limit * (1 + 1e-12)):
             raise ValueError("segment exceeds the cold-end sample-bias limit")
-        n_b = seg.bias.size
-        if tls:
-            eps = (
-                eps_i[None, :]
-                + gp[None, :] * v_p[:, None]
-                + gg[None, :] * v_g[:, None]
-                + gs[None, :] * v_s[:, None]
-            )
-            e_tls = np.hypot(delta0[None, :], eps)
-            mel = delta0[None, :] / e_tls
-            g_mhz = p_par[None, :] * CM_PER_EA * mel * field / H_PLANCK / 1e6
-            rate = gamma1_background + _lorentzian_rate(freq_ghz, e_tls, g_mhz, gamma2)
-        else:
-            rate = np.full((n_b, freq_ghz.size), gamma1_background)
+        _, e_tls = energies(table, v_p[:, None], v_g[:, None], v_s[:, None])
+        g_mhz = coupling_mhz(table.p_parallel, table.delta0 / e_tls, field)
+        rate = gamma1_background + _lorentzian_rate(
+            freq_ghz, e_tls, g_mhz, table.gamma2_tls
+        )
         t1 = 1.0 / rate
         if noise_sigma > 0:
             z = np.random.default_rng(child).standard_normal(t1.shape)
@@ -307,23 +286,19 @@ def coupled_pair_t1_map(
         direction="up" if v_s[-1] >= v_s[0] else "down",
     )
     v_p_arr, v_g_arr, v_s_arr = seg.bias_vectors()
-
-    def eps_of(t):
-        return t.eps_i + t.gamma_p * v_p_arr + t.gamma_g * v_g_arr + t.gamma_s * v_s_arr
-
-    e1 = np.hypot(pair.tls1.delta0, eps_of(pair.tls1))
-    e2 = np.hypot(pair.tls2.delta0, eps_of(pair.tls2))
+    _, e1 = energies(pair.tls1, v_p_arr, v_g_arr, v_s_arr)
+    _, e2 = energies(pair.tls2, v_p_arr, v_g_arr, v_s_arr)
     t_lo, t_hi = transitions_truncated(e1, e2, pair.g_z, pair.g_x)
 
     # Hybridization of the single-excitation block mixes the two bare
     # couplings; u, v are the |e g> / |g e> amplitudes of the upper branch.
     delta = e1 - e2
-    gx = pair.g_x / 1e3
+    gx = pair.g_x / MHZ_PER_GHZ
     phi = np.arctan2(gx, delta)
     u = np.cos(phi / 2.0)
     v = np.sin(phi / 2.0)
-    g1 = tls_coupling_mhz(pair.tls1, field_rms, pair.tls1.delta0 / e1)
-    g2 = tls_coupling_mhz(pair.tls2, field_rms, pair.tls2.delta0 / e2)
+    g1 = coupling_mhz(pair.tls1.p_parallel, pair.tls1.delta0 / e1, field_rms)
+    g2 = coupling_mhz(pair.tls2.p_parallel, pair.tls2.delta0 / e2, field_rms)
     g_hi = np.abs(u * g1 + v * g2)
     g_lo = np.abs(-v * g1 + u * g2)
 

@@ -3,12 +3,15 @@
 A tunneling two-level system (TLS) is described by its tunneling energy
 Delta0 and a bias-dependent asymmetry energy
 
-    eps(V) = eps_i + gamma_g*V_g + gamma_s*V_s + gamma_p*V_p,
+    eps(V) = eps_i + gamma_p*V_p + gamma_g*V_g + gamma_s*V_s,
 
 giving the transition energy E = sqrt(Delta0^2 + eps^2) and the matrix
 element Delta0/E.  All energies are frequencies in GHz (energy/h); the
 three gamma coefficients are in GHz per volt of the respective control
 (piezo, global gate, sample capacitor).
+
+:func:`energies` is the one place this rule is written; it evaluates a
+single :class:`TlsParams` and a whole :class:`TlsTable` alike.
 """
 
 from __future__ import annotations
@@ -16,11 +19,21 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
-from .constants import HBAR, J_PER_GHZ, CM_PER_EA, EPS0, H_PLANCK
+import numpy as np
+
+from .constants import HBAR, J_PER_GHZ, CM_PER_EA, EPS0, H_PLANCK, MHZ
+from .errors import SchemaError
 
 SCHEMA_VERSION = 1
+
+
+def check_schema_version(version, what: str) -> None:
+    """Refuse data written under a schema version this package does not know."""
+    if version != SCHEMA_VERSION:
+        raise SchemaError(f"{what}: unsupported schema_version {version!r}")
+
 
 #: Default cold-end limit on the sample-capacitor bias [V]; larger swings
 #: heat the attenuators in the bias line.
@@ -94,11 +107,7 @@ class TlsParams:
     @classmethod
     def from_dict(cls, d: dict) -> "TlsParams":
         d = dict(d)
-        version = d.pop("schema_version", None)
-        if version != SCHEMA_VERSION:
-            from .errors import SchemaError
-
-            raise SchemaError(f"unsupported TlsParams schema_version {version!r}")
+        check_schema_version(d.pop("schema_version", None), "TlsParams")
         d["location"] = Location(d.get("location", "unclassified"))
         return cls(**d)
 
@@ -125,7 +134,27 @@ class BiasPoint:
             )
 
 
-ZERO_BIAS = BiasPoint()
+@dataclass(frozen=True)
+class TlsTable:
+    """Struct-of-arrays view of a TLS population, one entry per defect.
+
+    The fields mirror the numeric fields of :class:`TlsParams`.  Voltages
+    passed to :func:`energies` together with a table broadcast against the
+    defect axis, so ``v[:, None]`` gives a (bias step, defect) grid.
+    """
+
+    delta0: np.ndarray
+    eps_i: np.ndarray
+    gamma_p: np.ndarray
+    gamma_g: np.ndarray
+    gamma_s: np.ndarray
+    p_parallel: np.ndarray
+    gamma2_tls: np.ndarray
+
+    @classmethod
+    def of(cls, tls_list) -> "TlsTable":
+        columns = ([getattr(t, f.name) for t in tls_list] for f in fields(cls))
+        return cls(*(np.array(c, dtype=float) for c in columns))
 
 
 @dataclass(frozen=True)
@@ -175,11 +204,7 @@ class SensorDesign:
     @classmethod
     def from_dict(cls, d: dict) -> "SensorDesign":
         d = dict(d)
-        version = d.pop("schema_version", None)
-        if version != SCHEMA_VERSION:
-            from .errors import SchemaError
-
-            raise SchemaError(f"unsupported SensorDesign schema_version {version!r}")
+        check_schema_version(d.pop("schema_version", None), "SensorDesign")
         return cls(**d)
 
 
@@ -187,9 +212,19 @@ class SensorDesign:
 # Single-TLS formulas
 # ---------------------------------------------------------------------------
 
+def energies(tls, v_p, v_g, v_s):
+    """Asymmetry and transition energy (eps, E) [GHz] at (v_p, v_g, v_s) [V].
+
+    ``tls`` is a :class:`TlsParams` or a :class:`TlsTable`; voltages may be
+    floats or arrays that broadcast against the table's fields.
+    """
+    eps = tls.eps_i + tls.gamma_p * v_p + tls.gamma_g * v_g + tls.gamma_s * v_s
+    return eps, np.hypot(tls.delta0, eps)
+
+
 def asymmetry(tls: TlsParams, b: BiasPoint) -> float:
     """Bias-dependent asymmetry energy [GHz], linear in all three controls."""
-    return tls.eps_i + tls.gamma_g * b.v_g + tls.gamma_s * b.v_s + tls.gamma_p * b.v_p
+    return energies(tls, b.v_p, b.v_g, b.v_s)[0]
 
 
 def transition_energy(tls: TlsParams, b: BiasPoint) -> float:
@@ -211,8 +246,12 @@ def coupling_strength(tls: TlsParams, field_rms: float, b: BiasPoint) -> float:
     """
     if field_rms < 0:
         raise ValueError("field_rms must be >= 0")
-    p_eff = tls.p_parallel * CM_PER_EA * matrix_element(tls, b)
-    return p_eff * field_rms / H_PLANCK / 1e6
+    return coupling_mhz(tls.p_parallel, matrix_element(tls, b), field_rms)
+
+
+def coupling_mhz(p_parallel, matrix_el, field_rms):
+    """Array form of :func:`coupling_strength`: g = p*(Delta0/E)*F/h [MHz]."""
+    return p_parallel * CM_PER_EA * matrix_el * field_rms / H_PLANCK / MHZ
 
 
 def vacuum_voltage(design: SensorDesign) -> float:

@@ -60,7 +60,7 @@ class TestGenerateEnsemble:
         assert abs(total - n_batches * mean) <= 4 * sigma
 
     def test_all_sample_dielectric_with_consistent_rates(self):
-        from tls_scope.constants import dipole_energy_rate
+        from tls_scope.stm import dipole_to_gamma_s as dipole_energy_rate
 
         ens = generate_ensemble(EnsembleConfig(volume_um3=9e-3), seed=7)
         assert len(ens.tls_list) > 10
