@@ -52,11 +52,51 @@ def _load_config(path, defaults: dict) -> dict:
         raise ConfigError(f"config not found: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     unknown = set(raw) - set(defaults) - {"schema_version"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if key in defaults and not _same_kind(value, defaults[key]):
+            raise ConfigError(
+                f"config key {key!r} has the wrong type: {value!r} "
+                f"(default {defaults[key]!r})"
+            )
     cfg.update(raw)
     return cfg
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _same_kind(value, default) -> bool:
+    """Whether a config value has the JSON type of its default.
+
+    A float default takes any number, an int default an integer, and a
+    ``None`` default a number or ``None``; list elements must match the
+    default's first element.
+    """
+    if default is None:
+        return value is None or _is_number(value)
+    if isinstance(default, float):
+        return _is_number(value)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, list):
+        return isinstance(value, list) and (
+            not default or all(_same_kind(v, default[0]) for v in value)
+        )
+    return isinstance(value, type(default))
+
+
+def _tls_from_config(cfg: dict, key: str) -> TlsParams:
+    """The TlsParams under ``cfg[key]``; a bad key or value is a config error."""
+    try:
+        return TlsParams.from_dict(cfg[key])
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"bad or missing {key!r}: {exc}") from None
 
 
 def _outdir(args) -> Path:
@@ -209,8 +249,8 @@ def cmd_fit(args) -> int:
 
 COUPLED_DEFAULTS = {
     "panels": [],
-    "tls1": None,
-    "tls2": None,
+    "tls1": {},
+    "tls2": {},
     "g_z0_mhz": 10.0,
     "g_x0_mhz": -10.0,
     "gamma_p2_0": 0.0,
@@ -222,10 +262,12 @@ COUPLED_DEFAULTS = {
 def cmd_coupled(args) -> int:
     cfg = _load_config(args.config, COUPLED_DEFAULTS)
     out = _outdir(args)
-    if not cfg["panels"] or cfg["tls1"] is None or cfg["tls2"] is None:
+    if not (cfg["panels"] and cfg["tls1"] and cfg["tls2"]):
         raise ConfigError("coupled needs 'panels', 'tls1' and 'tls2' in the config")
-    tls1 = TlsParams.from_dict(cfg["tls1"])
-    tls2 = TlsParams.from_dict(cfg["tls2"])
+    if not all(isinstance(p, str) for p in cfg["panels"]):
+        raise ConfigError("'panels' must be a list of dataset paths")
+    tls1 = _tls_from_config(cfg, "tls1")
+    tls2 = _tls_from_config(cfg, "tls2")
     datasets = [dataio.read_dataset(p) for p in cfg["panels"]]
     panels = [
         panel_points_from_dataset(
@@ -307,9 +349,8 @@ def cmd_design(args) -> int:
     cfg = _load_config(args.config, DESIGN_DEFAULTS)
     out = Path(args.out) if args.out else None
     for key in DESIGN_DEFAULTS:
-        if not isinstance(cfg[key], (int, float)) or cfg[key] <= 0:
-            if key != "tan_delta0" or cfg[key] < 0:
-                raise ConfigError(f"design parameter {key} must be positive")
+        if cfg[key] <= 0 and (key != "tan_delta0" or cfg[key] < 0):
+            raise ConfigError(f"design parameter {key} must be positive")
     design = SensorDesign(
         d=cfg["d_nm"] * 1e-9,
         area=cfg["area_um2"] * 1e-12,
@@ -398,8 +439,8 @@ def cmd_plotdata(args) -> int:
             raise ConfigError("crossing plotdata needs --coupled-fit and --pair")
         payload = json.loads(Path(args.coupled_fit).read_text())
         pair_cfg = json.loads(Path(args.pair).read_text())
-        tls1 = TlsParams.from_dict(pair_cfg["tls1"])
-        tls2 = TlsParams.from_dict(pair_cfg["tls2"])
+        tls1 = _tls_from_config(pair_cfg, "tls1")
+        tls2 = _tls_from_config(pair_cfg, "tls2")
         from .pairfit import PairFitResult
 
         fit = PairFitResult(

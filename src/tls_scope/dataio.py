@@ -6,19 +6,24 @@ The dataset is a long-format CSV with header
 
 accompanied by ``<name>.meta.json`` carrying qubit parameters, the seed
 and ``schema_version``.  Floats are written with ``repr`` (shortest
-round-trip), so identical inputs produce identical bytes.  Readers check
+round-trip), so identical inputs produce identical bytes; a missing (NaN)
+T1 cell is an empty field.  The writer formats each frequency once per
+file and each bias once per row, and streams the file row by row.  The
+reader parses the whole file with one structured ``np.loadtxt`` and
+groups the rows into segments with numpy masks.  Readers check
 ``schema_version`` on every file and refuse versions they do not know.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError
-from .spectro import SegmentSpec, SpectroscopyDataset
+from .spectro import CONTROLS, SegmentSpec, SpectroscopyDataset
 from .stm import SCHEMA_VERSION, TlsParams, check_schema_version
 
 DATASET_HEADER = "segment,control,bias_V,freq_GHz,t1_us"
@@ -32,16 +37,18 @@ def _meta_path(csv_path) -> Path:
 def write_dataset(ds: SpectroscopyDataset, csv_path) -> None:
     """Write a dataset as CSV plus its .meta.json sidecar."""
     csv_path = Path(csv_path)
-    lines = [DATASET_HEADER]
-    freq = ds.freq_ghz
-    for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
-        for i, v in enumerate(seg.bias):
-            vr = repr(float(v))
-            for j, f in enumerate(freq):
-                t = t1[i, j]
-                t_str = "" if not np.isfinite(t) else repr(float(t))
-                lines.append(f"{s},{seg.control},{vr},{repr(float(f))},{t_str}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    freq = [f"{f!r}," for f in np.asarray(ds.freq_ghz, dtype=float).tolist()]
+    with open(csv_path, "w") as fh:
+        fh.write(DATASET_HEADER + "\n")
+        for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
+            t1 = np.asarray(t1, dtype=float)
+            bias = np.asarray(seg.bias, dtype=float).tolist()
+            for v, row, finite in zip(bias, t1.tolist(), np.isfinite(t1).tolist()):
+                head = f"{s},{seg.control},{v!r},"
+                fh.write("".join([
+                    f"{head}{f}{t!r}\n" if ok else f"{head}{f}\n"
+                    for f, t, ok in zip(freq, row, finite)
+                ]))
 
     meta = dict(ds.meta)
     meta["schema_version"] = SCHEMA_VERSION
@@ -69,6 +76,51 @@ def _read_json(path: Path) -> dict:
     return obj
 
 
+#: One CSV row as ``np.loadtxt`` parses it.  The control field is one
+#: character wider than the longest control name, so a longer name that
+#: gets cut short still fails the check in SegmentSpec.
+_ROW_DTYPE = [
+    ("segment", np.int64),
+    ("control", f"U{max(map(len, CONTROLS)) + 1}"),
+    ("bias", float),
+    ("freq", float),
+    ("t1", float),
+]
+
+
+def _t1_cell(text: str) -> float:
+    """An empty ``t1_us`` field is a missing cell."""
+    return float(text) if text else np.nan
+
+
+class _DataLines:
+    """The lines after the header of an open dataset file, for ``np.loadtxt``.
+
+    Blank lines are skipped.  ``lineno`` is the 1-based file line of the
+    last line handed out, which is the offending one when ``np.loadtxt``
+    raises; :meth:`line_of` maps a parsed row's index back to its line.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.lineno = 1
+        self.blank: list[int] = []
+
+    def __iter__(self):
+        for self.lineno, line in enumerate(self.fh, start=2):
+            if line.isspace():
+                self.blank.append(self.lineno)
+            else:
+                yield line
+
+    def line_of(self, row: int) -> int:
+        line = row + 2
+        for b in self.blank:
+            if b <= line:
+                line += 1
+        return line
+
+
 def read_dataset(csv_path) -> SpectroscopyDataset:
     """Read a dataset CSV written by :func:`write_dataset`.
 
@@ -85,48 +137,45 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
         raise SchemaError(f"missing sidecar {meta_path.name}")
     meta = _read_json(meta_path)
 
-    rows_by_segment: dict[int, dict] = {}
     # Undecodable bytes become U+FFFD, which the header and row checks reject.
     with open(csv_path, errors="replace") as fh:
         header = fh.readline().strip()
         if header != DATASET_HEADER:
             raise SchemaError(f"unexpected CSV header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise SchemaError(f"row {lineno}: expected 5 fields, got {len(parts)}")
-            try:
-                s = int(parts[0])
-                control = parts[1]
-                bias = float(parts[2])
-                freq = float(parts[3])
-                t1 = float(parts[4]) if parts[4] != "" else np.nan
-            except ValueError as exc:
-                raise SchemaError(f"row {lineno}: {exc}") from None
-            seg = rows_by_segment.setdefault(
-                s, {"control": control, "bias": [], "freq": [], "t1": []}
-            )
-            if seg["control"] != control:
-                raise SchemaError(f"row {lineno}: control changed within segment {s}")
-            seg["bias"].append(bias)
-            seg["freq"].append(freq)
-            seg["t1"].append(t1)
+        lines = _DataLines(fh)
+        try:
+            with warnings.catch_warnings():
+                # A header-only file warns "input contained no data".
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                    converters={4: _t1_cell}, ndmin=1,
+                )
+        except ValueError as exc:
+            # numpy's own "at row ..." counts parsed rows, not file lines.
+            reason = str(exc).split(" at row ")[0]
+            raise SchemaError(f"row {lines.lineno}: {reason}") from None
 
-    if not rows_by_segment:
+    if rows.size == 0:
         raise SchemaError("dataset has no rows")
+    seg_ids = rows["segment"]
     seg_meta = meta.get("segments", [])
     segments, grids = [], []
     freq_axis = None
     # SegmentSpec and SpectroscopyDataset raise ValueError on bad content.
     try:
-        for s in sorted(rows_by_segment):
-            seg = rows_by_segment[s]
-            bias = np.array(seg["bias"])
-            freq = np.array(seg["freq"])
-            t1 = np.array(seg["t1"])
+        for s in np.unique(seg_ids).tolist():
+            in_seg = seg_ids == s
+            controls = rows["control"][in_seg]
+            changed = np.flatnonzero(controls != controls[0])
+            if changed.size:
+                row = np.flatnonzero(in_seg)[changed[0]]
+                raise SchemaError(
+                    f"row {lines.line_of(row)}: control changed within segment {s}"
+                )
+            bias = rows["bias"][in_seg]
+            freq = rows["freq"][in_seg]
+            t1 = rows["t1"][in_seg]
             uniq_freq = np.unique(freq)
             n_f = uniq_freq.size
             if bias.size % n_f != 0:
@@ -144,7 +193,7 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
             bias_axis = bias.reshape(n_b, n_f)[:, 0]
             segments.append(
                 SegmentSpec(
-                    control=seg["control"],
+                    control=str(controls[0]),
                     bias=bias_axis,
                     held={k: float(v) for k, v in held.items()},
                     direction=direction,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from .errors import BiasLimitExceeded, InvalidBand
 from .stm import Location, TlsParams, V_S_LIMIT_DEFAULT, dipole_to_gamma_s
@@ -56,11 +55,11 @@ class EnsembleConfig:
     ``band`` is the observation band [GHz]; ``p0_target`` the TLS volume
     density [1/(um^3 GHz)]; ``volume_um3`` the field-carrying dielectric
     volume.  Dipole projections are truncated-normal (>= 0) with the given
-    mean/std [e*Angstrom]; the sample-bias rate follows from the dipole and
-    thickness, gamma_s = +-2p/d, with random orientation sign.  Strain
-    rates are uniform within ``+-gamma_p_max`` [GHz/V]; the global-gate
-    rate is zero for defects buried in the sample capacitor (the top
-    electrode screens the global field).
+    mean/std [e*Angstrom], both positive; the sample-bias rate follows
+    from the dipole and thickness, gamma_s = +-2p/d, with random
+    orientation sign.  Strain rates are uniform within ``+-gamma_p_max``
+    [GHz/V]; the global-gate rate is zero for defects buried in the
+    sample capacitor (the top electrode screens the global field).
     """
 
     band: tuple[float, float] = (5.8, 6.7)
@@ -74,6 +73,10 @@ class EnsembleConfig:
     delta0_min: float | None = None
     eps_halfwidth: float | None = None
     max_bias_swing: float = 2.5
+
+    def __post_init__(self):
+        if not (self.dipole_mean > 0 and self.dipole_std > 0):
+            raise ValueError("dipole_mean and dipole_std must be > 0")
 
     def resolved_delta0_min(self) -> float:
         return self.delta0_min if self.delta0_min is not None else 0.6 * self.band[0]
@@ -125,6 +128,22 @@ def _in_band_probability(cfg: EnsembleConfig) -> float:
     return area / (logd[-1] - logd[0])
 
 
+def _truncnorm_left_ppf(u: np.ndarray, a: float) -> np.ndarray:
+    """Quantiles ``u`` of the standard normal truncated to [a, inf), a < 0.
+
+    This is the left-tail branch of ``scipy.stats.truncnorm._ppf`` with
+    the upper bound at infinity, written out with the ``scipy.special``
+    functions it calls.  ``truncnorm.rvs(a, inf, random_state=rng)`` is
+    this function applied to ``rng.uniform(size=n)``, so the draw is the
+    same bit for bit without importing :mod:`scipy.stats`.
+    """
+    from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
+
+    a = np.full_like(u, a)
+    log_mass = log1p(-ndtr(a))  # log P(X >= a)
+    return ndtri_exp(logsumexp([log_ndtr(a), np.log(u) + log_mass], axis=0))
+
+
 def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:
     """Draw a TLS ensemble; deterministic for a given (cfg, seed).
 
@@ -150,10 +169,8 @@ def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:
         delta0 = np.exp(rng.uniform(np.log(d_lo), np.log(hi), size=n))
         eps_i = rng.uniform(-w, w, size=n)
         a = (0.0 - cfg.dipole_mean) / cfg.dipole_std
-        p_par = truncnorm.rvs(
-            a, np.inf, loc=cfg.dipole_mean, scale=cfg.dipole_std, size=n,
-            random_state=rng,
-        )
+        u = rng.uniform(size=n)
+        p_par = _truncnorm_left_ppf(u, a) * cfg.dipole_std + cfg.dipole_mean
         sign = rng.choice([-1.0, 1.0], size=n)
         gamma_p = rng.uniform(-cfg.gamma_p_max, cfg.gamma_p_max, size=n)
         for k in range(n):

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +81,24 @@ class TestExitCodes:
         cfg = write_json(tmp_path / "bad.json", {"no_such_key": 1})
         assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
 
+    def test_wrong_config_type(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "bad.json", {"n_bias": "x"})
+        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tls1, panels, needle", [
+        ({"bogus": 1}, ["panel.csv"], "bogus"),
+        ({}, [5], "panels"),
+    ])
+    def test_malformed_coupled_config(self, tmp_path, capsys, tls1, panels, needle):
+        tls = {"schema_version": 1, "delta0": 5.9}
+        cfg = write_json(tmp_path / "coupled.json", {
+            "panels": panels, "tls1": {**tls, **tls1}, "tls2": tls,
+        })
+        assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and needle in err
+
     def test_threads_option_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("generate", "--threads", 2, "--out", tmp_path)
@@ -132,3 +153,15 @@ class TestDeterminism:
         generate_and_fit(tmp_path, SMALL)
         for name in EXPECTED_SHA256:
             assert (tmp_path / name).read_bytes() == (small_run / name).read_bytes()
+
+
+def test_cli_import_leaves_out_scipy_stats_and_constants():
+    code = (
+        "import sys, tls_scope.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.constants') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"

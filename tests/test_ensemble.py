@@ -4,6 +4,7 @@ import pytest
 from tls_scope.ensemble import (
     ControlChain,
     EnsembleConfig,
+    _truncnorm_left_ppf,
     apply_control_chain,
     generate_ensemble,
 )
@@ -89,3 +90,28 @@ class TestGenerateEnsemble:
         lo = cfg.resolved_delta0_min()
         for t in ens.tls_list:
             assert lo <= t.delta0 <= cfg.band[1]
+
+
+class TestDipoleSampler:
+    """The dipole draw is the one scipy.stats.truncnorm.rvs makes."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("n", [0, 1, 5, 1000])
+    @pytest.mark.parametrize("mean, std", [(0.4, 0.2), (0.05, 1.0), (2.0, 0.1)])
+    def test_matches_truncnorm_rvs(self, seed, n, mean, std):
+        from scipy.stats import truncnorm
+
+        a = (0.0 - mean) / std
+        rng_scipy = np.random.default_rng(seed)
+        rng_ours = np.random.default_rng(seed)
+        want = truncnorm.rvs(a, np.inf, loc=mean, scale=std, size=n,
+                             random_state=rng_scipy)
+        got = _truncnorm_left_ppf(rng_ours.uniform(size=n), a) * std + mean
+        assert got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert rng_ours.bit_generator.state == rng_scipy.bit_generator.state
+
+    @pytest.mark.parametrize("field", ["dipole_mean", "dipole_std"])
+    def test_non_positive_dipole_parameters_rejected(self, field):
+        with pytest.raises(ValueError):
+            EnsembleConfig(**{field: 0.0})
