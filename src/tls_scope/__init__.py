@@ -34,6 +34,7 @@ from .errors import (
     NoConvergence,
     NoCrossingInRange,
     NonHermitianInput,
+    NoTracesFound,
     SchemaError,
     TlsScopeError,
 )

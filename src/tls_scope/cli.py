@@ -18,7 +18,13 @@ import numpy as np
 
 from . import dataio, metrics
 from .ensemble import ControlChain, EnsembleConfig, generate_ensemble
-from .errors import AmbiguousSigns, NoConvergence, SchemaError, TlsScopeError
+from .errors import (
+    AmbiguousSigns,
+    NoConvergence,
+    NoTracesFound,
+    SchemaError,
+    TlsScopeError,
+)
 from .pairfit import fit_coupled_pair, panel_points_from_dataset
 from .pipeline import AnalysisOptions, analyze_dataset
 from .spectro import default_sweep_plan, t1_map
@@ -515,6 +521,9 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NoTracesFound as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EMPTY
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -33,5 +33,9 @@ class AmbiguousSigns(TlsScopeError):
     """Distinct sign branches of the coupled fit are statistically tied."""
 
 
+class NoTracesFound(TlsScopeError):
+    """A scan that must show resonances yields no resonance trace."""
+
+
 class SchemaError(TlsScopeError):
     """File schema missing, unknown, or from an unsupported version."""

@@ -87,11 +87,12 @@ def lm_fit(
         if np.abs(grad).max() <= gtol * max(1.0, chi2):
             converged = True
             break
+        scale = np.diag(np.clip(np.diag(a), 1e-30, None))
+        neg_grad = -grad
         accepted = False
         for _ in range(50):
-            damped = a + lam * np.diag(np.clip(np.diag(a), 1e-30, None))
             try:
-                step = np.linalg.solve(damped, -grad)
+                step = np.linalg.solve(a + lam * scale, neg_grad)
             except np.linalg.LinAlgError:
                 lam *= lam_factor
                 continue

@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import MHZ_PER_GHZ
 from .coupled import transitions_truncated
-from .errors import AmbiguousSigns, NoConvergence
+from .errors import AmbiguousSigns, NoConvergence, NoTracesFound
 from .lm import lm_fit
 from .stm import TlsParams, energies
 
@@ -76,7 +76,13 @@ def _bare_energies(tls1, tls2, gamma_p2, v_p, v_s):
 
 
 def panel_points_from_dataset(ds, **extract_kwargs) -> CrossingPanel:
-    """Pool all extracted trace points of a one-segment crossing scan."""
+    """Pool all extracted trace points of a one-segment crossing scan.
+
+    Raises
+    ------
+    NoTracesFound
+        If the scan shows no resonance trace.
+    """
     from .traces import extract_traces
 
     if len(ds.segments) != 1 or ds.segments[0].control != "sample":
@@ -89,7 +95,7 @@ def panel_points_from_dataset(ds, **extract_kwargs) -> CrossingPanel:
         fs.append(f)
         ws.append(w)
     if not vs:
-        raise ValueError("no resonance traces found in the panel")
+        raise NoTracesFound("no resonance traces found in the panel")
     return CrossingPanel(
         v_p=v_p,
         v_s=np.concatenate(vs),

@@ -44,21 +44,20 @@ class Trace:
 
 
 def _row_candidates(t1_row: np.ndarray, freq: np.ndarray, threshold: float):
-    """(freq, weight) of significant local T1 minima in one bias step."""
+    """(freq, weight) arrays of significant local T1 minima in one bias step."""
     baseline = np.nanmedian(t1_row)
     limit = (1.0 - threshold) * baseline
     y = np.log(1.0 / np.clip(t1_row, 1e-12, None))
     inner = t1_row[1:-1]
     is_min = (inner < t1_row[:-2]) & (inner <= t1_row[2:]) & (inner < limit)
-    out = []
-    step = freq[1] - freq[0]
-    for idx in np.nonzero(is_min)[0] + 1:
-        ym, y0, yp = y[idx - 1], y[idx], y[idx + 1]
-        denom = ym + yp - 2.0 * y0
-        shift = 0.0 if denom == 0 else float(np.clip((ym - yp) / (2.0 * denom), -0.5, 0.5))
-        depth = baseline / t1_row[idx] - 1.0
-        out.append((freq[idx] + shift * step, depth * depth))
-    return out
+    idx = np.nonzero(is_min)[0] + 1
+    ym, y0, yp = y[idx - 1], y[idx], y[idx + 1]
+    denom = ym + yp - 2.0 * y0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.clip((ym - yp) / (2.0 * denom), -0.5, 0.5)
+    shift[denom == 0] = 0.0
+    depth = baseline / t1_row[idx] - 1.0
+    return freq[idx] + shift * (freq[1] - freq[0]), depth * depth
 
 
 def extract_traces(
@@ -91,64 +90,82 @@ def extract_traces(
     step = ds.grid_step_ghz
     traces: list[Trace] = []
     for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
-        active: list[dict] = []
+        # Open traces in the order they were opened: per-trace state as
+        # arrays, and the (bias index, freq, weight) points of each.
+        last_f = np.empty(0)
+        slope = np.empty(0)
+        last_i = np.empty(0, dtype=np.intp)
+        n_pts = np.empty(0, dtype=np.intp)
+        points: list[tuple[list, list, list]] = []
         for i in range(seg.bias.size):
-            cands = _row_candidates(t1[i], ds.freq_ghz, threshold)
-            # Predict each active trace forward and greedily match the
-            # globally closest (trace, candidate) pairs first.
-            pairs = []
-            for a_idx, a in enumerate(active):
-                gap = i - a["last_i"]
-                pred = a["freq"][-1] + a["slope"] * gap
+            f_c, w_c = _row_candidates(t1[i], ds.freq_ghz, threshold)
+            f_list, w_list = f_c.tolist(), w_c.tolist()
+            used_c = np.zeros(f_c.size, dtype=bool)
+            if points and f_c.size:
+                # Predict each open trace forward and greedily match the
+                # globally closest (trace, candidate) pairs first; ties
+                # go to the earlier trace, then the earlier candidate.
+                gap = i - last_i
+                pred = last_f + slope * gap
                 window = jump_limit * step * gap
-                if len(a["freq"]) == 1:
-                    window *= first_link_factor
-                for c_idx, (f, _w) in enumerate(cands):
-                    dist = abs(f - pred)
-                    if dist <= window:
-                        pairs.append((dist, a_idx, c_idx))
-            pairs.sort()
-            used_a, used_c = set(), set()
-            for dist, a_idx, c_idx in pairs:
-                if a_idx in used_a or c_idx in used_c:
-                    continue
-                used_a.add(a_idx)
-                used_c.add(c_idx)
-                a = active[a_idx]
-                f, w = cands[c_idx]
-                gap = i - a["last_i"]
-                a["slope"] = (f - a["freq"][-1]) / gap
-                a["freq"].append(f)
-                a["bias_index"].append(i)
-                a["weight"].append(w)
-                a["last_i"] = i
-            for c_idx, (f, w) in enumerate(cands):
-                if c_idx not in used_c:
-                    active.append(
-                        {"freq": [f], "bias_index": [i], "weight": [w],
-                         "slope": 0.0, "last_i": i}
-                    )
-            survivors = []
-            for a in active:
-                if i - a["last_i"] > max_gap:
-                    traces.extend(_finalize(a, s, seg, min_points))
-                else:
-                    survivors.append(a)
-            active = survivors
-        for a in active:
-            traces.extend(_finalize(a, s, seg, min_points))
+                window = np.where(n_pts == 1, window * first_link_factor, window)
+                dist = np.abs(f_c[None, :] - pred[:, None])
+                a_idx, c_idx = np.nonzero(dist <= window[:, None])
+                order = np.lexsort((c_idx, a_idx, dist[a_idx, c_idx]))
+                used_a = [False] * len(points)
+                matched_a, matched_c = [], []
+                for a, c in zip(a_idx[order].tolist(), c_idx[order].tolist()):
+                    if used_a[a] or used_c[c]:
+                        continue
+                    used_a[a] = used_c[c] = True
+                    matched_a.append(a)
+                    matched_c.append(c)
+                    pts = points[a]
+                    pts[0].append(i)
+                    pts[1].append(f_list[c])
+                    pts[2].append(w_list[c])
+                if matched_a:
+                    ma = np.array(matched_a, dtype=np.intp)
+                    f_new = f_c[matched_c]
+                    slope[ma] = (f_new - last_f[ma]) / gap[ma]
+                    last_f[ma] = f_new
+                    last_i[ma] = i
+                    n_pts[ma] += 1
+            fresh = np.flatnonzero(~used_c)
+            if fresh.size:
+                last_f = np.concatenate((last_f, f_c[fresh]))
+                slope = np.concatenate((slope, np.zeros(fresh.size)))
+                last_i = np.concatenate((last_i, np.full(fresh.size, i)))
+                n_pts = np.concatenate((n_pts, np.ones(fresh.size, dtype=np.intp)))
+                points.extend(([i], [f_list[c]], [w_list[c]]) for c in fresh.tolist())
+            closed = i - last_i > max_gap
+            if closed.any():
+                for k in np.flatnonzero(closed).tolist():
+                    traces.extend(_finalize(points[k], s, seg, min_points))
+                keep = ~closed
+                last_f, slope, last_i, n_pts = (
+                    last_f[keep], slope[keep], last_i[keep], n_pts[keep]
+                )
+                points = [p for p, k in zip(points, keep.tolist()) if k]
+        for pts in points:
+            traces.extend(_finalize(pts, s, seg, min_points))
     return traces
 
 
-def _finalize(a: dict, segment: int, seg, min_points: int) -> list[Trace]:
-    if len(a["freq"]) < min_points:
+def _finalize(points: tuple, segment: int, seg, min_points: int) -> list[Trace]:
+    bias_index, freq, weight = points
+    if len(freq) < min_points:
         return []
-    tr = Trace(segment=segment, control=seg.control)
-    tr.bias_index = list(a["bias_index"])
-    tr.bias = [float(seg.bias[j]) for j in a["bias_index"]]
-    tr.freq = list(a["freq"])
-    tr.weight = list(a["weight"])
-    return [tr]
+    return [
+        Trace(
+            segment=segment,
+            control=seg.control,
+            bias_index=bias_index,
+            bias=[float(seg.bias[j]) for j in bias_index],
+            freq=freq,
+            weight=weight,
+        )
+    ]
 
 
 def link_tracks(

@@ -7,9 +7,13 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from tls_scope import cli
+from tls_scope import cli, dataio
+from tls_scope.coupled import CoupledPair
+from tls_scope.spectro import coupled_pair_t1_map
+from tls_scope.stm import Location, TlsParams
 
 #: A small `generate` config: 32 TLS, 8 segments of 30 bias steps, a
 #: 0.4 GHz band at 4 MHz resolution (about 1.5 MB of CSV).
@@ -58,6 +62,29 @@ def small_run(tmp_path_factory):
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+#: A defect of the benchmark's crossing pair, and the panel grid it is
+#: scanned on (V_s sweep at V_p = 0).
+TLS = TlsParams(delta0=5.957, gamma_p=0.022, gamma_s=161.95, p_parallel=0.335,
+                location=Location.SAMPLE_DIELECTRIC)
+PANEL_V_S = np.linspace(-2.4e-3, 2.4e-3, 80)
+PANEL_FREQ = np.arange(5.90, 6.06, 0.001)
+
+
+def coupled_inputs(tmp_path, pair, field_rms, noise_sigma, seed):
+    """A one-panel `coupled` config for a simulated panel of ``pair``;
+    the fit is told tls1 and tls2 of the pair."""
+    ds = coupled_pair_t1_map(pair, PANEL_V_S, 0.0, PANEL_FREQ, field_rms=field_rms,
+                             gamma1_background=1 / 4.3, noise_sigma=noise_sigma,
+                             seed=seed)
+    panel = tmp_path / "panel.csv"
+    dataio.write_dataset(ds, panel)
+    return write_json(tmp_path / "coupled.json", {
+        "panels": [str(panel)],
+        "tls1": pair.tls1.to_dict(),
+        "tls2": pair.tls2.to_dict(),
+    })
 
 
 def copy_dataset(src, dst):
@@ -142,6 +169,24 @@ class TestExitCodes:
         csv = out / "dataset.csv"
         assert run("fit", csv, "--out", out) == cli.EXIT_EMPTY
         assert run("fit", csv, "--allow-empty", "--out", out) == cli.EXIT_OK
+
+
+    def test_coupled_panel_without_resonance(self, tmp_path, capsys):
+        # No field at the defects: the panel is flat, with no trace to fit.
+        pair = CoupledPair(TLS, TLS, g_z=0.0, g_x=0.0)
+        cfg = coupled_inputs(tmp_path, pair, field_rms=0.0, noise_sigma=0.0, seed=0)
+        assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_EMPTY
+        assert "no resonance traces" in capsys.readouterr().err
+
+    def test_coupled_fit_with_tied_sign_branches(self, tmp_path, capsys):
+        # Two identical uncoupled defects show one line; the model puts it
+        # on either branch, with g_z near +|g_x|/2 or -|g_x|/2, and with
+        # this noise draw both fit equally well.
+        pair = CoupledPair(TLS, TLS, g_z=0.0, g_x=0.0)
+        cfg = coupled_inputs(tmp_path, pair, field_rms=90.0, noise_sigma=0.1, seed=0)
+        assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_COUPLED
+        assert "two sign branches fit equally well" in capsys.readouterr().err
+        assert not (tmp_path / "coupled_fit.json").exists()
 
 
 class TestDeterminism:

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from tls_scope.constants import MHZ_PER_GHZ
 from tls_scope.ensemble import Ensemble, ControlChain
 from tls_scope.spectro import (
+    _BIAS_BLOCK,
     SegmentSpec,
+    _chunk_sum,
+    _lorentzian_rate,
     coupled_pair_t1_map,
     default_sweep_plan,
     t1_map,
@@ -162,6 +168,53 @@ class TestT1Map:
             t1_map(empty_ensemble(), DESIGN, sample_segment(),
                    np.array([6.0, 5.9, 6.1]), gamma1_background=0.2,
                    noise_sigma=0.0, seed=0)
+
+
+def chunked_lorentzian_rate(freq_ghz, f_tls_ghz, g_mhz, gamma2_per_us):
+    """Reference: (bias, freq, 16-TLS chunk) terms, np.sum over the chunk."""
+    n_b = f_tls_ghz.shape[0]
+    out = np.zeros((n_b, freq_ghz.size))
+    g_ang = 2.0 * math.pi * g_mhz  # rad/us
+    for start in range(0, f_tls_ghz.shape[1], 16):
+        sl = slice(start, start + 16)
+        dw = 2.0 * math.pi * MHZ_PER_GHZ * (
+            freq_ghz[None, :, None] - f_tls_ghz[:, None, sl]
+        )  # rad/us
+        g2 = gamma2_per_us[None, None, sl]
+        out += np.sum(
+            2.0 * g_ang[:, None, sl] ** 2 * g2 / (dw**2 + g2**2), axis=2
+        )
+    return out
+
+
+class TestLorentzianKernel:
+    @pytest.mark.parametrize("n_bias", [1, _BIAS_BLOCK + 5, 80])
+    @pytest.mark.parametrize("n_tls", [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 40])
+    def test_bit_identical_to_chunked_sum(self, n_tls, n_bias):
+        rng = np.random.default_rng(1000 * n_tls + n_bias)
+        f_tls = rng.uniform(5.7, 6.8, (n_bias, n_tls))
+        g_mhz = rng.uniform(0.0, 2.0, (n_bias, n_tls))
+        gamma2 = rng.uniform(1.0, 20.0, n_tls)
+        got = _lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+        want = chunked_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+        assert got.shape == (n_bias, FREQ.size)
+        assert np.array_equal(got, want)
+
+    @given(
+        st.integers(1, 16).flatmap(
+            lambda k: hnp.arrays(
+                np.float64,
+                st.tuples(st.integers(1, 4), st.integers(1, 9), st.just(k)),
+                elements=st.floats(-1e6, 1e6, allow_subnormal=False),
+            )
+        )
+    )
+    def test_chunk_sum_replays_numpy_pairwise_order(self, a):
+        # numpy sums a contiguous axis pairwise; _chunk_sum gets the same
+        # terms with that axis first (the TLS-major layout of the kernel).
+        want = a.sum(axis=2)
+        got = _chunk_sum(np.ascontiguousarray(np.moveaxis(a, 2, 0)))
+        assert np.array_equal(got, want)
 
 
 class TestCoupledPanel:

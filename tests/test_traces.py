@@ -1,0 +1,270 @@
+"""Trace extraction and track linking on synthetic T1 grids."""
+
+import numpy as np
+import pytest
+
+from tls_scope.spectro import SegmentSpec, SpectroscopyDataset
+from tls_scope.traces import Trace, extract_traces, link_tracks
+
+FREQ = np.round(np.arange(5.8, 6.2, 0.002), 12)
+STEP = 0.002
+GAMMA1_BG = 0.2  # 1/us
+DIP_RATE = 1.0  # extra 1/us on resonance: T1 drops from 5 to 0.83 us
+HALF_WIDTH = 0.003  # GHz
+
+
+def reference_row_candidates(t1_row, freq, threshold):
+    baseline = np.nanmedian(t1_row)
+    limit = (1.0 - threshold) * baseline
+    y = np.log(1.0 / np.clip(t1_row, 1e-12, None))
+    inner = t1_row[1:-1]
+    is_min = (inner < t1_row[:-2]) & (inner <= t1_row[2:]) & (inner < limit)
+    out = []
+    step = freq[1] - freq[0]
+    for idx in np.nonzero(is_min)[0] + 1:
+        ym, y0, yp = y[idx - 1], y[idx], y[idx + 1]
+        denom = ym + yp - 2.0 * y0
+        shift = 0.0 if denom == 0 else float(np.clip((ym - yp) / (2.0 * denom), -0.5, 0.5))
+        depth = baseline / t1_row[idx] - 1.0
+        out.append((freq[idx] + shift * step, depth * depth))
+    return out
+
+
+def reference_extract_traces(ds, threshold=0.25, jump_limit=5.0, min_points=5,
+                             max_gap=2, first_link_factor=5.0):
+    """Reference: the per-candidate loop over (trace, candidate) pairs."""
+    step = ds.grid_step_ghz
+    traces = []
+    for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
+        active = []
+        for i in range(seg.bias.size):
+            cands = reference_row_candidates(t1[i], ds.freq_ghz, threshold)
+            pairs = []
+            for a_idx, a in enumerate(active):
+                gap = i - a["last_i"]
+                pred = a["freq"][-1] + a["slope"] * gap
+                window = jump_limit * step * gap
+                if len(a["freq"]) == 1:
+                    window *= first_link_factor
+                for c_idx, (f, _w) in enumerate(cands):
+                    dist = abs(f - pred)
+                    if dist <= window:
+                        pairs.append((dist, a_idx, c_idx))
+            pairs.sort()
+            used_a, used_c = set(), set()
+            for dist, a_idx, c_idx in pairs:
+                if a_idx in used_a or c_idx in used_c:
+                    continue
+                used_a.add(a_idx)
+                used_c.add(c_idx)
+                a = active[a_idx]
+                f, w = cands[c_idx]
+                gap = i - a["last_i"]
+                a["slope"] = (f - a["freq"][-1]) / gap
+                a["freq"].append(f)
+                a["bias_index"].append(i)
+                a["weight"].append(w)
+                a["last_i"] = i
+            for c_idx, (f, w) in enumerate(cands):
+                if c_idx not in used_c:
+                    active.append({"freq": [f], "bias_index": [i], "weight": [w],
+                                   "slope": 0.0, "last_i": i})
+            survivors = []
+            for a in active:
+                if i - a["last_i"] > max_gap:
+                    traces.extend(reference_finalize(a, s, seg, min_points))
+                else:
+                    survivors.append(a)
+            active = survivors
+        for a in active:
+            traces.extend(reference_finalize(a, s, seg, min_points))
+    return traces
+
+
+def reference_finalize(a, segment, seg, min_points):
+    if len(a["freq"]) < min_points:
+        return []
+    return [Trace(segment=segment, control=seg.control,
+                  bias_index=list(a["bias_index"]),
+                  bias=[float(seg.bias[j]) for j in a["bias_index"]],
+                  freq=list(a["freq"]), weight=list(a["weight"]))]
+
+
+def trace_bytes(traces):
+    """Every field of every trace, floats as their exact bytes."""
+    return [
+        (tr.segment, tr.control, tr.bias_index,
+         np.array(tr.bias).tobytes(), np.array(tr.freq).tobytes(),
+         np.array(tr.weight).tobytes())
+        for tr in traces
+    ]
+
+
+def t1_grid(lines, n_bias, noise=0.0, rng=None, freq=FREQ):
+    """T1 [us] of Lorentzian dips; ``lines`` are (n_bias,) frequency paths,
+    NaN where the line is absent."""
+    rate = np.full((n_bias, freq.size), GAMMA1_BG)
+    for path in lines:
+        for i, f0 in enumerate(path):
+            if np.isfinite(f0):
+                rate[i] += DIP_RATE / (1.0 + ((freq - f0) / HALF_WIDTH) ** 2)
+    t1 = 1.0 / rate
+    if noise:
+        t1 *= np.exp(noise * rng.standard_normal(t1.shape))
+    return t1
+
+
+def dataset(grids, controls=None, freq=FREQ):
+    controls = controls or ["sample"] * len(grids)
+    segments = tuple(
+        SegmentSpec(control=c, bias=np.linspace(-1e-3, 1e-3, g.shape[0]),
+                    held={"v_p": 0.0, "v_g": 0.0, "v_s": 0.0}, direction="up")
+        for c, g in zip(controls, grids)
+    )
+    return SpectroscopyDataset(segments=segments, freq_ghz=freq, t1_us=tuple(grids))
+
+
+def line(f0, slope_steps, n_bias, present=None):
+    """Straight path starting at f0, moving ``slope_steps`` grid steps per
+    bias step; ``present`` masks the bias steps where it shows."""
+    path = f0 + slope_steps * STEP * np.arange(n_bias)
+    if present is not None:
+        path = np.where(present, path, np.nan)
+    return path
+
+
+def crowded_grid(seed, n_bias=60, n_lines=40):
+    """Many lines, crossing ones and steep ones, with T1 noise."""
+    rng = np.random.default_rng(seed)
+    lines = [line(rng.uniform(5.82, 6.18), rng.uniform(-3.0, 3.0), n_bias)
+             for _ in range(n_lines)]
+    lines.append(line(5.90, 4.0, n_bias))  # crosses the next one
+    lines.append(line(6.10, -4.0, n_bias))
+    lines.append(line(5.85, 12.0, n_bias))  # steep: needs the first-link window
+    return t1_grid(lines, n_bias, noise=0.1, rng=rng)
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_crowded_grid(self, seed):
+        ds = dataset([crowded_grid(seed), crowded_grid(seed + 10, n_bias=45)])
+        want = reference_extract_traces(ds)
+        assert len(want) > 40
+        assert trace_bytes(extract_traces(ds)) == trace_bytes(want)
+
+    def test_grid_with_nan_cells(self):
+        grid = crowded_grid(3)
+        rng = np.random.default_rng(4)
+        grid[rng.uniform(size=grid.shape) < 0.05] = np.nan
+        ds = dataset([grid])
+        want = reference_extract_traces(ds)
+        assert want
+        assert trace_bytes(extract_traces(ds)) == trace_bytes(want)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(threshold=0.1),
+        dict(jump_limit=1.5, first_link_factor=1.0),
+        dict(min_points=2, max_gap=0),
+        dict(max_gap=5, min_points=10),
+    ])
+    def test_options(self, kwargs):
+        ds = dataset([crowded_grid(5)])
+        want = reference_extract_traces(ds, **kwargs)
+        assert trace_bytes(extract_traces(ds, **kwargs)) == trace_bytes(want)
+
+
+class TestExtraction:
+    def test_clean_line_is_one_trace(self):
+        n = 30
+        ds = dataset([t1_grid([line(5.95, 1.3, n)], n)])
+        (tr,) = extract_traces(ds)
+        assert tr.bias_index == list(range(n))
+        assert tr.control == "sample"
+        assert np.allclose(tr.freq, line(5.95, 1.3, n), atol=0.25 * STEP)
+        assert tr.bias == ds.segments[0].bias.tolist()
+
+    @pytest.mark.parametrize("missing, n_traces", [(2, 1), (3, 2)])
+    def test_max_gap_closes_a_trace(self, missing, n_traces):
+        n = 30
+        present = np.ones(n, dtype=bool)
+        present[10:10 + missing] = False
+        ds = dataset([t1_grid([line(6.0, 0.5, n, present)], n)])
+        traces = extract_traces(ds, max_gap=2)
+        assert len(traces) == n_traces
+        assert sum(len(tr) for tr in traces) == n - missing
+
+    @pytest.mark.parametrize("shown, min_points, n_traces", [
+        (4, 5, 0), (4, 4, 1), (5, 5, 1),
+    ])
+    def test_min_points_drops_short_traces(self, shown, min_points, n_traces):
+        n = 20
+        present = np.arange(n) < shown
+        ds = dataset([t1_grid([line(6.0, 0.0, n, present)], n)])
+        assert len(extract_traces(ds, min_points=min_points)) == n_traces
+
+    @pytest.mark.parametrize("low", [0.35, 0.6])
+    def test_flat_parabola_keeps_the_grid_point(self, low):
+        # Two equal lowest cells and a left neighbour one ulp higher: the
+        # three log(1/T1) values give a zero parabola denominator.
+        row = np.ones(FREQ.size)
+        row[49:52] = np.nextafter(low, 1.0), low, low
+        ds = dataset([np.tile(row, (8, 1))])
+        (tr,) = extract_traces(ds)
+        assert tr.freq == [FREQ[50]] * 8
+        assert trace_bytes([tr]) == trace_bytes(reference_extract_traces(ds))
+
+    def test_tie_goes_to_the_earlier_trace(self):
+        # On a dyadic grid every candidate sits exactly on a grid point, so
+        # the line at index 100 is exactly 3 steps from both open traces:
+        # A (rows 0-1 at index 97) and B (rows 2-3 at index 103).
+        freq = 6.0 + np.arange(200) * 2.0**-9
+        n = 10
+        rows = np.arange(n)
+        paths = [np.where(rows < 2, freq[97], np.nan),
+                 np.where((rows >= 2) & (rows < 4), freq[103], np.nan),
+                 np.where(rows >= 4, freq[100], np.nan)]
+        ds = dataset([t1_grid(paths, n, freq=freq)], freq=freq)
+        traces = extract_traces(ds, min_points=2)
+        assert [tr.bias_index for tr in traces] == [[2, 3], [0, 1, 4, 5, 6, 7, 8, 9]]
+        assert traces[1].freq == [freq[97]] * 2 + [freq[100]] * 6
+
+    def test_first_link_factor_finds_the_second_point(self):
+        # 10 grid steps per bias step: beyond jump_limit (5 steps) around
+        # the flat first prediction, inside the widened first window.
+        n = 15
+        ds = dataset([t1_grid([line(5.85, 10.0, n)], n)])
+        (tr,) = extract_traces(ds, jump_limit=5.0, first_link_factor=5.0)
+        assert tr.bias_index == list(range(n))
+        assert extract_traces(ds, jump_limit=5.0, first_link_factor=1.0) == []
+
+
+class TestLinkTracks:
+    def test_chains_across_a_segment_boundary(self):
+        n = 25
+        first = line(5.95, 1.0, n)
+        second = line(first[-1], -1.0, n)  # continues where the first ends
+        late = line(6.10, 0.0, n, present=np.arange(n) >= 10)  # starts mid-segment
+        ds = dataset(
+            [t1_grid([first], n), t1_grid([second, late], n)],
+            controls=["sample", "piezo"],
+        )
+        traces = extract_traces(ds)
+        assert [(tr.segment, tr.control) for tr in traces] == [
+            (0, "sample"), (1, "piezo"), (1, "piezo"),
+        ]
+        tracks = link_tracks(traces, ds)
+        assert len(tracks) == 2
+        chained = next(t for t in tracks if len(t) == 2)
+        assert [tr.segment for tr in chained] == [0, 1]
+        (alone,) = [t for t in tracks if len(t) == 1]
+        assert alone[0].bias_index[0] == 10
+
+    def test_no_chain_beyond_boundary_tol(self):
+        n = 25
+        first = line(5.95, 1.0, n)
+        second = line(first[-1] + 10 * STEP, -1.0, n)
+        ds = dataset([t1_grid([first], n), t1_grid([second], n)])
+        traces = extract_traces(ds)
+        assert len(traces) == 2
+        assert len(link_tracks(traces, ds, boundary_tol=5.0)) == 2
+        assert len(link_tracks(traces, ds, boundary_tol=15.0)) == 1
