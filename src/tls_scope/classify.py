@@ -4,8 +4,7 @@ The location of a defect follows from which controls move its resonance:
 
     responds to V_s                        -> sample dielectric
     responds to V_g but not V_s            -> surface/electrode interface
-    responds only to strain                -> junction barrier (stray
-                                              junctions indistinguishable)
+    responds only to strain                -> junction barrier
     responds to nothing, or seen in only   -> unclassified
     a single segment
 
@@ -35,7 +34,6 @@ class LocationVerdict:
     responds_p: bool
     responds_g: bool
     responds_s: bool
-    single_segment: bool = False
 
 
 def classify_location(
@@ -64,7 +62,6 @@ def classify_location(
         responds_p=responds_p,
         responds_g=responds_g,
         responds_s=responds_s,
-        single_segment=single_segment,
     )
 
 

@@ -4,6 +4,12 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or file-format
 error, 4 no traces found (without --allow-empty), 5 coupled-fit failure.
 All outputs are deterministic for a fixed seed; no timestamps are
 written.
+
+``plotdata crossing`` takes the ``coupled`` config as ``--pair`` and
+extracts the panel as ``coupled`` does, so its ``crossing.csv`` equals
+``crossing_panel_k.csv``.  A missing flag or a bad pair config exits 2;
+a ``coupled_fit.json`` that is not valid JSON of our schema, or lacks a
+number of the fit, exits 3.
 """
 
 from __future__ import annotations
@@ -20,12 +26,14 @@ from . import dataio, metrics
 from .ensemble import ControlChain, EnsembleConfig, generate_ensemble
 from .errors import (
     AmbiguousSigns,
+    BiasLimitExceeded,
+    InvalidBand,
     NoConvergence,
     NoTracesFound,
     SchemaError,
     TlsScopeError,
 )
-from .pairfit import fit_coupled_pair, panel_points_from_dataset
+from .pairfit import PairFitResult, fit_coupled_pair, panel_points_from_dataset
 from .pipeline import AnalysisOptions, analyze_dataset
 from .spectro import default_sweep_plan, t1_map
 from .stm import (
@@ -138,9 +146,8 @@ GENERATE_DEFAULTS = {
 }
 
 
-def cmd_generate(args) -> int:
-    cfg = _load_config(args.config, GENERATE_DEFAULTS)
-    out = _outdir(args)
+def simulate(cfg: dict, seed: int):
+    """(ensemble, dataset) that ``generate`` writes for a full config."""
     band = tuple(cfg["band_ghz"])
     ens_cfg = EnsembleConfig(
         band=band,
@@ -160,7 +167,7 @@ def cmd_generate(args) -> int:
         omega10=2 * math.pi * cfg["f10_ghz"] * 1e9,
         t1_qubit=cfg["t1_qubit_us"],
     )
-    ensemble = generate_ensemble(ens_cfg, seed=args.seed)
+    ensemble = generate_ensemble(ens_cfg, seed=seed)
     plan = default_sweep_plan(
         n_bias=cfg["n_bias"],
         order=tuple(cfg["segment_order"]),
@@ -177,10 +184,17 @@ def cmd_generate(args) -> int:
         freq,
         gamma1_background=1.0 / cfg["t1_qubit_us"],
         noise_sigma=cfg["noise_sigma"],
-        seed=args.seed,
+        seed=seed,
         chain=chain,
         meta_extra={"config": cfg},
     )
+    return ensemble, ds
+
+
+def cmd_generate(args) -> int:
+    cfg = _load_config(args.config, GENERATE_DEFAULTS)
+    out = _outdir(args)
+    ensemble, ds = simulate(cfg, args.seed)
     dataio.write_dataset(ds, out / "dataset.csv")
     dataio.write_ground_truth(ensemble.tls_list, out / "ground_truth.json")
     print(
@@ -190,13 +204,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+#: ``fit`` config keys that are ``AnalysisOptions`` fields of the same name.
+TRACKING_KEYS = (
+    "threshold", "jump_limit", "min_points", "max_gap", "first_link_factor",
+    "boundary_tol",
+)
+
 FIT_DEFAULTS = {
-    "threshold": 0.25,
-    "jump_limit": 5.0,
-    "min_points": 5,
-    "max_gap": 2,
-    "first_link_factor": 5.0,
-    "boundary_tol": 5.0,
+    **{key: getattr(AnalysisOptions, key) for key in TRACKING_KEYS},
     "thickness_nm": 50.0,
     "volume_um3": 2.25e-3,
     "eps_r": 10.0,
@@ -211,12 +226,7 @@ def cmd_fit(args) -> int:
     out = _outdir(args)
     ds = dataio.read_dataset(args.dataset)
     opts = AnalysisOptions(
-        threshold=cfg["threshold"],
-        jump_limit=cfg["jump_limit"],
-        min_points=cfg["min_points"],
-        max_gap=cfg["max_gap"],
-        first_link_factor=cfg["first_link_factor"],
-        boundary_tol=cfg["boundary_tol"],
+        **{key: cfg[key] for key in TRACKING_KEYS},
         thickness_m=cfg["thickness_nm"] * 1e-9,
     )
     result = analyze_dataset(ds, opts)
@@ -275,12 +285,7 @@ def cmd_coupled(args) -> int:
     tls1 = _tls_from_config(cfg, "tls1")
     tls2 = _tls_from_config(cfg, "tls2")
     datasets = [dataio.read_dataset(p) for p in cfg["panels"]]
-    panels = [
-        panel_points_from_dataset(
-            ds, threshold=cfg["threshold"], jump_limit=cfg["jump_limit"]
-        )
-        for ds in datasets
-    ]
+    panels = [_panel(ds, cfg) for ds in datasets]
     try:
         fit = fit_coupled_pair(
             panels,
@@ -314,6 +319,13 @@ def cmd_coupled(args) -> int:
         f"gamma_p2 = {fit.gamma_p2:.5f} GHz/V"
     )
     return EXIT_OK
+
+
+def _panel(ds, cfg: dict):
+    """Crossing panel of ``ds``, extracted as the ``coupled`` config says."""
+    return panel_points_from_dataset(
+        ds, threshold=cfg["threshold"], jump_limit=cfg["jump_limit"]
+    )
 
 
 def _write_crossing(path, ds, panel, fit, tls1, tls2) -> None:
@@ -438,17 +450,15 @@ def cmd_plotdata(args) -> int:
         )
         print(f"wrote {out / 'dipole_histogram.csv'}")
     elif args.kind == "crossing":
+        if args.coupled_fit is None or args.pair is None:
+            raise ConfigError("crossing plotdata needs --coupled-fit and --pair")
         ds = dataio.read_dataset(args.input)
         if len(ds.segments) != 1:
             raise ConfigError("crossing plotdata expects a single-panel dataset")
-        if args.coupled_fit is None:
-            raise ConfigError("crossing plotdata needs --coupled-fit and --pair")
-        payload = json.loads(Path(args.coupled_fit).read_text())
-        pair_cfg = json.loads(Path(args.pair).read_text())
+        pair_cfg = _load_config(args.pair, COUPLED_DEFAULTS)
         tls1 = _tls_from_config(pair_cfg, "tls1")
         tls2 = _tls_from_config(pair_cfg, "tls2")
-        from .pairfit import PairFitResult
-
+        payload = dataio.read_coupled_fit(args.coupled_fit)
         fit = PairFitResult(
             g_z=payload["g_z_MHz"],
             g_x=payload["g_x_MHz"],
@@ -457,7 +467,7 @@ def cmd_plotdata(args) -> int:
             chi2=payload["chi2"],
             n_points=payload["n_points"],
         )
-        panel = panel_points_from_dataset(ds)
+        panel = _panel(ds, pair_cfg)
         _write_crossing(out / "crossing.csv", ds, panel, fit, tls1, tls2)
         print(f"wrote {out / 'crossing.csv'}")
     else:
@@ -497,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["t1-map", "crossing", "dipole-histogram"])
     p.add_argument("input", help="dataset CSV or fit-report JSON")
     p.add_argument("--coupled-fit", help="coupled_fit.json (crossing kind)")
-    p.add_argument("--pair", help="pair spec JSON with tls1/tls2 (crossing kind)")
+    p.add_argument("--pair", help="coupled config JSON (crossing kind)")
 
     return parser
 
@@ -515,7 +525,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, InvalidBand, BiasLimitExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemaError as exc:

@@ -31,6 +31,10 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 ID2 = np.eye(2)
 
+#: Voltage tolerance of the golden-section refinement in
+#: :func:`crossing_geometry`, relative to max(1 V, |V|).
+GOLDEN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CoupledPair:
@@ -180,7 +184,6 @@ def crossing_geometry(
     pair: CoupledPair,
     sweep: Sequence[BiasPoint],
     approach_window: float = 0.5,
-    tol: float = 1e-12,
 ) -> tuple[float, float]:
     """Locate the avoided crossing along a one-control bias sweep.
 
@@ -195,8 +198,6 @@ def crossing_geometry(
         Monotone in one of v_p, v_g, v_s.
     approach_window : float
         Largest grid-minimum splitting [GHz] still considered a crossing.
-    tol : float
-        Voltage tolerance of the golden-section refinement [V].
 
     Returns
     -------
@@ -240,7 +241,7 @@ def crossing_geometry(
     d = a + invphi * (b - a)
     fc = _splitting(pair, sweep[0], control, c)
     fd = _splitting(pair, sweep[0], control, d)
-    while abs(b - a) > tol * max(1.0, abs(a), abs(b)):
+    while abs(b - a) > GOLDEN_TOL * max(1.0, abs(a), abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

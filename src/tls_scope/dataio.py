@@ -242,6 +242,19 @@ def read_fit_report(path) -> dict:
     return _read_json(Path(path))
 
 
+def read_coupled_fit(path) -> dict:
+    """A ``coupled_fit.json`` payload with every number of the fit present."""
+    path = Path(path)
+    payload = _read_json(path)
+    for key in ("g_z_MHz", "g_x_MHz", "gamma_p2_GHz_per_V", "chi2", "n_points"):
+        value = payload.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{path.name}: {key!r} is missing or not a number")
+    if not isinstance(payload.get("covariance"), list):
+        raise SchemaError(f"{path.name}: 'covariance' is missing or not a list")
+    return payload
+
+
 def write_table_csv(path, header: str, columns) -> None:
     """Tidy columnar CSV for plotting tools; one row per grid cell."""
     cols = [np.asarray(c) for c in columns]

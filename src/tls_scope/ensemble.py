@@ -11,12 +11,15 @@ off-band defects that may wander into the band under bias exist too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BiasLimitExceeded, InvalidBand
 from .stm import Location, TlsParams, V_S_LIMIT_DEFAULT, dipole_to_gamma_s
+
+#: Asymmetry shift [GHz] the bias sweeps may apply; widens the eps_i window.
+MAX_BIAS_SWING = 2.5
 
 
 @dataclass(frozen=True)
@@ -69,23 +72,19 @@ class EnsembleConfig:
     dipole_mean: float = 0.4
     dipole_std: float = 0.2
     gamma_p_max: float = 0.04
-    gamma2_tls: float = 2.0 * np.pi
-    delta0_min: float | None = None
-    eps_halfwidth: float | None = None
-    max_bias_swing: float = 2.5
 
     def __post_init__(self):
         if not (self.dipole_mean > 0 and self.dipole_std > 0):
             raise ValueError("dipole_mean and dipole_std must be > 0")
 
     def resolved_delta0_min(self) -> float:
-        return self.delta0_min if self.delta0_min is not None else 0.6 * self.band[0]
+        """Lower end of the log-uniform Delta0 window [GHz]."""
+        return 0.6 * self.band[0]
 
     def resolved_eps_halfwidth(self) -> float:
-        if self.eps_halfwidth is not None:
-            return self.eps_halfwidth
+        """Half-width of the uniform eps_i window [GHz]."""
         lo = self.resolved_delta0_min()
-        return float(np.sqrt(self.band[1] ** 2 - lo**2) + self.max_bias_swing)
+        return float(np.sqrt(self.band[1] ** 2 - lo**2) + MAX_BIAS_SWING)
 
 
 @dataclass(frozen=True)
@@ -150,13 +149,11 @@ def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:
     Raises
     ------
     InvalidBand
-        If the band is empty or the tunneling-energy window collapses.
+        If the band is empty.
     """
     lo, hi = cfg.band
     if not (0 < lo < hi):
         raise InvalidBand(f"band {cfg.band} is empty")
-    if cfg.resolved_delta0_min() >= hi:
-        raise InvalidBand("delta0 window is empty; lower delta0_min")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mean_in_band = cfg.p0_target * cfg.volume_um3 * (hi - lo)
@@ -184,7 +181,6 @@ def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:
                         sign[k] * dipole_to_gamma_s(p_par[k], cfg.thickness_m)
                     ),
                     p_parallel=float(p_par[k]),
-                    gamma2_tls=cfg.gamma2_tls,
                     location=Location.SAMPLE_DIELECTRIC,
                 )
             )

@@ -7,13 +7,12 @@ A TLS tuned by one control voltage V traces
 in swap-spectroscopy data.  The fit linearizes f^2 as a quadratic in V
 for the starting point and refines with damped Gauss-Newton using the
 analytic Jacobian.  The model is blind to the joint sign flip
-(eps_i, gamma) -> (-eps_i, -gamma); fits are canonicalized to gamma >= 0
-and carry ``sign_ambiguous=True``.
+(eps_i, gamma) -> (-eps_i, -gamma); fits are canonicalized to gamma >= 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +39,6 @@ class TraceFit:
     residual_rms: float
     n_points: int
     delta0_lower_bound_only: bool
-    sign_ambiguous: bool = True
-    visible_fraction_per_segment: tuple[float, ...] = field(default_factory=tuple)
 
     @property
     def sigma(self) -> np.ndarray:
@@ -80,7 +77,7 @@ def _quadratic_init(volts, freqs, weights):
     return delta0, eps_i, gamma
 
 
-def fit_hyperbola(volts, freqs, weights=None, max_iter: int = 200) -> TraceFit:
+def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
     """Fit (Delta0, eps_i, gamma) to resonance points along one control.
 
     Parameters
@@ -123,7 +120,7 @@ def fit_hyperbola(volts, freqs, weights=None, max_iter: int = 200) -> TraceFit:
         f = np.hypot(d0, eps)
         return -np.column_stack((d0 / f, eps / f, eps * volts / f))
 
-    res = lm_fit(residuals, jacobian, x0, weights=w, max_iter=max_iter)
+    res = lm_fit(residuals, jacobian, x0, weights=w)
     d0, eps_i, gamma = res.params
     cov = res.covariance
     if gamma < 0:

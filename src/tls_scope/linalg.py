@@ -11,6 +11,9 @@ import numpy as np
 
 from .errors import NonHermitianInput
 
+#: Largest tolerated asymmetry |h - h^H|, relative to max |h|.
+HERMITIAN_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -34,7 +37,7 @@ class Spectrum:
         return float(self.eigenvalues[2] - self.eigenvalues[0])
 
 
-def eigensolve_hermitian(h: np.ndarray, tol: float = 1e-10) -> Spectrum:
+def eigensolve_hermitian(h: np.ndarray) -> Spectrum:
     """Diagonalize a small Hermitian matrix; eigenvalues ascending.
 
     Parameters
@@ -42,20 +45,18 @@ def eigensolve_hermitian(h: np.ndarray, tol: float = 1e-10) -> Spectrum:
     h : ndarray
         Real symmetric or complex Hermitian matrix (2x2 or 4x4 in normal
         use).
-    tol : float
-        Largest tolerated relative asymmetry before the input is rejected.
 
     Raises
     ------
     NonHermitianInput
         If ``h`` deviates from its conjugate transpose by more than
-        ``tol`` relative to its norm.
+        ``HERMITIAN_TOL`` relative to its largest entry.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {h.shape}")
     scale = np.abs(h).max() or 1.0
-    if np.abs(h - h.conj().T).max() > tol * scale:
+    if np.abs(h - h.conj().T).max() > HERMITIAN_TOL * scale:
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
 
     values, vectors = np.linalg.eigh(h)

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import NoConvergence
 
+#: Initial damping and the factor of its schedule.
+LAM0 = 1e-3
+LAM_FACTOR = 10.0
+
 
 @dataclass
 class LmResult:
@@ -43,8 +47,6 @@ def lm_fit(
     x0,
     weights=None,
     max_iter: int = 200,
-    lam0: float = 1e-3,
-    lam_factor: float = 10.0,
     gtol: float = 1e-12,
     xtol: float = 1e-12,
     ftol: float = 1e-14,
@@ -75,7 +77,7 @@ def lm_fit(
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     chi2 = float(np.sum(w * r * r))
-    lam = lam0
+    lam = LAM0
     history = [chi2]
     converged = False
     it = 0
@@ -94,7 +96,7 @@ def lm_fit(
             try:
                 step = np.linalg.solve(a + lam * scale, neg_grad)
             except np.linalg.LinAlgError:
-                lam *= lam_factor
+                lam *= LAM_FACTOR
                 continue
             x_new = x + step
             r_new = residuals(x_new)
@@ -102,7 +104,7 @@ def lm_fit(
             if np.isfinite(chi2_new) and chi2_new <= chi2:
                 accepted = True
                 break
-            lam *= lam_factor
+            lam *= LAM_FACTOR
         if not accepted:
             converged = True  # damping exhausted: already at a minimum
             break
@@ -110,7 +112,7 @@ def lm_fit(
         dchi = chi2 - chi2_new
         x, r, chi2 = x_new, r_new, chi2_new
         history.append(chi2)
-        lam = max(lam / lam_factor, 1e-14)
+        lam = max(lam / LAM_FACTOR, 1e-14)
         if dx <= xtol or dchi <= ftol * max(chi2, 1e-300):
             converged = True
             break

@@ -27,6 +27,10 @@ from .errors import AmbiguousSigns, NoConvergence, NoTracesFound
 from .lm import lm_fit
 from .stm import TlsParams, energies
 
+#: Parameter distances (g_z [MHz], |g_x| [MHz], gamma_p2 [GHz/V]) above
+#: which two converged sign branches count as different solutions.
+DISTINCT_TOL = (0.1, 0.1, 1e-4)
+
 
 @dataclass(frozen=True)
 class CrossingPanel:
@@ -35,7 +39,7 @@ class CrossingPanel:
     v_p: float
     v_s: np.ndarray
     freq: np.ndarray
-    weight: np.ndarray | None = None
+    weight: np.ndarray
 
     def __post_init__(self):
         if self.v_s.shape != self.freq.shape:
@@ -108,12 +112,7 @@ def _stack(panels):
     v_p = np.concatenate([np.full(p.v_s.size, p.v_p) for p in panels])
     v_s = np.concatenate([p.v_s for p in panels])
     f = np.concatenate([p.freq for p in panels])
-    w = np.concatenate(
-        [
-            p.weight if p.weight is not None else np.ones(p.v_s.size)
-            for p in panels
-        ]
-    )
+    w = np.concatenate([p.weight for p in panels])
     return v_p, v_s, f, w
 
 
@@ -124,8 +123,6 @@ def fit_coupled_pair(
     g_z0: float = 10.0,
     g_x0: float = -10.0,
     gamma_p2_0: float = 0.0,
-    max_iter: int = 200,
-    distinct_tol: tuple[float, float, float] = (0.1, 0.1, 1e-4),
 ) -> PairFitResult:
     """Fit (g_z, g_x, gamma_p2) to crossing panels, multi-start over signs.
 
@@ -139,10 +136,6 @@ def fit_coupled_pair(
     g_z0, g_x0, gamma_p2_0 : float
         Initial guesses [MHz, MHz, GHz/V].  The sign of ``g_x0`` picks
         the reported g_x sign convention.
-    distinct_tol : tuple
-        Parameter distances (g_z [MHz], |g_x| [MHz], gamma_p2 [GHz/V])
-        above which two converged candidates count as genuinely
-        different solutions.
 
     Raises
     ------
@@ -191,7 +184,7 @@ def fit_coupled_pair(
         for sx in (1.0, -1.0):
             x0 = np.array([sz * g_z0, sx * g_x0_mag, gamma_p2_0])
             try:
-                res = lm_fit(residuals, jacobian, x0, weights=w, max_iter=max_iter)
+                res = lm_fit(residuals, jacobian, x0, weights=w)
             except NoConvergence:
                 continue
             candidates.append(res)
@@ -204,16 +197,11 @@ def fit_coupled_pair(
     for res in candidates:
         gz, gx, gp2 = res.params
         key = (gz, abs(gx), gp2)
-        for prev_key, _prev in canon:
-            if (
-                abs(key[0] - prev_key[0]) <= distinct_tol[0]
-                and abs(key[1] - prev_key[1]) <= distinct_tol[1]
-                and abs(key[2] - prev_key[2]) <= distinct_tol[2]
-            ):
-                break
-        else:
+        if not any(
+            all(abs(a - b) <= tol for a, b, tol in zip(key, prev_key, DISTINCT_TOL))
+            for prev_key, _prev in canon
+        ):
             canon.append((key, res))
-            continue
     canon.sort(key=lambda kr: kr[1].chi2)
     best = canon[0][1]
 

@@ -24,6 +24,12 @@ from .traces import Trace, extract_traces, link_tracks
 
 CONTROL_KEYS = ("piezo", "global", "sample")
 
+#: A fitted tuning rate counts as a response when it moves the line by
+#: more than this many frequency-grid steps over its segment ...
+RESPONSE_GRID_FACTOR = 3.0
+#: ... and exceeds this many of its own standard deviations.
+RESPONSE_SIGMA_FACTOR = 3.0
+
 
 @dataclass
 class TlsRecord:
@@ -71,10 +77,6 @@ class AnalysisResult:
     span_ghz: float
     density_by_class: dict = field(default_factory=dict)
 
-    @property
-    def density_total(self) -> float:
-        return float(sum(self.density_by_class.values(), Fraction(0)))
-
 
 @dataclass(frozen=True)
 class AnalysisOptions:
@@ -86,8 +88,6 @@ class AnalysisOptions:
     max_gap: int = 2
     first_link_factor: float = 5.0
     boundary_tol: float = 5.0
-    response_grid_factor: float = 3.0
-    response_sigma_factor: float = 3.0
     thickness_m: float = 50e-9
 
 
@@ -138,11 +138,9 @@ def analyze_dataset(
     )
 
 
-def _significant(fit: TraceFit, seg_span: float, grid_step: float, opts) -> bool:
-    if fit is None:
-        return False
-    resolvable = abs(fit.gamma) * seg_span > opts.response_grid_factor * grid_step
-    significant = abs(fit.gamma) > opts.response_sigma_factor * fit.sigma[2]
+def _significant(fit: TraceFit, seg_span: float, grid_step: float) -> bool:
+    resolvable = abs(fit.gamma) * seg_span > RESPONSE_GRID_FACTOR * grid_step
+    significant = abs(fit.gamma) > RESPONSE_SIGMA_FACTOR * fit.sigma[2]
     return resolvable and significant
 
 
@@ -171,7 +169,7 @@ def _summarize_track(
     gammas = {}
     best_cov = None
     for control, fits in per_control.items():
-        sig = [f for f, s in fits if _significant(f, s, grid_step, opts)]
+        sig = [f for f, s in fits if _significant(f, s, grid_step)]
         responds[control] = bool(sig)
         if sig:
             wsum = sum(1.0 / max(f.sigma[2], 1e-12) ** 2 for f in sig)
@@ -183,9 +181,7 @@ def _summarize_track(
             }
 
     # Tunneling energy: prefer fits whose vertex was actually swept over
-    candidates = [
-        f for fits in per_control.values() for f, _s in fits if f is not None
-    ]
+    candidates = [f for fits in per_control.values() for f, _s in fits]
     measured = [f for f in candidates if not f.delta0_lower_bound_only]
     pool = measured or candidates
     delta0 = delta0_sigma = None

@@ -45,7 +45,6 @@ class Location(enum.Enum):
 
     SAMPLE_DIELECTRIC = "sample_dielectric"
     JUNCTION = "junction"
-    STRAY_JUNCTION = "stray_junction"
     SURFACE_ELECTRODE = "surface_electrode"
     UNCLASSIFIED = "unclassified"
 
@@ -93,7 +92,7 @@ class TlsParams:
             raise ValueError("p_parallel is a magnitude; sign lives in gamma_s")
         if self.location is Location.SAMPLE_DIELECTRIC and self.gamma_s == 0:
             raise ValueError("sample-dielectric TLS must respond to V_s")
-        if self.location in (Location.JUNCTION, Location.STRAY_JUNCTION) and (
+        if self.location is Location.JUNCTION and (
             self.gamma_g != 0 or self.gamma_s != 0
         ):
             raise ValueError("junction TLS are screened from both E-fields")
@@ -114,7 +113,7 @@ class TlsParams:
 
 @dataclass(frozen=True)
 class BiasPoint:
-    """One setting of the three bias controls plus the qubit setpoint.
+    """One setting of the three bias controls [V].
 
     ``v_s`` is the cold-end voltage on the sample capacitor; its magnitude
     is checked against ``v_s_limit`` (attenuator heating constraint).
@@ -123,7 +122,6 @@ class BiasPoint:
     v_p: float = 0.0
     v_g: float = 0.0
     v_s: float = 0.0
-    qubit_freq: float = 0.0
     v_s_limit: float = V_S_LIMIT_DEFAULT
 
     def __post_init__(self):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,20 +72,38 @@ TLS = TlsParams(delta0=5.957, gamma_p=0.022, gamma_s=161.95, p_parallel=0.335,
 PANEL_V_S = np.linspace(-2.4e-3, 2.4e-3, 80)
 PANEL_FREQ = np.arange(5.90, 6.06, 0.001)
 
+#: The benchmark's interacting pair: g_z = 15 MHz, g_x = -25 MHz and
+#: gamma_p = 0.01 GHz/V for the second defect, which the fit must find.
+TLS2 = TlsParams(delta0=5.440, eps_i=2.55, gamma_s=92.25, p_parallel=0.191,
+                 location=Location.SAMPLE_DIELECTRIC)
+PAIR = CoupledPair(TLS, replace(TLS2, gamma_p=0.01), g_z=15.0, g_x=-25.0)
 
-def coupled_inputs(tmp_path, pair, field_rms, noise_sigma, seed):
-    """A one-panel `coupled` config for a simulated panel of ``pair``;
-    the fit is told tls1 and tls2 of the pair."""
-    ds = coupled_pair_t1_map(pair, PANEL_V_S, 0.0, PANEL_FREQ, field_rms=field_rms,
-                             gamma1_background=1 / 4.3, noise_sigma=noise_sigma,
-                             seed=seed)
-    panel = tmp_path / "panel.csv"
-    dataio.write_dataset(ds, panel)
-    return write_json(tmp_path / "coupled.json", {
-        "panels": [str(panel)],
+
+def coupled_inputs(directory, pair, field_rms, noise_sigma, seed, v_p_values=(0.0,)):
+    """A `coupled` config for simulated panels of ``pair``, one per V_p
+    (panel k gets noise seed ``seed + k``); the fit is told tls1 and tls2
+    of the pair."""
+    panels = []
+    for k, v_p in enumerate(v_p_values):
+        ds = coupled_pair_t1_map(pair, PANEL_V_S, v_p, PANEL_FREQ, field_rms=field_rms,
+                                 gamma1_background=1 / 4.3, noise_sigma=noise_sigma,
+                                 seed=seed + k)
+        panels.append(directory / f"panel_{k}.csv")
+        dataio.write_dataset(ds, panels[-1])
+    return write_json(directory / "coupled.json", {
+        "panels": [str(panel) for panel in panels],
         "tls1": pair.tls1.to_dict(),
         "tls2": pair.tls2.to_dict(),
     })
+
+
+@pytest.fixture(scope="module")
+def coupled_run(tmp_path_factory):
+    """(directory, exit code) of `coupled` on three panels of PAIR."""
+    out = tmp_path_factory.mktemp("coupled")
+    cfg = coupled_inputs(out, PAIR, field_rms=90.0, noise_sigma=0.1, seed=1,
+                         v_p_values=(-4.0, 0.0, 4.0))
+    return out, run("coupled", "--config", cfg, "--out", out)
 
 
 def copy_dataset(src, dst):
@@ -125,6 +144,15 @@ class TestExitCodes:
         assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error:" in err and needle in err
+
+    @pytest.mark.parametrize("override", [
+        {"band_ghz": [6.7, 5.8]},  # InvalidBand
+        {"v_s_source_amplitude": 1.0},  # BiasLimitExceeded: 4.9 mV cold-end
+    ])
+    def test_config_raised_as_package_error(self, tmp_path, capsys, override):
+        cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
+        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
 
     def test_threads_option_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -187,6 +215,71 @@ class TestExitCodes:
         assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_COUPLED
         assert "two sign branches fit equally well" in capsys.readouterr().err
         assert not (tmp_path / "coupled_fit.json").exists()
+
+
+class TestCoupled:
+    def test_recovers_the_pair(self, coupled_run):
+        out, code = coupled_run
+        assert code == cli.EXIT_OK
+        fit = json.loads((out / "coupled_fit.json").read_text())
+        assert fit["schema_version"] == 1
+        assert fit["g_z_MHz"] == pytest.approx(15.0, rel=0.02)
+        assert fit["g_x_MHz"] == pytest.approx(-25.0, rel=0.02)
+        assert fit["gamma_p2_GHz_per_V"] == pytest.approx(0.01, rel=0.02)
+        assert len(fit["sigma"]) == 3 and all(s > 0 for s in fit["sigma"])
+        crossings = sorted(p.name for p in out.glob("crossing_panel_*.csv"))
+        assert crossings == [f"crossing_panel_{k}.csv" for k in range(3)]
+
+
+class TestPlotdata:
+    def test_t1_map_has_one_row_per_cell(self, small_run, tmp_path):
+        csv = small_run / "dataset.csv"
+        assert run("plotdata", "t1-map", csv, "--out", tmp_path) == cli.EXIT_OK
+        rows = (tmp_path / "t1_map.csv").read_text().splitlines()
+        ds = dataio.read_dataset(csv)
+        assert rows[0] == "bias_V,freq_GHz,t1_us"
+        assert len(rows) - 1 == sum(grid.size for grid in ds.t1_us)
+
+    def test_dipole_histogram_counts_every_dipole(self, small_run, tmp_path):
+        report = small_run / "fit_report.json"
+        argv = ("plotdata", "dipole-histogram", report, "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_OK
+        rows = (tmp_path / "dipole_histogram.csv").read_text().splitlines()[1:]
+        records = json.loads(report.read_text())["tls"]
+        with_dipole = [r for r in records if r["p_parallel_eA"] is not None]
+        assert with_dipole
+        assert sum(int(row.split(",")[2]) for row in rows) == len(with_dipole)
+
+    def test_crossing_equals_the_coupled_output(self, coupled_run, tmp_path):
+        out, code = coupled_run
+        assert code == cli.EXIT_OK
+        for k in range(3):
+            argv = ("plotdata", "crossing", out / f"panel_{k}.csv",
+                    "--coupled-fit", out / "coupled_fit.json",
+                    "--pair", out / "coupled.json", "--out", tmp_path / str(k))
+            assert run(*argv) == cli.EXIT_OK
+            got = (tmp_path / str(k) / "crossing.csv").read_bytes()
+            assert got == (out / f"crossing_panel_{k}.csv").read_bytes()
+
+    @pytest.mark.parametrize("case, expected, needle", [
+        ("no pair", cli.EXIT_CONFIG, "config error: crossing plotdata needs"),
+        ("no g_z", cli.EXIT_IO, "file error: coupled_fit.json: 'g_z_MHz'"),
+        ("invalid JSON", cli.EXIT_IO, "file error: coupled_fit.json: not valid JSON"),
+    ], ids=["no-pair", "no-g_z", "invalid-json"])
+    def test_crossing_input_errors(self, coupled_run, tmp_path, capsys, case, expected,
+                                   needle):
+        out, _code = coupled_run
+        fit = tmp_path / "coupled_fit.json"
+        payload = json.loads((out / "coupled_fit.json").read_text())
+        if case == "no g_z":
+            del payload["g_z_MHz"]
+        fit.write_text("{not json" if case == "invalid JSON" else json.dumps(payload))
+        argv = ["plotdata", "crossing", out / "panel_0.csv", "--coupled-fit", fit,
+                "--out", tmp_path]
+        if case != "no pair":
+            argv += ["--pair", out / "coupled.json"]
+        assert run(*argv) == expected
+        assert needle in capsys.readouterr().err
 
 
 class TestDeterminism:

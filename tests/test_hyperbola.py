@@ -37,7 +37,6 @@ class TestNoiselessRoundTrip:
         fit = fit_hyperbola(v, f)
         assert fit.gamma == pytest.approx(120.0, rel=1e-6)
         assert fit.eps_at_zero == pytest.approx(-0.2, rel=1e-6)
-        assert fit.sign_ambiguous
 
 
 class TestDegenerateAndErrors:
