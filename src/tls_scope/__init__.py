@@ -7,7 +7,7 @@ classification, and the derived material quantities (dipole moments,
 volume density, loss tangent, relaxation budget).
 """
 
-from .classify import LocationVerdict, classify_location, spectral_density
+from .classify import classify_location, spectral_density
 from .coupled import (
     CoupledPair,
     complete_hamiltonian_eigenbasis,

@@ -12,12 +12,12 @@ Spectral densities follow the per-trace bookkeeping: every defect
 contributes its visible fraction of each segment, summed and normalized
 by (number of segments x frequency span).  The arithmetic is done with
 exact rationals so worked examples like 0.5/8/0.9 GHz^-1 reproduce
-bit-for-bit.
+bit-for-bit, and one call over a class's defects equals the sum of one
+call per defect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -26,43 +26,23 @@ from .stm import Location
 _FRACTION_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class LocationVerdict:
-    """Classification of one defect from its control-response evidence."""
-
-    location: Location
-    responds_p: bool
-    responds_g: bool
-    responds_s: bool
-
-
-def classify_location(
-    responds_p: bool,
-    responds_g: bool,
-    responds_s: bool,
-    single_segment: bool = False,
-) -> LocationVerdict:
+def classify_location(responds: dict, single_segment: bool) -> Location:
     """Apply the tunability decision table.
 
+    ``responds`` maps each control name (``"piezo"``, ``"global"``,
+    ``"sample"``) to whether the defect's resonance moves with it.
     ``single_segment`` marks defects observed in only one segment, which
     stay unclassified no matter what that segment showed.
     """
     if single_segment:
-        loc = Location.UNCLASSIFIED
-    elif responds_s:
-        loc = Location.SAMPLE_DIELECTRIC
-    elif responds_g:
-        loc = Location.SURFACE_ELECTRODE
-    elif responds_p:
-        loc = Location.JUNCTION
-    else:
-        loc = Location.UNCLASSIFIED
-    return LocationVerdict(
-        location=loc,
-        responds_p=responds_p,
-        responds_g=responds_g,
-        responds_s=responds_s,
-    )
+        return Location.UNCLASSIFIED
+    if responds["sample"]:
+        return Location.SAMPLE_DIELECTRIC
+    if responds["global"]:
+        return Location.SURFACE_ELECTRODE
+    if responds["piezo"]:
+        return Location.JUNCTION
+    return Location.UNCLASSIFIED
 
 
 def _to_fraction(x) -> Fraction:

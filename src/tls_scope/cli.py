@@ -81,10 +81,6 @@ def _load_config(path, defaults: dict) -> dict:
     return cfg
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _same_kind(value, default) -> bool:
     """Whether a config value has the JSON type of its default.
 
@@ -93,9 +89,9 @@ def _same_kind(value, default) -> bool:
     default's first element.
     """
     if default is None:
-        return value is None or _is_number(value)
+        return value is None or dataio.is_number(value)
     if isinstance(default, float):
-        return _is_number(value)
+        return dataio.is_number(value)
     if isinstance(default, int):
         return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(default, list):
@@ -236,7 +232,7 @@ def cmd_fit(args) -> int:
 
     records = result.records
     if args.class_filter:
-        records = [r for r in records if r.verdict.location.value == args.class_filter]
+        records = [r for r in records if r.location.value == args.class_filter]
     dataio.write_fit_report(
         records,
         result.density_by_class,

@@ -12,11 +12,14 @@ file and each bias once per row, and streams the file row by row.  The
 reader parses the whole file with one structured ``np.loadtxt`` and
 groups the rows into segments with numpy masks.  Readers check
 ``schema_version`` on every file and refuse versions they do not know.
+The sidecar's ``segments``, the fit report's ``tls`` records and the
+numbers of a coupled fit are type-checked as well.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -76,6 +79,28 @@ def _read_json(path: Path) -> dict:
     return obj
 
 
+def is_number(x) -> bool:
+    """Whether a parsed JSON value is a number (an int or float, not a bool)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _segment_meta(meta: dict, name: str) -> list[tuple[dict, str]]:
+    """(held, direction) of each segment entry of a sidecar, type-checked."""
+    entries = meta.get("segments", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SchemaError(f"{name}: 'segments' must be a list of objects")
+    out = []
+    for k, entry in enumerate(entries):
+        held = entry.get("held", {})
+        if not isinstance(held, dict) or not all(map(is_number, held.values())):
+            raise SchemaError(f"{name}: segment {k}: 'held' must map names to numbers")
+        direction = entry.get("direction", "up")
+        if not isinstance(direction, str):
+            raise SchemaError(f"{name}: segment {k}: 'direction' must be a string")
+        out.append((held, direction))
+    return out
+
+
 #: One CSV row as ``np.loadtxt`` parses it.  The control field is one
 #: character wider than the longest control name, so a longer name that
 #: gets cut short still fails the check in SegmentSpec.
@@ -127,15 +152,18 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
     Raises
     ------
     SchemaError
-        On a missing/strange sidecar, bad header, a corrupt row (the
-        message carries the 1-based row number), or values the dataset
-        itself rejects, such as a non-positive T1.
+        On a missing/strange sidecar (including ``segments`` that is not
+        a list of objects, or a ``held`` or ``direction`` of the wrong
+        type), bad header, a corrupt row (the message carries the 1-based
+        row number), or values the dataset itself rejects, such as a
+        non-positive T1.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path(csv_path)
     if not meta_path.exists():
         raise SchemaError(f"missing sidecar {meta_path.name}")
     meta = _read_json(meta_path)
+    seg_meta = _segment_meta(meta, meta_path.name)
 
     # Undecodable bytes become U+FFFD, which the header and row checks reject.
     with open(csv_path, errors="replace") as fh:
@@ -159,7 +187,6 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
     if rows.size == 0:
         raise SchemaError("dataset has no rows")
     seg_ids = rows["segment"]
-    seg_meta = meta.get("segments", [])
     segments, grids = [], []
     freq_axis = None
     # SegmentSpec and SpectroscopyDataset raise ValueError on bad content.
@@ -185,11 +212,7 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
                 freq_axis = uniq_freq
             elif not np.array_equal(freq_axis, uniq_freq):
                 raise SchemaError(f"segment {s}: frequency axis differs")
-            held = {}
-            direction = "up"
-            if s < len(seg_meta):
-                held = seg_meta[s].get("held", {})
-                direction = seg_meta[s].get("direction", "up")
+            held, direction = seg_meta[s] if s < len(seg_meta) else ({}, "up")
             bias_axis = bias.reshape(n_b, n_f)[:, 0]
             segments.append(
                 SegmentSpec(
@@ -239,7 +262,21 @@ def write_fit_report(records, density_by_class, path, extra: dict | None = None)
 
 
 def read_fit_report(path) -> dict:
-    return _read_json(Path(path))
+    """A ``fit_report.json`` payload whose ``tls`` records are objects and
+    whose dipoles are null or finite non-negative numbers."""
+    path = Path(path)
+    payload = _read_json(path)
+    records = payload.get("tls")
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise SchemaError(f"{path.name}: 'tls' is missing or not a list of objects")
+    for k, rec in enumerate(records):
+        p = rec.get("p_parallel_eA")
+        if p is not None and not (is_number(p) and 0 <= p < math.inf):
+            raise SchemaError(
+                f"{path.name}: record {k}: 'p_parallel_eA' is not null or a "
+                "finite non-negative number"
+            )
+    return payload
 
 
 def read_coupled_fit(path) -> dict:
@@ -247,8 +284,7 @@ def read_coupled_fit(path) -> dict:
     path = Path(path)
     payload = _read_json(path)
     for key in ("g_z_MHz", "g_x_MHz", "gamma_p2_GHz_per_V", "chi2", "n_points"):
-        value = payload.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_number(payload.get(key)):
             raise SchemaError(f"{path.name}: {key!r} is missing or not a number")
     if not isinstance(payload.get("covariance"), list):
         raise SchemaError(f"{path.name}: 'covariance' is missing or not a list")

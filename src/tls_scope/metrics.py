@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import EPS0, HBAR, J_PER_GHZ, CM_PER_EA
-from .stm import SCHEMA_VERSION, SensorDesign, sample_capacitance
+from .stm import SCHEMA_VERSION, Location, SensorDesign, sample_capacitance
 
 
 def volume_density(spectral_density_per_ghz: float, volume_um3: float) -> float:
@@ -142,10 +142,12 @@ def material_report(
     corrected P0 (raw divided by the detected fraction of a
     truncated-normal dipole population) appear alongside the raw value.
     """
-    from .pipeline import sample_dipoles
-    from .stm import Location
-
-    dip = sample_dipoles(analysis)
+    # Dipole projections [e*A] of the sample-dielectric defects.
+    dip = np.array([
+        r.p_parallel
+        for r in analysis.records
+        if r.location is Location.SAMPLE_DIELECTRIC and r.p_parallel is not None
+    ])
     sample_key = Location.SAMPLE_DIELECTRIC.value
     sample_density = float(analysis.density_by_class.get(sample_key, 0.0))
     p0 = volume_density(sample_density, volume_um3)

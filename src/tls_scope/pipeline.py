@@ -2,27 +2,25 @@
 
 Glues the extraction, hyperbola fitting and classification stages into
 the per-defect records consumed by reporting and by the material
-metrics.  Each linked track is fitted control by control; a control
-counts as "responding" when at least one segment shows a tuning rate
-that is both resolvable on the frequency grid and significant against
-its own uncertainty.
+metrics.  Each linked track fits its own traces, control by control; a
+control counts as "responding" when at least one segment shows a tuning
+rate that is both resolvable on the frequency grid and significant
+against its own uncertainty.  A record keeps that ``responds`` map and
+the :class:`~tls_scope.stm.Location` it classifies to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import LocationVerdict, classify_location, spectral_density
+from .classify import classify_location, spectral_density
 from .errors import DegenerateTrace, NoConvergence
 from .hyperbola import TraceFit, fit_hyperbola
-from .spectro import SpectroscopyDataset
+from .spectro import CONTROLS, SpectroscopyDataset
 from .stm import Location, gamma_s_to_dipole
 from .traces import Trace, extract_traces, link_tracks
-
-CONTROL_KEYS = ("piezo", "global", "sample")
 
 #: A fitted tuning rate counts as a response when it moves the line by
 #: more than this many frequency-grid steps over its segment ...
@@ -36,7 +34,8 @@ class TlsRecord:
     """Analysis outcome for one tracked defect."""
 
     id: int
-    verdict: LocationVerdict
+    location: Location
+    responds: dict
     delta0: float | None
     delta0_sigma: float | None
     delta0_lower_bound_only: bool
@@ -49,12 +48,8 @@ class TlsRecord:
     def to_dict(self) -> dict:
         return {
             "id": self.id,
-            "class": self.verdict.location.value,
-            "responds": {
-                "piezo": self.verdict.responds_p,
-                "global": self.verdict.responds_g,
-                "sample": self.verdict.responds_s,
-            },
+            "class": self.location.value,
+            "responds": self.responds,
             "delta0_GHz": self.delta0,
             "delta0_sigma_GHz": self.delta0_sigma,
             "delta0_lower_bound_only": self.delta0_lower_bound_only,
@@ -73,9 +68,7 @@ class AnalysisResult:
     records: list[TlsRecord]
     traces: list[Trace]
     tracks: list[list[Trace]]
-    n_segments: int
-    span_ghz: float
-    density_by_class: dict = field(default_factory=dict)
+    density_by_class: dict
 
 
 @dataclass(frozen=True)
@@ -91,14 +84,6 @@ class AnalysisOptions:
     thickness_m: float = 50e-9
 
 
-def _fit_one_trace(trace: Trace) -> TraceFit | None:
-    v, f, w = trace.arrays()
-    try:
-        return fit_hyperbola(v, f, w)
-    except (DegenerateTrace, NoConvergence):
-        return None
-
-
 def analyze_dataset(
     ds: SpectroscopyDataset, opts: AnalysisOptions = AnalysisOptions()
 ) -> AnalysisResult:
@@ -112,29 +97,20 @@ def analyze_dataset(
         first_link_factor=opts.first_link_factor,
     )
     tracks = link_tracks(traces, ds, boundary_tol=opts.boundary_tol)
+    records = [_summarize_track(k, track, ds, opts) for k, track in enumerate(tracks)]
 
-    fit_of = {id(tr): _fit_one_trace(tr) for tr in traces}
-
-    grid_step = ds.grid_step_ghz
     span = float(ds.freq_ghz[-1] - ds.freq_ghz[0])
-    records = []
-    for k, track in enumerate(tracks):
-        records.append(
-            _summarize_track(k, track, ds, fit_of, grid_step, opts)
-        )
-
-    by_class: dict[str, Fraction] = {}
+    by_class: dict[str, list] = {}
     for rec in records:
-        key = rec.verdict.location.value
-        dens = spectral_density([rec.visible_fractions], len(ds.segments), span)
-        by_class[key] = by_class.get(key, Fraction(0)) + dens
+        by_class.setdefault(rec.location.value, []).append(rec.visible_fractions)
     return AnalysisResult(
         records=records,
         traces=traces,
         tracks=tracks,
-        n_segments=len(ds.segments),
-        span_ghz=span,
-        density_by_class=by_class,
+        density_by_class={
+            key: spectral_density(visible, len(ds.segments), span)
+            for key, visible in by_class.items()
+        },
     )
 
 
@@ -148,28 +124,28 @@ def _summarize_track(
     k: int,
     track: list[Trace],
     ds: SpectroscopyDataset,
-    fit_of: dict,
-    grid_step: float,
     opts: AnalysisOptions,
 ) -> TlsRecord:
-    per_control: dict[str, list[tuple[TraceFit, float]]] = {c: [] for c in CONTROL_KEYS}
+    per_control: dict[str, list[tuple[TraceFit, float]]] = {c: [] for c in CONTROLS}
     segments_seen = set()
     visible = [0.0] * len(ds.segments)
     for tr in track:
         segments_seen.add(tr.segment)
         seg = ds.segments[tr.segment]
         visible[tr.segment] += tr.coverage(seg.bias.size)
-        fit = fit_of.get(id(tr))
-        if fit is not None:
-            seg_span = abs(float(seg.bias[-1] - seg.bias[0]))
-            per_control[tr.control].append((fit, seg_span))
+        try:
+            fit = fit_hyperbola(*tr.arrays())
+        except (DegenerateTrace, NoConvergence):
+            continue
+        seg_span = abs(float(seg.bias[-1] - seg.bias[0]))
+        per_control[tr.control].append((fit, seg_span))
     visible = [min(f, 1.0) for f in visible]
 
     responds = {}
     gammas = {}
     best_cov = None
     for control, fits in per_control.items():
-        sig = [f for f, s in fits if _significant(f, s, grid_step)]
+        sig = [f for f, s in fits if _significant(f, s, ds.grid_step_ghz)]
         responds[control] = bool(sig)
         if sig:
             wsum = sum(1.0 / max(f.sigma[2], 1e-12) ** 2 for f in sig)
@@ -193,12 +169,6 @@ def _summarize_track(
         lower_bound_only = best.delta0_lower_bound_only
         best_cov = best.covariance.tolist()
 
-    verdict = classify_location(
-        responds_p=responds.get("piezo", False),
-        responds_g=responds.get("global", False),
-        responds_s=responds.get("sample", False),
-        single_segment=len(segments_seen) == 1,
-    )
     p_parallel = None
     if "sample" in gammas:
         p_parallel = float(
@@ -206,7 +176,8 @@ def _summarize_track(
         )
     return TlsRecord(
         id=k,
-        verdict=verdict,
+        location=classify_location(responds, len(segments_seen) == 1),
+        responds=responds,
         delta0=delta0,
         delta0_sigma=delta0_sigma,
         delta0_lower_bound_only=lower_bound_only,
@@ -215,16 +186,4 @@ def _summarize_track(
         visible_fractions=visible,
         n_segments_seen=len(segments_seen),
         covariance=best_cov,
-    )
-
-
-def sample_dipoles(result: AnalysisResult) -> np.ndarray:
-    """Dipole projections [e*A] of all sample-dielectric classified defects."""
-    return np.array(
-        [
-            r.p_parallel
-            for r in result.records
-            if r.verdict.location is Location.SAMPLE_DIELECTRIC
-            and r.p_parallel is not None
-        ]
     )

@@ -176,34 +176,34 @@ def link_tracks(
     Controls hold their value across segment boundaries, so a defect's
     resonance frequency is continuous from the end of one segment to the
     start of the next; traces whose boundary frequencies agree within
-    ``boundary_tol`` grid steps are chained.  Traces that appear or
-    vanish mid-segment start or end their own track.
+    ``boundary_tol`` grid steps are chained: each trace continues the
+    nearest one, the earlier trace winning a tie, and is continued at
+    most once.  Traces that appear or vanish mid-segment start or end
+    their own track.
     """
     tol = boundary_tol * ds.grid_step_ghz
     by_segment: dict[int, list[Trace]] = {}
     for tr in traces:
         by_segment.setdefault(tr.segment, []).append(tr)
-    track_of: dict[int, list[Trace]] = {}
     tracks: list[list[Trace]] = []
-    for s in sorted(by_segment):
-        claimed: set[int] = set()
-        for tr in by_segment[s]:
-            starts_at_edge = tr.bias_index[0] <= 1
+    # Tracks whose last trace lives to the end of the previous segment,
+    # in the order of those traces; each can be continued once.
+    open_ends: list[list[Trace]] = []
+    for s, seg in enumerate(ds.segments):
+        here = []
+        for tr in by_segment.get(s, ()):
             best = None
-            if starts_at_edge and s - 1 in by_segment:
-                prev_n = ds.segments[s - 1].bias.size
-                for prev in by_segment[s - 1]:
-                    if prev.bias_index[-1] < prev_n - 2 or id(prev) in claimed:
-                        continue  # dead before the boundary, or taken
-                    d = abs(prev.freq[-1] - tr.freq[0])
+            if tr.bias_index[0] <= 1:
+                for j, track in enumerate(open_ends):
+                    d = abs(track[-1].freq[-1] - tr.freq[0])
                     if d <= tol and (best is None or d < best[0]):
-                        best = (d, prev)
-            if best is not None and id(best[1]) in track_of:
-                claimed.add(id(best[1]))
-                track = track_of[id(best[1])]
-            else:
+                        best = (d, j)
+            if best is None:
                 track = []
                 tracks.append(track)
+            else:
+                track = open_ends.pop(best[1])
             track.append(tr)
-            track_of[id(tr)] = track
+            here.append(track)
+        open_ends = [t for t in here if t[-1].bias_index[-1] >= seg.bias.size - 2]
     return tracks

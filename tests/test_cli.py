@@ -14,7 +14,7 @@ import pytest
 from tls_scope import cli, dataio
 from tls_scope.coupled import CoupledPair
 from tls_scope.spectro import coupled_pair_t1_map
-from tls_scope.stm import Location, TlsParams
+from tls_scope.stm import SCHEMA_VERSION, Location, TlsParams
 
 #: A small `generate` config: 32 TLS, 8 segments of 30 bias steps, a
 #: 0.4 GHz band at 4 MHz resolution (about 1.5 MB of CSV).
@@ -171,6 +171,20 @@ class TestExitCodes:
         report.write_text("[1, 2")
         argv = ("plotdata", "dipole-histogram", report, "--out", tmp_path)
         assert run(*argv) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("payload", [
+        {"schema_version": SCHEMA_VERSION},
+        {"schema_version": SCHEMA_VERSION, "tls": 3},
+        {"schema_version": SCHEMA_VERSION, "tls": [{"p_parallel_eA": "x"}]},
+        {"schema_version": SCHEMA_VERSION, "tls": [{"p_parallel_eA": -0.1}]},
+        {"schema_version": SCHEMA_VERSION, "tls": [{"p_parallel_eA": float("nan")}]},
+    ], ids=["no-tls", "tls-not-a-list", "dipole-not-a-number", "dipole-negative",
+            "dipole-nan"])
+    def test_malformed_fit_report_is_a_file_error(self, tmp_path, capsys, payload):
+        report = write_json(tmp_path / "fit_report.json", payload)
+        argv = ("plotdata", "dipole-histogram", report, "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_IO
+        assert "file error: fit_report.json: " in capsys.readouterr().err
 
     def test_negative_t1_row_is_a_file_error(self, small_run, tmp_path, capsys):
         csv = copy_dataset(small_run, tmp_path / "data")

@@ -1,4 +1,6 @@
-"""Dataset CSV round trip and the row checks of read_dataset."""
+"""Dataset CSV round trip and the row and sidecar checks of read_dataset."""
+
+import json
 
 import numpy as np
 import pytest
@@ -160,4 +162,26 @@ class TestRowChecks:
         _, path = written
         path.write_text(dataio.DATASET_HEADER + "\n")
         with pytest.raises(SchemaError, match="no rows"):
+            dataio.read_dataset(path)
+
+
+class TestSidecarChecks:
+    @pytest.mark.parametrize("where, value, needle", [
+        (("segments", 0, "held"), {"v_p": None}, "segment 0: 'held'"),
+        (("segments", 0, "held"), [1, 2], "segment 0: 'held'"),
+        (("segments", 2, "direction"), 1, "segment 2: 'direction'"),
+        (("segments", 1), 3, "'segments' must be a list of objects"),
+        (("segments",), {"a": 1}, "'segments' must be a list of objects"),
+    ], ids=["held-null", "held-list", "direction-number", "entry-number",
+            "segments-object"])
+    def test_wrong_shape_names_the_sidecar(self, written, where, value, needle):
+        _, path = written
+        sidecar = path.with_name(path.name + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        target = meta
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(SchemaError, match=f"dataset.csv.meta.json: {needle}"):
             dataio.read_dataset(path)
