@@ -5,6 +5,11 @@ error, 4 no traces found (without --allow-empty), 5 coupled-fit failure.
 All outputs are deterministic for a fixed seed; no timestamps are
 written.
 
+Each config default is written once: ``fit`` and ``design`` take the
+film and sensor values from ``GENERATE_DEFAULTS``, the tracking values
+come from ``AnalysisOptions``.  :func:`simulate` and :func:`analyze` are
+the in-memory forms of ``generate`` and ``fit``.
+
 ``plotdata crossing`` takes the ``coupled`` config as ``--pair`` and
 extracts the panel as ``coupled`` does, so its ``crossing.csv`` equals
 ``crossing_panel_k.csv``.  A missing flag or a bad pair config exits 2;
@@ -142,26 +147,32 @@ GENERATE_DEFAULTS = {
 }
 
 
-def simulate(cfg: dict, seed: int):
-    """(ensemble, dataset) that ``generate`` writes for a full config."""
-    band = tuple(cfg["band_ghz"])
-    ens_cfg = EnsembleConfig(
-        band=band,
-        p0_target=cfg["p0_per_um3_ghz"],
-        volume_um3=cfg["volume_um3"],
-        thickness_m=cfg["thickness_nm"] * 1e-9,
-        dipole_mean=cfg["dipole_mean_ea"],
-        dipole_std=cfg["dipole_std_ea"],
-        gamma_p_max=cfg["gamma_p_max_ghz_per_v"],
-    )
-    chain = ControlChain(division_factor=cfg["division_factor"])
-    design = SensorDesign(
-        d=cfg["thickness_nm"] * 1e-9,
+def _sensor_design(cfg: dict, d_nm: float, t1_us: float) -> SensorDesign:
+    """SI sensor of a ``generate`` or ``design`` config; its only unit conversion."""
+    return SensorDesign(
+        d=d_nm * 1e-9,
         area=cfg["area_um2"] * 1e-12,
         eps_r=cfg["eps_r"],
         c_tot=cfg["c_tot_fF"] * 1e-15,
         omega10=2 * math.pi * cfg["f10_ghz"] * 1e9,
-        t1_qubit=cfg["t1_qubit_us"],
+        t1_qubit=t1_us,
+    )
+
+
+def simulate(cfg: dict, seed: int):
+    """(ensemble, dataset) that ``generate`` writes for a full config."""
+    if not cfg["freq_step_ghz"] > 0:
+        raise ConfigError("freq_step_ghz must be positive")
+    band = tuple(cfg["band_ghz"])
+    design = _sensor_design(cfg, cfg["thickness_nm"], cfg["t1_qubit_us"])
+    ens_cfg = EnsembleConfig(
+        band=band,
+        p0_target=cfg["p0_per_um3_ghz"],
+        volume_um3=cfg["volume_um3"],
+        thickness_m=design.d,
+        dipole_mean=cfg["dipole_mean_ea"],
+        dipole_std=cfg["dipole_std_ea"],
+        gamma_p_max=cfg["gamma_p_max_ghz_per_v"],
     )
     ensemble = generate_ensemble(ens_cfg, seed=seed)
     plan = default_sweep_plan(
@@ -170,7 +181,7 @@ def simulate(cfg: dict, seed: int):
         v_g_range=tuple(cfg["v_g_range"]),
         v_p_range=tuple(cfg["v_p_range"]),
         v_s_source_amplitude=cfg["v_s_source_amplitude"],
-        chain=chain,
+        chain=ControlChain(division_factor=cfg["division_factor"]),
     )
     freq = np.arange(band[0], band[1] + cfg["freq_step_ghz"] / 2, cfg["freq_step_ghz"])
     ds = t1_map(
@@ -181,7 +192,6 @@ def simulate(cfg: dict, seed: int):
         gamma1_background=1.0 / cfg["t1_qubit_us"],
         noise_sigma=cfg["noise_sigma"],
         seed=seed,
-        chain=chain,
         meta_extra={"config": cfg},
     )
     return ensemble, ds
@@ -208,24 +218,37 @@ TRACKING_KEYS = (
 
 FIT_DEFAULTS = {
     **{key: getattr(AnalysisOptions, key) for key in TRACKING_KEYS},
-    "thickness_nm": 50.0,
-    "volume_um3": 2.25e-3,
-    "eps_r": 10.0,
+    **{key: GENERATE_DEFAULTS[key] for key in ("thickness_nm", "volume_um3", "eps_r")},
     "field_rms_v_per_m": None,
     "t1_us": None,
     "dipole_std_prior_ea": None,
 }
 
 
-def cmd_fit(args) -> int:
-    cfg = _load_config(args.config, FIT_DEFAULTS)
-    out = _outdir(args)
-    ds = dataio.read_dataset(args.dataset)
+def analyze(cfg: dict, ds):
+    """(analysis result, material report) that ``fit`` writes for a full config."""
     opts = AnalysisOptions(
         **{key: cfg[key] for key in TRACKING_KEYS},
         thickness_m=cfg["thickness_nm"] * 1e-9,
     )
     result = analyze_dataset(ds, opts)
+    report = metrics.material_report(
+        result,
+        volume_um3=cfg["volume_um3"],
+        eps_r=cfg["eps_r"],
+        thickness_nm=cfg["thickness_nm"],
+        field_rms=cfg["field_rms_v_per_m"],
+        t1_us=cfg["t1_us"],
+        dipole_sigma_truncated_normal=cfg["dipole_std_prior_ea"],
+    )
+    return result, report
+
+
+def cmd_fit(args) -> int:
+    cfg = _load_config(args.config, FIT_DEFAULTS)
+    out = _outdir(args)
+    ds = dataio.read_dataset(args.dataset)
+    result, report = analyze(cfg, ds)
     if not result.traces and not args.allow_empty:
         print("no resonance traces found (use --allow-empty to accept)", file=sys.stderr)
         return EXIT_EMPTY
@@ -243,15 +266,6 @@ def cmd_fit(args) -> int:
             "class_filter": args.class_filter,
         },
     )
-    report = metrics.material_report(
-        result,
-        volume_um3=cfg["volume_um3"],
-        eps_r=cfg["eps_r"],
-        thickness_nm=cfg["thickness_nm"],
-        field_rms=cfg["field_rms_v_per_m"],
-        t1_us=cfg["t1_us"],
-        dipole_sigma_truncated_normal=cfg["dipole_std_prior_ea"],
-    )
     (out / "material_report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     )
@@ -266,7 +280,8 @@ COUPLED_DEFAULTS = {
     "g_z0_mhz": 10.0,
     "g_x0_mhz": -10.0,
     "gamma_p2_0": 0.0,
-    "threshold": 0.25,
+    "threshold": AnalysisOptions.threshold,
+    # Not AnalysisOptions.jump_limit: the crossing branches bend sharply.
     "jump_limit": 8.0,
 }
 
@@ -319,9 +334,8 @@ def cmd_coupled(args) -> int:
 
 def _panel(ds, cfg: dict):
     """Crossing panel of ``ds``, extracted as the ``coupled`` config says."""
-    return panel_points_from_dataset(
-        ds, threshold=cfg["threshold"], jump_limit=cfg["jump_limit"]
-    )
+    opts = AnalysisOptions(threshold=cfg["threshold"], jump_limit=cfg["jump_limit"])
+    return panel_points_from_dataset(ds, opts)
 
 
 def _write_crossing(path, ds, panel, fit, tls1, tls2) -> None:
@@ -347,13 +361,13 @@ def _write_crossing(path, ds, panel, fit, tls1, tls2) -> None:
 
 
 DESIGN_DEFAULTS = {
-    "f10_ghz": 6.2,
-    "c_tot_fF": 100.0,
+    "f10_ghz": GENERATE_DEFAULTS["f10_ghz"],
+    "c_tot_fF": GENERATE_DEFAULTS["c_tot_fF"],
     "p_min_ea": 0.1,
     "t1_us": 1.0,
-    "d_nm": 50.0,
-    "area_um2": 0.075,
-    "eps_r": 10.0,
+    "d_nm": GENERATE_DEFAULTS["thickness_nm"],
+    "area_um2": GENERATE_DEFAULTS["area_um2"],
+    "eps_r": GENERATE_DEFAULTS["eps_r"],
     "tan_delta0": 1.6e-3,
     "gamma_background_per_us": 0.1,
 }
@@ -365,14 +379,7 @@ def cmd_design(args) -> int:
     for key in DESIGN_DEFAULTS:
         if cfg[key] <= 0 and (key != "tan_delta0" or cfg[key] < 0):
             raise ConfigError(f"design parameter {key} must be positive")
-    design = SensorDesign(
-        d=cfg["d_nm"] * 1e-9,
-        area=cfg["area_um2"] * 1e-12,
-        eps_r=cfg["eps_r"],
-        c_tot=cfg["c_tot_fF"] * 1e-15,
-        omega10=2 * math.pi * cfg["f10_ghz"] * 1e9,
-        t1_qubit=cfg["t1_us"],
-    )
+    design = _sensor_design(cfg, cfg["d_nm"], cfg["t1_us"])
     v_rms = vacuum_voltage(design)
     d_rule = design_thickness(cfg["p_min_ea"], cfg["t1_us"] * 1e-6, v_rms)
     c_s = sample_capacitance(design)

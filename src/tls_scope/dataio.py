@@ -13,7 +13,8 @@ reader parses the whole file with one structured ``np.loadtxt`` and
 groups the rows into segments with numpy masks.  Readers check
 ``schema_version`` on every file and refuse versions they do not know.
 The sidecar's ``segments``, the fit report's ``tls`` records and the
-numbers of a coupled fit are type-checked as well.
+numbers of a coupled fit are type-checked as well, and the CSV's
+segments must be the sidecar's, by id and control.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ def is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _segment_meta(meta: dict, name: str) -> list[tuple[dict, str]]:
-    """(held, direction) of each segment entry of a sidecar, type-checked."""
+def _segment_meta(meta: dict, name: str) -> list[tuple[str, dict, str]]:
+    """(control, held, direction) of each segment entry of a sidecar,
+    type-checked."""
     entries = meta.get("segments", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise SchemaError(f"{name}: 'segments' must be a list of objects")
@@ -97,7 +99,7 @@ def _segment_meta(meta: dict, name: str) -> list[tuple[dict, str]]:
         direction = entry.get("direction", "up")
         if not isinstance(direction, str):
             raise SchemaError(f"{name}: segment {k}: 'direction' must be a string")
-        out.append((held, direction))
+        out.append((entry.get("control"), held, direction))
     return out
 
 
@@ -154,7 +156,9 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
     SchemaError
         On a missing/strange sidecar (including ``segments`` that is not
         a list of objects, or a ``held`` or ``direction`` of the wrong
-        type), bad header, a corrupt row (the message carries the 1-based
+        type), CSV segment ids other than 0..n-1 for the n sidecar
+        segments, a segment whose control is not its sidecar entry's,
+        bad header, a corrupt row (the message carries the 1-based
         row number), or values the dataset itself rejects, such as a
         non-positive T1.
     """
@@ -187,11 +191,17 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
     if rows.size == 0:
         raise SchemaError("dataset has no rows")
     seg_ids = rows["segment"]
+    ids = np.unique(seg_ids).tolist()
+    if ids != list(range(len(seg_meta))):
+        raise SchemaError(
+            f"{meta_path.name}: describes segments 0..{len(seg_meta) - 1}, "
+            f"the CSV has segments {ids}"
+        )
     segments, grids = [], []
     freq_axis = None
     # SegmentSpec and SpectroscopyDataset raise ValueError on bad content.
     try:
-        for s in np.unique(seg_ids).tolist():
+        for s in ids:
             in_seg = seg_ids == s
             controls = rows["control"][in_seg]
             changed = np.flatnonzero(controls != controls[0])
@@ -212,7 +222,7 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
                 freq_axis = uniq_freq
             elif not np.array_equal(freq_axis, uniq_freq):
                 raise SchemaError(f"segment {s}: frequency axis differs")
-            held, direction = seg_meta[s] if s < len(seg_meta) else ({}, "up")
+            control, held, direction = seg_meta[s]
             bias_axis = bias.reshape(n_b, n_f)[:, 0]
             segments.append(
                 SegmentSpec(
@@ -222,6 +232,11 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
                     direction=direction,
                 )
             )
+            if control != segments[-1].control:
+                raise SchemaError(
+                    f"{meta_path.name}: segment {s} is {control!r}, "
+                    f"the CSV has {segments[-1].control!r}"
+                )
             grids.append(t1.reshape(n_b, n_f))
         return SpectroscopyDataset(
             segments=tuple(segments),

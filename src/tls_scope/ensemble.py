@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiasLimitExceeded, InvalidBand
-from .stm import Location, TlsParams, V_S_LIMIT_DEFAULT, dipole_to_gamma_s
+from .stm import V_S_LIMIT, Location, TlsParams, dipole_to_gamma_s
 
 #: Asymmetry shift [GHz] the bias sweeps may apply; widens the eps_i window.
 MAX_BIAS_SWING = 2.5
@@ -27,7 +27,6 @@ class ControlChain:
     """Attenuation chain between the V_s source and the sample capacitor."""
 
     division_factor: float = 205.0
-    v_s_limit: float = V_S_LIMIT_DEFAULT
 
     def __post_init__(self):
         if not self.division_factor > 0:
@@ -43,10 +42,10 @@ def apply_control_chain(v_source: float, chain: ControlChain) -> float:
         If the divided voltage would exceed the cold-end safety limit.
     """
     v_s = v_source / chain.division_factor
-    if abs(v_s) > chain.v_s_limit:
+    if abs(v_s) > V_S_LIMIT:
         raise BiasLimitExceeded(
             f"source {v_source:.4g} V divides to {v_s * 1e3:.3f} mV cold-end, "
-            f"above the {chain.v_s_limit * 1e3:.3f} mV limit"
+            f"above the {V_S_LIMIT * 1e3:.3f} mV limit"
         )
     return v_s
 
@@ -68,7 +67,7 @@ class EnsembleConfig:
     band: tuple[float, float] = (5.8, 6.7)
     p0_target: float = 1800.0
     volume_um3: float = 2.25e-3
-    thickness_m: float = 50e-9
+    thickness_m: float = 50.0 * 1e-9
     dipole_mean: float = 0.4
     dipole_std: float = 0.2
     gamma_p_max: float = 0.04

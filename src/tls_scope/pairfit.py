@@ -79,8 +79,8 @@ def _bare_energies(tls1, tls2, gamma_p2, v_p, v_s):
     )
 
 
-def panel_points_from_dataset(ds, **extract_kwargs) -> CrossingPanel:
-    """Pool all extracted trace points of a one-segment crossing scan.
+def panel_points_from_dataset(ds, opts) -> CrossingPanel:
+    """Pool the points ``extract_traces(ds, opts)`` finds in a one-segment crossing scan.
 
     Raises
     ------
@@ -93,7 +93,7 @@ def panel_points_from_dataset(ds, **extract_kwargs) -> CrossingPanel:
         raise ValueError("crossing panels are single-segment V_s sweeps")
     v_p = float(ds.segments[0].held["v_p"])
     vs, fs, ws = [], [], []
-    for tr in extract_traces(ds, **extract_kwargs):
+    for tr in extract_traces(ds, opts):
         v, f, w = tr.arrays()
         vs.append(v)
         fs.append(f)
@@ -124,7 +124,7 @@ def fit_coupled_pair(
     g_x0: float = -10.0,
     gamma_p2_0: float = 0.0,
 ) -> PairFitResult:
-    """Fit (g_z, g_x, gamma_p2) to crossing panels, multi-start over signs.
+    """Fit (g_z, g_x, gamma_p2) to crossing panels, multi-start over the sign of g_z.
 
     Parameters
     ----------
@@ -177,17 +177,19 @@ def fit_coupled_pair(
         dt_dgp2 = dt_de2 * de2
         return -np.column_stack((dt_dgz, dt_dgx, dt_dgp2))
 
+    # Start from both signs of g_z only.  The model sees g_x through g_x^2
+    # alone, so a start at -g_x retraces the one at +g_x with the sign of
+    # g_x flipped, bit for bit, and adds no branch.
     candidates = []
     g_z0 = abs(g_z0) or 10.0
     g_x0_mag = abs(g_x0) or 10.0
     for sz in (1.0, -1.0):
-        for sx in (1.0, -1.0):
-            x0 = np.array([sz * g_z0, sx * g_x0_mag, gamma_p2_0])
-            try:
-                res = lm_fit(residuals, jacobian, x0, weights=w)
-            except NoConvergence:
-                continue
-            candidates.append(res)
+        x0 = np.array([sz * g_z0, g_x0_mag, gamma_p2_0])
+        try:
+            res = lm_fit(residuals, jacobian, x0, weights=w)
+        except NoConvergence:
+            continue
+        candidates.append(res)
     if not candidates:
         raise NoConvergence("no sign branch of the coupled fit converged")
 

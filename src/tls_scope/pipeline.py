@@ -6,7 +6,8 @@ metrics.  Each linked track fits its own traces, control by control; a
 control counts as "responding" when at least one segment shows a tuning
 rate that is both resolvable on the frequency grid and significant
 against its own uncertainty.  A record keeps that ``responds`` map and
-the :class:`~tls_scope.stm.Location` it classifies to.
+the :class:`~tls_scope.stm.Location` it classifies to.  Settings come in
+one :class:`~tls_scope.traces.AnalysisOptions`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import DegenerateTrace, NoConvergence
 from .hyperbola import TraceFit, fit_hyperbola
 from .spectro import CONTROLS, SpectroscopyDataset
 from .stm import Location, gamma_s_to_dipole
-from .traces import Trace, extract_traces, link_tracks
+from .traces import AnalysisOptions, Trace, extract_traces, link_tracks
 
 #: A fitted tuning rate counts as a response when it moves the line by
 #: more than this many frequency-grid steps over its segment ...
@@ -71,32 +72,12 @@ class AnalysisResult:
     density_by_class: dict
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
-    """Tunables of the extract-and-fit stage."""
-
-    threshold: float = 0.25
-    jump_limit: float = 5.0
-    min_points: int = 5
-    max_gap: int = 2
-    first_link_factor: float = 5.0
-    boundary_tol: float = 5.0
-    thickness_m: float = 50e-9
-
-
 def analyze_dataset(
     ds: SpectroscopyDataset, opts: AnalysisOptions = AnalysisOptions()
 ) -> AnalysisResult:
     """Run extraction, per-segment fits and classification on a dataset."""
-    traces = extract_traces(
-        ds,
-        threshold=opts.threshold,
-        jump_limit=opts.jump_limit,
-        min_points=opts.min_points,
-        max_gap=opts.max_gap,
-        first_link_factor=opts.first_link_factor,
-    )
-    tracks = link_tracks(traces, ds, boundary_tol=opts.boundary_tol)
+    traces = extract_traces(ds, opts)
+    tracks = link_tracks(traces, ds, opts)
     records = [_summarize_track(k, track, ds, opts) for k, track in enumerate(tracks)]
 
     span = float(ds.freq_ghz[-1] - ds.freq_ghz[0])

@@ -25,6 +25,7 @@ from .coupled import CoupledPair, transitions_truncated
 from .ensemble import ControlChain, Ensemble, apply_control_chain
 from .stm import (
     SCHEMA_VERSION,
+    V_S_LIMIT,
     SensorDesign,
     TlsTable,
     capacitor_field_rms,
@@ -125,6 +126,9 @@ def default_sweep_plan(
     cold-end limits derived from the source amplitude through the control
     chain.  All controls hold their last value while others sweep.
     """
+    unknown = sorted(set(order) - set(CONTROLS))
+    if unknown:
+        raise ValueError(f"unknown controls {unknown} in the segment order")
     chain = chain or ControlChain()
     amp = apply_control_chain(v_s_source_amplitude, chain)
     counts = {c: order.count(c) for c in CONTROLS}
@@ -243,7 +247,6 @@ def t1_map(
     noise_sigma: float = 0.10,
     seed: int = 0,
     field_rms: float | None = None,
-    chain: ControlChain | None = None,
     meta_extra: dict | None = None,
 ) -> SpectroscopyDataset:
     """Simulate the swap-spectroscopy T1 grid of an ensemble.
@@ -270,7 +273,6 @@ def t1_map(
     validate_freq_axis(freq_ghz)
     if not plan:
         raise ValueError("sweep plan is empty")
-    chain = chain or ControlChain()
     field = capacitor_field_rms(design) if field_rms is None else field_rms
 
     table = TlsTable.of(ensemble.tls_list)
@@ -279,7 +281,7 @@ def t1_map(
     grids = []
     for seg, child in zip(plan, children):
         v_p, v_g, v_s = seg.bias_vectors()
-        if np.any(np.abs(v_s) > chain.v_s_limit * (1 + 1e-12)):
+        if np.any(np.abs(v_s) > V_S_LIMIT * (1 + 1e-12)):
             raise ValueError("segment exceeds the cold-end sample-bias limit")
         _, e_tls = energies(table, v_p[:, None], v_g[:, None], v_s[:, None])
         g_mhz = coupling_mhz(table.p_parallel, table.delta0 / e_tls, field)

@@ -35,9 +35,9 @@ def check_schema_version(version, what: str) -> None:
         raise SchemaError(f"{what}: unsupported schema_version {version!r}")
 
 
-#: Default cold-end limit on the sample-capacitor bias [V]; larger swings
-#: heat the attenuators in the bias line.
-V_S_LIMIT_DEFAULT = 2.5e-3
+#: Cold-end limit on the sample-capacitor bias [V]; larger swings heat
+#: the attenuators in the bias line.
+V_S_LIMIT = 2.5e-3
 
 
 class Location(enum.Enum):
@@ -116,19 +116,18 @@ class BiasPoint:
     """One setting of the three bias controls [V].
 
     ``v_s`` is the cold-end voltage on the sample capacitor; its magnitude
-    is checked against ``v_s_limit`` (attenuator heating constraint).
+    is checked against :data:`V_S_LIMIT` (attenuator heating constraint).
     """
 
     v_p: float = 0.0
     v_g: float = 0.0
     v_s: float = 0.0
-    v_s_limit: float = V_S_LIMIT_DEFAULT
 
     def __post_init__(self):
-        if abs(self.v_s) > self.v_s_limit:
+        if abs(self.v_s) > V_S_LIMIT:
             raise ValueError(
                 f"|v_s| = {abs(self.v_s):.4g} V exceeds the "
-                f"{self.v_s_limit:.4g} V safety limit"
+                f"{V_S_LIMIT:.4g} V safety limit"
             )
 
 

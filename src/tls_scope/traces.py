@@ -5,7 +5,8 @@ resonance candidates; candidates are linked across bias steps into
 traces by nearest-frequency continuity around a one-step linear
 prediction, which keeps steep traces intact and crossing traces apart.
 Sub-grid frequency refinement uses a three-point parabola on
-log(1/T1), whose peak is locally quadratic for a Lorentzian dip.
+log(1/T1), whose peak is locally quadratic for a Lorentzian dip.  All
+settings come from one :class:`AnalysisOptions`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectro import SpectroscopyDataset
+
+
+@dataclass(frozen=True)
+class AnalysisOptions:
+    """Settings of the extract-and-fit stage, the one home of their defaults.
+
+    ``threshold``: relative T1 dip below the per-step baseline that counts
+    as a resonance.  ``jump_limit``: largest distance, in grid steps, of a
+    candidate from a trace's one-step linear prediction, widened by
+    ``first_link_factor`` while the trace has one point.  ``max_gap``: bias
+    steps a trace may miss before it closes; ``min_points``: shorter
+    traces are dropped.  ``boundary_tol``: grid steps within which traces
+    chain across a segment boundary.  ``thickness_m``: film thickness [m]
+    in the dipole p = |gamma_s|*d/2.
+    """
+
+    threshold: float = 0.25
+    jump_limit: float = 5.0
+    min_points: int = 5
+    max_gap: int = 2
+    first_link_factor: float = 5.0
+    boundary_tol: float = 5.0
+    thickness_m: float = 50.0 * 1e-9
 
 
 @dataclass
@@ -61,32 +85,9 @@ def _row_candidates(t1_row: np.ndarray, freq: np.ndarray, threshold: float):
 
 
 def extract_traces(
-    ds: SpectroscopyDataset,
-    threshold: float = 0.25,
-    jump_limit: float = 5.0,
-    min_points: int = 5,
-    max_gap: int = 2,
-    first_link_factor: float = 5.0,
+    ds: SpectroscopyDataset, opts: AnalysisOptions = AnalysisOptions()
 ) -> list[Trace]:
-    """Extract linked resonance traces from every segment of a dataset.
-
-    Parameters
-    ----------
-    ds : SpectroscopyDataset
-    threshold : float
-        Relative T1 dip below the per-step baseline that counts as a
-        resonance (0.25 = dips deeper than 25%).
-    jump_limit : float
-        Largest tolerated deviation, in frequency-grid steps, between a
-        candidate and the one-step linear prediction of a trace.
-    min_points : int
-        Traces shorter than this are discarded.
-    max_gap : int
-        Bias steps a trace may go undetected before it is closed.
-    first_link_factor : float
-        Widening of the jump window for a one-point trace whose slope is
-        still unknown; steep traces need it for their second point.
-    """
+    """Extract linked resonance traces from every segment of a dataset."""
     step = ds.grid_step_ghz
     traces: list[Trace] = []
     for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
@@ -98,7 +99,7 @@ def extract_traces(
         n_pts = np.empty(0, dtype=np.intp)
         points: list[tuple[list, list, list]] = []
         for i in range(seg.bias.size):
-            f_c, w_c = _row_candidates(t1[i], ds.freq_ghz, threshold)
+            f_c, w_c = _row_candidates(t1[i], ds.freq_ghz, opts.threshold)
             f_list, w_list = f_c.tolist(), w_c.tolist()
             used_c = np.zeros(f_c.size, dtype=bool)
             if points and f_c.size:
@@ -107,8 +108,8 @@ def extract_traces(
                 # go to the earlier trace, then the earlier candidate.
                 gap = i - last_i
                 pred = last_f + slope * gap
-                window = jump_limit * step * gap
-                window = np.where(n_pts == 1, window * first_link_factor, window)
+                window = opts.jump_limit * step * gap
+                window = np.where(n_pts == 1, window * opts.first_link_factor, window)
                 dist = np.abs(f_c[None, :] - pred[:, None])
                 a_idx, c_idx = np.nonzero(dist <= window[:, None])
                 order = np.lexsort((c_idx, a_idx, dist[a_idx, c_idx]))
@@ -138,17 +139,17 @@ def extract_traces(
                 last_i = np.concatenate((last_i, np.full(fresh.size, i)))
                 n_pts = np.concatenate((n_pts, np.ones(fresh.size, dtype=np.intp)))
                 points.extend(([i], [f_list[c]], [w_list[c]]) for c in fresh.tolist())
-            closed = i - last_i > max_gap
+            closed = i - last_i > opts.max_gap
             if closed.any():
                 for k in np.flatnonzero(closed).tolist():
-                    traces.extend(_finalize(points[k], s, seg, min_points))
+                    traces.extend(_finalize(points[k], s, seg, opts.min_points))
                 keep = ~closed
                 last_f, slope, last_i, n_pts = (
                     last_f[keep], slope[keep], last_i[keep], n_pts[keep]
                 )
                 points = [p for p, k in zip(points, keep.tolist()) if k]
         for pts in points:
-            traces.extend(_finalize(pts, s, seg, min_points))
+            traces.extend(_finalize(pts, s, seg, opts.min_points))
     return traces
 
 
@@ -169,19 +170,21 @@ def _finalize(points: tuple, segment: int, seg, min_points: int) -> list[Trace]:
 
 
 def link_tracks(
-    traces: list[Trace], ds: SpectroscopyDataset, boundary_tol: float = 5.0
+    traces: list[Trace],
+    ds: SpectroscopyDataset,
+    opts: AnalysisOptions = AnalysisOptions(),
 ) -> list[list[Trace]]:
     """Group per-segment traces into per-defect tracks.
 
     Controls hold their value across segment boundaries, so a defect's
     resonance frequency is continuous from the end of one segment to the
     start of the next; traces whose boundary frequencies agree within
-    ``boundary_tol`` grid steps are chained: each trace continues the
+    ``opts.boundary_tol`` grid steps are chained: each trace continues the
     nearest one, the earlier trace winning a tie, and is continued at
     most once.  Traces that appear or vanish mid-segment start or end
     their own track.
     """
-    tol = boundary_tol * ds.grid_step_ghz
+    tol = opts.boundary_tol * ds.grid_step_ghz
     by_segment: dict[int, list[Trace]] = {}
     for tr in traces:
         by_segment.setdefault(tr.segment, []).append(tr)

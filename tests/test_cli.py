@@ -154,6 +154,15 @@ class TestExitCodes:
         assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, needle", [
+        ({"segment_order": ["bogus"]}, "unknown controls ['bogus']"),
+        ({"freq_step_ghz": 0.0}, "freq_step_ghz must be positive"),
+    ], ids=["unknown-control", "zero-freq-step"])
+    def test_generate_refuses_bad_sweep(self, tmp_path, capsys, override, needle):
+        cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
+        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+        assert f"config error: {needle}" in capsys.readouterr().err
+
     def test_threads_option_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("generate", "--threads", 2, "--out", tmp_path)
@@ -211,6 +220,16 @@ class TestExitCodes:
         csv = out / "dataset.csv"
         assert run("fit", csv, "--out", out) == cli.EXIT_EMPTY
         assert run("fit", csv, "--allow-empty", "--out", out) == cli.EXIT_OK
+
+    def test_bad_fit_config_beats_the_empty_check(self, tmp_path, capsys):
+        # The material report is built with the analysis, so a config it
+        # refuses exits 2 before the dataset is found empty.
+        cfg = write_json(tmp_path / "empty.json", {**SMALL, "p0_per_um3_ghz": 0.0})
+        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_OK
+        bad = write_json(tmp_path / "bad.json", {"volume_um3": 0.0})
+        argv = ("fit", tmp_path / "dataset.csv", "--config", bad, "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_CONFIG
+        assert "config error: volume must be positive" in capsys.readouterr().err
 
 
     def test_coupled_panel_without_resonance(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Dataset CSV round trip and the row and sidecar checks of read_dataset."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -184,4 +185,28 @@ class TestSidecarChecks:
         target[where[-1]] = value
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(SchemaError, match=f"dataset.csv.meta.json: {needle}"):
+            dataio.read_dataset(path)
+
+    @pytest.mark.parametrize("old, new, ids", [
+        ("\n0,sample,", "\n-1,sample,", [-1, 1, 2]),
+        ("\n2,global,", "\n3,global,", [0, 1, 3]),
+        ("\n2,global,", "\n1,piezo,", [0, 1]),
+    ], ids=["negative-id", "id-gap", "segment-missing"])
+    def test_csv_segments_are_the_sidecar_segments(self, written, old, new, ids):
+        _, path = written
+        path.write_text(path.read_text().replace(old, new))
+        needle = f"meta.json: describes segments 0..2, the CSV has segments {ids}"
+        with pytest.raises(SchemaError, match=re.escape(needle)):
+            dataio.read_dataset(path)
+
+    def test_segment_control_is_the_sidecar_control(self, written):
+        _, path = written
+        sidecar = path.with_name(path.name + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        meta["segments"][1]["control"] = "global"
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(
+            SchemaError,
+            match="dataset.csv.meta.json: segment 1 is 'global', the CSV has 'piezo'",
+        ):
             dataio.read_dataset(path)

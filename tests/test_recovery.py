@@ -1,7 +1,7 @@
 """Recovery scorecard: what the analysis finds against what the simulator drew.
 
 Six `generate` datasets at the CLI defaults (seeds 1-6) are built in
-memory, analysed as `fit` does, and scored by the benchmark's own
+memory, analysed by `cli.analyze` as `fit` does, and scored by the benchmark's own
 scorer, ``perfbench/truth.py``, imported as it is so that the scorer
 shares no code with what it checks.  Each floor is the value at the
 time it was set, rounded outward; tighten a floor in the change that
@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tls_scope import cli, metrics
-from tls_scope.pipeline import AnalysisOptions, analyze_dataset
+from tls_scope import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import truth  # noqa: E402
@@ -37,17 +36,8 @@ FLOORS = [
 
 def score_seed(seed):
     cfg = cli.GENERATE_DEFAULTS
-    fit_cfg = cli.FIT_DEFAULTS
     ensemble, ds = cli.simulate(cfg, seed)
-    result = analyze_dataset(
-        ds, AnalysisOptions(thickness_m=fit_cfg["thickness_nm"] * 1e-9)
-    )
-    report = metrics.material_report(
-        result,
-        volume_um3=fit_cfg["volume_um3"],
-        eps_r=fit_cfg["eps_r"],
-        thickness_nm=fit_cfg["thickness_nm"],
-    )
+    result, report = cli.analyze(cli.FIT_DEFAULTS, ds)
     return truth.score_dataset(
         [t.to_dict() for t in ensemble.tls_list],
         [(s.control, s.bias, s.held) for s in ds.segments],

@@ -1,0 +1,66 @@
+"""Each setting has one home: a ratchet on the number of settable values,
+and the library defaults against the values the CLI computes."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+import tls_scope
+from tls_scope import cli
+from tls_scope.ensemble import EnsembleConfig, generate_ensemble
+from tls_scope.traces import AnalysisOptions, extract_traces, link_tracks
+
+#: Settable values under src/tls_scope when this ratchet was last moved.
+#: Lower it when a value goes; a new knob has to pay for itself by
+#: removing another.
+MAX_SETTABLE = 67
+
+
+def settable_values():
+    """Every dataclass field with a default, and every defaulted parameter
+    of a function whose name does not start with ``_``."""
+    found = []
+    for path in sorted(Path(tls_scope.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                found += [
+                    f"{path.stem}.{node.name}.{st.target.id}"
+                    for st in node.body
+                    if isinstance(st, ast.AnnAssign) and st.value is not None
+                ]
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args.posonlyargs + node.args.args
+                defaulted = args[len(args) - len(node.args.defaults):] + [
+                    a for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                    if d is not None
+                ]
+                found += [f"{path.stem}.{node.name}({a.arg})" for a in defaulted]
+    return found
+
+
+def test_settable_values_do_not_grow():
+    found = settable_values()
+    assert len(found) <= MAX_SETTABLE, "\n".join(found)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_library_defaults_draw_what_generate_draws(seed):
+    library = generate_ensemble(EnsembleConfig(), seed)
+    command = cli.simulate(cli.GENERATE_DEFAULTS, seed)[0]
+    for name in vars(library):
+        assert getattr(library, name) == getattr(command, name), name
+
+
+def test_library_thickness_is_the_cli_thickness():
+    d_m = cli.GENERATE_DEFAULTS["thickness_nm"] * 1e-9
+    assert AnalysisOptions().thickness_m == d_m == EnsembleConfig().thickness_m
+
+
+@pytest.mark.parametrize("fn", [extract_traces, link_tracks])
+def test_tracking_settings_come_only_from_the_options(fn):
+    params = inspect.signature(fn).parameters.values()
+    assert [p.name for p in params if p.default is not p.empty] == ["opts"]

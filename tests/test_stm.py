@@ -203,7 +203,6 @@ class TestValidation:
     def test_bias_safety_limit(self):
         with pytest.raises(ValueError):
             BiasPoint(v_s=3e-3)
-        BiasPoint(v_s=3e-3, v_s_limit=5e-3)
 
     def test_design_positive(self):
         with pytest.raises(ValueError):

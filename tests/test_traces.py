@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tls_scope.spectro import SegmentSpec, SpectroscopyDataset
-from tls_scope.traces import Trace, extract_traces, link_tracks
+from tls_scope.traces import AnalysisOptions, Trace, extract_traces, link_tracks
 
 FREQ = np.round(np.arange(5.8, 6.2, 0.002), 12)
 STEP = 0.002
@@ -170,7 +170,8 @@ class TestMatchesReferenceLoop:
     def test_options(self, kwargs):
         ds = dataset([crowded_grid(5)])
         want = reference_extract_traces(ds, **kwargs)
-        assert trace_bytes(extract_traces(ds, **kwargs)) == trace_bytes(want)
+        got = extract_traces(ds, AnalysisOptions(**kwargs))
+        assert trace_bytes(got) == trace_bytes(want)
 
 
 class TestExtraction:
@@ -189,7 +190,7 @@ class TestExtraction:
         present = np.ones(n, dtype=bool)
         present[10:10 + missing] = False
         ds = dataset([t1_grid([line(6.0, 0.5, n, present)], n)])
-        traces = extract_traces(ds, max_gap=2)
+        traces = extract_traces(ds, AnalysisOptions(max_gap=2))
         assert len(traces) == n_traces
         assert sum(len(tr) for tr in traces) == n - missing
 
@@ -200,7 +201,8 @@ class TestExtraction:
         n = 20
         present = np.arange(n) < shown
         ds = dataset([t1_grid([line(6.0, 0.0, n, present)], n)])
-        assert len(extract_traces(ds, min_points=min_points)) == n_traces
+        opts = AnalysisOptions(min_points=min_points)
+        assert len(extract_traces(ds, opts)) == n_traces
 
     @pytest.mark.parametrize("low", [0.35, 0.6])
     def test_flat_parabola_keeps_the_grid_point(self, low):
@@ -224,7 +226,7 @@ class TestExtraction:
                  np.where((rows >= 2) & (rows < 4), freq[103], np.nan),
                  np.where(rows >= 4, freq[100], np.nan)]
         ds = dataset([t1_grid(paths, n, freq=freq)], freq=freq)
-        traces = extract_traces(ds, min_points=2)
+        traces = extract_traces(ds, AnalysisOptions(min_points=2))
         assert [tr.bias_index for tr in traces] == [[2, 3], [0, 1, 4, 5, 6, 7, 8, 9]]
         assert traces[1].freq == [freq[97]] * 2 + [freq[100]] * 6
 
@@ -233,9 +235,11 @@ class TestExtraction:
         # the flat first prediction, inside the widened first window.
         n = 15
         ds = dataset([t1_grid([line(5.85, 10.0, n)], n)])
-        (tr,) = extract_traces(ds, jump_limit=5.0, first_link_factor=5.0)
+        wide = AnalysisOptions(jump_limit=5.0, first_link_factor=5.0)
+        (tr,) = extract_traces(ds, wide)
         assert tr.bias_index == list(range(n))
-        assert extract_traces(ds, jump_limit=5.0, first_link_factor=1.0) == []
+        narrow = AnalysisOptions(jump_limit=5.0, first_link_factor=1.0)
+        assert extract_traces(ds, narrow) == []
 
 
 class TestLinkTracks:
@@ -266,5 +270,5 @@ class TestLinkTracks:
         ds = dataset([t1_grid([first], n), t1_grid([second], n)])
         traces = extract_traces(ds)
         assert len(traces) == 2
-        assert len(link_tracks(traces, ds, boundary_tol=5.0)) == 2
-        assert len(link_tracks(traces, ds, boundary_tol=15.0)) == 1
+        assert len(link_tracks(traces, ds, AnalysisOptions(boundary_tol=5.0))) == 2
+        assert len(link_tracks(traces, ds, AnalysisOptions(boundary_tol=15.0))) == 1
