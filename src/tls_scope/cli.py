@@ -38,6 +38,7 @@ from .errors import (
     SchemaError,
     TlsScopeError,
 )
+from .hyperbola import MIN_POINTS
 from .pairfit import PairFitResult, fit_coupled_pair, panel_points_from_dataset
 from .pipeline import AnalysisOptions, analyze_dataset
 from .spectro import default_sweep_plan, t1_map
@@ -227,6 +228,8 @@ FIT_DEFAULTS = {
 
 def analyze(cfg: dict, ds):
     """(analysis result, material report) that ``fit`` writes for a full config."""
+    if cfg["min_points"] < MIN_POINTS:
+        raise ConfigError(f"min_points must be at least {MIN_POINTS}, got {cfg['min_points']}")
     opts = AnalysisOptions(
         **{key: cfg[key] for key in TRACKING_KEYS},
         thickness_m=cfg["thickness_nm"] * 1e-9,

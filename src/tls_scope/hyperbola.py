@@ -16,8 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTrace
-from .lm import lm_fit
+from .errors import DegenerateTrace, NoConvergence
+from .lm import lm_batch
+
+#: Fewest points of a fittable trace: three parameters and two degrees
+#: of freedom.
+MIN_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -77,13 +81,19 @@ def _quadratic_init(volts, freqs, weights):
     return delta0, eps_i, gamma
 
 
+#: Traces per lockstep LM block, which runs until its slowest fit ends;
+#: 512 was the smallest as fast as 1024 on a dense dataset's 2.6k traces.
+FIT_BLOCK = 512
+
+
 def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
     """Fit (Delta0, eps_i, gamma) to resonance points along one control.
 
     Parameters
     ----------
     volts, freqs : array_like
-        Bias voltages [V] and resonance frequencies [GHz], >= 5 points.
+        Bias voltages [V] and resonance frequencies [GHz], at least
+        :data:`MIN_POINTS` points.
     weights : array_like, optional
         Relative inverse-variance weights; defaults to uniform.  The
         reported covariance is rescaled by chi^2/dof, so only the
@@ -97,32 +107,66 @@ def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
         If the refinement stalls (rare; the model is well conditioned
         once the linearized start is available).
     """
-    volts = np.asarray(volts, dtype=float)
-    freqs = np.asarray(freqs, dtype=float)
-    if volts.shape != freqs.shape or volts.ndim != 1:
-        raise ValueError("volts and freqs must be 1-d arrays of equal length")
-    if volts.size < 5:
-        raise ValueError("need at least 5 points to fit a hyperbola")
-    w = np.ones_like(freqs) if weights is None else np.asarray(weights, dtype=float)
+    (outcome,) = fit_hyperbolas([(volts, freqs, weights)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    x0 = _quadratic_init(volts, freqs, w)
 
-    def model(x):
-        d0, eps_i, gamma = x
-        return np.hypot(d0, eps_i + gamma * volts)
+def fit_hyperbolas(traces) -> list:
+    """:func:`fit_hyperbola` on each (volts, freqs, weights) of ``traces``.
 
-    def residuals(x):
-        return freqs - model(x)
+    Returns per trace the same :class:`TraceFit`, bit for bit, or the
+    :class:`DegenerateTrace` or :class:`NoConvergence` it would raise.
+    Traces run by length, in blocks of :data:`FIT_BLOCK` that are each
+    one lockstep LM padded to their longest trace.
+    """
+    out: list = [None] * len(traces)
+    order = np.argsort([np.size(t[1]) for t in traces], kind="stable").tolist()
+    for start in range(0, len(order), FIT_BLOCK):
+        data, x0 = [], []
+        for i in order[start:start + FIT_BLOCK]:
+            v, f, w = traces[i]
+            v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
+            if v.shape != f.shape or v.ndim != 1:
+                raise ValueError("volts and freqs must be 1-d arrays of equal length")
+            if v.size < MIN_POINTS:
+                raise ValueError(f"need at least {MIN_POINTS} points to fit a hyperbola")
+            w = np.ones_like(f) if w is None else np.asarray(w, dtype=float)
+            try:
+                x0.append(_quadratic_init(v, f, w))
+            except DegenerateTrace as exc:
+                out[i] = exc.with_traceback(None)  # keep no frame alive
+                continue
+            data.append((i, v, f, w))
+        if not data:
+            continue
+        n = [f.size for _i, _v, f, _w in data]
+        volts, freqs, weights = np.zeros((3, len(data), n[-1]))
+        for j, (_i, v, f, w) in enumerate(data):
+            volts[j, :v.size], freqs[j, :v.size], weights[j, :v.size] = v, f, w
 
-    def jacobian(x):
-        d0, eps_i, gamma = x
-        eps = eps_i + gamma * volts
-        f = np.hypot(d0, eps)
-        return -np.column_stack((d0 / f, eps / f, eps * volts / f))
+        def jacobian(x, sub):
+            v = volts[sub]
+            eps = x[:, 1:2] + x[:, 2:] * v
+            f = np.hypot(x[:, :1], eps)
+            jac = np.stack((x[:, :1] / f, eps / f, eps * v / f), axis=-1)
+            return np.negative(jac, out=jac)
 
-    res = lm_fit(residuals, jacobian, x0, weights=w)
-    d0, eps_i, gamma = res.params
-    cov = res.covariance
+        params, cov, _chi2, n_iter, converged, _history = lm_batch(
+            lambda x, sub: freqs[sub] - np.hypot(x[:, :1], x[:, 1:2] + x[:, 2:] * volts[sub]),
+            jacobian, np.array(x0), weights, n,
+        )
+        for j, (i, v, f, _w) in enumerate(data):
+            out[i] = (
+                _trace_fit(v, f, params[j], cov[j]) if converged[j]
+                else NoConvergence(f"no convergence after {n_iter[j]} iterations")
+            )
+    return out
+
+
+def _trace_fit(volts, freqs, x, cov) -> TraceFit:
+    d0, eps_i, gamma = x
     if gamma < 0:
         # Canonical sign: the model is invariant under the joint flip.
         eps_i, gamma = -eps_i, -gamma
@@ -132,13 +176,8 @@ def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
 
     vertex = -eps_i / gamma if gamma != 0 else np.inf
     in_window = volts.min() <= vertex <= volts.max()
-    rms = float(np.sqrt(np.mean(residuals((d0, eps_i, gamma)) ** 2)))
+    rms = float(np.sqrt(np.mean((freqs - np.hypot(d0, eps_i + gamma * volts)) ** 2)))
     return TraceFit(
-        delta0=float(d0),
-        eps_at_zero=float(eps_i),
-        gamma=float(gamma),
-        covariance=cov,
-        residual_rms=rms,
-        n_points=int(volts.size),
-        delta0_lower_bound_only=not in_window,
+        delta0=float(d0), eps_at_zero=float(eps_i), gamma=float(gamma), covariance=cov,
+        residual_rms=rms, n_points=int(volts.size), delta0_lower_bound_only=not in_window,
     )

@@ -3,7 +3,8 @@
 Minimal implementation for the small, well-conditioned fits in this
 package (3-4 parameters, analytic Jacobians).  The damping parameter
 follows the classic schedule: multiply by 10 on a rejected step, divide
-by 10 on an accepted one.
+by 10 on an accepted one.  :func:`lm_fit` is the one-problem case of
+:func:`lm_batch`, which runs many independent problems in lockstep.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ def lm_fit(
     jacobian: Callable[[np.ndarray], np.ndarray],
     x0,
     weights=None,
-    max_iter: int = 200,
-    gtol: float = 1e-12,
-    xtol: float = 1e-12,
-    ftol: float = 1e-14,
+    **limits,
 ) -> LmResult:
     """Minimize sum(w * r(x)^2) over x.
 
@@ -64,68 +62,116 @@ def lm_fit(
         Starting point.
     weights : array_like, optional
         Per-point weights w_i (inverse variances up to a common factor).
+    **limits
+        ``max_iter``, ``gtol``, ``xtol`` and ``ftol`` of :func:`lm_batch`.
 
     Raises
     ------
     NoConvergence
         If ``max_iter`` iterations pass without meeting any tolerance.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    n_params = x.size
-    r = residuals(x)
-    w = np.ones_like(r) if weights is None else np.asarray(weights, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    w = np.ones_like(residuals(x)) if weights is None else np.asarray(weights, dtype=float)
+    params, cov, chi2, n_iter, converged, history = lm_batch(
+        lambda xs, _: residuals(xs[0])[None], lambda xs, _: jacobian(xs[0])[None],
+        x[None], w[None], [w.size], **limits)
+    if not converged[0]:
+        raise NoConvergence(f"no convergence after {n_iter[0]} iterations")
+    return LmResult(params[0], cov[0], float(chi2[0]), int(n_iter[0]), history[0])
+
+
+def lm_batch(residuals, jacobian, x0, weights, lengths,
+             max_iter=200, gtol=1e-12, xtol=1e-12, ftol=1e-14):
+    """Minimize sum(w * r(x)^2) for m independent problems in lockstep.
+
+    ``x0`` is (m, p), ``weights`` (m, n); problem i uses its first
+    ``lengths[i]`` points.  ``residuals(x, rows)``/``jacobian(x, rows)``
+    give the (k, n)/(k, n, p) arrays of problems ``rows``.  Each problem
+    takes its one-problem steps bit for bit: sums and normal equations run
+    per run of equal lengths (sort by length to keep runs few).  Returns
+    params, covariance (NaN unless converged), chi2, n_iter, converged
+    and cost history, per problem.
+    """
+    x, w, n = np.array(x0, dtype=float), np.asarray(weights, dtype=float), np.asarray(lengths)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    chi2 = float(np.sum(w * r * r))
-    lam = LAM0
-    history = [chi2]
-    converged = False
-    it = 0
+    m, p = x.shape
+    r = residuals(x, np.arange(m))
+    chi2 = _row_sums(w * r * r, n)
+    lam, n_iter, converged = np.full(m, LAM0), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
+    history = [[c] for c in chi2.tolist()]
+    active, diag = np.arange(m), np.arange(p)
     for it in range(1, max_iter + 1):
-        jac = jacobian(x)
-        jtw = jac.T * w
-        a = jtw @ jac
-        grad = jtw @ r
-        if np.abs(grad).max() <= gtol * max(1.0, chi2):
-            converged = True
+        if not active.size:
             break
-        scale = np.diag(np.clip(np.diag(a), 1e-30, None))
-        neg_grad = -grad
-        accepted = False
+        n_iter[active] = it
+        a, grad = _normal_equations(jacobian(x[active], active), w[active], r[active], n[active])
+        # np.fmax(1.0, nan) is 1.0, as the builtin max(1.0, nan) is.
+        small = np.abs(grad).max(axis=1) <= gtol * np.fmax(1.0, chi2[active])
+        converged[active[small]] = True
+        rows, a, neg_grad = active[~small], a[~small], -grad[~small]
+        scale = np.zeros_like(a)
+        scale[:, diag, diag] = np.clip(a[:, diag, diag], 1e-30, None)
+        trying, stop = np.ones(rows.size, dtype=bool), np.zeros(rows.size, dtype=bool)
         for _ in range(50):
-            try:
-                step = np.linalg.solve(a + lam * scale, neg_grad)
-            except np.linalg.LinAlgError:
-                lam *= LAM_FACTOR
-                continue
-            x_new = x + step
-            r_new = residuals(x_new)
-            chi2_new = float(np.sum(w * r_new * r_new))
-            if np.isfinite(chi2_new) and chi2_new <= chi2:
-                accepted = True
+            if not (t := np.flatnonzero(trying)).size:
                 break
-            lam *= LAM_FACTOR
-        if not accepted:
-            converged = True  # damping exhausted: already at a minimum
-            break
-        dx = np.abs(step).max() / max(np.abs(x).max(), 1e-30)
-        dchi = chi2 - chi2_new
-        x, r, chi2 = x_new, r_new, chi2_new
-        history.append(chi2)
-        lam = max(lam / LAM_FACTOR, 1e-14)
-        if dx <= xtol or dchi <= ftol * max(chi2, 1e-300):
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(f"no convergence after {max_iter} iterations")
+            # A singular row's NaN step is rejected: more damping, next try.
+            step = _each(lambda a, b: np.linalg.solve(a, b[..., None])[..., 0],
+                         lambda a, b: np.full_like(b, np.nan),
+                         a[t] + lam[rows[t], None, None] * scale[t], neg_grad[t])
+            x_try = x[rows[t]] + step
+            r_try = residuals(x_try, rows[t])
+            c_try = _row_sums(w[rows[t]] * r_try * r_try, n[rows[t]])
+            good = np.isfinite(c_try) & (c_try <= chi2[rows[t]])
+            lam[rows[t[~good]]] *= LAM_FACTOR
+            t, g, c_new = t[good], rows[t[good]], c_try[good]
+            dx = np.abs(step[good]).max(axis=1) / np.maximum(np.abs(x[g]).max(axis=1), 1e-30)
+            stop[t] = (dx <= xtol) | (chi2[g] - c_new <= ftol * np.maximum(c_new, 1e-300))
+            x[g], r[g], chi2[g], trying[t] = x_try[good], r_try[good], c_new, False
+            for i, c in zip(g.tolist(), c_new.tolist()):
+                history[i].append(c)
+            lam[g] = np.maximum(lam[g] / LAM_FACTOR, 1e-14)
+        converged[rows[trying | stop]] = True  # still trying: damping exhausted
+        active = rows[~(trying | stop)]
 
-    jac = jacobian(x)
-    jtw = jac.T * w
-    a = jtw @ jac
-    dof = max(r.size - n_params, 1)
-    s2 = chi2 / dof
+    cov = np.full((m, p, p), np.nan)
+    if (done := np.flatnonzero(converged)).size:
+        a, _ = _normal_equations(jacobian(x[done], done), w[done], r[done], n[done])
+        s2 = chi2[done] / np.maximum(n[done] - p, 1)
+        cov[done] = _each(np.linalg.inv, np.linalg.pinv, a) * s2[:, None, None]
+    return x, cov, chi2, n_iter, converged, history
+
+
+def _runs(n) -> list[tuple[slice, int]]:
+    """(rows, length) of each run of equal lengths in ``n``."""
+    cuts = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), len(n)]
+    return [(slice(lo, hi), int(n[lo])) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _row_sums(v, n) -> np.ndarray:
+    """Sum of each row of ``v`` over its first ``n`` entries."""
+    return np.concatenate([v[s, :k].sum(axis=1) for s, k in _runs(n)])
+
+
+def _normal_equations(jac, w, r, n):
+    """J^T W J and J^T W r of each row, over its first ``n`` points."""
+    a, grad = np.empty(jac.shape[:1] + jac.shape[2:] * 2), np.empty(jac.shape[::2])
+    for s, k in _runs(n):
+        jtw = jac[s, :k].transpose(0, 2, 1) * w[s, None, :k]
+        a[s], grad[s] = jtw @ jac[s, :k], (jtw @ r[s, :k, None])[..., 0]
+    return a, grad
+
+
+def _each(fn, fallback, *stacks):
+    """``fn`` on stacked rows, or row by row with ``fallback`` where singular."""
     try:
-        cov = np.linalg.inv(a) * s2
+        return fn(*stacks)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(a) * s2
-    return LmResult(params=x, covariance=cov, chi2=chi2, n_iter=it, cost_history=history)
+        out = []
+        for row in zip(*stacks):
+            try:
+                out.append(fn(*row))
+            except np.linalg.LinAlgError:
+                out.append(fallback(*row))
+        return np.array(out)

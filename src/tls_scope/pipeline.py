@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import classify_location, spectral_density
-from .errors import DegenerateTrace, NoConvergence
-from .hyperbola import TraceFit, fit_hyperbola
+from .hyperbola import TraceFit, fit_hyperbolas as fit_hyperbola  # the name perfbench wraps
 from .spectro import CONTROLS, SpectroscopyDataset
 from .stm import Location, gamma_s_to_dipole
 from .traces import AnalysisOptions, Trace, extract_traces, link_tracks
@@ -78,7 +77,10 @@ def analyze_dataset(
     """Run extraction, per-segment fits and classification on a dataset."""
     traces = extract_traces(ds, opts)
     tracks = link_tracks(traces, ds, opts)
-    records = [_summarize_track(k, track, ds, opts) for k, track in enumerate(tracks)]
+    # One batch in track order; each track takes the next len(track) fits.
+    fits = iter(fit_hyperbola([(tr.bias, tr.freq, tr.weight) for t in tracks for tr in t]))
+    records = [_summarize_track(k, [(tr, next(fits)) for tr in t], ds, opts)
+               for k, t in enumerate(tracks)]
 
     span = float(ds.freq_ghz[-1] - ds.freq_ghz[0])
     by_class: dict[str, list] = {}
@@ -103,21 +105,19 @@ def _significant(fit: TraceFit, seg_span: float, grid_step: float) -> bool:
 
 def _summarize_track(
     k: int,
-    track: list[Trace],
+    track: list[tuple[Trace, TraceFit | Exception]],
     ds: SpectroscopyDataset,
     opts: AnalysisOptions,
 ) -> TlsRecord:
     per_control: dict[str, list[tuple[TraceFit, float]]] = {c: [] for c in CONTROLS}
     segments_seen = set()
     visible = [0.0] * len(ds.segments)
-    for tr in track:
+    for tr, fit in track:
         segments_seen.add(tr.segment)
         seg = ds.segments[tr.segment]
         visible[tr.segment] += tr.coverage(seg.bias.size)
-        try:
-            fit = fit_hyperbola(*tr.arrays())
-        except (DegenerateTrace, NoConvergence):
-            continue
+        if not isinstance(fit, TraceFit):
+            continue  # DegenerateTrace or NoConvergence
         seg_span = abs(float(seg.bias[-1] - seg.bias[0]))
         per_control[tr.control].append((fit, seg_span))
     visible = [min(f, 1.0) for f in visible]

@@ -108,6 +108,11 @@ def validate_freq_axis(freq: np.ndarray) -> None:
         raise ValueError("frequency axis must be uniform")
 
 
+def _check_noise(noise_sigma: float) -> None:
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+
+
 def default_sweep_plan(
     n_bias: int = 80,
     order: tuple[str, ...] = (
@@ -129,6 +134,8 @@ def default_sweep_plan(
     unknown = sorted(set(order) - set(CONTROLS))
     if unknown:
         raise ValueError(f"unknown controls {unknown} in the segment order")
+    if n_bias < 2:
+        raise ValueError(f"n_bias must be at least 2, got {n_bias}")
     chain = chain or ControlChain()
     amp = apply_control_chain(v_s_source_amplitude, chain)
     counts = {c: order.count(c) for c in CONTROLS}
@@ -265,12 +272,13 @@ def t1_map(
     gamma1_background : float
         Qubit relaxation rate away from any TLS [1/us].
     noise_sigma : float
-        Log-normal noise scale on T1; 0 disables noise entirely.
+        Log-normal noise scale on T1, >= 0; 0 disables noise entirely.
     seed : int
         Root seed; each segment uses its own child stream.
     """
     freq_ghz = np.asarray(freq_ghz, dtype=float)
     validate_freq_axis(freq_ghz)
+    _check_noise(noise_sigma)
     if not plan:
         raise ValueError("sweep plan is empty")
     field = capacitor_field_rms(design) if field_rms is None else field_rms
@@ -327,6 +335,7 @@ def coupled_pair_t1_map(
     """
     freq_ghz = np.asarray(freq_ghz, dtype=float)
     validate_freq_axis(freq_ghz)
+    _check_noise(noise_sigma)
     if pair.g_z is None:
         raise ValueError("coupled panels use the (g_z, g_x) parameterization")
     v_s = np.asarray(v_s_values, dtype=float)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hyperbola import MIN_POINTS
 from .spectro import SpectroscopyDataset
 
 
@@ -34,7 +35,7 @@ class AnalysisOptions:
 
     threshold: float = 0.25
     jump_limit: float = 5.0
-    min_points: int = 5
+    min_points: int = MIN_POINTS
     max_gap: int = 2
     first_link_factor: float = 5.0
     boundary_tol: float = 5.0

@@ -1,0 +1,343 @@
+"""The lockstep fits against copies of the serial ones they replace.
+
+``reference_lm_fit`` and ``reference_fit_hyperbola`` are the one-problem
+LM loop and hyperbola fit as they were before the batch, kept here
+verbatim but for their docstrings.  ``fit_hyperbolas`` and ``lm_batch``
+must give their floats bit for bit, and the same exception per trace.
+"""
+
+from typing import Callable
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tls_scope import hyperbola
+from tls_scope.errors import DegenerateTrace, NoConvergence
+from tls_scope.hyperbola import TraceFit, _quadratic_init, fit_hyperbola, fit_hyperbolas
+from tls_scope.lm import LAM0, LAM_FACTOR, LmResult, _each, lm_batch, lm_fit
+
+
+def reference_lm_fit(
+    residuals: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray],
+    x0,
+    weights=None,
+    max_iter: int = 200,
+    gtol: float = 1e-12,
+    xtol: float = 1e-12,
+    ftol: float = 1e-14,
+) -> LmResult:
+    x = np.asarray(x0, dtype=float).copy()
+    n_params = x.size
+    r = residuals(x)
+    w = np.ones_like(r) if weights is None else np.asarray(weights, dtype=float)
+    if np.any(w < 0):
+        raise ValueError("weights must be non-negative")
+    chi2 = float(np.sum(w * r * r))
+    lam = LAM0
+    history = [chi2]
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        jac = jacobian(x)
+        jtw = jac.T * w
+        a = jtw @ jac
+        grad = jtw @ r
+        if np.abs(grad).max() <= gtol * max(1.0, chi2):
+            converged = True
+            break
+        scale = np.diag(np.clip(np.diag(a), 1e-30, None))
+        neg_grad = -grad
+        accepted = False
+        for _ in range(50):
+            try:
+                step = np.linalg.solve(a + lam * scale, neg_grad)
+            except np.linalg.LinAlgError:
+                lam *= LAM_FACTOR
+                continue
+            x_new = x + step
+            r_new = residuals(x_new)
+            chi2_new = float(np.sum(w * r_new * r_new))
+            if np.isfinite(chi2_new) and chi2_new <= chi2:
+                accepted = True
+                break
+            lam *= LAM_FACTOR
+        if not accepted:
+            converged = True  # damping exhausted: already at a minimum
+            break
+        dx = np.abs(step).max() / max(np.abs(x).max(), 1e-30)
+        dchi = chi2 - chi2_new
+        x, r, chi2 = x_new, r_new, chi2_new
+        history.append(chi2)
+        lam = max(lam / LAM_FACTOR, 1e-14)
+        if dx <= xtol or dchi <= ftol * max(chi2, 1e-300):
+            converged = True
+            break
+    if not converged:
+        raise NoConvergence(f"no convergence after {max_iter} iterations")
+
+    jac = jacobian(x)
+    jtw = jac.T * w
+    a = jtw @ jac
+    dof = max(r.size - n_params, 1)
+    s2 = chi2 / dof
+    try:
+        cov = np.linalg.inv(a) * s2
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(a) * s2
+    return LmResult(params=x, covariance=cov, chi2=chi2, n_iter=it, cost_history=history)
+
+
+def reference_fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
+    volts = np.asarray(volts, dtype=float)
+    freqs = np.asarray(freqs, dtype=float)
+    if volts.shape != freqs.shape or volts.ndim != 1:
+        raise ValueError("volts and freqs must be 1-d arrays of equal length")
+    if volts.size < 5:
+        raise ValueError("need at least 5 points to fit a hyperbola")
+    w = np.ones_like(freqs) if weights is None else np.asarray(weights, dtype=float)
+
+    x0 = _quadratic_init(volts, freqs, w)
+
+    def model(x):
+        d0, eps_i, gamma = x
+        return np.hypot(d0, eps_i + gamma * volts)
+
+    def residuals(x):
+        return freqs - model(x)
+
+    def jacobian(x):
+        d0, eps_i, gamma = x
+        eps = eps_i + gamma * volts
+        f = np.hypot(d0, eps)
+        return -np.column_stack((d0 / f, eps / f, eps * volts / f))
+
+    res = reference_lm_fit(residuals, jacobian, x0, weights=w)
+    d0, eps_i, gamma = res.params
+    cov = res.covariance
+    if gamma < 0:
+        # Canonical sign: the model is invariant under the joint flip.
+        eps_i, gamma = -eps_i, -gamma
+        flip = np.diag([1.0, -1.0, -1.0])
+        cov = flip @ cov @ flip
+    d0 = abs(d0)
+
+    vertex = -eps_i / gamma if gamma != 0 else np.inf
+    in_window = volts.min() <= vertex <= volts.max()
+    rms = float(np.sqrt(np.mean(residuals((d0, eps_i, gamma)) ** 2)))
+    return TraceFit(
+        delta0=float(d0),
+        eps_at_zero=float(eps_i),
+        gamma=float(gamma),
+        covariance=cov,
+        residual_rms=rms,
+        n_points=int(volts.size),
+        delta0_lower_bound_only=not in_window,
+    )
+
+
+#: A 5-point trace of a simulated dense dataset (100x the default
+#: volume, seed 1) on which the serial fit ends in NoConvergence.
+STALLING_TRACE = (
+    [0.00015436863229392, 0.0001852423587527, 0.00024698981167027,
+     0.00027786353812905, 0.00030873726458784],
+    [6.6499613212713795, 6.606465251499956, 6.5223276972885085,
+     6.4791543333011585, 6.436995752637851],
+    [4.099925058987052, 0.6204080537987736, 6.018966200608021,
+     0.21518996387744505, 0.13277244971208504],
+)
+
+
+def mixed_traces(seed=0):
+    """Traces of 5 to 80 points: several per length for most lengths, one
+    for some, with flat traces and short near-linear ones that stall."""
+    rng = np.random.default_rng(seed)
+    traces = [STALLING_TRACE]
+    for n in range(5, 81):
+        for _ in range(1 if n % 7 == 0 else 3):
+            v = np.sort(rng.uniform(-2.5e-3, 2.5e-3, n))
+            kind = rng.integers(10)
+            if kind == 0:  # flat: DegenerateTrace
+                f = 6.0 + rng.normal(0, 1e-3, n)
+            elif kind == 1 and n < 9:  # concave and near-linear: may stall
+                v = np.linspace(0, 1.5e-4, n) + 1.5e-4
+                f = (6.65 - 1400 * (v - v[0]) - rng.uniform(0, 3e5) * (v - v.mean()) ** 2
+                     + rng.normal(0, 3e-3, n))
+            else:
+                g = rng.uniform(10, 300)
+                f = np.hypot(rng.uniform(4.5, 6.5), g * rng.uniform(-2.5e-3, 2.5e-3) + g * v)
+                f = f + rng.normal(0, 2e-3, n)
+            w = rng.uniform(0.1, 5.0, n) if rng.integers(2) else None
+            traces.append((v, f, w))
+    return traces
+
+
+def outcome(fn, *args):
+    """Exact bytes of a fit, or the type and text of what it raised."""
+    try:
+        res = fn(*args)
+    except (DegenerateTrace, NoConvergence) as exc:
+        return type(exc).__name__, str(exc)
+    return as_bytes(res)
+
+
+def as_bytes(res):
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    if isinstance(res, TraceFit):
+        return (np.array([res.delta0, res.eps_at_zero, res.gamma, res.residual_rms]).tobytes(),
+                res.covariance.tobytes(), res.n_points, res.delta0_lower_bound_only)
+    return (res.params.tobytes(), res.covariance.tobytes(), res.chi2, res.n_iter,
+            res.cost_history)
+
+
+@pytest.fixture(scope="module")
+def mix():
+    traces = mixed_traces()
+    return traces, [outcome(reference_fit_hyperbola, *t) for t in traces]
+
+
+@pytest.fixture(scope="module")
+def small_mix():
+    """40 traces with the stalling one, and their outcomes in this order."""
+    traces = mixed_traces(seed=1)[:40]
+    return traces, [as_bytes(r) for r in fit_hyperbolas(traces)]
+
+
+class TestFitHyperbolas:
+    def test_the_mix_has_every_outcome(self, mix):
+        _traces, expected = mix
+        kinds = [e[0] if isinstance(e[0], str) else "TraceFit" for e in expected]
+        assert {"TraceFit", "DegenerateTrace", "NoConvergence"} <= set(kinds)
+        assert len(expected) > 200
+
+    @pytest.mark.parametrize("block", [hyperbola.FIT_BLOCK, 1, 37])
+    def test_bit_identical_to_serial(self, mix, monkeypatch, block):
+        traces, expected = mix
+        monkeypatch.setattr(hyperbola, "FIT_BLOCK", block)
+        got = [as_bytes(r) for r in fit_hyperbolas(traces)]
+        assert got == expected
+
+    def test_one_trace_case_raises_as_before(self, mix):
+        traces, expected = mix
+        for t, e in list(zip(traces, expected))[:40]:
+            assert outcome(fit_hyperbola, *t) == e
+
+    def test_empty_list(self):
+        assert fit_hyperbolas([]) == []
+
+    @pytest.mark.parametrize("bad", [
+        ([0.0, 1.0, 2.0], [5.0, 5.1, 5.2], None),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [5.0] * 4, None),
+    ])
+    def test_malformed_trace_raises(self, mix, bad):
+        with pytest.raises(ValueError):
+            fit_hyperbolas([*mix[0][:3], bad])
+
+    @settings(max_examples=10, deadline=None)
+    @given(order=st.permutations(range(40)))
+    def test_order_does_not_matter(self, small_mix, order):
+        traces, expected = small_mix
+        got = fit_hyperbolas([traces[i] for i in order])
+        assert [as_bytes(g) for g in got] == [expected[i] for i in order]
+
+
+def exponential(n, seed):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0, 3, n)
+    y = 2.5 * np.exp(-1.3 * t) + rng.normal(0, 0.05, n)
+
+    def residuals(x):
+        return y - x[0] * np.exp(-x[1] * t)
+
+    def jacobian(x):
+        e = np.exp(-x[1] * t)
+        return -np.column_stack((e, -x[0] * t * e))
+
+    return residuals, jacobian
+
+
+def twin_columns(n):
+    """y = (a + b) t: two equal Jacobian columns, an exactly singular J^T J."""
+    t = np.linspace(0.0, 1.0, n)
+    y = 3.0 * t
+
+    def residuals(x):
+        return y - (x[0] + x[1]) * t
+
+    def jacobian(x):
+        return -np.column_stack((t, t))
+
+    return residuals, jacobian
+
+
+def stack(problems, x0s, lengths):
+    """lm_batch callables over one-problem callables, padded to the longest."""
+    width = max(lengths)
+
+    def pad(a):
+        return np.concatenate([a, np.zeros((width - a.shape[0],) + a.shape[1:])])
+
+    def residuals(x, rows):
+        return np.array([pad(problems[i][0](xi)) for xi, i in zip(x, rows)])
+
+    def jacobian(x, rows):
+        return np.array([pad(problems[i][1](xi)) for xi, i in zip(x, rows)])
+
+    weights = np.array([pad(np.ones(n)) for n in lengths])
+    return residuals, jacobian, np.array(x0s, dtype=float), weights, lengths
+
+
+class TestLmBatch:
+    def test_rows_equal_serial_fits(self):
+        lengths = [3, 8, 8, 20, 20, 20, 60]
+        problems = [exponential(n, k) if n > 3 else twin_columns(n)
+                    for k, n in enumerate(lengths)]
+        problems[4] = twin_columns(20)  # singular J^T W J: inv falls back to pinv
+        x0s = [[1.0, 0.5]] * len(lengths)
+        params, cov, chi2, n_iter, converged, history = lm_batch(*stack(problems, x0s, lengths))
+        for i, (res, jac) in enumerate(problems):
+            want = as_bytes(reference_lm_fit(res, jac, x0s[i]))
+            got = LmResult(params[i], cov[i], float(chi2[i]), int(n_iter[i]), history[i])
+            assert converged[i] and as_bytes(got) == want
+
+    def test_rows_without_convergence(self):
+        # Minimum at infinity: every step improves, no tolerance ever fires.
+        def residuals(x):
+            return np.exp(-x)
+
+        def jacobian(x):
+            return -np.diag(np.exp(-x))
+
+        problems = [(residuals, jacobian), exponential(10, 3), (residuals, jacobian)]
+        x0s, lengths = [[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]], [2, 10, 2]
+        limits = dict(max_iter=5, ftol=0.0, xtol=0.0, gtol=0.0)
+        params, cov, chi2, n_iter, converged, history = lm_batch(
+            *stack(problems, x0s, lengths), **limits)
+        for i, (res, jac) in enumerate(problems):
+            want = outcome(lambda: reference_lm_fit(res, jac, x0s[i], **limits))
+            if converged[i]:
+                got = LmResult(params[i], cov[i], float(chi2[i]), int(n_iter[i]), history[i])
+                assert as_bytes(got) == want
+            else:
+                assert want == ("NoConvergence", "no convergence after 5 iterations")
+                assert n_iter[i] == 5 and np.isnan(cov[i]).all()
+        assert not converged[0] and not converged[2]
+
+    def test_singular_row_of_a_stacked_solve(self):
+        a = np.array([np.eye(2), np.ones((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
+        b = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, -1.0]])
+
+        def solve(a, b):
+            return np.linalg.solve(a, b[..., None])[..., 0]
+
+        got = _each(solve, lambda a, b: np.full_like(b, np.nan), a, b)
+        assert np.array_equal(got[0], np.linalg.solve(a[0], b[0]))
+        assert np.isnan(got[1]).all()
+        assert np.array_equal(got[2], np.linalg.solve(a[2], b[2]))
+
+    def test_lm_fit_is_the_one_problem_case(self):
+        res, jac = exponential(30, 9)
+        assert as_bytes(lm_fit(res, jac, [1.0, 0.5])) == as_bytes(
+            reference_lm_fit(res, jac, [1.0, 0.5]))

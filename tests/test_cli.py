@@ -163,6 +163,25 @@ class TestExitCodes:
         assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
         assert f"config error: {needle}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, needle", [
+        ({"n_bias": 0}, "n_bias must be at least 2"),
+        ({"n_bias": 1}, "n_bias must be at least 2"),
+        ({"noise_sigma": -1.0}, "noise_sigma must be non-negative"),
+    ], ids=["n_bias-0", "n_bias-1", "negative-noise"])
+    def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
+        cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
+        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+        assert f"config error: {needle}" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("min_points", [0, 4])
+    def test_fit_refuses_too_few_min_points(self, small_run, tmp_path, capsys, min_points):
+        cfg = write_json(tmp_path / "fit.json", {"min_points": min_points})
+        argv = ("fit", small_run / "dataset.csv", "--config", cfg, "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_CONFIG
+        assert "config error: min_points must be at least 5" in capsys.readouterr().err
+        assert not (tmp_path / "fit_report.json").exists()
+
     def test_threads_option_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("generate", "--threads", 2, "--out", tmp_path)

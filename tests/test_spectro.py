@@ -46,6 +46,11 @@ def sample_segment(n=60):
 
 
 class TestSweepPlan:
+    @pytest.mark.parametrize("n_bias", [0, 1])
+    def test_fewer_than_two_bias_steps_refused(self, n_bias):
+        with pytest.raises(ValueError, match="n_bias must be at least 2"):
+            default_sweep_plan(n_bias=n_bias)
+
     def test_default_structure(self):
         plan = default_sweep_plan()
         assert len(plan) == 8
@@ -163,6 +168,12 @@ class TestT1Map:
             t1_map(empty_ensemble(), DESIGN, seg, FREQ,
                    gamma1_background=0.2, noise_sigma=0.0, seed=0)
 
+    @pytest.mark.parametrize("noise", [-1.0, -1e-9, float("nan")])
+    def test_negative_noise_refused(self, noise):
+        with pytest.raises(ValueError, match="noise_sigma must be non-negative"):
+            t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
+                   gamma1_background=0.2, noise_sigma=noise, seed=0)
+
     def test_freq_axis_validation(self):
         with pytest.raises(ValueError):
             t1_map(empty_ensemble(), DESIGN, sample_segment(),
@@ -218,6 +229,14 @@ class TestLorentzianKernel:
 
 
 class TestCoupledPanel:
+    def test_negative_noise_refused(self):
+        pair = CoupledPair(*(TlsParams(delta0=d, gamma_s=100.0, p_parallel=0.3,
+                                       location=Location.SAMPLE_DIELECTRIC)
+                             for d in (5.9, 6.0)), g_z=10.0, g_x=-10.0)
+        with pytest.raises(ValueError, match="noise_sigma must be non-negative"):
+            coupled_pair_t1_map(pair, np.linspace(-1e-3, 1e-3, 5), 0.0, FREQ,
+                                field_rms=90.0, gamma1_background=0.2, noise_sigma=-1.0)
+
     def test_two_branches_visible(self):
         t1p = TlsParams(delta0=5.957, gamma_s=161.95, gamma_p=0.022, p_parallel=0.335,
                         location=Location.SAMPLE_DIELECTRIC)
