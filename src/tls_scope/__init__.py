@@ -10,14 +10,9 @@ volume density, loss tangent, relaxation budget).
 from .classify import classify_location, spectral_density
 from .coupled import (
     CoupledPair,
-    complete_hamiltonian_eigenbasis,
     crossing_geometry,
-    full_hamiltonian_localized,
-    pair_spectrum,
-    single_tls_hamiltonian,
-    transform_coupling_to_eigenbasis,
+    pair_transitions,
     transitions_truncated,
-    truncated_hamiltonian_eigenbasis,
 )
 from .ensemble import (
     ControlChain,
@@ -33,13 +28,11 @@ from .errors import (
     InvalidBand,
     NoConvergence,
     NoCrossingInRange,
-    NonHermitianInput,
     NoTracesFound,
     SchemaError,
     TlsScopeError,
 )
 from .hyperbola import TraceFit, fit_hyperbola
-from .linalg import Spectrum, eigensolve_hermitian
 from .metrics import (
     MaterialReport,
     detectable_dipole_min,
@@ -64,12 +57,9 @@ from .stm import (
     SensorDesign,
     TlsParams,
     TlsTable,
-    asymmetry,
-    coupling_strength,
     design_thickness,
-    matrix_element,
+    energies,
     sample_capacitance,
-    transition_energy,
     vacuum_voltage,
 )
 from .traces import Trace, extract_traces, link_tracks

@@ -8,13 +8,19 @@ accompanied by ``<name>.meta.json`` carrying qubit parameters, the seed
 and ``schema_version``.  Floats are written with ``repr`` (shortest
 round-trip), so identical inputs produce identical bytes; a missing (NaN)
 T1 cell is an empty field.  The writer formats each frequency once per
-file and each bias once per row, and streams the file row by row.  The
-reader parses the whole file with one structured ``np.loadtxt`` and
-groups the rows into segments with numpy masks.  Readers check
-``schema_version`` on every file and refuse versions they do not know.
-The sidecar's ``segments``, the fit report's ``tls`` records and the
-numbers of a coupled fit are type-checked as well, and the CSV's
-segments must be the sidecar's, by id and control.
+file and each bias once per row, and streams the file row by row.
+
+Row order: within a segment the rows run bias step by bias step, each
+step a block of one row per frequency of the axis, in ascending order,
+all with the step's ``bias_V``.  The file ends with a newline.  The
+reader parses the whole file with one structured ``np.loadtxt``, groups
+the rows into segments with numpy masks and checks this order on the
+reshaped (bias, frequency) grids, so a cut, shuffled or edited file is
+refused, not misread.  Readers check ``schema_version`` on every file
+and refuse versions they do not know.  The sidecar's ``segments``, the
+``tls`` records of the fit report and the ground truth, and the numbers
+of a coupled fit are type-checked as well, and the CSV's segments must
+be the sidecar's, by id, control and number of bias steps.
 """
 
 from __future__ import annotations
@@ -85,9 +91,9 @@ def is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _segment_meta(meta: dict, name: str) -> list[tuple[str, dict, str]]:
-    """(control, held, direction) of each segment entry of a sidecar,
-    type-checked."""
+def _segment_meta(meta: dict, name: str) -> list[tuple[str, dict, str, object]]:
+    """(control, held, direction, n_bias) of each segment entry of a
+    sidecar, type-checked."""
     entries = meta.get("segments", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise SchemaError(f"{name}: 'segments' must be a list of objects")
@@ -99,7 +105,7 @@ def _segment_meta(meta: dict, name: str) -> list[tuple[str, dict, str]]:
         direction = entry.get("direction", "up")
         if not isinstance(direction, str):
             raise SchemaError(f"{name}: segment {k}: 'direction' must be a string")
-        out.append((entry.get("control"), held, direction))
+        out.append((entry.get("control"), held, direction, entry.get("n_bias")))
     return out
 
 
@@ -132,13 +138,16 @@ class _DataLines:
         self.fh = fh
         self.lineno = 1
         self.blank: list[int] = []
+        self.ends_with_newline = True
 
     def __iter__(self):
+        line = "\n"
         for self.lineno, line in enumerate(self.fh, start=2):
             if line.isspace():
                 self.blank.append(self.lineno)
             else:
                 yield line
+        self.ends_with_newline = line.endswith("\n")
 
     def line_of(self, row: int) -> int:
         line = row + 2
@@ -146,6 +155,13 @@ class _DataLines:
             if b <= line:
                 line += 1
         return line
+
+    def refuse_first(self, bad, rows, what: str) -> None:
+        """Raise SchemaError at the line of ``rows[k]`` for the first k
+        where the flat mask ``bad`` is true."""
+        k = np.flatnonzero(bad)
+        if k.size:
+            raise SchemaError(f"row {self.line_of(rows[k[0]])}: {what}")
 
 
 def read_dataset(csv_path) -> SpectroscopyDataset:
@@ -157,10 +173,12 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
         On a missing/strange sidecar (including ``segments`` that is not
         a list of objects, or a ``held`` or ``direction`` of the wrong
         type), CSV segment ids other than 0..n-1 for the n sidecar
-        segments, a segment whose control is not its sidecar entry's,
-        bad header, a corrupt row (the message carries the 1-based
-        row number), or values the dataset itself rejects, such as a
-        non-positive T1.
+        segments, a segment whose control or number of bias steps is
+        not its sidecar entry's, bad header, a corrupt row, a file
+        without its final newline, a non-finite bias or frequency,
+        rows out of the order stated in the module docstring (these
+        messages carry the 1-based file line as "row N"), or values
+        the dataset itself rejects, such as a non-positive T1.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path(csv_path)
@@ -188,8 +206,13 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
             reason = str(exc).split(" at row ")[0]
             raise SchemaError(f"row {lines.lineno}: {reason}") from None
 
+    if not lines.ends_with_newline:
+        raise SchemaError(f"row {lines.lineno}: no final newline; the file is cut short")
     if rows.size == 0:
         raise SchemaError("dataset has no rows")
+    for col, name in (("bias", "bias_V"), ("freq", "freq_GHz")):
+        lines.refuse_first(~np.isfinite(rows[col]), range(rows.size),
+                           f"{name} is not finite")
     seg_ids = rows["segment"]
     ids = np.unique(seg_ids).tolist()
     if ids != list(range(len(seg_meta))):
@@ -203,13 +226,10 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
     try:
         for s in ids:
             in_seg = seg_ids == s
+            seg_rows = np.flatnonzero(in_seg)
             controls = rows["control"][in_seg]
-            changed = np.flatnonzero(controls != controls[0])
-            if changed.size:
-                row = np.flatnonzero(in_seg)[changed[0]]
-                raise SchemaError(
-                    f"row {lines.line_of(row)}: control changed within segment {s}"
-                )
+            lines.refuse_first(controls != controls[0], seg_rows,
+                               f"control changed within segment {s}")
             bias = rows["bias"][in_seg]
             freq = rows["freq"][in_seg]
             t1 = rows["t1"][in_seg]
@@ -222,12 +242,21 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
                 freq_axis = uniq_freq
             elif not np.array_equal(freq_axis, uniq_freq):
                 raise SchemaError(f"segment {s}: frequency axis differs")
-            control, held, direction = seg_meta[s]
-            bias_axis = bias.reshape(n_b, n_f)[:, 0]
+            bias_grid = bias.reshape(n_b, n_f)
+            lines.refuse_first((freq.reshape(n_b, n_f) != uniq_freq).ravel(), seg_rows,
+                               f"frequency out of order in segment {s}")
+            lines.refuse_first((bias_grid != bias_grid[:, :1]).ravel(), seg_rows,
+                               f"bias_V changes within a bias step of segment {s}")
+            control, held, direction, n_bias = seg_meta[s]
+            if n_bias != n_b:
+                raise SchemaError(
+                    f"{meta_path.name}: segment {s} has {n_bias!r} bias steps, "
+                    f"the CSV has {n_b}"
+                )
             segments.append(
                 SegmentSpec(
                     control=str(controls[0]),
-                    bias=bias_axis,
+                    bias=bias_grid[:, 0],
                     held={k: float(v) for k, v in held.items()},
                     direction=direction,
                 )
@@ -257,9 +286,21 @@ def write_ground_truth(tls_list, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _tls_records(payload: dict, name: str) -> list[dict]:
+    records = payload.get("tls")
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise SchemaError(f"{name}: 'tls' is missing or not a list of objects")
+    return records
+
+
 def read_ground_truth(path) -> list[TlsParams]:
-    payload = _read_json(Path(path))
-    return [TlsParams.from_dict(d) for d in payload["tls"]]
+    """The defects written by :func:`write_ground_truth`."""
+    path = Path(path)
+    records = _tls_records(_read_json(path), path.name)
+    try:
+        return [TlsParams.from_dict(d) for d in records]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path.name}: {exc}") from None
 
 
 def write_fit_report(records, density_by_class, path, extra: dict | None = None) -> None:
@@ -281,10 +322,7 @@ def read_fit_report(path) -> dict:
     whose dipoles are null or finite non-negative numbers."""
     path = Path(path)
     payload = _read_json(path)
-    records = payload.get("tls")
-    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise SchemaError(f"{path.name}: 'tls' is missing or not a list of objects")
-    for k, rec in enumerate(records):
+    for k, rec in enumerate(_tls_records(payload, path.name)):
         p = rec.get("p_parallel_eA")
         if p is not None and not (is_number(p) and 0 <= p < math.inf):
             raise SchemaError(

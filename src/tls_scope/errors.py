@@ -5,10 +5,6 @@ class TlsScopeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonHermitianInput(TlsScopeError):
-    """Matrix handed to the eigensolver violates Hermitian symmetry."""
-
-
 class NoCrossingInRange(TlsScopeError):
     """The two transitions never approach each other within the sweep."""
 

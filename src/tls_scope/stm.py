@@ -219,35 +219,13 @@ def energies(tls, v_p, v_g, v_s):
     return eps, np.hypot(tls.delta0, eps)
 
 
-def asymmetry(tls: TlsParams, b: BiasPoint) -> float:
-    """Bias-dependent asymmetry energy [GHz], linear in all three controls."""
-    return energies(tls, b.v_p, b.v_g, b.v_s)[0]
-
-
-def transition_energy(tls: TlsParams, b: BiasPoint) -> float:
-    """Transition energy E = sqrt(Delta0^2 + eps^2) [GHz]; E >= Delta0."""
-    return math.hypot(tls.delta0, asymmetry(tls, b))
-
-
-def matrix_element(tls: TlsParams, b: BiasPoint) -> float:
-    """Dipole matrix element Delta0/E, in (0, 1]."""
-    return tls.delta0 / transition_energy(tls, b)
-
-
-def coupling_strength(tls: TlsParams, field_rms: float, b: BiasPoint) -> float:
-    """Qubit-TLS coupling g [MHz, ordinary frequency].
-
-    hbar*g_angular = p_parallel * (Delta0/E) * F, so the ordinary rate is
-    p_parallel*(Delta0/E)*F / h.  ``field_rms`` is the rms electric field
-    seen by the TLS [V/m].
-    """
-    if field_rms < 0:
-        raise ValueError("field_rms must be >= 0")
-    return coupling_mhz(tls.p_parallel, matrix_element(tls, b), field_rms)
-
-
 def coupling_mhz(p_parallel, matrix_el, field_rms):
-    """Array form of :func:`coupling_strength`: g = p*(Delta0/E)*F/h [MHz]."""
+    """Qubit-TLS coupling g = p*(Delta0/E)*F/h [MHz, ordinary frequency].
+
+    ``p_parallel`` is the dipole projection [e*Angstrom], ``matrix_el``
+    the matrix element Delta0/E and ``field_rms`` the rms electric field
+    seen by the TLS [V/m]; all three may be arrays.
+    """
     return p_parallel * CM_PER_EA * matrix_el * field_rms / H_PLANCK / MHZ
 
 

@@ -225,6 +225,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "dataset.csv" in err and "positive" in err
 
+    @pytest.mark.parametrize("damage, needle", [
+        ("cut", "no final newline; the file is cut short"),
+        ("swap", "row 3: frequency out of order"),
+        ("bias", "row 4: bias_V changes"),
+        ("nan", "row 4: bias_V is not finite"),
+    ])
+    def test_damaged_csv_is_a_file_error(self, small_run, tmp_path, capsys, damage, needle):
+        csv = copy_dataset(small_run, tmp_path / "data")
+        lines = csv.read_text().split("\n")
+        if damage == "cut":
+            lines[-2] = lines[-2][:-3]
+            del lines[-1]
+        elif damage == "swap":
+            lines[2], lines[3] = lines[3], lines[2]
+        else:
+            fields = lines[3].split(",")
+            fields[2] = "nan" if damage == "nan" else repr(float(fields[2]) + 0.5)
+            lines[3] = ",".join(fields)
+        csv.write_text("\n".join(lines))
+        assert run("fit", csv, "--out", tmp_path) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and needle in err
+
     def test_undecodable_csv_is_a_file_error(self, small_run, tmp_path):
         csv = copy_dataset(small_run, tmp_path / "data")
         raw = csv.read_bytes()
@@ -355,3 +378,21 @@ def test_cli_import_leaves_out_scipy_stats_and_constants():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_default_fit_loads_no_scipy(tmp_path):
+    """Neither `import tls_scope.cli` nor a default `fit`, each in a fresh
+    interpreter, imports any part of scipy."""
+    assert run("generate", "--seed", 1, "--out", tmp_path) == cli.EXIT_OK
+    argv = ["fit", str(tmp_path / "dataset.csv"), "--out", str(tmp_path)]
+    code = (
+        "import sys, tls_scope.cli as cli\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "imported = scipy()\n"
+        f"print(cli.main({argv!r}), imported, scipy(), file=sys.stderr)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stderr.strip().splitlines()[-1] == f"{cli.EXIT_OK} [] []"

@@ -1,221 +1,206 @@
+"""Pair spectrum of two coupled TLS and the avoided-crossing geometry."""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tls_scope.coupled import (
     CoupledPair,
-    complete_hamiltonian_eigenbasis,
     crossing_geometry,
-    full_hamiltonian_localized,
-    mixing_angles,
-    pair_spectrum,
-    single_tls_hamiltonian,
-    transform_coupling_to_eigenbasis,
+    pair_transitions,
     transitions_truncated,
-    truncated_hamiltonian_eigenbasis,
 )
 from tls_scope.errors import NoCrossingInRange
-from tls_scope.linalg import eigensolve_hermitian
-from tls_scope.stm import BiasPoint, TlsParams, transition_energy
+from tls_scope.stm import BiasPoint, TlsParams, energies
 
-ZERO = BiasPoint()
+SZ = np.diag([1.0, -1.0])
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+ID2 = np.eye(2)
+
+#: A sample-bias sweep inside the cold-end limit [V].
+SWEEP_V_S = np.linspace(-2.5e-3, 2.5e-3, 41)
+
+tls_params = st.builds(
+    TlsParams,
+    delta0=st.floats(0.5, 8.0),
+    eps_i=st.floats(-6.0, 6.0),
+    gamma_s=st.floats(-300.0, 300.0),
+)
+couplings = st.floats(-80.0, 80.0)
 
 
-def random_tls(rng, delta_lo=0.5, delta_hi=8.0, eps_hi=6.0):
-    return TlsParams(
-        delta0=rng.uniform(delta_lo, delta_hi), eps_i=rng.uniform(-eps_hi, eps_hi)
+def sweep_transitions(pair):
+    return pair_transitions(pair, 0.0, 0.0, SWEEP_V_S)
+
+
+def truncated_oracle(e1, e2, g_z, g_x):
+    """(lower, upper) from eigvalsh of the truncated 4x4 [GHz], built here."""
+    h = 0.5 * (
+        e1[:, None, None] * np.kron(SZ, ID2)
+        + e2[:, None, None] * np.kron(ID2, SZ)
+        + (g_z * np.kron(SZ, SZ) + g_x * np.kron(SX, SX)) / 1e3
     )
+    levels = np.linalg.eigvalsh(h)
+    return levels[:, 1] - levels[:, 0], levels[:, 2] - levels[:, 0]
+
+
+def single_tls_limit(tls):
+    """Transitions of ``tls`` paired with a far-off, uncoupled partner."""
+    far = TlsParams(delta0=100.0)
+    return pair_transitions(CoupledPair(tls, far, g_localized=0.0), 0.0, 0.0, 0.0)
+
+
+def eigenbasis_oracle(pair):
+    """(lower, upper) over SWEEP_V_S from eigvalsh of the localized pair's
+    Hamiltonian rotated into the single-TLS eigenbases, built here: the
+    coupling g*sz1*sz2 becomes g*(c1*sz1 + s1*sx1)*(c2*sz2 + s2*sx2)."""
+    (eps1, e1), (eps2, e2) = (energies(t, 0.0, 0.0, SWEEP_V_S) for t in (pair.tls1, pair.tls2))
+    c1, s1, c2, s2 = (x[:, None, None] for x in (eps1 / e1, pair.tls1.delta0 / e1,
+                                                  eps2 / e2, pair.tls2.delta0 / e2))
+    g = pair.g_localized / 1e3
+    h = 0.5 * (
+        e1[:, None, None] * np.kron(SZ, ID2)
+        + e2[:, None, None] * np.kron(ID2, SZ)
+        + g * (c1 * c2 * np.kron(SZ, SZ) + s1 * s2 * np.kron(SX, SX)
+               + c1 * s2 * np.kron(SZ, SX) + s1 * c2 * np.kron(SX, SZ))
+    )
+    levels = np.linalg.eigvalsh(h)
+    return levels[:, 1] - levels[:, 0], levels[:, 2] - levels[:, 0]
 
 
 class TestSingleHamiltonian:
+    # Each TLS enters the pair as (eps*sz + Delta0*sx)/2.
     def test_pure_tunneling(self):
-        h = single_tls_hamiltonian(TlsParams(delta0=5.440), ZERO)
-        s = eigensolve_hermitian(h)
-        assert np.allclose(s.eigenvalues, [-2.720, 2.720])
+        assert single_tls_limit(TlsParams(delta0=5.440))[0] == pytest.approx(5.440, abs=1e-12)
 
     def test_three_four_five(self):
-        h = single_tls_hamiltonian(TlsParams(delta0=3.0, eps_i=4.0), ZERO)
-        s = eigensolve_hermitian(h)
-        assert np.allclose(s.eigenvalues, [-2.5, 2.5])
+        assert single_tls_limit(TlsParams(delta0=3.0, eps_i=4.0))[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_near_diagonal_limit(self):
         # Delta0 = 0 is excluded by validation; a tiny Delta0 is fine.
-        h = single_tls_hamiltonian(TlsParams(delta0=1e-12, eps_i=1.0), ZERO)
-        assert np.allclose(np.diag(h), [0.5, -0.5])
-
-    def test_traceless(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            h = single_tls_hamiltonian(random_tls(rng), ZERO)
-            assert abs(np.trace(h)) < 1e-14
+        lower, _ = single_tls_limit(TlsParams(delta0=1e-12, eps_i=1.0))
+        assert lower == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFullLocalized:
     def test_uncoupled_is_tensor_sum(self):
-        t1 = TlsParams(delta0=5.0, eps_i=1.0)
-        t2 = TlsParams(delta0=4.0, eps_i=-2.0)
-        pair = CoupledPair(t1, t2, g_localized=0.0)
-        s = pair_spectrum(pair, ZERO)
-        e1 = transition_energy(t1, ZERO) / 2
-        e2 = transition_energy(t2, ZERO) / 2
-        expected = np.sort([s1 * e1 + s2 * e2 for s1 in (-1, 1) for s2 in (-1, 1)])
-        assert np.allclose(s.eigenvalues, expected, atol=1e-12)
+        t1 = TlsParams(delta0=5.0, eps_i=1.0, gamma_s=200.0)
+        t2 = TlsParams(delta0=4.0, eps_i=-2.0, gamma_s=-90.0)
+        lower, upper = sweep_transitions(CoupledPair(t1, t2, g_localized=0.0))
+        e1 = energies(t1, 0.0, 0.0, SWEEP_V_S)[1]
+        e2 = energies(t2, 0.0, 0.0, SWEEP_V_S)[1]
+        assert np.allclose(lower, np.minimum(e1, e2), rtol=0, atol=1e-12)
+        assert np.allclose(upper, np.maximum(e1, e2), rtol=0, atol=1e-12)
 
     def test_dense_oracle_symmetric_case(self):
-        t1 = TlsParams(delta0=5.0)
-        t2 = TlsParams(delta0=5.0)
-        pair = CoupledPair(t1, t2, g_localized=1000.0)  # 1 GHz in MHz
-        h = full_hamiltonian_localized(pair, ZERO)
-        s = eigensolve_hermitian(h)
-        # Analytic: blocks give +-sqrt(25+0.25) and +-0.5
-        expected = np.sort([-np.sqrt(25.25), -0.5, 0.5, np.sqrt(25.25)])
-        assert np.allclose(s.eigenvalues, expected, atol=1e-12)
-        assert np.allclose(s.eigenvalues, np.linalg.eigvalsh(h), atol=1e-12)
+        # Analytic: blocks give +-sqrt(25+0.25) and +-0.5 [GHz]
+        pair = CoupledPair(
+            TlsParams(delta0=5.0), TlsParams(delta0=5.0), g_localized=1000.0
+        )
+        lower, upper = pair_transitions(pair, 0.0, 0.0, 0.0)
+        assert lower == pytest.approx(np.sqrt(25.25) - 0.5, abs=1e-12)
+        assert upper == pytest.approx(np.sqrt(25.25) + 0.5, abs=1e-12)
 
-    def test_traceless(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            pair = CoupledPair(
-                random_tls(rng), random_tls(rng), g_localized=rng.uniform(-100, 100)
-            )
-            assert abs(np.trace(full_hamiltonian_localized(pair, ZERO))) < 1e-12
-
-    def test_swap_symmetry(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            t1, t2 = random_tls(rng), random_tls(rng)
-            g = rng.uniform(-50, 50)
-            s12 = pair_spectrum(CoupledPair(t1, t2, g_localized=g), ZERO)
-            s21 = pair_spectrum(CoupledPair(t2, t1, g_localized=g), ZERO)
-            assert np.allclose(s12.eigenvalues, s21.eigenvalues, atol=1e-12)
+    @settings(max_examples=50, deadline=None)
+    @given(t1=tls_params, t2=tls_params, g=couplings)
+    def test_swap_symmetry(self, t1, t2, g):
+        a = sweep_transitions(CoupledPair(t1, t2, g_localized=g))
+        b = sweep_transitions(CoupledPair(t2, t1, g_localized=g))
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
 class TestTruncated:
     def test_uncoupled_transitions_exact(self):
-        t1 = TlsParams(delta0=5.7)
-        t2 = TlsParams(delta0=5.1)
-        pair = CoupledPair(t1, t2, g_z=0.0, g_x=0.0)
-        s = pair_spectrum(pair, ZERO)
-        assert s.transition_01 == pytest.approx(5.1, abs=1e-12)
-        assert s.transition_02 == pytest.approx(5.7, abs=1e-12)
+        pair = CoupledPair(
+            TlsParams(delta0=5.7), TlsParams(delta0=5.1), g_z=0.0, g_x=0.0
+        )
+        lower, upper = pair_transitions(pair, 0.0, 0.0, 0.0)
+        assert lower == pytest.approx(5.1, abs=1e-12)
+        assert upper == pytest.approx(5.7, abs=1e-12)
 
     def test_resonant_splitting_equals_gx(self):
         pair = CoupledPair(
             TlsParams(delta0=5.7), TlsParams(delta0=5.7), g_z=0.0, g_x=11.0
         )
-        s = pair_spectrum(pair, ZERO)
-        assert (s.transition_02 - s.transition_01) * 1e3 == pytest.approx(11.0, rel=1e-9)
+        lower, upper = pair_transitions(pair, 0.0, 0.0, 0.0)
+        assert (upper - lower) * 1e3 == pytest.approx(11.0, rel=1e-9)
 
     def test_paper_coupling_values(self):
         pair = CoupledPair(
             TlsParams(delta0=5.7), TlsParams(delta0=5.7), g_z=25.0, g_x=-19.0
         )
-        s = pair_spectrum(pair, ZERO)
-        assert (s.transition_02 - s.transition_01) * 1e3 == pytest.approx(19.0, rel=1e-9)
+        lower, upper = pair_transitions(pair, 0.0, 0.0, 0.0)
+        assert (upper - lower) * 1e3 == pytest.approx(19.0, rel=1e-9)
 
-    def test_closed_form_matches_dense(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            e1, e2 = rng.uniform(3, 8, size=2)
-            gz, gx = rng.uniform(-80, 80, size=2)
-            pair = CoupledPair(
-                TlsParams(delta0=e1), TlsParams(delta0=e2), g_z=gz, g_x=gx
-            )
-            s = pair_spectrum(pair, ZERO)
-            lo, hi = transitions_truncated(e1, e2, gz, gx)
-            assert s.transition_01 == pytest.approx(float(lo), abs=1e-12)
-            assert s.transition_02 == pytest.approx(float(hi), abs=1e-12)
+    @settings(max_examples=50, deadline=None)
+    @given(t1=tls_params, t2=tls_params, g_z=couplings, g_x=couplings)
+    def test_closed_form_matches_dense(self, t1, t2, g_z, g_x):
+        e1 = energies(t1, 0.0, 0.0, SWEEP_V_S)[1]
+        e2 = energies(t2, 0.0, 0.0, SWEEP_V_S)[1]
+        got = transitions_truncated(e1, e2, g_z, g_x)
+        want = truncated_oracle(e1, e2, g_z, g_x)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestTransform:
+    """A localized coupling g acts in the eigenbasis as g_z = g*c1*c2 and
+    g_x = g*s1*s2, plus z-x cross terms (c = eps/E, s = Delta0/E)."""
+
     def test_both_at_symmetry(self):
-        t1 = TlsParams(delta0=5.0)
-        t2 = TlsParams(delta0=4.0)
-        gz, gx, gzx, gxz = transform_coupling_to_eigenbasis(10.0, t1, t2, ZERO)
-        assert gz == pytest.approx(0.0, abs=1e-12)
-        assert gx == pytest.approx(10.0, rel=1e-12)
-        assert gzx == pytest.approx(0.0, abs=1e-12)
-        assert gxz == pytest.approx(0.0, abs=1e-12)
+        # c1 = c2 = 0: only g_x = g survives, and the resonant splitting is |g|.
+        pair = CoupledPair(TlsParams(delta0=5.0), TlsParams(delta0=5.0), g_localized=10.0)
+        lower, upper = pair_transitions(pair, 0.0, 0.0, 0.0)
+        assert (upper - lower) * 1e3 == pytest.approx(10.0, rel=1e-9)
 
     def test_fully_asymmetric_limit(self):
+        # s1 = s2 = 0: the Hamiltonian is diagonal and g_z = g*c1*c2 = -g.
         t1 = TlsParams(delta0=1e-9, eps_i=3.0)
         t2 = TlsParams(delta0=1e-9, eps_i=-2.0)
-        gz, gx, _, _ = transform_coupling_to_eigenbasis(10.0, t1, t2, ZERO)
-        assert abs(gz) == pytest.approx(10.0, rel=1e-9)
-        assert gx == pytest.approx(0.0, abs=1e-6)
+        got = pair_transitions(CoupledPair(t1, t2, g_localized=10.0), 0.0, 0.0, 0.0)
+        assert np.allclose(got, transitions_truncated(3.0, 2.0, -10.0, 0.0),
+                           rtol=0, atol=1e-12)
 
     def test_hand_trigonometry(self):
-        t1 = TlsParams(delta0=4.0, eps_i=3.0)  # cos=3/5, sin=4/5
-        t2 = TlsParams(delta0=1.0, eps_i=0.0)  # cos=0, sin=1
-        gz, gx, gzx, gxz = transform_coupling_to_eigenbasis(10.0, t1, t2, ZERO)
-        assert gz == pytest.approx(0.0, abs=1e-12)
-        assert gx == pytest.approx(8.0, rel=1e-12)
-        assert gzx == pytest.approx(6.0, rel=1e-12)
-        assert gxz == pytest.approx(0.0, abs=1e-12)
+        # cos/sin = 3/5, 4/5 and 0, 1: g_z = 0, g_x = 8, g_zx = 6, g_xz = 0,
+        # so the resonant splitting is 8 MHz up to (g/E)^2*E = 0.02 MHz.
+        t1 = TlsParams(delta0=4.0, eps_i=3.0)
+        t2 = TlsParams(delta0=5.0)
+        lower, upper = pair_transitions(CoupledPair(t1, t2, g_localized=10.0), 0.0, 0.0, 0.0)
+        assert (upper - lower) * 1e3 == pytest.approx(8.0, abs=0.02)
 
-    def test_matrix_conjugation_oracle(self):
-        # Rotating sz1*sz2 by the single-TLS eigenrotations must reproduce
-        # the four-term expansion.
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            t1, t2 = random_tls(rng), random_tls(rng)
-            g = rng.uniform(-40, 40)
-            pair = CoupledPair(t1, t2, g_localized=g)
-            h_loc = full_hamiltonian_localized(pair, ZERO)
-            h_eig = complete_hamiltonian_eigenbasis(pair, ZERO)
-            assert np.allclose(
-                np.linalg.eigvalsh(h_loc), np.linalg.eigvalsh(h_eig), atol=1e-12
-            )
+    @settings(max_examples=50, deadline=None)
+    @given(t1=tls_params, t2=tls_params, g=couplings)
+    def test_matrix_conjugation_oracle(self, t1, t2, g):
+        # Rotating sz1*sz2 with the single-TLS eigenrotations keeps the spectrum.
+        pair = CoupledPair(t1, t2, g_localized=g)
+        assert np.allclose(sweep_transitions(pair), eigenbasis_oracle(pair),
+                           rtol=0, atol=1e-10)
 
     def test_delta_to_zero_regular(self):
-        t = TlsParams(delta0=1e-300, eps_i=-2.0)
-        c, s = mixing_angles(t, ZERO)
-        assert c == pytest.approx(-1.0)
-        assert s == pytest.approx(0.0, abs=1e-15)
+        t1 = TlsParams(delta0=1e-300, eps_i=-2.0)
+        t2 = TlsParams(delta0=5.0)
+        got = pair_transitions(CoupledPair(t1, t2, g_localized=10.0), 0.0, 0.0, 0.0)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, transitions_truncated(2.0, 5.0, 0.0, 0.0),
+                           rtol=0, atol=(0.01**2) / 2.0)
 
 
 class TestInvariants:
-    def test_spectral_equivalence_seeded(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            pair = CoupledPair(
-                random_tls(rng), random_tls(rng), g_localized=rng.uniform(-200, 200)
-            )
-            hl = full_hamiltonian_localized(pair, ZERO)
-            he = complete_hamiltonian_eigenbasis(pair, ZERO)
-            el = eigensolve_hermitian(hl).eigenvalues
-            ee = eigensolve_hermitian(he).eigenvalues
-            scale = np.abs(el).max()
-            assert np.abs(el - ee).max() <= 1e-10 * scale
-
-    def test_trace_of_h_squared_conserved(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            pair = CoupledPair(
-                random_tls(rng), random_tls(rng), g_localized=rng.uniform(-100, 100)
-            )
-            hl = full_hamiltonian_localized(pair, ZERO)
-            he = complete_hamiltonian_eigenbasis(pair, ZERO)
-            tl, te = np.trace(hl @ hl), np.trace(he @ he)
-            assert abs(tl - te) <= 1e-10 * abs(tl)
-
-    def test_truncation_error_bound(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            t1, t2 = random_tls(rng), random_tls(rng)
-            e1 = transition_energy(t1, ZERO)
-            e2 = transition_energy(t2, ZERO)
-            e_min = min(e1, e2)
-            g = rng.uniform(-0.01, 0.01) * e_min * 1e3  # MHz
-            full = CoupledPair(t1, t2, g_localized=g)
-            gz, gx, _, _ = transform_coupling_to_eigenbasis(g, t1, t2, ZERO)
-            trunc = CoupledPair(t1, t2, g_z=gz, g_x=gx)
-            sf = pair_spectrum(full, ZERO)
-            st = pair_spectrum(trunc, ZERO)
-            err = max(
-                abs(sf.transition_01 - st.transition_01),
-                abs(sf.transition_02 - st.transition_02),
-            )
-            assert err <= (g / 1e3) ** 2 / e_min + 1e-13
+    @settings(max_examples=50, deadline=None)
+    @given(t1=tls_params, t2=tls_params, frac=st.floats(-0.01, 0.01))
+    def test_truncation_error_bound(self, t1, t2, frac):
+        # The z-x cross terms the truncated model drops shift each
+        # transition by at most g^2/E.
+        g = frac * min(t1.delta0, t2.delta0) * 1e3  # MHz
+        eps1, e1 = energies(t1, 0.0, 0.0, SWEEP_V_S)
+        eps2, e2 = energies(t2, 0.0, 0.0, SWEEP_V_S)
+        full = sweep_transitions(CoupledPair(t1, t2, g_localized=g))
+        g_z = g * (eps1 / e1) * (eps2 / e2)
+        g_x = g * (t1.delta0 / e1) * (t2.delta0 / e2)
+        trunc = transitions_truncated(e1, e2, g_z, g_x)
+        bound = (g / 1e3) ** 2 / np.minimum(e1, e2) + 1e-12
+        for f, t in zip(full, trunc):
+            assert np.all(np.abs(f - t) <= bound)
 
 
 class TestCrossingGeometry:
@@ -243,17 +228,16 @@ class TestCrossingGeometry:
         v_min, s_min = crossing_geometry(pair, self.sweep())
         assert s_min == pytest.approx(19.0, rel=1e-6)
 
-    def test_level_repulsion_bound_truncated(self):
+    @settings(max_examples=20, deadline=None)
+    @given(g_x=st.floats(5.0, 60.0), sign=st.sampled_from([-1, 1]),
+           g_z=st.floats(-60.0, 60.0))
+    def test_level_repulsion_bound_truncated(self, g_x, sign, g_z):
         # The truncated-model splitting is sqrt(delta^2 + g_x^2) >= |g_x|
         # identically; the swept minimum must respect that bound.
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            gx = rng.uniform(5.0, 60.0) * rng.choice([-1, 1])
-            gz = rng.uniform(-60.0, 60.0)
-            pair = self.tls_pair(g_z=gz, g_x=gx)
-            _, s_min = crossing_geometry(pair, self.sweep())
-            assert s_min >= abs(gx) * (1 - 1e-6)
-            assert s_min == pytest.approx(abs(gx), rel=1e-6)
+        pair = self.tls_pair(g_z=g_z, g_x=sign * g_x)
+        _, s_min = crossing_geometry(pair, self.sweep())
+        assert s_min >= g_x * (1 - 1e-6)
+        assert s_min == pytest.approx(g_x, rel=1e-6)
 
     def test_localized_pair_splitting_with_tls1_at_symmetry(self):
         # TLS1 sits at its symmetry point during the crossing: the level
@@ -268,6 +252,16 @@ class TestCrossingGeometry:
         assert abs(v_min) < 5e-5
         sin2 = 4.8 / 5.5  # sin(theta2) = Delta2/E2 at the crossing (E2=E1=5.5)
         assert s_min == pytest.approx(g * sin2, rel=1e-3)
+
+    def test_held_controls_come_from_the_first_point(self):
+        # A piezo offset moves TLS1's asymmetry by 0.022 GHz/V * 10 V.
+        pair = self.tls_pair(g_z=0.0, g_x=0.0)
+        sweep = [BiasPoint(v_p=10.0, v_s=b.v_s) for b in self.sweep()]
+        v_min, _ = crossing_geometry(pair, sweep)
+        v = np.linspace(-2.5e-3, 2.5e-3, 200001)
+        e1 = np.hypot(5.957, 161.95 * v + 0.22)
+        e2 = np.hypot(5.440, 2.55 + 92.25 * v)
+        assert v_min == pytest.approx(v[np.argmin(np.abs(e1 - e2))], abs=1e-7)
 
     def test_no_crossing_raises(self):
         t1 = TlsParams(delta0=6.4, gamma_s=30.0)

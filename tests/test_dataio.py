@@ -1,14 +1,19 @@
 """Dataset CSV round trip and the row and sidecar checks of read_dataset."""
 
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tls_scope import dataio
 from tls_scope.errors import SchemaError
 from tls_scope.spectro import SegmentSpec, SpectroscopyDataset
+from tls_scope.stm import SCHEMA_VERSION, Location, TlsParams
 
 N_FREQ = 7
 
@@ -67,6 +72,12 @@ def replace_line(path, lineno, text):
     lines = path.read_text().split("\n")
     lines[lineno - 1] = text
     path.write_text("\n".join(lines))
+
+
+def set_bias(path, lineno, bias):
+    fields = path.read_text().split("\n")[lineno - 1].split(",")
+    fields[2] = bias
+    replace_line(path, lineno, ",".join(fields))
 
 
 class TestRoundTrip:
@@ -159,6 +170,46 @@ class TestRowChecks:
         with pytest.raises(SchemaError, match="ragged"):
             dataio.read_dataset(path)
 
+    @pytest.mark.parametrize("cut", [1, 3, 9])
+    def test_cut_file_names_its_last_line(self, written, cut):
+        # Cut 1 leaves "...0.2325873" as "...0.232587": still a number.
+        ds, path = written
+        path.write_bytes(path.read_bytes()[:-cut])
+        last = 1 + sum(t.size for t in ds.t1_us)
+        with pytest.raises(SchemaError, match=rf"\brow {last}\b.*cut short"):
+            dataio.read_dataset(path)
+
+    def test_swapped_cells_within_a_bias_row(self, written):
+        _, path = written
+        lines = path.read_text().split("\n")
+        lines[3], lines[5] = lines[5], lines[3]
+        path.write_text("\n".join(lines))
+        with pytest.raises(SchemaError, match=r"\brow 4\b.*frequency out of order"):
+            dataio.read_dataset(path)
+
+    def test_bias_cell_differs_from_its_row(self, written):
+        _, path = written
+        bias = float(path.read_text().split("\n")[4].split(",")[2])
+        set_bias(path, 5, repr(bias + 0.5))
+        with pytest.raises(SchemaError, match=r"\brow 5\b.*bias_V changes"):
+            dataio.read_dataset(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_bias(self, written, value):
+        _, path = written
+        set_bias(path, 2 + N_FREQ, value)
+        with pytest.raises(SchemaError, match=rf"\brow {2 + N_FREQ}\b.*bias_V is not finite"):
+            dataio.read_dataset(path)
+
+    def test_bias_steps_are_the_sidecar_count(self, written):
+        _, path = written
+        lines = path.read_text().split("\n")
+        del lines[1:1 + N_FREQ]
+        path.write_text("\n".join(lines))
+        needle = "meta.json: segment 0 has 4 bias steps, the CSV has 3"
+        with pytest.raises(SchemaError, match=re.escape(needle)):
+            dataio.read_dataset(path)
+
     def test_header_only_file_has_no_rows(self, written):
         _, path = written
         path.write_text(dataio.DATASET_HEADER + "\n")
@@ -210,3 +261,98 @@ class TestSidecarChecks:
             match="dataset.csv.meta.json: segment 1 is 'global', the CSV has 'piezo'",
         ):
             dataio.read_dataset(path)
+
+
+@st.composite
+def small_datasets(draw):
+    """A valid dataset of 1-2 segments, 1-3 bias steps and 2-4 frequencies."""
+    n_freq = draw(st.integers(2, 4))
+    volts = st.floats(-2e-3, 2e-3, allow_subnormal=False)
+    segments, grids = [], []
+    for control in draw(st.lists(st.sampled_from(["sample", "piezo", "global"]),
+                                 min_size=1, max_size=2)):
+        n_bias = draw(st.integers(1, 3))
+        segments.append(SegmentSpec(
+            control=control,
+            bias=np.array(draw(st.lists(volts, min_size=n_bias, max_size=n_bias))),
+            held={},
+            direction="up",
+        ))
+        cells = draw(st.lists(st.floats(0.01, 100.0), min_size=n_bias * n_freq,
+                              max_size=n_bias * n_freq))
+        grids.append(np.reshape(cells, (n_bias, n_freq)))
+    return SpectroscopyDataset(
+        segments=tuple(segments),
+        freq_ghz=5.0 + 0.25 * np.arange(n_freq),
+        t1_us=tuple(grids),
+    )
+
+
+def corrupt(text, kind, data, n_freq):
+    """``text`` with one damage of the given kind, drawn from ``data``."""
+    if kind == "cut":
+        return text[:data.draw(st.integers(len(dataio.DATASET_HEADER) + 1, len(text) - 1))]
+    lines = text.split("\n")
+    k = data.draw(st.integers(1, len(lines) - 2))
+    fields = lines[k].split(",")
+    if kind == "swap":
+        # Another cell of the same bias step.
+        j = 1 + (k - 1) // n_freq * n_freq + data.draw(st.integers(0, n_freq - 1))
+        lines[k], lines[j] = lines[j], lines[k]
+    elif kind == "bias":
+        fields[2] = repr(float(fields[2]) + data.draw(st.sampled_from([0.5, 1e-9, -1e-3])))
+    else:
+        fields[2] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+    if kind != "swap":
+        lines[k] = ",".join(fields)
+    return "\n".join(lines)
+
+
+class TestCorruption:
+    @settings(max_examples=60, deadline=None)
+    @given(ds=small_datasets(), kind=st.sampled_from(["cut", "swap", "bias", "non-finite"]),
+           data=st.data())
+    def test_damage_is_refused_or_harmless(self, ds, kind, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dataset.csv"
+            dataio.write_dataset(ds, path)
+            path.write_text(corrupt(path.read_text(), kind, data, ds.freq_ghz.size))
+            try:
+                back = dataio.read_dataset(path)
+            except SchemaError:
+                return
+        assert back.freq_ghz.tobytes() == ds.freq_ghz.tobytes()
+        for a, b in zip(ds.segments, back.segments, strict=True):
+            assert b.bias.tobytes() == a.bias.tobytes()
+        for a, b in zip(ds.t1_us, back.t1_us, strict=True):
+            assert b.tobytes() == a.tobytes()
+
+
+class TestGroundTruth:
+    def test_round_trip(self, tmp_path):
+        tls = [
+            TlsParams(delta0=5.957, eps_i=-0.2, gamma_p=0.022, gamma_s=161.95,
+                      p_parallel=0.335, location=Location.SAMPLE_DIELECTRIC),
+            TlsParams(delta0=math.pi, gamma1_tls=0.5, location=Location.JUNCTION),
+        ]
+        path = tmp_path / "ground_truth.json"
+        dataio.write_ground_truth(tls, path)
+        assert dataio.read_ground_truth(path) == tls
+
+    @pytest.mark.parametrize("tls, needle", [
+        (None, "'tls' is missing or not a list of objects"),
+        ([5], "'tls' is missing or not a list of objects"),
+        (3, "'tls' is missing or not a list of objects"),
+        ([{"schema_version": SCHEMA_VERSION, "delta0": 1.0, "bogus": 1}], "bogus"),
+        ([{"schema_version": SCHEMA_VERSION, "delta0": -1.0}], "delta0 must be > 0"),
+        ([{"schema_version": SCHEMA_VERSION, "delta0": 1.0, "location": "x"}], "'x'"),
+    ], ids=["no-tls", "number-record", "tls-not-a-list", "unknown-key",
+            "bad-value", "bad-location"])
+    def test_malformed_file_is_a_schema_error(self, tmp_path, tls, needle):
+        payload = {"schema_version": SCHEMA_VERSION}
+        if tls is not None:
+            payload["tls"] = tls
+        path = tmp_path / "ground_truth.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=f"ground_truth.json: .*{re.escape(needle)}"):
+            dataio.read_ground_truth(path)

@@ -9,18 +9,23 @@ from tls_scope.stm import (
     Location,
     SensorDesign,
     TlsParams,
-    asymmetry,
-    coupling_strength,
+    TlsTable,
+    coupling_mhz,
     design_thickness,
     dipole_to_gamma_s,
+    energies,
     gamma_s_to_dipole,
-    matrix_element,
     sample_capacitance,
-    transition_energy,
     vacuum_voltage,
 )
 
-ZERO = BiasPoint()
+
+def eps_of(tls, v_p=0.0, v_g=0.0, v_s=0.0):
+    return energies(tls, v_p, v_g, v_s)[0]
+
+
+def e_of(tls, v_p=0.0, v_g=0.0, v_s=0.0):
+    return energies(tls, v_p, v_g, v_s)[1]
 
 
 def design(d=50e-9, area=0.25e-6 * 0.30e-6, eps_r=10.0, c_tot=100e-15,
@@ -32,97 +37,102 @@ def design(d=50e-9, area=0.25e-6 * 0.30e-6, eps_r=10.0, c_tot=100e-15,
 class TestAsymmetry:
     def test_zero_case(self):
         tls = TlsParams(delta0=5.0)
-        assert asymmetry(tls, BiasPoint(v_p=40.0, v_g=-12.0, v_s=1e-3)) == 0.0
+        assert eps_of(tls, v_p=40.0, v_g=-12.0, v_s=1e-3) == 0.0
 
     def test_sample_bias_term(self):
         tls = TlsParams(delta0=5.0, eps_i=1.0, gamma_s=161.95)
-        assert asymmetry(tls, BiasPoint(v_s=0.001)) == pytest.approx(1.16195, abs=1e-12)
+        assert eps_of(tls, v_s=0.001) == pytest.approx(1.16195, abs=1e-12)
 
     def test_piezo_cancels_intrinsic(self):
         tls = TlsParams(delta0=5.0, eps_i=1.0, gamma_p=0.022)
-        assert asymmetry(tls, BiasPoint(v_p=-45.45)) == pytest.approx(0.0, abs=1e-4)
+        assert eps_of(tls, v_p=-45.45) == pytest.approx(0.0, abs=1e-4)
 
     def test_linear_in_each_control(self):
         tls = TlsParams(delta0=5.0, eps_i=0.3, gamma_p=0.02, gamma_g=0.01, gamma_s=90.0)
-        b1 = BiasPoint(v_p=10.0, v_g=5.0, v_s=1e-3)
         expected = 0.3 + 0.02 * 10 + 0.01 * 5 + 90 * 1e-3
-        assert asymmetry(tls, b1) == pytest.approx(expected, rel=1e-15)
+        assert eps_of(tls, 10.0, 5.0, 1e-3) == pytest.approx(expected, rel=1e-15)
+
+    def test_table_matches_each_defect(self):
+        rng = np.random.default_rng(0)
+        tls = [TlsParams(delta0=d, eps_i=e, gamma_p=p, gamma_g=g, gamma_s=s)
+               for d, e, p, g, s in rng.uniform(0.5, 8.0, (20, 5))]
+        v_s = np.linspace(-2e-3, 2e-3, 7)[:, None]
+        eps, e = energies(TlsTable.of(tls), 3.0, -1.0, v_s)
+        for k, t in enumerate(tls):
+            eps_k, e_k = energies(t, 3.0, -1.0, v_s[:, 0])
+            assert np.array_equal(eps[:, k], eps_k)
+            assert np.array_equal(e[:, k], e_k)
 
 
 class TestTransitionEnergy:
     def test_symmetry_point(self):
-        assert transition_energy(TlsParams(delta0=5.957), ZERO) == 5.957
+        assert e_of(TlsParams(delta0=5.957)) == 5.957
 
     def test_pythagorean(self):
         tls = TlsParams(delta0=3.0, eps_i=4.0)
-        assert transition_energy(tls, ZERO) == pytest.approx(5.0, rel=1e-15)
+        assert e_of(tls) == pytest.approx(5.0, rel=1e-15)
 
     def test_direct_evaluation(self):
         tls = TlsParams(delta0=5.440, eps_i=1.0)
-        assert transition_energy(tls, ZERO) == pytest.approx(5.531148162904335, rel=1e-12)
+        assert e_of(tls) == pytest.approx(5.531148162904335, rel=1e-12)
 
     def test_even_in_eps_and_monotone(self):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            d0 = rng.uniform(0.5, 8)
-            e = rng.uniform(0, 6)
-            up = transition_energy(TlsParams(delta0=d0, eps_i=e), ZERO)
-            dn = transition_energy(TlsParams(delta0=d0, eps_i=-e), ZERO)
-            assert up == pytest.approx(dn, rel=1e-15)
-            bigger = transition_energy(TlsParams(delta0=d0, eps_i=e + 0.1), ZERO)
-            assert bigger > up
-            assert up >= d0
+        d0 = rng.uniform(0.5, 8, 100)
+        e = rng.uniform(0, 6, 100)
+        table = TlsTable.of([TlsParams(delta0=d, gamma_s=1.0) for d in d0])
+        up = energies(table, 0.0, 0.0, e)[1]
+        assert np.allclose(energies(table, 0.0, 0.0, -e)[1], up, rtol=1e-15, atol=0)
+        assert np.all(energies(table, 0.0, 0.0, e + 0.1)[1] > up)
+        assert np.all(up >= d0)
 
     def test_hyperbola_vertex_is_delta0(self):
         tls = TlsParams(delta0=5.2, eps_i=0.4, gamma_s=200.0)
-        v = np.linspace(-2.5e-3, 2.5e-3, 2001)
-        es = [transition_energy(tls, BiasPoint(v_s=x)) for x in v]
-        assert min(es) == pytest.approx(5.2, rel=1e-7)
+        es = e_of(tls, v_s=np.linspace(-2.5e-3, 2.5e-3, 2001))
+        assert es.min() == pytest.approx(5.2, rel=1e-7)
 
 
 class TestMatrixElement:
     def test_unity_at_symmetry(self):
-        assert matrix_element(TlsParams(delta0=4.0), ZERO) == 1.0
+        assert 4.0 / e_of(TlsParams(delta0=4.0)) == 1.0
 
     def test_three_four_five(self):
-        assert matrix_element(TlsParams(delta0=3.0, eps_i=4.0), ZERO) == pytest.approx(0.6)
+        assert 3.0 / e_of(TlsParams(delta0=3.0, eps_i=4.0)) == pytest.approx(0.6)
 
     def test_equal_split(self):
-        tls = TlsParams(delta0=5.957, eps_i=5.957)
-        assert matrix_element(tls, ZERO) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        me = 5.957 / e_of(TlsParams(delta0=5.957, eps_i=5.957))
+        assert me == pytest.approx(1 / math.sqrt(2), rel=1e-15)
 
     def test_pythagorean_identity(self):
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            tls = TlsParams(delta0=rng.uniform(0.1, 9), eps_i=rng.uniform(-9, 9))
-            me = matrix_element(tls, ZERO)
-            ratio = asymmetry(tls, ZERO) / transition_energy(tls, ZERO)
-            assert me**2 + ratio**2 == pytest.approx(1.0, rel=1e-12)
+        table = TlsTable.of([TlsParams(delta0=d, eps_i=e) for d, e in
+                             zip(rng.uniform(0.1, 9, 200), rng.uniform(-9, 9, 200))])
+        eps, e = energies(table, 0.0, 0.0, 0.0)
+        assert np.allclose((table.delta0 / e) ** 2 + (eps / e) ** 2, 1.0,
+                           rtol=1e-12, atol=0)
 
 
 class TestCouplingStrength:
     def test_zero_dipole(self):
-        assert coupling_strength(TlsParams(delta0=5.0), 90.0, ZERO) == 0.0
+        assert coupling_mhz(0.0, 1.0, 90.0) == 0.0
 
     def test_sample_capacitor_field(self):
         # 0.1 eA at the 90 V/m capacitor field: g = p*F/h ~ 0.218 MHz
-        tls = TlsParams(delta0=5.0, p_parallel=0.1)
-        g = coupling_strength(tls, 90.0, ZERO)
-        assert g == pytest.approx(0.2176, rel=1e-3)
+        assert coupling_mhz(0.1, 1.0, 90.0) == pytest.approx(0.2176, rel=1e-3)
+
+    def test_three_four_five_matrix_element(self):
+        tls = TlsParams(delta0=3.0, eps_i=4.0, p_parallel=0.1)
+        g = coupling_mhz(tls.p_parallel, tls.delta0 / e_of(tls), 90.0)
+        assert g == pytest.approx(0.6 * coupling_mhz(0.1, 1.0, 90.0), rel=1e-15)
 
     def test_junction_field_six_times_weaker(self):
-        tls = TlsParams(delta0=5.0, p_parallel=0.1)
-        g_sample = coupling_strength(tls, 90.0, ZERO)
-        g_junction = coupling_strength(tls, 15.0, ZERO)
+        g_sample = coupling_mhz(0.1, 1.0, 90.0)
+        g_junction = coupling_mhz(0.1, 1.0, 15.0)
         assert g_sample == pytest.approx(6.0 * g_junction, rel=1e-15)
 
     def test_linear_in_dipole_and_field(self):
-        b = ZERO
-        g1 = coupling_strength(TlsParams(delta0=5.0, p_parallel=0.2), 30.0, b)
-        g2 = coupling_strength(TlsParams(delta0=5.0, p_parallel=0.4), 30.0, b)
-        g3 = coupling_strength(TlsParams(delta0=5.0, p_parallel=0.2), 60.0, b)
-        assert g2 == pytest.approx(2 * g1, rel=1e-15)
-        assert g3 == pytest.approx(2 * g1, rel=1e-15)
+        g = coupling_mhz(np.array([0.2, 0.4, 0.2]), 1.0, np.array([30.0, 30.0, 60.0]))
+        assert g[1:] == pytest.approx([2 * g[0], 2 * g[0]], rel=1e-15)
 
 
 class TestDesignRules:
