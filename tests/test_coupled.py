@@ -186,6 +186,19 @@ class TestTransform:
 
 
 class TestInvariants:
+    def test_spectral_equivalence_seeded(self):
+        # The localized pair and its eigenbasis rotation share one spectrum.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            t1, t2 = (
+                TlsParams(delta0=rng.uniform(0.5, 8.0), eps_i=rng.uniform(-6.0, 6.0))
+                for _ in range(2)
+            )
+            pair = CoupledPair(t1, t2, g_localized=rng.uniform(-200, 200))
+            got = np.array(sweep_transitions(pair))
+            want = np.array(eigenbasis_oracle(pair))
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
     @settings(max_examples=50, deadline=None)
     @given(t1=tls_params, t2=tls_params, frac=st.floats(-0.01, 0.01))
     def test_truncation_error_bound(self, t1, t2, frac):
