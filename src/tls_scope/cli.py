@@ -39,7 +39,7 @@ from .errors import (
     TlsScopeError,
 )
 from .hyperbola import MIN_POINTS
-from .pairfit import PairFitResult, fit_coupled_pair, panel_points_from_dataset
+from .pairfit import PairFitResult, fit_coupled_pair, nearer_branch, panel_points_from_dataset
 from .pipeline import AnalysisOptions, analyze_dataset
 from .spectro import default_sweep_plan, t1_map
 from .stm import (
@@ -346,20 +346,21 @@ def _write_crossing(path, ds, panel, fit, tls1, tls2) -> None:
     nearest data point on each branch (NaN if none)."""
     bias = ds.segments[0].bias
     lo, hi = fit.model_transitions(tls1, tls2, panel.v_p, bias)
-    d_lo = np.full(bias.size, np.nan)
-    d_hi = np.full(bias.size, np.nan)
-    for v, f in zip(panel.v_s, panel.freq):
-        i = int(np.argmin(np.abs(bias - v)))
-        if abs(f - lo[i]) <= abs(f - hi[i]):
-            if np.isnan(d_lo[i]) or abs(f - lo[i]) < abs(d_lo[i] - lo[i]):
-                d_lo[i] = f
-        else:
-            if np.isnan(d_hi[i]) or abs(f - hi[i]) < abs(d_hi[i] - hi[i]):
-                d_hi[i] = f
+    step = np.argmin(np.abs(bias - panel.v_s[:, None]), axis=1)
+    f = panel.freq
+    upper = nearer_branch(f, lo[step], hi[step], False, True)
+    dist = np.abs(f - np.where(upper, hi[step], lo[step]))
+    # Per (step, branch) the nearest point wins; a stable sort keeps the
+    # earlier of two equally near points first.
+    order = np.lexsort((dist, upper, step))
+    _, first = np.unique(2 * step[order] + upper[order], return_index=True)
+    win = order[first]
+    data = np.full((2, bias.size), np.nan)
+    data[upper[win].astype(int), step[win]] = f[win]
     dataio.write_table_csv(
         path,
         "bias_V,transition1_GHz,transition2_GHz,model1_GHz,model2_GHz",
-        (bias, d_lo, d_hi, lo, hi),
+        (bias, *data, lo, hi),
     )
 
 

@@ -153,7 +153,7 @@ def fit_hyperbolas(traces) -> list:
             jac = np.stack((x[:, :1] / f, eps / f, eps * v / f), axis=-1)
             return np.negative(jac, out=jac)
 
-        params, cov, _chi2, n_iter, converged, _history = lm_batch(
+        params, cov, _chi2, n_iter, converged = lm_batch(
             lambda x, sub: freqs[sub] - np.hypot(x[:, :1], x[:, 1:2] + x[:, 2:] * volts[sub]),
             jacobian, np.array(x0), weights, n,
         )

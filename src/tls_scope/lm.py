@@ -3,81 +3,19 @@
 Minimal implementation for the small, well-conditioned fits in this
 package (3-4 parameters, analytic Jacobians).  The damping parameter
 follows the classic schedule: multiply by 10 on a rejected step, divide
-by 10 on an accepted one.  :func:`lm_fit` is the one-problem case of
-:func:`lm_batch`, which runs many independent problems in lockstep.
+by 10 on an accepted one.  :func:`lm_batch` is the one LM loop: it runs
+many independent problems in lockstep (every trace of a dataset, or the
+two sign starts of the coupled-pair fit) and flags, rather than raises,
+a problem that does not converge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
-
-from .errors import NoConvergence
 
 #: Initial damping and the factor of its schedule.
 LAM0 = 1e-3
 LAM_FACTOR = 10.0
-
-
-@dataclass
-class LmResult:
-    """Outcome of an LM minimization.
-
-    ``covariance`` is the scaled parameter covariance
-    s^2 * (J^T W J)^-1 with s^2 = chi^2 / (n_points - n_params); the
-    scaling makes the reported uncertainties track the actual residual
-    scatter when the supplied weights are only relative.
-    """
-
-    params: np.ndarray
-    covariance: np.ndarray
-    chi2: float
-    n_iter: int
-    cost_history: list[float] = field(default_factory=list)
-
-    @property
-    def param_sigma(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
-
-
-def lm_fit(
-    residuals: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    x0,
-    weights=None,
-    **limits,
-) -> LmResult:
-    """Minimize sum(w * r(x)^2) over x.
-
-    Parameters
-    ----------
-    residuals : callable
-        Maps parameters to the residual vector (data - model).
-    jacobian : callable
-        Maps parameters to d(residual)/d(params), shape (n, p).
-        Residual convention: rows are d(data - model)/dx = -d(model)/dx.
-    x0 : array_like
-        Starting point.
-    weights : array_like, optional
-        Per-point weights w_i (inverse variances up to a common factor).
-    **limits
-        ``max_iter``, ``gtol``, ``xtol`` and ``ftol`` of :func:`lm_batch`.
-
-    Raises
-    ------
-    NoConvergence
-        If ``max_iter`` iterations pass without meeting any tolerance.
-    """
-    x = np.asarray(x0, dtype=float)
-    w = np.ones_like(residuals(x)) if weights is None else np.asarray(weights, dtype=float)
-    params, cov, chi2, n_iter, converged, history = lm_batch(
-        lambda xs, _: residuals(xs[0])[None], lambda xs, _: jacobian(xs[0])[None],
-        x[None], w[None], [w.size], **limits)
-    if not converged[0]:
-        raise NoConvergence(f"no convergence after {n_iter[0]} iterations")
-    return LmResult(params[0], cov[0], float(chi2[0]), int(n_iter[0]), history[0])
 
 
 def lm_batch(residuals, jacobian, x0, weights, lengths,
@@ -86,11 +24,12 @@ def lm_batch(residuals, jacobian, x0, weights, lengths,
 
     ``x0`` is (m, p), ``weights`` (m, n); problem i uses its first
     ``lengths[i]`` points.  ``residuals(x, rows)``/``jacobian(x, rows)``
-    give the (k, n)/(k, n, p) arrays of problems ``rows``.  Each problem
+    give the (k, n) residuals (data - model) and their (k, n, p)
+    derivatives of problems ``rows``.  Each problem
     takes its one-problem steps bit for bit: sums and normal equations run
     per run of equal lengths (sort by length to keep runs few).  Returns
-    params, covariance (NaN unless converged), chi2, n_iter, converged
-    and cost history, per problem.
+    params, covariance s^2 (J^T W J)^-1 with s^2 = chi2 / (n - p) (NaN
+    unless converged), chi2, n_iter and converged, per problem.
     """
     x, w, n = np.array(x0, dtype=float), np.asarray(weights, dtype=float), np.asarray(lengths)
     if np.any(w < 0):
@@ -99,7 +38,6 @@ def lm_batch(residuals, jacobian, x0, weights, lengths,
     r = residuals(x, np.arange(m))
     chi2 = _row_sums(w * r * r, n)
     lam, n_iter, converged = np.full(m, LAM0), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
-    history = [[c] for c in chi2.tolist()]
     active, diag = np.arange(m), np.arange(p)
     for it in range(1, max_iter + 1):
         if not active.size:
@@ -129,8 +67,6 @@ def lm_batch(residuals, jacobian, x0, weights, lengths,
             dx = np.abs(step[good]).max(axis=1) / np.maximum(np.abs(x[g]).max(axis=1), 1e-30)
             stop[t] = (dx <= xtol) | (chi2[g] - c_new <= ftol * np.maximum(c_new, 1e-300))
             x[g], r[g], chi2[g], trying[t] = x_try[good], r_try[good], c_new, False
-            for i, c in zip(g.tolist(), c_new.tolist()):
-                history[i].append(c)
             lam[g] = np.maximum(lam[g] / LAM_FACTOR, 1e-14)
         converged[rows[trying | stop]] = True  # still trying: damping exhausted
         active = rows[~(trying | stop)]
@@ -140,7 +76,7 @@ def lm_batch(residuals, jacobian, x0, weights, lengths,
         a, _ = _normal_equations(jacobian(x[done], done), w[done], r[done], n[done])
         s2 = chi2[done] / np.maximum(n[done] - p, 1)
         cov[done] = _each(np.linalg.inv, np.linalg.pinv, a) * s2[:, None, None]
-    return x, cov, chi2, n_iter, converged, history
+    return x, cov, chi2, n_iter, converged
 
 
 def _runs(n) -> list[tuple[slice, int]]:

@@ -5,7 +5,9 @@ extracted resonance points (V_s, f) around the crossing of two TLS whose
 single-defect parameters are already known from wide scans.  The fit
 floats (g_z, g_x, gamma_p2) of the truncated interaction model and
 minimizes the distance of every point to the nearer of the two
-single-excitation transitions, re-assigned each iteration.
+single-excitation transitions (:func:`nearer_branch`), re-assigned each
+iteration.  Both sign starts of g_z run as one lockstep
+:func:`~tls_scope.lm.lm_batch`.
 
 The truncated model sees g_x only through g_x^2, so the *sign* of the
 transverse coupling is not identifiable from transition frequencies; the
@@ -22,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import MHZ_PER_GHZ
-from .coupled import transitions_truncated
+from .coupled import CoupledPair, pair_transitions, transitions_truncated
 from .errors import AmbiguousSigns, NoConvergence, NoTracesFound
-from .lm import lm_fit
+from .lm import lm_batch
 from .stm import TlsParams, energies
 
 #: Parameter distances (g_z [MHz], |g_x| [MHz], gamma_p2 [GHz/V]) above
@@ -65,18 +67,15 @@ class PairFitResult:
     def model_transitions(
         self, tls1: TlsParams, tls2: TlsParams, v_p: float, v_s
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) transition branches [GHz] along a V_s sweep."""
-        v_s = np.asarray(v_s, dtype=float)
-        (_, e1), (_, e2) = _bare_energies(tls1, tls2, self.gamma_p2, v_p, v_s)
-        return transitions_truncated(e1, e2, self.g_z, self.g_x)
+        """(lower, upper) transition branches [GHz] along a V_s sweep at V_g = 0."""
+        pair = CoupledPair(tls1, replace(tls2, gamma_p=self.gamma_p2), self.g_z, self.g_x)
+        return pair_transitions(pair, v_p, 0.0, np.asarray(v_s, dtype=float))
 
 
-def _bare_energies(tls1, tls2, gamma_p2, v_p, v_s):
-    """(eps, E) [GHz] of each defect at V_g = 0; gamma_p2 replaces tls2.gamma_p."""
-    return (
-        energies(tls1, v_p, 0.0, v_s),
-        energies(replace(tls2, gamma_p=gamma_p2), v_p, 0.0, v_s),
-    )
+def nearer_branch(f, lower, upper, on_lower, on_upper):
+    """``on_upper`` where ``f`` is nearer the upper branch, else ``on_lower``
+    (a tie goes to the lower branch)."""
+    return np.where(np.abs(f - upper) < np.abs(f - lower), on_upper, on_lower)
 
 
 def panel_points_from_dataset(ds, opts) -> CrossingPanel:
@@ -120,9 +119,10 @@ def fit_coupled_pair(
     panels: list[CrossingPanel],
     tls1: TlsParams,
     tls2: TlsParams,
-    g_z0: float = 10.0,
-    g_x0: float = -10.0,
-    gamma_p2_0: float = 0.0,
+    *,
+    g_z0: float,
+    g_x0: float,
+    gamma_p2_0: float,
 ) -> PairFitResult:
     """Fit (g_z, g_x, gamma_p2) to crossing panels, multi-start over the sign of g_z.
 
@@ -149,79 +149,61 @@ def fit_coupled_pair(
     if not panels:
         raise ValueError("need at least one panel")
     v_p, v_s, f_data, w = _stack(panels)
+    _, e1 = energies(tls1, v_p, 0.0, v_s)
 
-    def model_branches(x):
-        gz, gx, gp2 = x
-        bare = _bare_energies(tls1, tls2, gp2, v_p, v_s)
-        (_, e1), (_, e2) = bare
-        return transitions_truncated(e1, e2, gz, gx), bare
+    def model(x):
+        """(lower, upper) branches, eps2 and E2 of each row (g_z, g_x, gamma_p2) of x."""
+        eps2, e2 = energies(replace(tls2, gamma_p=x[:, 2:]), v_p, 0.0, v_s)
+        return transitions_truncated(e1, e2, x[:, :1], x[:, 1:2]), eps2, e2
 
-    def residuals(x):
-        (t_lo, t_hi), _ = model_branches(x)
-        r_lo = f_data - t_lo
-        r_hi = f_data - t_hi
-        return np.where(np.abs(r_lo) <= np.abs(r_hi), r_lo, r_hi)
+    def residuals(x, _rows):
+        (t_lo, t_hi), _, _ = model(x)
+        return nearer_branch(f_data, t_lo, t_hi, f_data - t_lo, f_data - t_hi)
 
-    def jacobian(x):
-        gz, gx, gp2 = x
-        (t_lo, t_hi), ((_, e1), (eps2, e2)) = model_branches(x)
-        upper = np.abs(f_data - t_hi) < np.abs(f_data - t_lo)
-        pm = np.where(upper, 1.0, -1.0)
-        gx_ghz = gx / MHZ_PER_GHZ
+    def jacobian(x, _rows):
+        (t_lo, t_hi), eps2, e2 = model(x)
+        pm = nearer_branch(f_data, t_lo, t_hi, -1.0, 1.0)
+        gx_ghz = x[:, 1:2] / MHZ_PER_GHZ
         s = np.hypot(e1 + e2, gx_ghz)
         d = np.hypot(e1 - e2, gx_ghz)
-        dt_dgz = np.full(f_data.shape, -1.0 / MHZ_PER_GHZ)
+        dt_dgz = np.full(e2.shape, -1.0 / MHZ_PER_GHZ)
         dt_dgx = (gx_ghz / MHZ_PER_GHZ) * 0.5 * (1.0 / s + pm / d)
         de2 = np.divide(eps2, e2, out=np.zeros_like(e2), where=e2 > 0) * v_p
         dt_de2 = 0.5 * ((e1 + e2) / s - pm * (e1 - e2) / d)
-        dt_dgp2 = dt_de2 * de2
-        return -np.column_stack((dt_dgz, dt_dgx, dt_dgp2))
+        return -np.stack((dt_dgz, dt_dgx, dt_de2 * de2), axis=-1)
 
     # Start from both signs of g_z only.  The model sees g_x through g_x^2
     # alone, so a start at -g_x retraces the one at +g_x with the sign of
     # g_x flipped, bit for bit, and adds no branch.
-    candidates = []
     g_z0 = abs(g_z0) or 10.0
     g_x0_mag = abs(g_x0) or 10.0
-    for sz in (1.0, -1.0):
-        x0 = np.array([sz * g_z0, g_x0_mag, gamma_p2_0])
-        try:
-            res = lm_fit(residuals, jacobian, x0, weights=w)
-        except NoConvergence:
-            continue
-        candidates.append(res)
-    if not candidates:
+    x0 = [[g_z0, g_x0_mag, gamma_p2_0], [-g_z0, g_x0_mag, gamma_p2_0]]
+    params, cov, chi2, _n_iter, converged = lm_batch(
+        residuals, jacobian, x0, np.tile(w, (2, 1)), [w.size] * 2)
+    rows = np.flatnonzero(converged)
+    if not rows.size:
         raise NoConvergence("no sign branch of the coupled fit converged")
+    # Fold the exact gx -> -gx reflection; two starts that reach one
+    # solution give the +g_z start's result.
+    key = np.column_stack((params[:, 0], np.abs(params[:, 1]), params[:, 2]))
+    if rows.size == 2 and np.all(np.abs(key[0] - key[1]) <= DISTINCT_TOL):
+        rows = rows[:1]
+    best, *runner = sorted(rows.tolist(), key=chi2.__getitem__)
 
-    # Fold the exact gx -> -gx reflection into one canonical candidate
-    sign_convention = 1.0 if g_x0 >= 0 else -1.0
-    canon = []
-    for res in candidates:
-        gz, gx, gp2 = res.params
-        key = (gz, abs(gx), gp2)
-        if not any(
-            all(abs(a - b) <= tol for a, b, tol in zip(key, prev_key, DISTINCT_TOL))
-            for prev_key, _prev in canon
-        ):
-            canon.append((key, res))
-    canon.sort(key=lambda kr: kr[1].chi2)
-    best = canon[0][1]
-
-    if len(canon) > 1:
-        runner = canon[1][1]
+    if runner:
         dof = max(f_data.size - 3, 1)
-        s2 = best.chi2 / dof
-        tie_band = s2 * np.sqrt(2.0 * dof) + 1e-9 * (1.0 + best.chi2)
-        if runner.chi2 - best.chi2 <= tie_band:
+        s2 = chi2[best] / dof
+        tie_band = s2 * np.sqrt(2.0 * dof) + 1e-9 * (1.0 + chi2[best])
+        if chi2[runner[0]] - chi2[best] <= tie_band:
             raise AmbiguousSigns(
                 "two sign branches fit equally well: "
-                f"{tuple(np.round(best.params, 3))} vs "
-                f"{tuple(np.round(runner.params, 3))}"
+                f"{tuple(np.round(params[best], 3))} vs "
+                f"{tuple(np.round(params[runner[0]], 3))}"
             )
 
-    gz, gx, gp2 = best.params
-    cov = best.covariance
-    if gx * sign_convention < 0:
+    gz, gx, gp2 = params[best]
+    cov = cov[best]
+    if gx * (1.0 if g_x0 >= 0 else -1.0) < 0:
         gx = -gx
         flip = np.diag([1.0, -1.0, 1.0])
         cov = flip @ cov @ flip
@@ -230,6 +212,6 @@ def fit_coupled_pair(
         g_x=float(gx),
         gamma_p2=float(gp2),
         covariance=cov,
-        chi2=float(best.chi2),
+        chi2=float(chi2[best]),
         n_points=int(f_data.size),
     )

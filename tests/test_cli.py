@@ -38,6 +38,23 @@ EXPECTED_SHA256 = {
 }
 
 
+#: sha256 of `coupled` on the `coupled_run` panels, and of `plotdata
+#: crossing` on its panel 0 (numpy 2.4, x86-64).  Recorded before the
+#: coupled fit moved onto one `lm_batch`; the same rule as above holds.
+COUPLED_SHA256 = {
+    "coupled_fit.json":
+        "20be0f296e1e35ec59db69255c1069dc6a31b58e9f7518fd593b7923a05a2268",
+    "crossing_panel_0.csv":
+        "d7b1f3716b6a57560a8da24962bc07926dcd1d928aaced8d4147489de4b7e958",
+    "crossing_panel_1.csv":
+        "8c8de4a321047c259bb4374281bd0142c78b89cac8176e3bf4ed668396f1d703",
+    "crossing_panel_2.csv":
+        "972d4c015cc13e646c259549b0423a71965787f90f13b7ede8523ccd758ab28d",
+    "crossing.csv":
+        "d7b1f3716b6a57560a8da24962bc07926dcd1d928aaced8d4147489de4b7e958",
+}
+
+
 def run(*argv):
     return cli.main([str(a) for a in argv])
 
@@ -361,6 +378,16 @@ class TestDeterminism:
     def test_bytes_match_recorded_hashes(self, small_run):
         got = {name: sha256(small_run / name) for name in EXPECTED_SHA256}
         assert got == EXPECTED_SHA256
+
+    def test_coupled_bytes_match_recorded_hashes(self, coupled_run, tmp_path):
+        out, code = coupled_run
+        assert code == cli.EXIT_OK
+        assert run("plotdata", "crossing", out / "panel_0.csv",
+                   "--coupled-fit", out / "coupled_fit.json",
+                   "--pair", out / "coupled.json", "--out", tmp_path) == cli.EXIT_OK
+        got = {name: sha256((tmp_path if name == "crossing.csv" else out) / name)
+               for name in COUPLED_SHA256}
+        assert got == COUPLED_SHA256
 
     def test_two_runs_give_identical_bytes(self, small_run, tmp_path):
         generate_and_fit(tmp_path, SMALL)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tls_scope.errors import DegenerateTrace
 from tls_scope.hyperbola import fit_hyperbola
@@ -72,6 +73,26 @@ class TestReparameterization:
         # eps at the transformed zero maps back consistently
         eps_at_old_zero = fit2.eps_at_zero + fit2.gamma * b
         assert eps_at_old_zero == pytest.approx(fit1.eps_at_zero, rel=1e-6)
+
+    @settings(max_examples=400, deadline=None)
+    @given(delta0=st.floats(4.0, 7.0), eps=st.floats(-3.0, 3.0),
+           gamma=st.floats(20.0, 400.0), a=st.floats(0.2, 5.0),
+           signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+           b=st.floats(-2e-3, 2e-3), n=st.integers(8, 60))
+    def test_any_affine_bias_map(self, delta0, eps, gamma, a, signs, b, n):
+        # V -> aV + b turns eps + gamma*V into (eps - gamma*b/a) + (gamma/a)*V.
+        v = np.linspace(-2.4e-3, 2.4e-3, n)
+        f = hyperbola(v, delta0, eps, signs[0] * gamma)
+        a *= signs[1]
+        fit = fit_hyperbola(v, f)
+        mapped = fit_hyperbola(a * v + b, f)
+        gamma_m, eps_m = fit.gamma / a, fit.eps_at_zero - fit.gamma * b / a
+        if gamma_m < 0:
+            gamma_m, eps_m = -gamma_m, -eps_m
+        assert mapped.delta0 == pytest.approx(fit.delta0, rel=1e-6)
+        assert mapped.gamma == pytest.approx(gamma_m, rel=1e-6)
+        assert mapped.eps_at_zero == pytest.approx(eps_m, rel=1e-6, abs=1e-6 * f.max())
+        assert mapped.delta0_lower_bound_only == fit.delta0_lower_bound_only
 
 
 class TestCovarianceCalibration:
