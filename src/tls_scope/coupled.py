@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -116,16 +118,16 @@ def crossing_geometry(
 ) -> tuple[float, float]:
     """Locate the avoided crossing along a one-control bias sweep.
 
-    The sweep must vary exactly one control monotonically.  The minimum
-    splitting between the two single-excitation transitions is bracketed
-    on the sweep grid and refined by golden-section search, with the
-    other two controls held at the first sweep point's values.
+    Exactly one control varies over the sweep, strictly monotonically;
+    the other two hold one value at every point.  The minimum splitting
+    between the two single-excitation transitions is bracketed on the
+    sweep grid and refined by golden-section search.
 
     Parameters
     ----------
     pair : CoupledPair
     sweep : sequence of BiasPoint
-        Monotone in one of v_p, v_g, v_s.
+        Strictly monotone in one of v_p, v_g, v_s; the others constant.
     approach_window : float
         Largest grid-minimum splitting [GHz] still considered a crossing.
 
@@ -142,11 +144,12 @@ def crossing_geometry(
     if len(sweep) < 3:
         raise ValueError("sweep needs at least 3 points")
     names = ("v_p", "v_g", "v_s")
-    controls = [n for n in names if getattr(sweep[0], n) != getattr(sweep[-1], n)]
-    if len(controls) != 1:
+    points = chain.from_iterable(map(attrgetter(*names), sweep))
+    grid = np.fromiter(points, float, 3 * len(sweep)).reshape(-1, 3)
+    varied = np.flatnonzero((grid != grid[0]).any(axis=0))
+    if varied.size != 1:
         raise ValueError("sweep must vary exactly one control")
-    control = controls[0]
-    volts = np.array([getattr(b, control) for b in sweep])
+    control, volts = names[varied[0]], grid[:, varied[0]]
     steps = np.diff(volts)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError(f"sweep is not monotone in {control}")

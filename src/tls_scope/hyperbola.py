@@ -6,8 +6,11 @@ A TLS tuned by one control voltage V traces
 
 in swap-spectroscopy data.  The fit linearizes f^2 as a quadratic in V
 for the starting point and refines with damped Gauss-Newton using the
-analytic Jacobian.  The model is blind to the joint sign flip
-(eps_i, gamma) -> (-eps_i, -gamma); fits are canonicalized to gamma >= 0.
+analytic Jacobian, all traces of a dataset in one lockstep LM.  A trace
+whose f^2 is flat within the noise, curves down, or has its minimum at
+or below zero is no hyperbola and raises ``DegenerateTrace``.  The model
+is blind to the joint sign flip (eps_i, gamma) -> (-eps_i, -gamma); fits
+are canonicalized to gamma >= 0.
 """
 
 from __future__ import annotations
@@ -62,28 +65,19 @@ def _quadratic_init(volts, freqs, weights):
     coeffs = np.polyfit(u, freqs**2, 2, w=np.sqrt(weights))
     a, b, c = coeffs
     resid = freqs**2 - np.polyval(coeffs, u)
-    span_model = np.ptp(np.polyval(coeffs, u))
-    noise = np.sqrt(np.mean(resid**2))
-    if span_model <= 3.0 * noise or a <= 0:
-        # No usable bias dependence: either flat within noise or the
-        # quadratic term has the wrong sign (pure noise curvature).
-        if span_model <= 3.0 * noise:
-            raise DegenerateTrace(
-                "trace has no significant bias dependence; gamma unidentifiable"
-            )
-        a = max(a, 1e-12 * max(abs(b), abs(c), 1.0))
+    if np.ptp(np.polyval(coeffs, u)) <= 3.0 * np.sqrt(np.mean(resid**2)):
+        raise DegenerateTrace("trace has no significant bias dependence; gamma unidentifiable")
+    if a <= 0:
+        raise DegenerateTrace("f^2 curves down along the bias; not a hyperbola")
     gamma_u = np.sqrt(a)
     eps_u = b / (2.0 * gamma_u)
     delta0_sq = c - eps_u**2
-    delta0 = np.sqrt(max(delta0_sq, 1e-6 * abs(c)))
+    if delta0_sq <= 0:
+        raise DegenerateTrace("f^2 has its minimum at or below zero; not a hyperbola")
+    delta0 = np.sqrt(delta0_sq)
     gamma = gamma_u / scale
     eps_i = eps_u - gamma * v0
     return delta0, eps_i, gamma
-
-
-#: Traces per lockstep LM block, which runs until its slowest fit ends;
-#: 512 was the smallest as fast as 1024 on a dense dataset's 2.6k traces.
-FIT_BLOCK = 512
 
 
 def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
@@ -102,10 +96,10 @@ def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
     Raises
     ------
     DegenerateTrace
-        If the points carry no significant bias dependence.
+        If the points carry no significant bias dependence, or their f^2
+        is no upward parabola in V with a positive minimum.
     NoConvergence
-        If the refinement stalls (rare; the model is well conditioned
-        once the linearized start is available).
+        If the refinement stalls (rare once the start is a hyperbola).
     """
     (outcome,) = fit_hyperbolas([(volts, freqs, weights)])
     if isinstance(outcome, Exception):
@@ -118,50 +112,48 @@ def fit_hyperbolas(traces) -> list:
 
     Returns per trace the same :class:`TraceFit`, bit for bit, or the
     :class:`DegenerateTrace` or :class:`NoConvergence` it would raise.
-    Traces run by length, in blocks of :data:`FIT_BLOCK` that are each
-    one lockstep LM padded to their longest trace.
+    Every trace with a hyperbolic start runs in one lockstep LM, sorted
+    by length and padded to the longest.
     """
     out: list = [None] * len(traces)
-    order = np.argsort([np.size(t[1]) for t in traces], kind="stable").tolist()
-    for start in range(0, len(order), FIT_BLOCK):
-        data, x0 = [], []
-        for i in order[start:start + FIT_BLOCK]:
-            v, f, w = traces[i]
-            v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
-            if v.shape != f.shape or v.ndim != 1:
-                raise ValueError("volts and freqs must be 1-d arrays of equal length")
-            if v.size < MIN_POINTS:
-                raise ValueError(f"need at least {MIN_POINTS} points to fit a hyperbola")
-            w = np.ones_like(f) if w is None else np.asarray(w, dtype=float)
-            try:
-                x0.append(_quadratic_init(v, f, w))
-            except DegenerateTrace as exc:
-                out[i] = exc.with_traceback(None)  # keep no frame alive
-                continue
-            data.append((i, v, f, w))
-        if not data:
+    data, x0 = [], []
+    for i in np.argsort([np.size(t[1]) for t in traces], kind="stable").tolist():
+        v, f, w = traces[i]
+        v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
+        if v.shape != f.shape or v.ndim != 1:
+            raise ValueError("volts and freqs must be 1-d arrays of equal length")
+        if v.size < MIN_POINTS:
+            raise ValueError(f"need at least {MIN_POINTS} points to fit a hyperbola")
+        w = np.ones_like(f) if w is None else np.asarray(w, dtype=float)
+        try:
+            x0.append(_quadratic_init(v, f, w))
+        except DegenerateTrace as exc:
+            out[i] = exc.with_traceback(None)  # keep no frame alive
             continue
-        n = [f.size for _i, _v, f, _w in data]
-        volts, freqs, weights = np.zeros((3, len(data), n[-1]))
-        for j, (_i, v, f, w) in enumerate(data):
-            volts[j, :v.size], freqs[j, :v.size], weights[j, :v.size] = v, f, w
+        data.append((i, v, f, w))
+    if not data:
+        return out
+    n = [f.size for _i, _v, f, _w in data]
+    volts, freqs, weights = np.zeros((3, len(data), n[-1]))
+    for j, (_i, v, f, w) in enumerate(data):
+        volts[j, :v.size], freqs[j, :v.size], weights[j, :v.size] = v, f, w
 
-        def jacobian(x, sub):
-            v = volts[sub]
-            eps = x[:, 1:2] + x[:, 2:] * v
-            f = np.hypot(x[:, :1], eps)
-            jac = np.stack((x[:, :1] / f, eps / f, eps * v / f), axis=-1)
-            return np.negative(jac, out=jac)
+    def jacobian(x, sub):
+        v = volts[sub]
+        eps = x[:, 1:2] + x[:, 2:] * v
+        f = np.hypot(x[:, :1], eps)
+        jac = np.stack((x[:, :1] / f, eps / f, eps * v / f), axis=-1)
+        return np.negative(jac, out=jac)
 
-        params, cov, _chi2, n_iter, converged = lm_batch(
-            lambda x, sub: freqs[sub] - np.hypot(x[:, :1], x[:, 1:2] + x[:, 2:] * volts[sub]),
-            jacobian, np.array(x0), weights, n,
+    params, cov, _chi2, n_iter, converged = lm_batch(
+        lambda x, sub: freqs[sub] - np.hypot(x[:, :1], x[:, 1:2] + x[:, 2:] * volts[sub]),
+        jacobian, np.array(x0), weights, n,
+    )
+    for j, (i, v, f, _w) in enumerate(data):
+        out[i] = (
+            _trace_fit(v, f, params[j], cov[j]) if converged[j]
+            else NoConvergence(f"no convergence after {n_iter[j]} iterations")
         )
-        for j, (i, v, f, _w) in enumerate(data):
-            out[i] = (
-                _trace_fit(v, f, params[j], cov[j]) if converged[j]
-                else NoConvergence(f"no convergence after {n_iter[j]} iterations")
-            )
     return out
 
 

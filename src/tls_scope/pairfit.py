@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import MHZ_PER_GHZ
 from .coupled import CoupledPair, pair_transitions, transitions_truncated
-from .errors import AmbiguousSigns, NoConvergence, NoTracesFound
+from .errors import AmbiguousSigns, NoConvergence, NoTracesFound, SchemaError
 from .lm import lm_batch
 from .stm import TlsParams, energies
 
@@ -83,6 +83,8 @@ def panel_points_from_dataset(ds, opts) -> CrossingPanel:
 
     Raises
     ------
+    SchemaError
+        If the segment's sidecar entry holds no V_p.
     NoTracesFound
         If the scan shows no resonance trace.
     """
@@ -90,6 +92,8 @@ def panel_points_from_dataset(ds, opts) -> CrossingPanel:
 
     if len(ds.segments) != 1 or ds.segments[0].control != "sample":
         raise ValueError("crossing panels are single-segment V_s sweeps")
+    if "v_p" not in ds.segments[0].held:
+        raise SchemaError("crossing panel: the sidecar's segment 0 has no held 'v_p'")
     v_p = float(ds.segments[0].held["v_p"])
     vs, fs, ws = [], [], []
     for tr in extract_traces(ds, opts):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tls_scope import hyperbola
 from tls_scope.errors import DegenerateTrace, NoConvergence
 from tls_scope.hyperbola import TraceFit, _quadratic_init, fit_hyperbola, fit_hyperbolas
 from tls_scope.lm import LAM0, LAM_FACTOR, _each, lm_batch
@@ -159,7 +158,7 @@ STALLING_TRACE = (
 
 def mixed_traces(seed=0):
     """Traces of 5 to 80 points: several per length for most lengths, one
-    for some, with flat traces and short near-linear ones that stall."""
+    for some, with flat traces, short concave ones and one that stalls."""
     rng = np.random.default_rng(seed)
     traces = [STALLING_TRACE]
     for n in range(5, 81):
@@ -168,7 +167,7 @@ def mixed_traces(seed=0):
             kind = rng.integers(10)
             if kind == 0:  # flat: DegenerateTrace
                 f = 6.0 + rng.normal(0, 1e-3, n)
-            elif kind == 1 and n < 9:  # concave and near-linear: may stall
+            elif kind == 1 and n < 9:  # concave and near-linear: degenerate or stalls
                 v = np.linspace(0, 1.5e-4, n) + 1.5e-4
                 f = (6.65 - 1400 * (v - v[0]) - rng.uniform(0, 3e5) * (v - v.mean()) ** 2
                      + rng.normal(0, 3e-3, n))
@@ -219,10 +218,8 @@ class TestFitHyperbolas:
         assert {"TraceFit", "DegenerateTrace", "NoConvergence"} <= set(kinds)
         assert len(expected) > 200
 
-    @pytest.mark.parametrize("block", [hyperbola.FIT_BLOCK, 1, 37])
-    def test_bit_identical_to_serial(self, mix, monkeypatch, block):
+    def test_bit_identical_to_serial(self, mix):
         traces, expected = mix
-        monkeypatch.setattr(hyperbola, "FIT_BLOCK", block)
         got = [as_bytes(r) for r in fit_hyperbolas(traces)]
         assert got == expected
 

@@ -32,7 +32,7 @@ EXPECTED_SHA256 = {
     "ground_truth.json":
         "1e1c007fe3f3f61ccaa3e945f562fa0e63757493f8f44309044aa17ccd22fa84",
     "fit_report.json":
-        "2845256f274d8760390001aad08b7d4941cf5d8021eab7ff251e8f3bfe52bb80",
+        "fa6834c708b6a0467fd59811360cc40d1510bc59068a06f4f0e3f7d978201f6b",
     "material_report.json":
         "7031b38f32bba58365c71f98b7c326d418a41e30b01e4098e6b9e1f549343f0d",
 }
@@ -307,6 +307,27 @@ class TestExitCodes:
         assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_COUPLED
         assert "two sign branches fit equally well" in capsys.readouterr().err
         assert not (tmp_path / "coupled_fit.json").exists()
+
+    @pytest.mark.parametrize("command", ["coupled", "plotdata crossing"])
+    def test_panel_without_held_v_p_is_a_file_error(self, coupled_run, tmp_path, capsys,
+                                                    command):
+        out, _code = coupled_run
+        panel = tmp_path / "panel_0.csv"
+        shutil.copy(out / "panel_0.csv", panel)
+        meta = json.loads((out / "panel_0.csv.meta.json").read_text())
+        meta["segments"][0]["held"] = {}
+        write_json(tmp_path / "panel_0.csv.meta.json", meta)
+        pair = out / "coupled.json"
+        if command == "coupled":
+            cfg = write_json(tmp_path / "coupled.json",
+                             {**json.loads(pair.read_text()), "panels": [str(panel)]})
+            argv = ("coupled", "--config", cfg, "--out", tmp_path)
+        else:
+            argv = ("plotdata", "crossing", panel, "--coupled-fit", out / "coupled_fit.json",
+                    "--pair", pair, "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and "held 'v_p'" in err
 
 
 class TestCoupled:

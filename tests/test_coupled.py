@@ -283,6 +283,14 @@ class TestCrossingGeometry:
         with pytest.raises(NoCrossingInRange):
             crossing_geometry(pair, self.sweep(), approach_window=0.2)
 
+    def test_every_point_must_hold_the_other_controls(self):
+        # V_p sits at 1 V over the middle half of a V_s sweep whose ends
+        # hold it at 0: two controls vary.
+        sweep = self.sweep()
+        sweep[10:31] = [BiasPoint(v_p=1.0, v_s=b.v_s) for b in sweep[10:31]]
+        with pytest.raises(ValueError, match="exactly one control"):
+            crossing_geometry(self.tls_pair(), sweep)
+
     def test_monotonicity_validation(self):
         pair = self.tls_pair()
         bad = [BiasPoint(v_s=v) for v in [0.0, 1e-3, 0.5e-3]]

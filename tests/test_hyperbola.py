@@ -55,6 +55,15 @@ class TestDegenerateAndErrors:
         with pytest.raises(DegenerateTrace):
             fit_hyperbola(v, f)
 
+    @pytest.mark.parametrize("curve", [
+        lambda v: 6.0 + 40.0 * v - 2000.0 * v**2,  # f^2 curves down
+        lambda v: np.sqrt((3.0 + 390.0 * v) ** 2 - 0.5),  # min of f^2 is below 0
+    ], ids=["concave", "negative-minimum"])
+    def test_no_hyperbola_through_the_points(self, curve):
+        v = np.linspace(-2.4e-3, 2.4e-3, 12)
+        with pytest.raises(DegenerateTrace):
+            fit_hyperbola(v, curve(v))
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_hyperbola([0, 1e-3, 2e-3], [5.0, 5.1, 5.2])

@@ -6,15 +6,22 @@ scorer, ``perfbench/truth.py``, imported as it is so that the scorer
 shares no code with what it checks.  Each floor is the value at the
 time it was set, rounded outward; tighten a floor in the change that
 improves it, and never lower one to make a run pass.
+
+The same seeds check that every fit of a tracked trace describes its
+data, and seed 6 that moving every T1 cell by one ulp moves no class,
+no dipole and not P0.
 """
 
 import operator
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tls_scope import cli
+from tls_scope.hyperbola import TraceFit, fit_hyperbolas
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import truth  # noqa: E402
@@ -34,11 +41,16 @@ FLOORS = [
 ]
 
 
+#: Largest rms frequency residual [GHz] of a fit that describes its trace.
+FIT_RMS_LIMIT = 0.05
+
+
 def score_seed(seed):
+    """Score of one seed, and the fits of its tracked traces."""
     cfg = cli.GENERATE_DEFAULTS
     ensemble, ds = cli.simulate(cfg, seed)
     result, report = cli.analyze(cli.FIT_DEFAULTS, ds)
-    return truth.score_dataset(
+    score = truth.score_dataset(
         [t.to_dict() for t in ensemble.tls_list],
         [(s.control, s.bias, s.held) for s in ds.segments],
         ds.freq_ghz,
@@ -47,13 +59,20 @@ def score_seed(seed):
         report.to_dict(),
         cfg["volume_um3"],
     )
+    traces = [(t.bias, t.freq, t.weight) for track in result.tracks for t in track]
+    return score, [f for f in fit_hyperbolas(traces) if isinstance(f, TraceFit)]
 
 
 @pytest.fixture(scope="module")
-def scorecard():
+def scored():
+    return [score_seed(seed) for seed in SEEDS]
+
+
+@pytest.fixture(scope="module")
+def scorecard(scored):
     total = truth.Score()
-    for seed in SEEDS:
-        total = total + score_seed(seed)
+    for score, _fits in scored:
+        total = total + score
     values = total.metrics()
     values["precision"] = total.matched_tracks / (
         total.matched_tracks + total.false_tracks
@@ -70,3 +89,29 @@ def test_scorecard_floor(scorecard, name, compare, floor):
         f"matched tracks {score.matched_tracks}, false_tracks {score.false_tracks}, "
         f"confusion {score.confusion}"
     )
+
+
+def test_every_fit_describes_its_trace(scored):
+    # A trace whose f^2 is no upward parabola with a positive minimum is
+    # degenerate, not a "converged" fit thousands of GHz off its data.
+    fits = [f for _score, seed_fits in scored for f in seed_fits]
+    assert len(fits) > 600
+    far = [f.residual_rms for f in fits if f.residual_rms > FIT_RMS_LIMIT]
+    assert not far, f"{len(far)} of {len(fits)} fits are > 50 MHz off: {far[:5]}"
+    assert all(np.all(f.sigma > 0) for f in fits)
+
+
+@pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])
+def test_one_ulp_of_t1_moves_no_result(direction):
+    cfg = cli.GENERATE_DEFAULTS
+    _ensemble, ds = cli.simulate(cfg, 6)
+    moved = replace(ds, t1_us=tuple(np.nextafter(t1, direction) for t1 in ds.t1_us))
+    (before, report), (after, moved_report) = (
+        cli.analyze(cli.FIT_DEFAULTS, d) for d in (ds, moved))
+    assert len(after.records) == len(before.records)
+    for a, b in zip(before.records, after.records):
+        assert b.location == a.location
+        assert (b.p_parallel is None) == (a.p_parallel is None)
+        if a.p_parallel is not None:
+            assert b.p_parallel == pytest.approx(a.p_parallel, rel=1e-6)
+    assert moved_report.to_dict()["P0_per_um3_GHz"] == report.to_dict()["P0_per_um3_GHz"]
