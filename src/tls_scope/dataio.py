@@ -178,7 +178,8 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
         without its final newline, a non-finite bias or frequency,
         rows out of the order stated in the module docstring (these
         messages carry the 1-based file line as "row N"), or values
-        the dataset itself rejects, such as a non-positive T1.
+        the dataset itself rejects, such as a non-positive or infinite
+        T1.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path(csv_path)

@@ -62,6 +62,7 @@ class EnsembleConfig:
     orientation sign.  Strain rates are uniform within ``+-gamma_p_max``
     [GHz/V]; the global-gate rate is zero for defects buried in the
     sample capacitor (the top electrode screens the global field).
+    ``p0_target`` and ``gamma_p_max`` must be finite and non-negative.
     """
 
     band: tuple[float, float] = (5.8, 6.7)
@@ -75,6 +76,10 @@ class EnsembleConfig:
     def __post_init__(self):
         if not (self.dipole_mean > 0 and self.dipole_std > 0):
             raise ValueError("dipole_mean and dipole_std must be > 0")
+        for name in ("p0_target", "gamma_p_max"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def resolved_delta0_min(self) -> float:
         """Lower end of the log-uniform Delta0 window [GHz]."""

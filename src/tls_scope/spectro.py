@@ -16,6 +16,7 @@ of the dataset seed, so the bytes depend only on the seed and the inputs.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,8 @@ class SpectroscopyDataset:
         for seg, t1 in zip(self.segments, self.t1_us):
             if t1.shape != (seg.bias.size, self.freq_ghz.size):
                 raise ValueError("T1 grid shape mismatch")
+            if np.any(np.isinf(t1)):
+                raise ValueError("T1 values must be finite or NaN")
             finite = np.isfinite(t1)
             if np.any(t1[finite] <= 0):
                 raise ValueError("T1 values must be positive or NaN")
@@ -101,6 +104,8 @@ class SpectroscopyDataset:
 def validate_freq_axis(freq: np.ndarray) -> None:
     if freq.ndim != 1 or freq.size < 2:
         raise ValueError("frequency axis needs at least 2 points")
+    if not np.all(np.isfinite(freq)):
+        raise ValueError("frequency axis must be finite")
     steps = np.diff(freq)
     if np.any(steps <= 0):
         raise ValueError("frequency axis must be strictly increasing")
@@ -174,9 +179,18 @@ def default_sweep_plan(
 #: Part of the summation order the datasets are recorded in, and the
 #: most terms :func:`_chunk_sum` handles.
 _TLS_CHUNK = 16
-#: Bias steps per block: a (16, 16, 451) float64 term buffer is about
-#: 1 MB, small enough to stay in a per-core L2 cache.
+#: Bias steps per block, the unit of work of :func:`_lorentzian_rate`'s
+#: thread pool.  Each block gets its own (16, 16, 451) float64 term
+#: buffer of about 1 MB, small enough to stay in a per-core L2 cache.
 _BIAS_BLOCK = 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _chunk_sum(terms: np.ndarray) -> np.ndarray:
@@ -214,14 +228,22 @@ def _lorentzian_rate(
     ``f_tls_ghz`` and ``g_mhz`` are (n_bias, n_tls); the result is
     (n_bias, n_freq).
 
-    The terms of 16 TLS at a time are computed TLS-major into one
-    preallocated (TLS, bias block, freq) buffer with in-place ufuncs,
-    then summed by :func:`_chunk_sum` and added to the total chunk after
+    Within a block of :data:`_BIAS_BLOCK` bias steps, the terms of 16
+    TLS at a time are computed TLS-major into the block's own
+    (TLS, bias, freq) buffer with in-place ufuncs, then summed by
+    :func:`_chunk_sum` and added to the block's output rows chunk after
     chunk.  That is the floating-point order of summing each chunk with
     ``np.sum`` over a 16-long inner axis, so the grid, and every dataset
     written from it, is bit-identical to that simpler form; the memory
     order only avoids its large strided temporaries.
+
+    The blocks write disjoint rows and their ufuncs release the GIL, so
+    they run in a thread pool of one worker per usable CPU, at most one
+    per block.  Each cell gets the same operations in the same order
+    whatever the worker count; the pool is shut down before returning.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     n_b, n_tls = f_tls_ghz.shape
     out = np.zeros((n_b, freq_ghz.size))
     omega_per_ghz = 2.0 * math.pi * MHZ_PER_GHZ  # rad/us per GHz
@@ -229,19 +251,23 @@ def _lorentzian_rate(
     numer = (2.0 * (2.0 * math.pi * g_mhz) ** 2 * gamma2_per_us).T
     gamma2_sq = (gamma2_per_us**2)[:, None, None]
     f_tls = f_tls_ghz.T
-    buf = np.empty((_TLS_CHUNK, min(_BIAS_BLOCK, n_b), freq_ghz.size))
-    for b0 in range(0, n_b, _BIAS_BLOCK):
+
+    def block(b0: int) -> None:
         b = slice(b0, b0 + _BIAS_BLOCK)
-        n_bb = min(_BIAS_BLOCK, n_b - b0)
+        buf = np.empty((_TLS_CHUNK, min(_BIAS_BLOCK, n_b - b0), freq_ghz.size))
         for t0 in range(0, n_tls, _TLS_CHUNK):
             t = slice(t0, t0 + _TLS_CHUNK)
-            terms = buf[: min(_TLS_CHUNK, n_tls - t0), :n_bb]
+            terms = buf[: min(_TLS_CHUNK, n_tls - t0)]
             np.subtract(freq_ghz, f_tls[t, b, None], out=terms)
             terms *= omega_per_ghz  # detuning dw, rad/us
             np.square(terms, out=terms)
             terms += gamma2_sq[t]
             np.divide(numer[t, b, None], terms, out=terms)
             out[b] += _chunk_sum(terms)
+
+    starts = range(0, n_b, _BIAS_BLOCK)
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(starts)))) as pool:
+        list(pool.map(block, starts))  # re-raises a block's exception
     return out
 
 

@@ -191,6 +191,22 @@ class TestExitCodes:
         assert f"config error: {needle}" in capsys.readouterr().err
         assert not (tmp_path / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("override, needle", [
+        ({"p0_per_um3_ghz": float("nan")}, "p0_target must be finite and >= 0, got nan"),
+        ({"p0_per_um3_ghz": -5}, "p0_target must be finite and >= 0, got -5"),
+        ({"gamma_p_max_ghz_per_v": float("nan")},
+         "gamma_p_max must be finite and >= 0, got nan"),
+        ({"gamma_p_max_ghz_per_v": float("inf")},
+         "gamma_p_max must be finite and >= 0, got inf"),
+    ], ids=["p0-nan", "p0-negative", "gamma_p-nan", "gamma_p-inf"])
+    def test_generate_refuses_bad_ensemble_value(self, tmp_path, capsys, override, needle):
+        # NaN and a negative P0 used to draw an empty ensemble (exit 0), and
+        # a non-finite gamma_p_max ended in an OverflowError traceback.
+        cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
+        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+        assert f"config error: {needle}" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
+
     @pytest.mark.parametrize("min_points", [0, 4])
     def test_fit_refuses_too_few_min_points(self, small_run, tmp_path, capsys, min_points):
         cfg = write_json(tmp_path / "fit.json", {"min_points": min_points})

@@ -201,6 +201,17 @@ class TestRowChecks:
         with pytest.raises(SchemaError, match=rf"\brow {2 + N_FREQ}\b.*bias_V is not finite"):
             dataio.read_dataset(path)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+    def test_infinite_t1_is_refused(self, written, value):
+        # An infinite T1 used to pass as a missing cell and come back from
+        # write_dataset as an empty field.
+        _, path = written
+        fields = path.read_text().split("\n")[4].split(",")
+        fields[4] = value
+        replace_line(path, 5, ",".join(fields))
+        with pytest.raises(SchemaError, match="T1 values must be finite or NaN"):
+            dataio.read_dataset(path)
+
     def test_bias_steps_are_the_sidecar_count(self, written):
         _, path = written
         lines = path.read_text().split("\n")
@@ -326,6 +337,64 @@ class TestCorruption:
             assert b.bias.tobytes() == a.bias.tobytes()
         for a, b in zip(ds.t1_us, back.t1_us, strict=True):
             assert b.tobytes() == a.tobytes()
+
+
+def refused_damage(text, kind, data, n_freq):
+    """``text`` with one damage of the given kind that makes it no dataset
+    file: cut short, a row dropped or doubled, or a non-finite value where
+    the format forbids one."""
+    if kind == "truncated":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    lines = text.split("\n")
+    k = data.draw(st.integers(1, len(lines) - 2))
+    if kind == "ragged":
+        lines[k:k + 1] = [lines[k]] * data.draw(st.sampled_from([0, 2]))
+        return "\n".join(lines)
+    column = data.draw(st.sampled_from([2, 3, 4]))  # bias_V, freq_GHz, t1_us
+    if kind == "inf":
+        rows, value = [k], data.draw(st.sampled_from(["inf", "-inf", "1e400"]))
+    elif column == 4:
+        # A NaN T1 is a missing cell; half a bias step missing is too many.
+        step = 1 + (k - 1) // n_freq * n_freq
+        cells = data.draw(st.sets(st.integers(0, n_freq - 1), min_size=(n_freq + 1) // 2))
+        rows, value = [step + j for j in cells], data.draw(st.sampled_from(["nan", ""]))
+    else:
+        rows, value = [k], "nan"
+    for row in rows:
+        fields = lines[row].split(",")
+        fields[column] = value
+        lines[row] = ",".join(fields)
+    return "\n".join(lines)
+
+
+class TestDamagedFiles:
+    """What the reader must refuse.  A lone segment of one bias step is
+    left out: cut or dropped at a row boundary it reads as a shorter
+    frequency axis (see test_lone_one_step_segment_cut_at_a_row)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ds=small_datasets().filter(lambda ds: sum(s.bias.size for s in ds.segments) > 1),
+           kind=st.sampled_from(["truncated", "ragged", "nan", "inf"]), data=st.data())
+    def test_damage_raises_schema_error_only(self, ds, kind, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dataset.csv"
+            dataio.write_dataset(ds, path)
+            path.write_text(refused_damage(path.read_text(), kind, data, ds.freq_ghz.size))
+            with pytest.raises(SchemaError):
+                dataio.read_dataset(path)
+
+    @pytest.mark.xfail(strict=True, reason="the sidecar does not record the frequency axis")
+    def test_lone_one_step_segment_cut_at_a_row(self, tmp_path):
+        ds = SpectroscopyDataset(
+            segments=(SegmentSpec("sample", np.array([1e-3]), {}, "up"),),
+            freq_ghz=5.0 + 0.25 * np.arange(4),
+            t1_us=(np.array([[1.0, 2.0, 3.0, 4.0]]),),
+        )
+        path = tmp_path / "dataset.csv"
+        dataio.write_dataset(ds, path)
+        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+        with pytest.raises(SchemaError):
+            dataio.read_dataset(path)
 
 
 class TestGroundTruth:

@@ -115,3 +115,10 @@ class TestDipoleSampler:
     def test_non_positive_dipole_parameters_rejected(self, field):
         with pytest.raises(ValueError):
             EnsembleConfig(**{field: 0.0})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -5.0, -1e-300])
+    @pytest.mark.parametrize("field", ["p0_target", "gamma_p_max"])
+    def test_non_finite_or_negative_density_and_strain_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            EnsembleConfig(**{field: value})
+        EnsembleConfig(**{field: 0.0})

@@ -1,12 +1,17 @@
+import concurrent.futures
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tls_scope import spectro
 from tls_scope.constants import MHZ_PER_GHZ
-from tls_scope.ensemble import Ensemble, ControlChain
+from tls_scope.ensemble import Ensemble, ControlChain, EnsembleConfig, generate_ensemble
 from tls_scope.spectro import (
     _BIAS_BLOCK,
     SegmentSpec,
@@ -179,6 +184,12 @@ class TestT1Map:
             t1_map(empty_ensemble(), DESIGN, sample_segment(),
                    np.array([6.0, 5.9, 6.1]), gamma1_background=0.2,
                    noise_sigma=0.0, seed=0)
+        # NaN fails the "increasing" and "uniform" comparisons silently.
+        for axis in ([5.8, np.nan, 6.0], [5.8, 5.9, np.inf], [np.nan, np.nan],
+                     [-np.inf, 5.9, 6.0]):
+            with pytest.raises(ValueError, match="frequency axis must be finite"):
+                t1_map(empty_ensemble(), DESIGN, sample_segment(), np.array(axis),
+                       gamma1_background=0.2, noise_sigma=0.0, seed=0)
 
 
 def chunked_lorentzian_rate(freq_ghz, f_tls_ghz, g_mhz, gamma2_per_us):
@@ -226,6 +237,85 @@ class TestLorentzianKernel:
         want = a.sum(axis=2)
         got = _chunk_sum(np.ascontiguousarray(np.moveaxis(a, 2, 0)))
         assert np.array_equal(got, want)
+
+
+def cut_plan(n_segments, n_bias):
+    """The first ``n_segments`` segments of the default plan, cut to
+    ``n_bias`` bias steps each."""
+    plan = default_sweep_plan(n_bias=max(n_bias, 2))[:n_segments]
+    return [replace(seg, bias=seg.bias[:n_bias]) for seg in plan]
+
+
+class TestWorkerCount:
+    """The bias blocks run in a thread pool; the grids must not depend on
+    its size, and no thread may outlive a call."""
+
+    #: About 60 TLS: several 16-TLS chunks, the last one partial.
+    ENSEMBLE = generate_ensemble(EnsembleConfig(volume_um3=9e-3), seed=3)
+
+    @pytest.mark.parametrize("n_bias", [1, _BIAS_BLOCK + 5, 80])
+    @pytest.mark.parametrize("n_segments", [1, 3, 8])
+    def test_grids_do_not_depend_on_the_worker_count(
+        self, monkeypatch, n_segments, n_bias
+    ):
+        sizes = []
+
+        class SizedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SizedPool)
+        plan = cut_plan(n_segments, n_bias)
+        n_blocks = -(-n_bias // _BIAS_BLOCK)
+        grids = []
+        for workers in (1, 2, 7):
+            monkeypatch.setattr(spectro, "_usable_cpus", lambda n=workers: n)
+            ds = t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
+                        noise_sigma=0.1, seed=5)
+            grids.append([t1.tobytes() for t1 in ds.t1_us])
+            assert sizes[-n_segments:] == [min(workers, n_blocks)] * n_segments
+        assert len(self.ENSEMBLE.tls_list) > 2 * spectro._TLS_CHUNK
+        assert grids[0] == grids[1] == grids[2]
+
+    def test_many_workers_with_frequent_switches(self, monkeypatch):
+        # More workers than cores and a thread switch every microsecond: a
+        # block that wrote outside its own rows would lose updates.
+        monkeypatch.setattr(spectro, "_usable_cpus", lambda: 7)
+        rng = np.random.default_rng(11)
+        f_tls = rng.uniform(5.7, 6.8, (7 * _BIAS_BLOCK, 40))
+        g_mhz = rng.uniform(0.0, 2.0, f_tls.shape)
+        gamma2 = rng.uniform(1.0, 20.0, 40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, chunked_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2))
+
+    def test_bias_limit_error_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(spectro, "_usable_cpus", lambda: 7)
+        too_far = SegmentSpec(control="sample", bias=np.linspace(-4e-3, 4e-3, 40),
+                              held={"v_p": 0.0, "v_g": 0.0}, direction="up")
+        before = threading.active_count()
+        with pytest.raises(ValueError,
+                           match="^segment exceeds the cold-end sample-bias limit$"):
+            t1_map(self.ENSEMBLE, DESIGN, sample_segment() + [too_far], FREQ,
+                   gamma1_background=0.2, noise_sigma=0.0, seed=0)
+        assert threading.active_count() == before
+
+    def test_block_error_propagates_and_leaves_no_thread(self, monkeypatch):
+        def broken(terms):
+            raise FloatingPointError("block failed")
+
+        monkeypatch.setattr(spectro, "_usable_cpus", lambda: 7)
+        monkeypatch.setattr(spectro, "_chunk_sum", broken)
+        f_tls = np.full((80, 3), 6.0)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="block failed"):
+            _lorentzian_rate(FREQ, f_tls, np.ones_like(f_tls), np.ones(3))
+        assert threading.active_count() == before
 
 
 class TestCoupledPanel:
