@@ -18,6 +18,7 @@ call per defect.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from numbers import Rational
 
@@ -79,8 +80,8 @@ def spectral_density(
     span = _to_fraction(span_ghz)
     if span <= 0:
         raise ValueError("span must be positive")
-    total = Fraction(0)
-    for fractions in visible_fractions:
-        s = sum((_to_fraction(f) for f in fractions), Fraction(0))
-        total += s / n_segments
-    return total / span
+    # Each distinct value converts once; a Rational is kept apart from an
+    # equal float, which converts through limit_denominator instead.
+    counts = Counter((isinstance(f, Rational), f) for fs in visible_fractions for f in fs)
+    total = sum((_to_fraction(f) * n for (_, f), n in counts.items()), Fraction(0))
+    return total / (n_segments * span)

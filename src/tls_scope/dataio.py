@@ -4,8 +4,9 @@ The dataset is a long-format CSV with header
 
     segment,control,bias_V,freq_GHz,t1_us
 
-accompanied by ``<name>.meta.json`` carrying qubit parameters, the seed
-and ``schema_version``.  Floats are written with ``repr`` (shortest
+accompanied by ``<name>.meta.json`` carrying qubit parameters, the seed,
+``schema_version``, the length ``n_freq`` of the frequency axis and one
+entry per segment.  Floats are written with ``repr`` (shortest
 round-trip), so identical inputs produce identical bytes; a missing (NaN)
 T1 cell is an empty field.  The writer formats each frequency once per
 file and each bias once per row, and streams the file row by row.
@@ -20,7 +21,9 @@ refused, not misread.  Readers check ``schema_version`` on every file
 and refuse versions they do not know.  The sidecar's ``segments``, the
 ``tls`` records of the fit report and the ground truth, and the numbers
 of a coupled fit are type-checked as well, and the CSV's segments must
-be the sidecar's, by id, control and number of bias steps.
+be the sidecar's, by id, control and number of bias steps, and its
+frequency axis must have the sidecar's ``n_freq`` points (a sidecar
+without ``n_freq``, written before it was recorded, skips that check).
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ def write_dataset(ds: SpectroscopyDataset, csv_path) -> None:
 
     meta = dict(ds.meta)
     meta["schema_version"] = SCHEMA_VERSION
+    meta["n_freq"] = int(np.size(ds.freq_ghz))
     meta["segments"] = [
         {
             "control": seg.control,
@@ -174,7 +178,8 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
         a list of objects, or a ``held`` or ``direction`` of the wrong
         type), CSV segment ids other than 0..n-1 for the n sidecar
         segments, a segment whose control or number of bias steps is
-        not its sidecar entry's, bad header, a corrupt row, a file
+        not its sidecar entry's, a frequency axis whose length is not
+        the sidecar's ``n_freq``, bad header, a corrupt row, a file
         without its final newline, a non-finite bias or frequency,
         rows out of the order stated in the module docstring (these
         messages carry the 1-based file line as "row N"), or values
@@ -268,6 +273,12 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
                     f"the CSV has {segments[-1].control!r}"
                 )
             grids.append(t1.reshape(n_b, n_f))
+        n_freq = meta.get("n_freq", freq_axis.size)
+        if n_freq != freq_axis.size:
+            raise SchemaError(
+                f"{meta_path.name}: the frequency axis has {n_freq!r} points, "
+                f"the CSV has {freq_axis.size}"
+            )
         return SpectroscopyDataset(
             segments=tuple(segments),
             freq_ghz=freq_axis,

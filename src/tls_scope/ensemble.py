@@ -7,6 +7,9 @@ is sized so that the number of TLS whose zero-bias transition lands in
 the observation band is Poisson with mean P0 * volume * bandwidth; the
 total candidate count is inflated accordingly (Poisson thinning), so
 off-band defects that may wander into the band under bias exist too.
+Dipole projections are a truncated normal, drawn by inverting the
+normal CDF of the standard library's ``statistics.NormalDist`` on one
+uniform per defect, so drawing an ensemble imports no scipy.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ class EnsembleConfig:
     orientation sign.  Strain rates are uniform within ``+-gamma_p_max``
     [GHz/V]; the global-gate rate is zero for defects buried in the
     sample capacitor (the top electrode screens the global field).
-    ``p0_target`` and ``gamma_p_max`` must be finite and non-negative.
+    ``p0_target``, ``volume_um3`` and ``gamma_p_max`` must be finite and
+    non-negative; a zero density or volume draws an empty ensemble.
     """
 
     band: tuple[float, float] = (5.8, 6.7)
@@ -76,7 +80,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if not (self.dipole_mean > 0 and self.dipole_std > 0):
             raise ValueError("dipole_mean and dipole_std must be > 0")
-        for name in ("p0_target", "gamma_p_max"):
+        for name in ("p0_target", "volume_um3", "gamma_p_max"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -134,17 +138,18 @@ def _in_band_probability(cfg: EnsembleConfig) -> float:
 def _truncnorm_left_ppf(u: np.ndarray, a: float) -> np.ndarray:
     """Quantiles ``u`` of the standard normal truncated to [a, inf), a < 0.
 
-    This is the left-tail branch of ``scipy.stats.truncnorm._ppf`` with
-    the upper bound at infinity, written out with the ``scipy.special``
-    functions it calls.  ``truncnorm.rvs(a, inf, random_state=rng)`` is
-    this function applied to ``rng.uniform(size=n)``, so the draw is the
-    same bit for bit without importing :mod:`scipy.stats`.
+    By the symmetry of the normal, P(X >= x | X >= a) = 1 - u gives
+    x = -Phi^-1((1 - u) * Phi(-a)), evaluated with the standard library's
+    :class:`statistics.NormalDist`: no :mod:`scipy` import, and accurate
+    to a few ulps deep into the upper tail.  The argument of Phi^-1 lies
+    in (0, 1) for every u in [0, 1); it is held below 1 for u = 0 when
+    Phi(-a) rounds to 1 (a <= -8.3).
     """
-    from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
+    from statistics import NormalDist
 
-    a = np.full_like(u, a)
-    log_mass = log1p(-ndtr(a))  # log P(X >= a)
-    return ndtri_exp(logsumexp([log_ndtr(a), np.log(u) + log_mass], axis=0))
+    normal = NormalDist()
+    q = np.minimum((1.0 - u) * normal.cdf(-a), np.nextafter(1.0, 0.0))
+    return -np.array([normal.inv_cdf(p) for p in q.tolist()], dtype=float)
 
 
 def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:

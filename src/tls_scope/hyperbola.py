@@ -5,12 +5,13 @@ A TLS tuned by one control voltage V traces
     f(V) = sqrt(Delta0^2 + (eps_i + gamma*V)^2)
 
 in swap-spectroscopy data.  The fit linearizes f^2 as a quadratic in V
-for the starting point and refines with damped Gauss-Newton using the
-analytic Jacobian, all traces of a dataset in one lockstep LM.  A trace
-whose f^2 is flat within the noise, curves down, or has its minimum at
-or below zero is no hyperbola and raises ``DegenerateTrace``.  The model
-is blind to the joint sign flip (eps_i, gamma) -> (-eps_i, -gamma); fits
-are canonicalized to gamma >= 0.
+for the starting point, one stacked least-squares solve for all traces
+of a length, and refines with damped Gauss-Newton using the analytic
+Jacobian, all traces of a dataset in one lockstep LM.  A trace whose f^2
+is flat within the noise (or that has fewer than three distinct biases),
+curves down, or has its minimum at or below zero is no hyperbola and
+raises ``DegenerateTrace``.  The model is blind to the joint sign flip
+(eps_i, gamma) -> (-eps_i, -gamma); fits are canonicalized to gamma >= 0.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTrace, NoConvergence
-from .lm import lm_batch
+from .lm import _runs, lm_batch
 
 #: Fewest points of a fittable trace: three parameters and two degrees
 #: of freedom.
@@ -57,27 +58,52 @@ class TraceFit:
         return np.hypot(self.delta0, self.eps_at_zero + self.gamma * v)
 
 
-def _quadratic_init(volts, freqs, weights):
-    """Start values from the linearized model f^2 = quadratic(V)."""
-    v0 = volts.mean()
-    scale = max(volts.max() - volts.min(), 1e-30) / 2.0
-    u = (volts - v0) / scale
-    coeffs = np.polyfit(u, freqs**2, 2, w=np.sqrt(weights))
-    a, b, c = coeffs
-    resid = freqs**2 - np.polyval(coeffs, u)
-    if np.ptp(np.polyval(coeffs, u)) <= 3.0 * np.sqrt(np.mean(resid**2)):
-        raise DegenerateTrace("trace has no significant bias dependence; gamma unidentifiable")
-    if a <= 0:
-        raise DegenerateTrace("f^2 curves down along the bias; not a hyperbola")
-    gamma_u = np.sqrt(a)
+#: Why a trace has no hyperbolic start, in the order the checks run.
+_NOT_A_HYPERBOLA = (
+    "trace has no significant bias dependence; gamma unidentifiable",
+    "f^2 curves down along the bias; not a hyperbola",
+    "f^2 has its minimum at or below zero; not a hyperbola",
+)
+
+
+def _quadratic_starts(volts, freqs, weights) -> list:
+    """Start values from the linearized model f^2 = quadratic(V).
+
+    ``volts``, ``freqs`` and ``weights`` are (m, k): m traces of k points.
+    Each row is a weighted least-squares fit of f^2 to (u^2, u, 1), with
+    u the bias scaled to [-1, 1], solved by one stacked QR.  Returns per
+    row the start (delta0, eps_i, gamma) or the :class:`DegenerateTrace`
+    that says why there is none; a row's result does not depend on the
+    other rows.  A rank-deficient design (fewer than three distinct
+    biases of nonzero weight, e.g. a constant bias) has no significant
+    bias dependence.
+    """
+    k = volts.shape[1]
+    v0 = volts.mean(axis=1)
+    scale = np.maximum(volts.max(axis=1) - volts.min(axis=1), 1e-30) / 2.0
+    u = (volts - v0[:, None]) / scale[:, None]
+    sqrt_w = np.sqrt(weights)
+    q, r = np.linalg.qr(np.stack((u * u, u, np.ones_like(u)), axis=-1) * sqrt_w[..., None])
+    pivots = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    full_rank = pivots.min(axis=1) > k * np.finfo(float).eps * pivots.max(axis=1)
+    rhs = q[full_rank].transpose(0, 2, 1) @ (sqrt_w * freqs**2)[full_rank, :, None]
+    coeffs = np.full((volts.shape[0], 3), np.nan)
+    coeffs[full_rank] = np.linalg.solve(r[full_rank], rhs)[..., 0]
+
+    a, b, c = coeffs.T
+    fitted = (a[:, None] * u + b[:, None]) * u + c[:, None]  # Horner, as np.polyval
+    rms = np.sqrt(np.mean((freqs**2 - fitted) ** 2, axis=1))
+    flat = ~(np.ptp(fitted, axis=1) > 3.0 * rms)  # NaN coefficients count as flat
+    curves_down = ~(a > 0)
+    gamma_u = np.sqrt(np.where(curves_down, 1.0, a))
     eps_u = b / (2.0 * gamma_u)
     delta0_sq = c - eps_u**2
-    if delta0_sq <= 0:
-        raise DegenerateTrace("f^2 has its minimum at or below zero; not a hyperbola")
-    delta0 = np.sqrt(delta0_sq)
+    why = np.select([flat, curves_down, ~(delta0_sq > 0)], [0, 1, 2], -1)
     gamma = gamma_u / scale
-    eps_i = eps_u - gamma * v0
-    return delta0, eps_i, gamma
+    starts = np.stack((np.sqrt(np.where(why < 0, delta0_sq, 1.0)), eps_u - gamma * v0, gamma),
+                      axis=-1)
+    return [DegenerateTrace(_NOT_A_HYPERBOLA[j]) if j >= 0 else x
+            for j, x in zip(why.tolist(), starts)]
 
 
 def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
@@ -100,6 +126,9 @@ def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
         is no upward parabola in V with a positive minimum.
     NoConvergence
         If the refinement stalls (rare once the start is a hyperbola).
+    ValueError
+        If the arrays are not 1-d of equal length, hold fewer than
+        :data:`MIN_POINTS` points, or a weight is negative.
     """
     (outcome,) = fit_hyperbolas([(volts, freqs, weights)])
     if isinstance(outcome, Exception):
@@ -116,7 +145,7 @@ def fit_hyperbolas(traces) -> list:
     by length and padded to the longest.
     """
     out: list = [None] * len(traces)
-    data, x0 = [], []
+    checked = []
     for i in np.argsort([np.size(t[1]) for t in traces], kind="stable").tolist():
         v, f, w = traces[i]
         v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
@@ -125,12 +154,21 @@ def fit_hyperbolas(traces) -> list:
         if v.size < MIN_POINTS:
             raise ValueError(f"need at least {MIN_POINTS} points to fit a hyperbola")
         w = np.ones_like(f) if w is None else np.asarray(w, dtype=float)
-        try:
-            x0.append(_quadratic_init(v, f, w))
-        except DegenerateTrace as exc:
-            out[i] = exc.with_traceback(None)  # keep no frame alive
-            continue
-        data.append((i, v, f, w))
+        if np.any(w < 0):
+            raise ValueError("weights must be non-negative")
+        checked.append((i, v, f, w))
+    if not checked:
+        return out
+    data, x0 = [], []
+    for rows, _k in _runs([f.size for _i, _v, f, _w in checked]):
+        run = checked[rows]
+        _i, *columns = zip(*run)
+        for trace, start in zip(run, _quadratic_starts(*map(np.array, columns))):
+            if isinstance(start, DegenerateTrace):
+                out[trace[0]] = start
+            else:
+                data.append(trace)
+                x0.append(start)
     if not data:
         return out
     n = [f.size for _i, _v, f, _w in data]

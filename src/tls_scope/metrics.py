@@ -21,8 +21,8 @@ from .stm import SCHEMA_VERSION, Location, SensorDesign, sample_capacitance
 
 def volume_density(spectral_density_per_ghz: float, volume_um3: float) -> float:
     """TLS volume density P0 [(um^3 GHz)^-1] from a per-trace density."""
-    if volume_um3 <= 0:
-        raise ValueError("volume must be positive")
+    if not (volume_um3 > 0 and math.isfinite(volume_um3)):
+        raise ValueError(f"volume must be positive and finite, got {volume_um3}")
     return spectral_density_per_ghz / volume_um3
 
 

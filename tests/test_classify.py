@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tls_scope.classify import classify_location, spectral_density
+from tls_scope.classify import _to_fraction, classify_location, spectral_density
 from tls_scope.stm import Location
 
 #: (responds to V_p, V_g, V_s) -> location, for a defect seen in more
@@ -67,3 +67,29 @@ class TestSpectralDensity:
         )
         assert whole == parts
         assert float(whole) == float(parts)
+
+    @given(
+        defects=st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(0, 80).map(lambda k: k / 80),
+                    st.floats(0.0, 1.0),
+                    st.fractions(0, 1, max_denominator=10**8),
+                    st.sampled_from([0.1, Fraction(0.1), Fraction(1, 10), 1, 1.0]),
+                ),
+                max_size=8,
+            ),
+            max_size=40,
+        ),
+        n_segments=st.integers(1, 12),
+        span=st.sampled_from([0.9, 0.25, 1.0 / 3.0, 2, Fraction(7, 3)]),
+    )
+    def test_counted_sum_equals_the_loop_it_replaces(self, defects, n_segments, span):
+        # The per-defect loop spectral_density ran before it counted
+        # distinct values; the Fraction must be the same, not just close.
+        span_f = _to_fraction(span)
+        total = Fraction(0)
+        for fractions in defects:
+            s = sum((_to_fraction(f) for f in fractions), Fraction(0))
+            total += s / n_segments
+        assert spectral_density(defects, n_segments, span) == total / span_f

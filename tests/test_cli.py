@@ -24,17 +24,19 @@ SMALL = {"band_ghz": [6.0, 6.4], "freq_step_ghz": 0.004, "n_bias": 30,
 #: sha256 of the outputs of `generate --seed 1` and `fit` on SMALL
 #: (numpy 2.4, x86-64).  A change to these bytes is a change to the
 #: simulator or the analysis and belongs in CHANGES.md with the new hashes.
+#: Last re-recorded for the standard-library dipole draw, the sidecar's
+#: ``n_freq`` and the batched hyperbola start solve.
 EXPECTED_SHA256 = {
     "dataset.csv":
-        "39722f3c7c1a4c3919c45a4104e16c71969f2b40bccecdde8901c5dc3c1d82f1",
+        "2e06fa42420852d04640cfa23170ecf5e4bd5ce51740d8573f6f275d491d7b8b",
     "dataset.csv.meta.json":
-        "8321940a0a97b15a37211a9b2f3306bcff49b889f59f0954629cbed1474fd828",
+        "c1f19a43f3c01fbb56d8409a0cc1eee09c16fe230236263cb22743b335f0bb93",
     "ground_truth.json":
-        "1e1c007fe3f3f61ccaa3e945f562fa0e63757493f8f44309044aa17ccd22fa84",
+        "1f367622bc76c3e28cb3e9f9c85e5bf74e8ae21bc7977bbf6207227596fb4b56",
     "fit_report.json":
-        "fa6834c708b6a0467fd59811360cc40d1510bc59068a06f4f0e3f7d978201f6b",
+        "c53a1c10639ee174088f0ef487d7603cd5694305103298d6221c82400ed81fb4",
     "material_report.json":
-        "7031b38f32bba58365c71f98b7c326d418a41e30b01e4098e6b9e1f549343f0d",
+        "1a86e12a37e305669fcf2e42aed7c681dfd800e790eb43cd8c415c7786a393ca",
 }
 
 
@@ -198,10 +200,16 @@ class TestExitCodes:
          "gamma_p_max must be finite and >= 0, got nan"),
         ({"gamma_p_max_ghz_per_v": float("inf")},
          "gamma_p_max must be finite and >= 0, got inf"),
-    ], ids=["p0-nan", "p0-negative", "gamma_p-nan", "gamma_p-inf"])
+        ({"volume_um3": float("nan")}, "volume_um3 must be finite and >= 0, got nan"),
+        ({"volume_um3": -1.0}, "volume_um3 must be finite and >= 0, got -1.0"),
+        ({"volume_um3": float("inf")}, "volume_um3 must be finite and >= 0, got inf"),
+    ], ids=["p0-nan", "p0-negative", "gamma_p-nan", "gamma_p-inf", "volume-nan",
+            "volume-negative", "volume-inf"])
     def test_generate_refuses_bad_ensemble_value(self, tmp_path, capsys, override, needle):
-        # NaN and a negative P0 used to draw an empty ensemble (exit 0), and
-        # a non-finite gamma_p_max ended in an OverflowError traceback.
+        # NaN and a negative P0 or volume used to draw an empty ensemble
+        # (exit 0), a non-finite gamma_p_max ended in an OverflowError
+        # traceback, and an infinite volume exited 2 only through numpy's
+        # Poisson draw.
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
         assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
         assert f"config error: {needle}" in capsys.readouterr().err
@@ -214,6 +222,33 @@ class TestExitCodes:
         assert run(*argv) == cli.EXIT_CONFIG
         assert "config error: min_points must be at least 5" in capsys.readouterr().err
         assert not (tmp_path / "fit_report.json").exists()
+
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_fit_refuses_bad_volume(self, small_run, tmp_path, capsys, volume):
+        # A NaN volume used to exit 0 with a bare NaN, which is no JSON,
+        # in material_report.json.
+        cfg = write_json(tmp_path / "fit.json", {"volume_um3": volume})
+        argv = ("fit", small_run / "dataset.csv", "--config", cfg, "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_CONFIG
+        assert (f"config error: volume must be positive and finite, got {volume}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "material_report.json").exists()
+
+    def test_constant_bias_dataset_is_no_config_error(self, small_run, tmp_path):
+        # Every trace has a single bias value, so its start design is rank
+        # deficient: each is a DegenerateTrace, where the per-trace
+        # np.polyfit start raised "SVD did not converge" (exit 2).
+        csv = copy_dataset(small_run, tmp_path / "data")
+        lines = csv.read_text().split("\n")
+        for k in range(1, len(lines) - 1):
+            fields = lines[k].split(",")
+            fields[2] = "0.001"
+            lines[k] = ",".join(fields)
+        csv.write_text("\n".join(lines))
+        assert run("fit", csv, "--out", tmp_path) == cli.EXIT_OK
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        assert report["n_traces"] > 0
+        assert all(r["p_parallel_eA"] is None for r in report["tls"])
 
     def test_threads_option_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -460,3 +495,20 @@ def test_default_fit_loads_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stderr.strip().splitlines()[-1] == f"{cli.EXIT_OK} [] []"
+
+
+def test_generate_loads_no_scipy(tmp_path):
+    """A `generate` in a fresh interpreter imports no part of scipy."""
+    cfg = write_json(tmp_path / "small.json", SMALL)
+    argv = ["generate", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)]
+    code = (
+        "import sys, tls_scope.cli as cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+        " file=sys.stderr)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stderr.strip().splitlines()[-1] == f"{cli.EXIT_OK} []"

@@ -261,6 +261,26 @@ class TestSidecarChecks:
         with pytest.raises(SchemaError, match=re.escape(needle)):
             dataio.read_dataset(path)
 
+    def test_frequency_axis_length_is_the_sidecar_length(self, written):
+        ds, path = written
+        sidecar = path.with_name(path.name + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        assert meta["n_freq"] == ds.freq_ghz.size
+        meta["n_freq"] += 1
+        sidecar.write_text(json.dumps(meta))
+        needle = (f"dataset.csv.meta.json: the frequency axis has {ds.freq_ghz.size + 1} "
+                  f"points, the CSV has {ds.freq_ghz.size}")
+        with pytest.raises(SchemaError, match=re.escape(needle)):
+            dataio.read_dataset(path)
+
+    def test_sidecar_without_frequency_axis_still_reads(self, written):
+        ds, path = written
+        sidecar = path.with_name(path.name + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        del meta["n_freq"]
+        sidecar.write_text(json.dumps(meta))
+        assert dataio.read_dataset(path).freq_ghz.tobytes() == ds.freq_ghz.tobytes()
+
     def test_segment_control_is_the_sidecar_control(self, written):
         _, path = written
         sidecar = path.with_name(path.name + ".meta.json")
@@ -368,13 +388,10 @@ def refused_damage(text, kind, data, n_freq):
 
 
 class TestDamagedFiles:
-    """What the reader must refuse.  A lone segment of one bias step is
-    left out: cut or dropped at a row boundary it reads as a shorter
-    frequency axis (see test_lone_one_step_segment_cut_at_a_row)."""
+    """What the reader must refuse."""
 
     @settings(max_examples=80, deadline=None)
-    @given(ds=small_datasets().filter(lambda ds: sum(s.bias.size for s in ds.segments) > 1),
-           kind=st.sampled_from(["truncated", "ragged", "nan", "inf"]), data=st.data())
+    @given(ds=small_datasets(), kind=st.sampled_from(["truncated", "ragged", "nan", "inf"]), data=st.data())
     def test_damage_raises_schema_error_only(self, ds, kind, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "dataset.csv"
@@ -383,7 +400,6 @@ class TestDamagedFiles:
             with pytest.raises(SchemaError):
                 dataio.read_dataset(path)
 
-    @pytest.mark.xfail(strict=True, reason="the sidecar does not record the frequency axis")
     def test_lone_one_step_segment_cut_at_a_row(self, tmp_path):
         ds = SpectroscopyDataset(
             segments=(SegmentSpec("sample", np.array([1e-3]), {}, "up"),),
@@ -393,7 +409,7 @@ class TestDamagedFiles:
         path = tmp_path / "dataset.csv"
         dataio.write_dataset(ds, path)
         path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="the frequency axis has 4 points, the CSV has 3"):
             dataio.read_dataset(path)
 
 

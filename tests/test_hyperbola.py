@@ -64,6 +64,19 @@ class TestDegenerateAndErrors:
         with pytest.raises(DegenerateTrace):
             fit_hyperbola(v, curve(v))
 
+    @pytest.mark.parametrize("volt", [0.0, 0.1, 1e-3 / 3])
+    def test_equal_volts(self, volt):
+        # A rank-deficient start design: no bias dependence to fit, where
+        # np.polyfit raised LinAlgError ("SVD did not converge").
+        f = 6.0 + np.random.default_rng(14).normal(0, 1e-3, 7)
+        with pytest.raises(DegenerateTrace, match="no significant bias dependence"):
+            fit_hyperbola(np.full(7, volt), f)
+
+    def test_two_distinct_volts(self):
+        v = np.repeat([-1e-3, 1e-3], 4)
+        with pytest.raises(DegenerateTrace, match="no significant bias dependence"):
+            fit_hyperbola(v, hyperbola(v, 5.0, 0.1, 100.0))
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_hyperbola([0, 1e-3, 2e-3], [5.0, 5.1, 5.2])
