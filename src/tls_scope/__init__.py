@@ -14,13 +14,7 @@ from .coupled import (
     pair_transitions,
     transitions_truncated,
 )
-from .ensemble import (
-    ControlChain,
-    Ensemble,
-    EnsembleConfig,
-    apply_control_chain,
-    generate_ensemble,
-)
+from .ensemble import Ensemble, EnsembleConfig, generate_ensemble
 from .errors import (
     AmbiguousSigns,
     BiasLimitExceeded,

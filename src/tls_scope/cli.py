@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, metrics
-from .ensemble import ControlChain, EnsembleConfig, generate_ensemble
+from .ensemble import EnsembleConfig, generate_ensemble
 from .errors import (
     AmbiguousSigns,
     BiasLimitExceeded,
@@ -182,7 +182,7 @@ def simulate(cfg: dict, seed: int):
         v_g_range=tuple(cfg["v_g_range"]),
         v_p_range=tuple(cfg["v_p_range"]),
         v_s_source_amplitude=cfg["v_s_source_amplitude"],
-        chain=ControlChain(division_factor=cfg["division_factor"]),
+        division_factor=cfg["division_factor"],
     )
     freq = np.arange(band[0], band[1] + cfg["freq_step_ghz"] / 2, cfg["freq_step_ghz"])
     ds = t1_map(

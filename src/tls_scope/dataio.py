@@ -95,9 +95,10 @@ def is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _segment_meta(meta: dict, name: str) -> list[tuple[str, dict, str, object]]:
-    """(control, held, direction, n_bias) of each segment entry of a
-    sidecar, type-checked."""
+def _segment_meta(meta: dict, name: str) -> list[tuple[str, dict, object]]:
+    """(control, held, n_bias) of each segment entry of a sidecar,
+    type-checked.  The ``direction`` follows from the bias, so only its
+    type is checked."""
     entries = meta.get("segments", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise SchemaError(f"{name}: 'segments' must be a list of objects")
@@ -106,10 +107,9 @@ def _segment_meta(meta: dict, name: str) -> list[tuple[str, dict, str, object]]:
         held = entry.get("held", {})
         if not isinstance(held, dict) or not all(map(is_number, held.values())):
             raise SchemaError(f"{name}: segment {k}: 'held' must map names to numbers")
-        direction = entry.get("direction", "up")
-        if not isinstance(direction, str):
+        if not isinstance(entry.get("direction", "up"), str):
             raise SchemaError(f"{name}: segment {k}: 'direction' must be a string")
-        out.append((entry.get("control"), held, direction, entry.get("n_bias")))
+        out.append((entry.get("control"), held, entry.get("n_bias")))
     return out
 
 
@@ -253,7 +253,7 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
                                f"frequency out of order in segment {s}")
             lines.refuse_first((bias_grid != bias_grid[:, :1]).ravel(), seg_rows,
                                f"bias_V changes within a bias step of segment {s}")
-            control, held, direction, n_bias = seg_meta[s]
+            control, held, n_bias = seg_meta[s]
             if n_bias != n_b:
                 raise SchemaError(
                     f"{meta_path.name}: segment {s} has {n_bias!r} bias steps, "
@@ -264,7 +264,6 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
                     control=str(controls[0]),
                     bias=bias_grid[:, 0],
                     held={k: float(v) for k, v in held.items()},
-                    direction=direction,
                 )
             )
             if control != segments[-1].control:
@@ -357,21 +356,14 @@ def read_coupled_fit(path) -> dict:
 
 
 def write_table_csv(path, header: str, columns) -> None:
-    """Tidy columnar CSV for plotting tools; one row per grid cell."""
-    cols = [np.asarray(c) for c in columns]
-    n = cols[0].size
-    lines = [header]
-    for i in range(n):
-        lines.append(",".join(_cell(c[i]) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Tidy columnar CSV for plotting tools; one row per grid cell.
 
-
-def _cell(x) -> str:
-    if isinstance(x, (str, np.str_)):
-        return str(x)
-    xf = float(x)
-    if not np.isfinite(xf):
-        return ""
-    if xf == int(xf) and abs(xf) < 1e15 and isinstance(x, (int, np.integer)):
-        return str(int(xf))
-    return repr(xf)
+    Each number is written with ``repr`` of its Python value, so an
+    integer column stays integral; a non-finite float is an empty field.
+    """
+    cells = [
+        ["" if isinstance(x, float) and not math.isfinite(x) else repr(x)
+         for x in np.asarray(c).tolist()]
+        for c in columns
+    ]
+    Path(path).write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n")

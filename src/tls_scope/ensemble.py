@@ -1,4 +1,4 @@
-"""Random TLS ensembles and the sample-bias control chain.
+"""Random TLS ensembles.
 
 Ensembles follow the standard tunneling model measure: density flat in
 asymmetry and proportional to 1/Delta0 in tunneling energy, i.e. Delta0
@@ -9,7 +9,9 @@ total candidate count is inflated accordingly (Poisson thinning), so
 off-band defects that may wander into the band under bias exist too.
 Dipole projections are a truncated normal, drawn by inverting the
 normal CDF of the standard library's ``statistics.NormalDist`` on one
-uniform per defect, so drawing an ensemble imports no scipy.
+uniform per defect, so drawing an ensemble imports no scipy.  An
+:class:`Ensemble` is only its defects: the band, density and volume it
+was drawn for stay in its :class:`EnsembleConfig`.
 """
 
 from __future__ import annotations
@@ -18,39 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BiasLimitExceeded, InvalidBand
-from .stm import V_S_LIMIT, Location, TlsParams, dipole_to_gamma_s
+from .errors import InvalidBand
+from .stm import Location, TlsParams, dipole_to_gamma_s
 
 #: Asymmetry shift [GHz] the bias sweeps may apply; widens the eps_i window.
 MAX_BIAS_SWING = 2.5
-
-
-@dataclass(frozen=True)
-class ControlChain:
-    """Attenuation chain between the V_s source and the sample capacitor."""
-
-    division_factor: float = 205.0
-
-    def __post_init__(self):
-        if not self.division_factor > 0:
-            raise ValueError("division_factor must be > 0")
-
-
-def apply_control_chain(v_source: float, chain: ControlChain) -> float:
-    """Cold-end sample bias from the source voltage.
-
-    Raises
-    ------
-    BiasLimitExceeded
-        If the divided voltage would exceed the cold-end safety limit.
-    """
-    v_s = v_source / chain.division_factor
-    if abs(v_s) > V_S_LIMIT:
-        raise BiasLimitExceeded(
-            f"source {v_source:.4g} V divides to {v_s * 1e3:.3f} mV cold-end, "
-            f"above the {V_S_LIMIT * 1e3:.3f} mV limit"
-        )
-    return v_s
 
 
 @dataclass(frozen=True)
@@ -97,21 +71,9 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A concrete draw of TLS parameters plus its generation bookkeeping."""
+    """A concrete draw of TLS parameters."""
 
     tls_list: tuple[TlsParams, ...]
-    seed: int
-    p0_target: float
-    volume_um3: float
-    band: tuple[float, float]
-
-    @property
-    def expected_in_band(self) -> float:
-        return self.p0_target * self.volume_um3 * (self.band[1] - self.band[0])
-
-    def in_band_count(self) -> int:
-        lo, hi = self.band
-        return sum(1 for t in self.tls_list if lo <= np.hypot(t.delta0, t.eps_i) <= hi)
 
 
 def _in_band_probability(cfg: EnsembleConfig) -> float:
@@ -193,10 +155,4 @@ def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:
                     location=Location.SAMPLE_DIELECTRIC,
                 )
             )
-    return Ensemble(
-        tls_list=tuple(tls),
-        seed=seed,
-        p0_target=cfg.p0_target,
-        volume_um3=cfg.volume_um3,
-        band=cfg.band,
-    )
+    return Ensemble(tls_list=tuple(tls))

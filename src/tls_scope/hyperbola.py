@@ -125,7 +125,8 @@ def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
         If the points carry no significant bias dependence, or their f^2
         is no upward parabola in V with a positive minimum.
     NoConvergence
-        If the refinement stalls (rare once the start is a hyperbola).
+        If the refinement stalls (rare once the start is a hyperbola), or
+        ends where the covariance is singular.
     ValueError
         If the arrays are not 1-d of equal length, hold fewer than
         :data:`MIN_POINTS` points, or a weight is negative.
@@ -140,7 +141,9 @@ def fit_hyperbolas(traces) -> list:
     """:func:`fit_hyperbola` on each (volts, freqs, weights) of ``traces``.
 
     Returns per trace the same :class:`TraceFit`, bit for bit, or the
-    :class:`DegenerateTrace` or :class:`NoConvergence` it would raise.
+    :class:`DegenerateTrace` or :class:`NoConvergence` it would raise; a
+    fit that converges where J^T W J is singular has no covariance and is
+    a :class:`NoConvergence` too.
     Every trace with a hyperbolic start runs in one lockstep LM, sorted
     by length and padded to the longest.
     """
@@ -188,10 +191,12 @@ def fit_hyperbolas(traces) -> list:
         jacobian, np.array(x0), weights, n,
     )
     for j, (i, v, f, _w) in enumerate(data):
-        out[i] = (
-            _trace_fit(v, f, params[j], cov[j]) if converged[j]
-            else NoConvergence(f"no convergence after {n_iter[j]} iterations")
-        )
+        if not converged[j]:
+            out[i] = NoConvergence(f"no convergence after {n_iter[j]} iterations")
+        elif not np.isfinite(cov[j]).all():
+            out[i] = NoConvergence("J^T W J is singular at the solution: no covariance")
+        else:
+            out[i] = _trace_fit(v, f, params[j], cov[j])
     return out
 
 

@@ -29,7 +29,8 @@ def lm_batch(residuals, jacobian, x0, weights, lengths,
     takes its one-problem steps bit for bit: sums and normal equations run
     per run of equal lengths (sort by length to keep runs few).  Returns
     params, covariance s^2 (J^T W J)^-1 with s^2 = chi2 / (n - p) (NaN
-    unless converged), chi2, n_iter and converged, per problem.
+    unless converged, and NaN where J^T W J is singular), chi2, n_iter and
+    converged, per problem.
     """
     x, w, n = np.array(x0, dtype=float), np.asarray(weights, dtype=float), np.asarray(lengths)
     if np.any(w < 0):
@@ -56,7 +57,6 @@ def lm_batch(residuals, jacobian, x0, weights, lengths,
                 break
             # A singular row's NaN step is rejected: more damping, next try.
             step = _each(lambda a, b: np.linalg.solve(a, b[..., None])[..., 0],
-                         lambda a, b: np.full_like(b, np.nan),
                          a[t] + lam[rows[t], None, None] * scale[t], neg_grad[t])
             x_try = x[rows[t]] + step
             r_try = residuals(x_try, rows[t])
@@ -75,7 +75,7 @@ def lm_batch(residuals, jacobian, x0, weights, lengths,
     if (done := np.flatnonzero(converged)).size:
         a, _ = _normal_equations(jacobian(x[done], done), w[done], r[done], n[done])
         s2 = chi2[done] / np.maximum(n[done] - p, 1)
-        cov[done] = _each(np.linalg.inv, np.linalg.pinv, a) * s2[:, None, None]
+        cov[done] = _each(np.linalg.inv, a) * s2[:, None, None]
     return x, cov, chi2, n_iter, converged
 
 
@@ -99,8 +99,12 @@ def _normal_equations(jac, w, r, n):
     return a, grad
 
 
-def _each(fn, fallback, *stacks):
-    """``fn`` on stacked rows, or row by row with ``fallback`` where singular."""
+def _each(fn, *stacks):
+    """``fn`` on stacked rows, or row by row with NaN where a row is singular.
+
+    A singular row's NaN result has the shape of its row of the last stack,
+    which is the shape of ``fn``'s result for the solves and inverses here.
+    """
     try:
         return fn(*stacks)
     except np.linalg.LinAlgError:
@@ -109,5 +113,5 @@ def _each(fn, fallback, *stacks):
             try:
                 out.append(fn(*row))
             except np.linalg.LinAlgError:
-                out.append(fallback(*row))
+                out.append(np.full_like(row[-1], np.nan))
         return np.array(out)

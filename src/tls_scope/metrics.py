@@ -140,7 +140,9 @@ def material_report(
     The detectability cut is reported, never silently applied: when the
     rms field and qubit T1 are given, the minimum detectable dipole and a
     corrected P0 (raw divided by the detected fraction of a
-    truncated-normal dipole population) appear alongside the raw value.
+    truncated-normal dipole population, the distribution the ensemble
+    draws from, evaluated with :class:`statistics.NormalDist`) appear
+    alongside the raw value.
     """
     # Dipole projections [e*A] of the sample-dielectric defects.
     dip = np.array([
@@ -161,10 +163,11 @@ def material_report(
         if p_mean is not None and dip.size:
             sigma = dipole_sigma_truncated_normal or (p_std or 0.0)
             if sigma > 0:
-                from scipy.stats import truncnorm
+                from statistics import NormalDist
 
-                a = (0.0 - p_mean) / sigma
-                detected = 1.0 - truncnorm.cdf(p_min, a, np.inf, loc=p_mean, scale=sigma)
+                # P(p > p_min | p > 0) of the normal N(p_mean, sigma).
+                cdf = NormalDist().cdf
+                detected = cdf((p_mean - p_min) / sigma) / cdf(p_mean / sigma)
                 if detected > 0:
                     corrected = p0 / detected
 

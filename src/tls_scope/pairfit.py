@@ -148,7 +148,9 @@ def fit_coupled_pair(
         (within one standard deviation of the chi^2 difference), e.g.
         for data covering only one side of the crossing.
     NoConvergence
-        If no multi-start branch converges.
+        If no multi-start branch converges, or the chosen one has no
+        covariance because J^T W J is singular there (e.g. gamma_p2 with
+        every panel at V_p = 0).
     """
     if not panels:
         raise ValueError("need at least one panel")
@@ -207,6 +209,10 @@ def fit_coupled_pair(
 
     gz, gx, gp2 = params[best]
     cov = cov[best]
+    if not np.isfinite(cov).all():
+        raise NoConvergence(
+            "the coupled fit's J^T W J is singular at the solution: no covariance"
+        )
     if gx * (1.0 if g_x0 >= 0 else -1.0) < 0:
         gx = -gx
         flip = np.diag([1.0, -1.0, 1.0])

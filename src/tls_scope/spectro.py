@@ -9,8 +9,12 @@ resonant TLS carves a Lorentzian T1 dip
 with g the (angular) qubit-TLS coupling, Gamma2 the TLS dephasing rate
 and dw the angular detuning from the TLS transition.  Measurement noise
 is multiplicative log-normal on T1 (positive, right-skewed, like actual
-T1 estimators); every segment draws its noise from its own child stream
-of the dataset seed, so the bytes depend only on the seed and the inputs.
+T1 estimators); every segment draws its noise from its own seed stream,
+so the bytes depend only on the seed and the inputs.
+
+Defect maps (:func:`t1_map`) and avoided-crossing panels
+(:func:`coupled_pair_t1_map`) share one segment loop, :func:`_simulate`,
+and differ only in the lines each bias step carries.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 
 from .constants import MHZ_PER_GHZ
 from .coupled import CoupledPair, transitions_truncated
-from .ensemble import ControlChain, Ensemble, apply_control_chain
+from .ensemble import Ensemble
+from .errors import BiasLimitExceeded
 from .stm import (
     SCHEMA_VERSION,
     V_S_LIMIT,
@@ -51,24 +56,23 @@ class SegmentSpec:
     control: str
     bias: np.ndarray
     held: dict
-    direction: str
 
     def __post_init__(self):
         if self.control not in CONTROLS:
             raise ValueError(f"unknown control {self.control!r}")
-        if self.direction not in ("up", "down"):
-            raise ValueError("direction must be 'up' or 'down'")
+
+    @property
+    def direction(self) -> str:
+        """``"up"`` unless the sweep ends below where it starts."""
+        return "down" if self.bias[-1] < self.bias[0] else "up"
 
     def bias_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(v_p, v_g, v_s) arrays over the segment's bias steps."""
-        n = self.bias.size
-        out = {}
-        for name, attr in _CONTROL_ATTR.items():
-            if name == self.control:
-                out[attr] = np.asarray(self.bias, dtype=float)
-            else:
-                out[attr] = np.full(n, float(self.held[attr]))
-        return out["v_p"], out["v_g"], out["v_s"]
+        return tuple(
+            np.asarray(self.bias, dtype=float) if name == self.control
+            else np.full(self.bias.size, float(self.held[attr]))
+            for name, attr in _CONTROL_ATTR.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,6 @@ def validate_freq_axis(freq: np.ndarray) -> None:
         raise ValueError("frequency axis must be uniform")
 
 
-def _check_noise(noise_sigma: float) -> None:
-    if not noise_sigma >= 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-
-
 def default_sweep_plan(
     n_bias: int = 80,
     order: tuple[str, ...] = (
@@ -127,22 +126,37 @@ def default_sweep_plan(
     v_g_range: tuple[float, float] = (90.0, -30.0),
     v_p_range: tuple[float, float] = (90.0, -30.0),
     v_s_source_amplitude: float = 0.5,
-    chain: ControlChain | None = None,
+    division_factor: float = 205.0,
 ) -> list[SegmentSpec]:
     """Paper-style segment plan: monotone gate/strain ramps, V_s sawtooth.
 
     The global and piezo ranges are split evenly over their segments and
     ramped monotonically; the sample bias alternates up/down between the
-    cold-end limits derived from the source amplitude through the control
-    chain.  All controls hold their last value while others sweep.
+    cold-end limits +-``v_s_source_amplitude / division_factor``, the
+    source voltage divided by the attenuation chain to the sample.  All
+    controls hold their last value while others sweep.
+
+    Raises
+    ------
+    ValueError
+        On an unknown control, fewer than 2 bias steps or a division
+        factor that is not positive.
+    BiasLimitExceeded
+        If the divided amplitude exceeds the cold-end safety limit.
     """
     unknown = sorted(set(order) - set(CONTROLS))
     if unknown:
         raise ValueError(f"unknown controls {unknown} in the segment order")
     if n_bias < 2:
         raise ValueError(f"n_bias must be at least 2, got {n_bias}")
-    chain = chain or ControlChain()
-    amp = apply_control_chain(v_s_source_amplitude, chain)
+    if not division_factor > 0:
+        raise ValueError("division_factor must be > 0")
+    amp = v_s_source_amplitude / division_factor
+    if abs(amp) > V_S_LIMIT:
+        raise BiasLimitExceeded(
+            f"source {v_s_source_amplitude:.4g} V divides to {amp * 1e3:.3f} mV "
+            f"cold-end, above the {V_S_LIMIT * 1e3:.3f} mV limit"
+        )
     counts = {c: order.count(c) for c in CONTROLS}
     edges = {}
     for control, (start, stop) in (("global", v_g_range), ("piezo", v_p_range)):
@@ -156,19 +170,15 @@ def default_sweep_plan(
         if control == "sample":
             start = held["v_s"]
             stop = amp if seen["sample"] % 2 == 0 else -amp
-            seen["sample"] += 1
         else:
             i = seen[control]
             start, stop = edges[control][i], edges[control][i + 1]
-            seen[control] += 1
-        bias = np.linspace(start, stop, n_bias)
-        other_held = {k: v for k, v in held.items() if k != attr}
+        seen[control] += 1
         plan.append(
             SegmentSpec(
                 control=control,
-                bias=bias,
-                held=dict(other_held),
-                direction="up" if stop >= start else "down",
+                bias=np.linspace(start, stop, n_bias),
+                held={k: v for k, v in held.items() if k != attr},
             )
         )
         held[attr] = stop
@@ -271,6 +281,33 @@ def _lorentzian_rate(
     return out
 
 
+def _simulate(plan, freq, lines, gamma1_background, noise_sigma, seeds, meta):
+    """The dataset of T1 grids over the segments of ``plan``.
+
+    Per segment, ``lines(v_p, v_g, v_s)`` gives over its bias steps the
+    (bias, line) frequencies [GHz] and couplings [MHz] of the lines, and
+    their Gamma2 [1/us], one per line.  T1 = 1/(Gamma1_bg + rate); with
+    ``noise_sigma`` > 0 each segment draws its log-normal noise from its
+    own ``SeedSequence`` of ``seeds``.  ``meta`` is added to the common
+    sidecar keys and wins over them.
+    """
+    freq = np.asarray(freq, dtype=float)
+    validate_freq_axis(freq)
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    grids = []
+    for seg, seed_seq in zip(plan, seeds):
+        t1 = 1.0 / (gamma1_background + _lorentzian_rate(freq, *lines(*seg.bias_vectors())))
+        if noise_sigma > 0:
+            z = np.random.default_rng(seed_seq).standard_normal(t1.shape)
+            t1 = t1 * np.exp(noise_sigma * z)
+        grids.append(t1)
+    meta = {"schema_version": SCHEMA_VERSION, "noise_sigma": noise_sigma,
+            "gamma1_background_per_us": gamma1_background, **meta}
+    return SpectroscopyDataset(segments=tuple(plan), freq_ghz=freq, t1_us=tuple(grids),
+                               meta=meta)
+
+
 def t1_map(
     ensemble: Ensemble,
     design: SensorDesign,
@@ -302,45 +339,22 @@ def t1_map(
     seed : int
         Root seed; each segment uses its own child stream.
     """
-    freq_ghz = np.asarray(freq_ghz, dtype=float)
-    validate_freq_axis(freq_ghz)
-    _check_noise(noise_sigma)
     if not plan:
         raise ValueError("sweep plan is empty")
     field = capacitor_field_rms(design) if field_rms is None else field_rms
-
     table = TlsTable.of(ensemble.tls_list)
 
-    children = np.random.SeedSequence(seed).spawn(len(plan))
-    grids = []
-    for seg, child in zip(plan, children):
-        v_p, v_g, v_s = seg.bias_vectors()
+    def lines(v_p, v_g, v_s):
         if np.any(np.abs(v_s) > V_S_LIMIT * (1 + 1e-12)):
             raise ValueError("segment exceeds the cold-end sample-bias limit")
         _, e_tls = energies(table, v_p[:, None], v_g[:, None], v_s[:, None])
         g_mhz = coupling_mhz(table.p_parallel, table.delta0 / e_tls, field)
-        rate = gamma1_background + _lorentzian_rate(
-            freq_ghz, e_tls, g_mhz, table.gamma2_tls
-        )
-        t1 = 1.0 / rate
-        if noise_sigma > 0:
-            z = np.random.default_rng(child).standard_normal(t1.shape)
-            t1 = t1 * np.exp(noise_sigma * z)
-        grids.append(t1)
+        return e_tls, g_mhz, table.gamma2_tls
 
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "noise_sigma": noise_sigma,
-        "gamma1_background_per_us": gamma1_background,
-        "field_rms_v_per_m": field,
-        "design": design.to_dict(),
-    }
-    if meta_extra:
-        meta.update(meta_extra)
-    return SpectroscopyDataset(
-        segments=tuple(plan), freq_ghz=freq_ghz, t1_us=tuple(grids), meta=meta
-    )
+    meta = {"seed": seed, "field_rms_v_per_m": field, "design": design.to_dict(),
+            **(meta_extra or {})}
+    return _simulate(plan, freq_ghz, lines, gamma1_background, noise_sigma,
+                     np.random.SeedSequence(seed).spawn(len(plan)), meta)
 
 
 def coupled_pair_t1_map(
@@ -359,53 +373,25 @@ def coupled_pair_t1_map(
     appear as T1 dips; each branch couples to the qubit through the
     hybridized combination of the two bare dipole couplings.
     """
-    freq_ghz = np.asarray(freq_ghz, dtype=float)
-    validate_freq_axis(freq_ghz)
-    _check_noise(noise_sigma)
     if pair.g_z is None:
         raise ValueError("coupled panels use the (g_z, g_x) parameterization")
-    v_s = np.asarray(v_s_values, dtype=float)
-    seg = SegmentSpec(
-        control="sample",
-        bias=v_s,
-        held={"v_p": v_p, "v_g": 0.0},
-        direction="up" if v_s[-1] >= v_s[0] else "down",
-    )
-    v_p_arr, v_g_arr, v_s_arr = seg.bias_vectors()
-    _, e1 = energies(pair.tls1, v_p_arr, v_g_arr, v_s_arr)
-    _, e2 = energies(pair.tls2, v_p_arr, v_g_arr, v_s_arr)
-    t_lo, t_hi = transitions_truncated(e1, e2, pair.g_z, pair.g_x)
+    seg = SegmentSpec(control="sample", bias=np.asarray(v_s_values, dtype=float),
+                      held={"v_p": v_p, "v_g": 0.0})
+    gamma2 = np.mean([pair.tls1.gamma2_tls, pair.tls2.gamma2_tls])
 
-    # Hybridization of the single-excitation block mixes the two bare
-    # couplings; u, v are the |e g> / |g e> amplitudes of the upper branch.
-    delta = e1 - e2
-    gx = pair.g_x / MHZ_PER_GHZ
-    phi = np.arctan2(gx, delta)
-    u = np.cos(phi / 2.0)
-    v = np.sin(phi / 2.0)
-    g1 = coupling_mhz(pair.tls1.p_parallel, pair.tls1.delta0 / e1, field_rms)
-    g2 = coupling_mhz(pair.tls2.p_parallel, pair.tls2.delta0 / e2, field_rms)
-    g_hi = np.abs(u * g1 + v * g2)
-    g_lo = np.abs(-v * g1 + u * g2)
+    def lines(v_p_arr, v_g_arr, v_s_arr):
+        _, e1 = energies(pair.tls1, v_p_arr, v_g_arr, v_s_arr)
+        _, e2 = energies(pair.tls2, v_p_arr, v_g_arr, v_s_arr)
+        t_lo, t_hi = transitions_truncated(e1, e2, pair.g_z, pair.g_x)
+        # Hybridization of the single-excitation block mixes the two bare
+        # couplings; u, v are the |e g> / |g e> amplitudes of the upper branch.
+        phi = np.arctan2(pair.g_x / MHZ_PER_GHZ, e1 - e2)
+        u, v = np.cos(phi / 2.0), np.sin(phi / 2.0)
+        g1 = coupling_mhz(pair.tls1.p_parallel, pair.tls1.delta0 / e1, field_rms)
+        g2 = coupling_mhz(pair.tls2.p_parallel, pair.tls2.delta0 / e2, field_rms)
+        g_mhz = np.column_stack((np.abs(-v * g1 + u * g2), np.abs(u * g1 + v * g2)))
+        return np.column_stack((t_lo, t_hi)), g_mhz, np.full(2, gamma2)
 
-    gamma2 = np.array([pair.tls1.gamma2_tls, pair.tls2.gamma2_tls])
-    f_tls = np.column_stack((t_lo, t_hi))
-    g_mhz = np.column_stack((g_lo, g_hi))
-    rate = gamma1_background + _lorentzian_rate(
-        freq_ghz, f_tls, g_mhz, np.array([gamma2.mean(), gamma2.mean()])
-    )
-    t1 = 1.0 / rate
-    if noise_sigma > 0:
-        z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(t1.shape)
-        t1 = t1 * np.exp(noise_sigma * z)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "noise_sigma": noise_sigma,
-        "gamma1_background_per_us": gamma1_background,
-        "field_rms_v_per_m": field_rms,
-        "v_p": v_p,
-    }
-    return SpectroscopyDataset(
-        segments=(seg,), freq_ghz=freq_ghz, t1_us=(t1,), meta=meta
-    )
+    meta = {"seed": seed, "field_rms_v_per_m": field_rms, "v_p": v_p}
+    return _simulate([seg], freq_ghz, lines, gamma1_background, noise_sigma,
+                     [np.random.SeedSequence(seed)], meta)

@@ -4,7 +4,10 @@
 LM loop and hyperbola fit as they were before the batch, kept here
 verbatim but for their docstrings, their result class, the cost history
 they no longer keep and the start, which ``reference_fit_hyperbola``
-takes from the batched start solve for its one trace.
+takes from the batched start solve for its one trace.  Both follow the
+package's rule for a singular J^T W J at the solution: the covariance is
+NaN (where ``pinv``'s zeros used to be), and a hyperbola fit without a
+covariance is a ``NoConvergence``.
 ``fit_hyperbolas`` and ``lm_batch`` must give their floats bit for bit,
 and the same exception per trace.  ``reference_quadratic_init`` is the
 per-trace ``np.polyfit`` start that the batched solve replaces.
@@ -95,7 +98,7 @@ def reference_lm_fit(
     try:
         cov = np.linalg.inv(a) * s2
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(a) * s2
+        cov = np.full_like(a, np.nan)  # singular: no covariance
     return Fit(params=x, covariance=cov, chi2=chi2, n_iter=it)
 
 
@@ -126,6 +129,8 @@ def reference_fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
         return -np.column_stack((d0 / f, eps / f, eps * volts / f))
 
     res = reference_lm_fit(residuals, jacobian, x0, weights=w)
+    if not np.isfinite(res.covariance).all():
+        raise NoConvergence("J^T W J is singular at the solution: no covariance")
     d0, eps_i, gamma = res.params
     cov = res.covariance
     if gamma < 0:
@@ -362,7 +367,7 @@ class TestLmBatch:
         lengths = [3, 8, 8, 20, 20, 20, 60]
         problems = [exponential(n, k) if n > 3 else twin_columns(n)
                     for k, n in enumerate(lengths)]
-        problems[4] = twin_columns(20)  # singular J^T W J: inv falls back to pinv
+        problems[4] = twin_columns(20)  # singular J^T W J: NaN covariance
         x0s = [[1.0, 0.5]] * len(lengths)
         params, cov, chi2, n_iter, converged = lm_batch(*stack(problems, x0s, lengths))
         for i, (res, jac) in enumerate(problems):
@@ -400,7 +405,15 @@ class TestLmBatch:
         def solve(a, b):
             return np.linalg.solve(a, b[..., None])[..., 0]
 
-        got = _each(solve, lambda a, b: np.full_like(b, np.nan), a, b)
+        got = _each(solve, a, b)
         assert np.array_equal(got[0], np.linalg.solve(a[0], b[0]))
         assert np.isnan(got[1]).all()
         assert np.array_equal(got[2], np.linalg.solve(a[2], b[2]))
+
+    def test_singular_row_of_a_stacked_inverse(self):
+        a = np.array([np.eye(2), np.ones((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
+        got = _each(np.linalg.inv, a)
+        assert got.shape == a.shape
+        assert np.array_equal(got[0], np.eye(2))
+        assert np.isnan(got[1]).all()
+        assert np.array_equal(got[2], np.linalg.inv(a[2]))

@@ -186,7 +186,10 @@ class TestExitCodes:
         ({"n_bias": 0}, "n_bias must be at least 2"),
         ({"n_bias": 1}, "n_bias must be at least 2"),
         ({"noise_sigma": -1.0}, "noise_sigma must be non-negative"),
-    ], ids=["n_bias-0", "n_bias-1", "negative-noise"])
+        ({"division_factor": 0.0}, "division_factor must be > 0"),
+        ({"v_s_source_amplitude": 0.6},
+         "source 0.6 V divides to 2.927 mV cold-end, above the 2.500 mV limit"),
+    ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit"])
     def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
         assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
@@ -359,6 +362,17 @@ class TestExitCodes:
         assert "two sign branches fit equally well" in capsys.readouterr().err
         assert not (tmp_path / "coupled_fit.json").exists()
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_coupled_fit_without_covariance(self, tmp_path, capsys, seed):
+        # The same uncoupled pair on one V_p = 0 panel: gamma_p2 does not
+        # move any line, so J^T W J is singular and the fit has no
+        # covariance.  These seeds used to exit 0 with sigma(gamma_p2) = 0.
+        pair = CoupledPair(TLS, TLS, g_z=0.0, g_x=0.0)
+        cfg = coupled_inputs(tmp_path, pair, field_rms=90.0, noise_sigma=0.1, seed=seed)
+        assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_COUPLED
+        assert "singular at the solution" in capsys.readouterr().err
+        assert not (tmp_path / "coupled_fit.json").exists()
+
     @pytest.mark.parametrize("command", ["coupled", "plotdata crossing"])
     def test_panel_without_held_v_p_is_a_file_error(self, coupled_run, tmp_path, capsys,
                                                     command):
@@ -395,6 +409,26 @@ class TestCoupled:
         assert crossings == [f"crossing_panel_{k}.csv" for k in range(3)]
 
 
+def cell_by_cell_table_csv(path, header, columns):
+    """``dataio.write_table_csv`` as it was, formatting each cell with ``_cell``."""
+    cols = [np.asarray(c) for c in columns]
+    lines = [header]
+    for i in range(cols[0].size):
+        lines.append(",".join(_cell(c[i]) for c in cols))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _cell(x) -> str:
+    if isinstance(x, (str, np.str_)):
+        return str(x)
+    xf = float(x)
+    if not np.isfinite(xf):
+        return ""
+    if xf == int(xf) and abs(xf) < 1e15 and isinstance(x, (int, np.integer)):
+        return str(int(xf))
+    return repr(xf)
+
+
 class TestPlotdata:
     def test_t1_map_has_one_row_per_cell(self, small_run, tmp_path):
         csv = small_run / "dataset.csv"
@@ -413,6 +447,24 @@ class TestPlotdata:
         with_dipole = [r for r in records if r["p_parallel_eA"] is not None]
         assert with_dipole
         assert sum(int(row.split(",")[2]) for row in rows) == len(with_dipole)
+
+    @pytest.mark.parametrize("kind", ["t1-map", "dipole-histogram"])
+    def test_tables_equal_the_cell_by_cell_writer(self, small_run, tmp_path, monkeypatch,
+                                                   kind):
+        # A dataset with missing cells, so that empty fields are written too.
+        csv = copy_dataset(small_run, tmp_path / "data")
+        lines = csv.read_text().split("\n")
+        for k in (1, 5, 900):
+            lines[k] = lines[k][:lines[k].rindex(",") + 1]
+        csv.write_text("\n".join(lines))
+        source = csv if kind == "t1-map" else small_run / "fit_report.json"
+        assert run("plotdata", kind, source, "--out", tmp_path / "new") == cli.EXIT_OK
+        monkeypatch.setattr(dataio, "write_table_csv", cell_by_cell_table_csv)
+        assert run("plotdata", kind, source, "--out", tmp_path / "old") == cli.EXIT_OK
+        name = kind.replace("-", "_") + ".csv"
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "old" / name).read_bytes()
+        assert (kind == "t1-map") == (b",\n" in new)
 
     def test_crossing_equals_the_coupled_output(self, coupled_run, tmp_path):
         out, code = coupled_run
@@ -512,3 +564,53 @@ def test_generate_loads_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stderr.strip().splitlines()[-1] == f"{cli.EXIT_OK} []"
+
+
+#: Makes ``import scipy`` (or any submodule) fail, as on an install
+#: without scipy.
+BLOCK_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_every_command_runs_without_scipy(coupled_run, tmp_path):
+    """With ``import scipy`` blocked in a fresh interpreter, generate, a
+    fit with the detection correction, design, coupled and plotdata
+    crossing all exit 0."""
+    out, code = coupled_run
+    assert code == cli.EXIT_OK
+    small = write_json(tmp_path / "small.json", SMALL)
+    fit = write_json(tmp_path / "fit.json", {"volume_um3": SMALL["volume_um3"],
+                                             "field_rms_v_per_m": 20.0, "t1_us": 1.0})
+    commands = [
+        ["generate", "--seed", "1", "--config", small, "--out", tmp_path / "g"],
+        ["fit", tmp_path / "g" / "dataset.csv", "--config", fit, "--out", tmp_path / "g"],
+        ["design", "--out", tmp_path / "d"],
+        ["coupled", "--config", out / "coupled.json", "--out", tmp_path / "c"],
+        ["plotdata", "crossing", out / "panel_0.csv", "--coupled-fit",
+         tmp_path / "c" / "coupled_fit.json", "--pair", out / "coupled.json",
+         "--out", tmp_path / "p"],
+    ]
+    code = BLOCK_SCIPY + (
+        "import tls_scope.cli as cli\n"
+        f"for argv in {[[str(a) for a in argv] for argv in commands]!r}:\n"
+        "    print(argv[0], cli.main(argv), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    codes = [line for line in proc.stderr.splitlines() if line.split(" ")[0] in cli.COMMANDS]
+    assert codes == [f"{argv[0]} {cli.EXIT_OK}" for argv in commands], proc.stderr
+    report = json.loads((tmp_path / "g" / "material_report.json").read_text())
+    assert report["P0_detection_corrected"] > report["P0_per_um3_GHz"]
+    assert (tmp_path / "p" / "crossing.csv").read_bytes() == (
+        out / "crossing_panel_0.csv").read_bytes()

@@ -19,22 +19,21 @@ N_FREQ = 7
 
 
 def make_dataset():
-    """Three segments with different controls, held values and directions,
-    floats whose repr is long, and a few missing (NaN) T1 cells."""
+    """Three segments with different controls and held values, floats
+    whose repr is long, and a few missing (NaN) T1 cells."""
     rng = np.random.default_rng(5)
     freq = 5.8 + np.arange(N_FREQ) / 3.0
     specs = [
-        ("sample", 4, {"v_p": 0.1, "v_g": -30.0}, "up"),
-        ("piezo", 3, {"v_g": -30.0, "v_s": 1.0 / 3.0e3}, "down"),
-        ("global", 5, {"v_p": 90.0, "v_s": 0.0}, "up"),
+        ("sample", 4, {"v_p": 0.1, "v_g": -30.0}),
+        ("piezo", 3, {"v_g": -30.0, "v_s": 1.0 / 3.0e3}),
+        ("global", 5, {"v_p": 90.0, "v_s": 0.0}),
     ]
     segments, grids = [], []
-    for control, n_bias, held, direction in specs:
+    for control, n_bias, held in specs:
         segments.append(SegmentSpec(
             control=control,
             bias=rng.uniform(-2e-3, 2e-3, n_bias),
             held=held,
-            direction=direction,
         ))
         grids.append(rng.uniform(0.1, 10.0, (n_bias, N_FREQ)) ** 3)
     grids[0][1, 2] = np.nan
@@ -307,7 +306,6 @@ def small_datasets(draw):
             control=control,
             bias=np.array(draw(st.lists(volts, min_size=n_bias, max_size=n_bias))),
             held={},
-            direction="up",
         ))
         cells = draw(st.lists(st.floats(0.01, 100.0), min_size=n_bias * n_freq,
                               max_size=n_bias * n_freq))
@@ -402,7 +400,7 @@ class TestDamagedFiles:
 
     def test_lone_one_step_segment_cut_at_a_row(self, tmp_path):
         ds = SpectroscopyDataset(
-            segments=(SegmentSpec("sample", np.array([1e-3]), {}, "up"),),
+            segments=(SegmentSpec("sample", np.array([1e-3]), {}),),
             freq_ghz=5.0 + 0.25 * np.arange(4),
             t1_us=(np.array([[1.0, 2.0, 3.0, 4.0]]),),
         )

@@ -1,32 +1,20 @@
 import numpy as np
 import pytest
 
-from tls_scope.ensemble import (
-    ControlChain,
-    EnsembleConfig,
-    _truncnorm_left_ppf,
-    apply_control_chain,
-    generate_ensemble,
-)
-from tls_scope.errors import BiasLimitExceeded, InvalidBand
+from tls_scope.ensemble import EnsembleConfig, _truncnorm_left_ppf, generate_ensemble
+from tls_scope.errors import InvalidBand
 from tls_scope.stm import Location
 
 
-class TestControlChain:
-    def test_paper_division(self):
-        v = apply_control_chain(0.5, ControlChain())
-        assert v * 1e3 == pytest.approx(2.439, rel=1e-3)
-
-    def test_zero(self):
-        assert apply_control_chain(0.0, ControlChain()) == 0.0
-
-    def test_limit_exceeded(self):
-        with pytest.raises(BiasLimitExceeded):
-            apply_control_chain(0.6, ControlChain())
-
-    def test_positive_division_factor(self):
-        with pytest.raises(ValueError):
-            ControlChain(division_factor=0.0)
+def in_band_counts(cfg, n_seeds):
+    """Defects of each of ``n_seeds`` draws whose zero-bias transition
+    lies in the band."""
+    lo, hi = cfg.band
+    return np.array([
+        sum(lo <= np.hypot(t.delta0, t.eps_i) <= hi
+            for t in generate_ensemble(cfg, seed=s).tls_list)
+        for s in range(n_seeds)
+    ])
 
 
 class TestGenerateEnsemble:
@@ -49,19 +37,22 @@ class TestGenerateEnsemble:
         with pytest.raises(InvalidBand):
             generate_ensemble(EnsembleConfig(band=(6.7, 5.8)), seed=0)
 
-    def test_expected_in_band_mean(self):
+    def test_in_band_mean_is_p0_volume_bandwidth(self):
+        # 1800 /(um^3 GHz) * 2.25e-3 um^3 * 0.9 GHz = 3.645 defects in band;
+        # the count pooled over many seeds is within 4 sigma of it.
         cfg = EnsembleConfig(volume_um3=2.25e-3, p0_target=1800.0, band=(5.8, 6.7))
-        assert generate_ensemble(cfg, 0).expected_in_band == pytest.approx(3.645)
+        n_batches = 150
+        total = in_band_counts(cfg, n_batches).sum()
+        assert abs(total - n_batches * 3.645) <= 4 * np.sqrt(n_batches * 3.645)
 
     def test_in_band_count_poisson_consistent(self):
-        # Pooled count over many seeds: within 4 sigma of the target mean.
-        cfg = EnsembleConfig(volume_um3=2.25e-3)
+        # A Poisson count has variance = mean: the dispersion statistic
+        # sum((x - mean)^2) / mean is chi^2 with n - 1 degrees of freedom,
+        # here within 4 sigma of its mean.
         n_batches = 150
-        counts = [generate_ensemble(cfg, seed=s).in_band_count() for s in range(n_batches)]
-        mean = cfg.p0_target * cfg.volume_um3 * (cfg.band[1] - cfg.band[0])
-        total = sum(counts)
-        sigma = np.sqrt(n_batches * mean)
-        assert abs(total - n_batches * mean) <= 4 * sigma
+        counts = in_band_counts(EnsembleConfig(volume_um3=2.25e-3), n_batches)
+        dispersion = ((counts - counts.mean()) ** 2).sum() / counts.mean()
+        assert abs(dispersion - (n_batches - 1)) <= 4 * np.sqrt(2 * (n_batches - 1))
 
     def test_all_sample_dielectric_with_consistent_rates(self):
         from tls_scope.stm import dipole_to_gamma_s as dipole_energy_rate

@@ -1,8 +1,9 @@
 """The coupled-pair fit against a copy of the serial two-start fit it replaces.
 
 ``reference_fit_coupled_pair`` is ``fit_coupled_pair`` as it was when each
-sign start ran its own LM loop, kept here verbatim but for its docstring
-and with ``reference_lm_fit`` as that loop.  The lockstep fit must give its
+sign start ran its own LM loop, kept here verbatim but for its docstring,
+with ``reference_lm_fit`` as that loop, and with the rule that a chosen
+branch without a finite covariance is a ``NoConvergence``.  The lockstep fit must give its
 floats bit for bit, and the same exception with the same text.
 """
 
@@ -102,6 +103,10 @@ def reference_fit_coupled_pair(panels, tls1, tls2, g_z0, g_x0, gamma_p2_0):
 
     gz, gx, gp2 = best.params
     cov = best.covariance
+    if not np.isfinite(cov).all():
+        raise NoConvergence(
+            "the coupled fit's J^T W J is singular at the solution: no covariance"
+        )
     if gx * sign_convention < 0:
         gx = -gx
         flip = np.diag([1.0, -1.0, 1.0])

@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from tls_scope import spectro
 from tls_scope.constants import MHZ_PER_GHZ
-from tls_scope.ensemble import Ensemble, ControlChain, EnsembleConfig, generate_ensemble
+from tls_scope.errors import BiasLimitExceeded
+from tls_scope.ensemble import Ensemble, EnsembleConfig, generate_ensemble
 from tls_scope.spectro import (
     _BIAS_BLOCK,
     SegmentSpec,
@@ -32,11 +33,11 @@ FREQ = np.arange(5.8, 6.7, 0.002)
 
 
 def empty_ensemble():
-    return Ensemble(tls_list=(), seed=0, p0_target=0.0, volume_um3=1.0, band=(5.8, 6.7))
+    return Ensemble(tls_list=())
 
 
 def one_tls_ensemble(tls):
-    return Ensemble(tls_list=(tls,), seed=0, p0_target=0.0, volume_um3=1.0, band=(5.8, 6.7))
+    return Ensemble(tls_list=(tls,))
 
 
 def sample_segment(n=60):
@@ -45,7 +46,6 @@ def sample_segment(n=60):
             control="sample",
             bias=np.linspace(-2.4e-3, 2.4e-3, n),
             held={"v_p": 0.0, "v_g": 0.0},
-            direction="up",
         )
     ]
 
@@ -97,6 +97,28 @@ class TestSweepPlan:
         assert sample.bias.max() == pytest.approx(0.41 / 205.0)
 
 
+class TestControlChain:
+    """The sample bias is the source voltage over the chain's division factor."""
+
+    def test_paper_division(self):
+        plan = default_sweep_plan(v_s_source_amplitude=0.5, division_factor=205.0)
+        sample = [s for s in plan if s.control == "sample"]
+        assert sample[0].bias[-1] * 1e3 == pytest.approx(2.439, rel=1e-3)
+
+    def test_zero(self):
+        plan = default_sweep_plan(v_s_source_amplitude=0.0, division_factor=205.0)
+        assert all(np.all(s.bias == 0.0) for s in plan if s.control == "sample")
+
+    def test_limit_exceeded(self):
+        with pytest.raises(BiasLimitExceeded, match="above the 2.500 mV limit"):
+            default_sweep_plan(v_s_source_amplitude=0.6, division_factor=205.0)
+
+    @pytest.mark.parametrize("factor", [0.0, -205.0, float("nan")])
+    def test_positive_division_factor(self, factor):
+        with pytest.raises(ValueError, match="division_factor must be > 0"):
+            default_sweep_plan(division_factor=factor)
+
+
 class TestT1Map:
     def test_flat_reference_qubit(self):
         ds = t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
@@ -110,7 +132,7 @@ class TestT1Map:
         ens = one_tls_ensemble(tls)
         freq = np.array([6.25 + k * 0.002 for k in range(-200, 201)])
         seg = [SegmentSpec(control="sample", bias=np.array([0.0, 1e-6, 2e-6]),
-                           held={"v_p": 0.0, "v_g": 0.0}, direction="up")]
+                           held={"v_p": 0.0, "v_g": 0.0})]
         # field chosen so that g is exactly 1 MHz at the symmetry point
         from tls_scope.constants import CM_PER_EA, H_PLANCK
         field = 1e6 * H_PLANCK / (0.3 * CM_PER_EA)
@@ -138,9 +160,7 @@ class TestT1Map:
                       gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0)
         # linewidth Gamma2/(2pi) = 1 MHz; 150 linewidths above the band top
         far = TlsParams(delta0=FREQ[-1] + 0.150, p_parallel=0.15)
-        both = t1_map(Ensemble(tls_list=(near, far), seed=0, p0_target=0.0,
-                               volume_um3=1.0, band=(5.8, 6.7)),
-                      DESIGN, sample_segment(), FREQ,
+        both = t1_map(Ensemble(tls_list=(near, far)), DESIGN, sample_segment(), FREQ,
                       gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0)
         rel = np.abs(both.t1_us[0] - base.t1_us[0]) / base.t1_us[0]
         assert rel.max() < 1e-3
@@ -168,7 +188,7 @@ class TestT1Map:
 
     def test_bias_limit_enforced(self):
         seg = [SegmentSpec(control="sample", bias=np.linspace(-4e-3, 4e-3, 10),
-                           held={"v_p": 0.0, "v_g": 0.0}, direction="up")]
+                           held={"v_p": 0.0, "v_g": 0.0})]
         with pytest.raises(ValueError):
             t1_map(empty_ensemble(), DESIGN, seg, FREQ,
                    gamma1_background=0.2, noise_sigma=0.0, seed=0)
@@ -297,7 +317,7 @@ class TestWorkerCount:
     def test_bias_limit_error_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(spectro, "_usable_cpus", lambda: 7)
         too_far = SegmentSpec(control="sample", bias=np.linspace(-4e-3, 4e-3, 40),
-                              held={"v_p": 0.0, "v_g": 0.0}, direction="up")
+                              held={"v_p": 0.0, "v_g": 0.0})
         before = threading.active_count()
         with pytest.raises(ValueError,
                            match="^segment exceeds the cold-end sample-bias limit$"):

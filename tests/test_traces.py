@@ -118,7 +118,7 @@ def dataset(grids, controls=None, freq=FREQ):
     controls = controls or ["sample"] * len(grids)
     segments = tuple(
         SegmentSpec(control=c, bias=np.linspace(-1e-3, 1e-3, g.shape[0]),
-                    held={"v_p": 0.0, "v_g": 0.0, "v_s": 0.0}, direction="up")
+                    held={"v_p": 0.0, "v_g": 0.0, "v_s": 0.0})
         for c, g in zip(controls, grids)
     )
     return SpectroscopyDataset(segments=segments, freq_ghz=freq, t1_us=tuple(grids))
