@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +40,9 @@ from .stm import (
     coupling_mhz,
     energies,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 CONTROLS = ("piezo", "global", "sample")
 _CONTROL_ATTR = {"piezo": "v_p", "global": "v_g", "sample": "v_s"}
@@ -60,6 +65,8 @@ class SegmentSpec:
     def __post_init__(self):
         if self.control not in CONTROLS:
             raise ValueError(f"unknown control {self.control!r}")
+        if self.bias.size == 0:
+            raise ValueError("a segment needs at least one bias step")
 
     @property
     def direction(self) -> str:
@@ -139,8 +146,9 @@ def default_sweep_plan(
     Raises
     ------
     ValueError
-        On an unknown control, fewer than 2 bias steps or a division
-        factor that is not positive.
+        On an unknown control, fewer than 2 bias steps, a non-finite
+        voltage or range, or a division factor that is not positive and
+        finite.
     BiasLimitExceeded
         If the divided amplitude exceeds the cold-end safety limit.
     """
@@ -149,8 +157,12 @@ def default_sweep_plan(
         raise ValueError(f"unknown controls {unknown} in the segment order")
     if n_bias < 2:
         raise ValueError(f"n_bias must be at least 2, got {n_bias}")
-    if not division_factor > 0:
-        raise ValueError("division_factor must be > 0")
+    for key, value in (("v_g_range", v_g_range), ("v_p_range", v_p_range),
+                       ("v_s_source_amplitude", v_s_source_amplitude)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{key} must be finite, got {value}")
+    if not 0 < division_factor < math.inf:
+        raise ValueError(f"division_factor must be > 0 and finite, got {division_factor}")
     amp = v_s_source_amplitude / division_factor
     if abs(amp) > V_S_LIMIT:
         raise BiasLimitExceeded(
@@ -189,9 +201,9 @@ def default_sweep_plan(
 #: Part of the summation order the datasets are recorded in, and the
 #: most terms :func:`_chunk_sum` handles.
 _TLS_CHUNK = 16
-#: Bias steps per block, the unit of work of :func:`_lorentzian_rate`'s
-#: thread pool.  Each block gets its own (16, 16, 451) float64 term
-#: buffer of about 1 MB, small enough to stay in a per-core L2 cache.
+#: Bias steps per block, the unit of work of the map's thread pool.  Each
+#: block gets its own (16, 16, 451) float64 term buffer of about 1 MB,
+#: small enough to stay in a per-core L2 cache.
 _BIAS_BLOCK = 16
 
 
@@ -228,57 +240,73 @@ def _chunk_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _lorentzian_rate(
+    pool: Executor,
     freq_ghz: np.ndarray,
     f_tls_ghz: np.ndarray,
     g_mhz: np.ndarray,
     gamma2_per_us: np.ndarray,
-) -> np.ndarray:
+) -> Callable[[], np.ndarray]:
     """Summed TLS relaxation-rate increment [1/us] on a (bias, freq) grid.
 
-    ``f_tls_ghz`` and ``g_mhz`` are (n_bias, n_tls); the result is
-    (n_bias, n_freq).
+    ``f_tls_ghz`` and ``g_mhz`` are (n_bias, n_tls).  The blocks of
+    :data:`_BIAS_BLOCK` bias steps are submitted to ``pool``; the
+    returned function waits for them (re-raising a block's exception)
+    and gives the (n_bias, n_freq) result.
 
-    Within a block of :data:`_BIAS_BLOCK` bias steps, the terms of 16
-    TLS at a time are computed TLS-major into the block's own
-    (TLS, bias, freq) buffer with in-place ufuncs, then summed by
-    :func:`_chunk_sum` and added to the block's output rows chunk after
-    chunk.  That is the floating-point order of summing each chunk with
-    ``np.sum`` over a 16-long inner axis, so the grid, and every dataset
-    written from it, is bit-identical to that simpler form; the memory
-    order only avoids its large strided temporaries.
+    Within a block, the terms of 16 TLS at a time are computed TLS-major
+    into the block's own (TLS, bias, freq) buffer with in-place ufuncs,
+    then summed by :func:`_chunk_sum` and added to the block's output
+    rows chunk after chunk.  That is the floating-point order of summing
+    each chunk with ``np.sum`` over a 16-long inner axis, so the grid,
+    and every dataset written from it, is bit-identical to that simpler
+    form; the memory order only avoids its large strided temporaries.
 
-    The blocks write disjoint rows and their ufuncs release the GIL, so
-    they run in a thread pool of one worker per usable CPU, at most one
-    per block.  Each cell gets the same operations in the same order
-    whatever the worker count; the pool is shut down before returning.
+    The detunings of a chunk are one matrix product of the (pairs x 2)
+    rows [f_tls, 1] with [1; -f], written into the buffer without
+    reading it.  Both products are exact, so each cell is f_tls - f
+    rounded once: the negative of f - f_tls, whose sign the square
+    removes.  One product pass replaces the short inner loop that a
+    broadcast subtraction runs per (TLS, bias) pair.
+
+    The blocks write disjoint rows and their ufuncs release the GIL.
+    Each cell gets the same operations in the same order whatever the
+    pool's size.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     n_b, n_tls = f_tls_ghz.shape
-    out = np.zeros((n_b, freq_ghz.size))
+    n_f = freq_ghz.size
+    out = np.zeros((n_b, n_f))
     omega_per_ghz = 2.0 * math.pi * MHZ_PER_GHZ  # rad/us per GHz
     # 2 g^2 Gamma2 per (TLS, bias), with g in rad/us
     numer = (2.0 * (2.0 * math.pi * g_mhz) ** 2 * gamma2_per_us).T
     gamma2_sq = (gamma2_per_us**2)[:, None, None]
     f_tls = f_tls_ghz.T
+    minus_freq = np.stack((np.ones(n_f), -freq_ghz))
 
     def block(b0: int) -> None:
         b = slice(b0, b0 + _BIAS_BLOCK)
-        buf = np.empty((_TLS_CHUNK, min(_BIAS_BLOCK, n_b - b0), freq_ghz.size))
+        n_rows = min(_BIAS_BLOCK, n_b - b0)
+        pairs = np.ones((_TLS_CHUNK, n_rows, 2))
+        buf = np.empty((_TLS_CHUNK, n_rows, n_f))
         for t0 in range(0, n_tls, _TLS_CHUNK):
             t = slice(t0, t0 + _TLS_CHUNK)
-            terms = buf[: min(_TLS_CHUNK, n_tls - t0)]
-            np.subtract(freq_ghz, f_tls[t, b, None], out=terms)
-            terms *= omega_per_ghz  # detuning dw, rad/us
+            k = min(_TLS_CHUNK, n_tls - t0)
+            pairs[:k, :, 0] = f_tls[t, b]
+            terms = buf[:k]
+            np.matmul(pairs[:k].reshape(-1, 2), minus_freq, out=terms.reshape(-1, n_f))
+            terms *= omega_per_ghz  # detuning -dw, rad/us
             np.square(terms, out=terms)
             terms += gamma2_sq[t]
             np.divide(numer[t, b, None], terms, out=terms)
             out[b] += _chunk_sum(terms)
 
-    starts = range(0, n_b, _BIAS_BLOCK)
-    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(starts)))) as pool:
-        list(pool.map(block, starts))  # re-raises a block's exception
-    return out
+    futures = [pool.submit(block, b0) for b0 in range(0, n_b, _BIAS_BLOCK)]
+
+    def result() -> np.ndarray:
+        for future in futures:
+            future.result()
+        return out
+
+    return result
 
 
 def _simulate(plan, freq, lines, gamma1_background, noise_sigma, seeds, meta):
@@ -290,18 +318,46 @@ def _simulate(plan, freq, lines, gamma1_background, noise_sigma, seeds, meta):
     ``noise_sigma`` > 0 each segment draws its log-normal noise from its
     own ``SeedSequence`` of ``seeds``.  ``meta`` is added to the common
     sidecar keys and wins over them.
+
+    One thread pool serves the whole map, of one worker per usable CPU
+    and at most one per bias block of the plan.  A segment's blocks are
+    submitted before the previous segment is waited for, so no worker
+    idles at a segment's end, and at most two segments' lines are held.
+    A bias row whose line frequencies and couplings equal those of the
+    row before it has the same rate row, so only the first of each run
+    of equal rows is computed.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     freq = np.asarray(freq, dtype=float)
     validate_freq_axis(freq)
     if not noise_sigma >= 0:
         raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
     grids = []
-    for seg, seed_seq in zip(plan, seeds):
-        t1 = 1.0 / (gamma1_background + _lorentzian_rate(freq, *lines(*seg.bias_vectors())))
+
+    def finish(rate, rows, seed_seq):
+        t1 = 1.0 / (gamma1_background + rate()[rows])
         if noise_sigma > 0:
             z = np.random.default_rng(seed_seq).standard_normal(t1.shape)
             t1 = t1 * np.exp(noise_sigma * z)
         grids.append(t1)
+
+    def submit(pool, seg):
+        f_tls, g_mhz, gamma2 = lines(*seg.bias_vectors())
+        new = np.ones(seg.bias.size, dtype=bool)
+        new[1:] = np.any((f_tls[1:] != f_tls[:-1]) | (g_mhz[1:] != g_mhz[:-1]), axis=1)
+        rate = _lorentzian_rate(pool, freq, f_tls[new], g_mhz[new], gamma2)
+        return rate, np.cumsum(new) - 1  # the computed row of each bias step
+
+    n_blocks = sum(-(-seg.bias.size // _BIAS_BLOCK) for seg in plan)
+    with ThreadPoolExecutor(min(_usable_cpus(), n_blocks)) as pool:
+        pending = None
+        for seg, seed_seq in zip(plan, seeds):
+            submitted = (*submit(pool, seg), seed_seq)
+            if pending:
+                finish(*pending)
+            pending = submitted
+        finish(*pending)
     meta = {"schema_version": SCHEMA_VERSION, "noise_sigma": noise_sigma,
             "gamma1_background_per_us": gamma1_background, **meta}
     return SpectroscopyDataset(segments=tuple(plan), freq_ghz=freq, t1_us=tuple(grids),

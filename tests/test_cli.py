@@ -40,6 +40,21 @@ EXPECTED_SHA256 = {
 }
 
 
+#: A crowded `generate` config: about 1.4k TLS (many 16-TLS chunks), 24
+#: bias steps (two bias blocks per segment) and global segments whose
+#: rows all repeat, and its output sha256 for `--seed 1` (numpy 2.4,
+#: x86-64), recorded before the T1-map pool became one per map.
+CROWDED = {"volume_um3": 0.225, "band_ghz": [6.0, 6.1], "n_bias": 24}
+CROWDED_SHA256 = {
+    "dataset.csv":
+        "34654d48103abb0bf1275c3c1c888a865c6a817e0483ee0a49d01cf5d2035219",
+    "dataset.csv.meta.json":
+        "c45f2cfa7759a3d4b834abc7b7d0c19bc0d85ed6466699d7ff5a1b3092636d66",
+    "ground_truth.json":
+        "3abfc9d7647cef0a77fc1c72ac911e9ccffc7def97971e70e3dc5d5b03631a17",
+}
+
+
 #: sha256 of `coupled` on the `coupled_run` panels, and of `plotdata
 #: crossing` on its panel 0 (numpy 2.4, x86-64).  Recorded before the
 #: coupled fit moved onto one `lm_batch`; the same rule as above holds.
@@ -189,7 +204,14 @@ class TestExitCodes:
         ({"division_factor": 0.0}, "division_factor must be > 0"),
         ({"v_s_source_amplitude": 0.6},
          "source 0.6 V divides to 2.927 mV cold-end, above the 2.500 mV limit"),
-    ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit"])
+        # Infinity used to flatten every sample segment (exit 0), and NaN
+        # ended in "a trace is more than half missing".
+        ({"division_factor": float("inf")}, "division_factor must be > 0 and finite, got inf"),
+        ({"v_s_source_amplitude": float("nan")}, "v_s_source_amplitude must be finite, got nan"),
+        ({"v_g_range": [float("nan"), -30.0]}, "v_g_range must be finite, got (nan, -30.0)"),
+        ({"v_p_range": [90.0, float("inf")]}, "v_p_range must be finite, got (90.0, inf)"),
+    ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit",
+            "infinite-division", "nan-amplitude", "nan-global-range", "infinite-piezo-range"])
     def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
         assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
@@ -512,6 +534,12 @@ class TestDeterminism:
         got = {name: sha256((tmp_path if name == "crossing.csv" else out) / name)
                for name in COUPLED_SHA256}
         assert got == COUPLED_SHA256
+
+    def test_crowded_generate_matches_recorded_hashes(self, tmp_path):
+        cfg = write_json(tmp_path / "crowded.json", CROWDED)
+        assert run("generate", "--seed", 1, "--config", cfg, "--out", tmp_path) == cli.EXIT_OK
+        got = {name: sha256(tmp_path / name) for name in CROWDED_SHA256}
+        assert got == CROWDED_SHA256
 
     def test_two_runs_give_identical_bytes(self, small_run, tmp_path):
         generate_and_fit(tmp_path, SMALL)

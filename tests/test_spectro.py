@@ -23,7 +23,15 @@ from tls_scope.spectro import (
     t1_map,
 )
 from tls_scope.coupled import CoupledPair
-from tls_scope.stm import Location, SensorDesign, TlsParams
+from tls_scope.stm import (
+    Location,
+    SensorDesign,
+    TlsParams,
+    TlsTable,
+    capacitor_field_rms,
+    coupling_mhz,
+    energies,
+)
 
 DESIGN = SensorDesign(
     d=50e-9, area=0.25e-6 * 0.30e-6, eps_r=10.0, c_tot=100e-15,
@@ -113,7 +121,7 @@ class TestControlChain:
         with pytest.raises(BiasLimitExceeded, match="above the 2.500 mV limit"):
             default_sweep_plan(v_s_source_amplitude=0.6, division_factor=205.0)
 
-    @pytest.mark.parametrize("factor", [0.0, -205.0, float("nan")])
+    @pytest.mark.parametrize("factor", [0.0, -205.0, float("nan"), float("inf")])
     def test_positive_division_factor(self, factor):
         with pytest.raises(ValueError, match="division_factor must be > 0"):
             default_sweep_plan(division_factor=factor)
@@ -229,6 +237,12 @@ def chunked_lorentzian_rate(freq_ghz, f_tls_ghz, g_mhz, gamma2_per_us):
     return out
 
 
+def lorentzian_rate(*args):
+    """``_lorentzian_rate`` on a pool of ``_usable_cpus()`` workers, waited for."""
+    with concurrent.futures.ThreadPoolExecutor(spectro._usable_cpus()) as pool:
+        return _lorentzian_rate(pool, *args)()
+
+
 class TestLorentzianKernel:
     @pytest.mark.parametrize("n_bias", [1, _BIAS_BLOCK + 5, 80])
     @pytest.mark.parametrize("n_tls", [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 40])
@@ -237,10 +251,29 @@ class TestLorentzianKernel:
         f_tls = rng.uniform(5.7, 6.8, (n_bias, n_tls))
         g_mhz = rng.uniform(0.0, 2.0, (n_bias, n_tls))
         gamma2 = rng.uniform(1.0, 20.0, n_tls)
-        got = _lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+        got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
         want = chunked_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
         assert got.shape == (n_bias, FREQ.size)
         assert np.array_equal(got, want)
+
+    def test_term_buffer_is_written_before_it_is_read(self, monkeypatch):
+        # The detuning product writes into an uninitialised buffer: it must
+        # not read it (a BLAS beta * C with C = NaN would poison the grid).
+        real_empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            a = real_empty(*args, **kwargs)
+            a.fill(np.nan)
+            return a
+
+        rng = np.random.default_rng(7)
+        f_tls = rng.uniform(5.7, 6.8, (_BIAS_BLOCK + 5, 40))
+        g_mhz = rng.uniform(0.0, 2.0, f_tls.shape)
+        gamma2 = rng.uniform(1.0, 20.0, 40)
+        monkeypatch.setattr(np, "empty", nan_empty)
+        got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+        monkeypatch.undo()
+        assert np.array_equal(got, chunked_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2))
 
     @given(
         st.integers(1, 16).flatmap(
@@ -267,8 +300,8 @@ def cut_plan(n_segments, n_bias):
 
 
 class TestWorkerCount:
-    """The bias blocks run in a thread pool; the grids must not depend on
-    its size, and no thread may outlive a call."""
+    """The bias blocks of a map run in one thread pool; the grids must not
+    depend on its size, and no thread may outlive a call."""
 
     #: About 60 TLS: several 16-TLS chunks, the last one partial.
     ENSEMBLE = generate_ensemble(EnsembleConfig(volume_um3=9e-3), seed=3)
@@ -287,14 +320,15 @@ class TestWorkerCount:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SizedPool)
         plan = cut_plan(n_segments, n_bias)
-        n_blocks = -(-n_bias // _BIAS_BLOCK)
+        n_blocks = n_segments * -(-n_bias // _BIAS_BLOCK)
         grids = []
         for workers in (1, 2, 7):
             monkeypatch.setattr(spectro, "_usable_cpus", lambda n=workers: n)
+            sizes.clear()
             ds = t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
                         noise_sigma=0.1, seed=5)
             grids.append([t1.tobytes() for t1 in ds.t1_us])
-            assert sizes[-n_segments:] == [min(workers, n_blocks)] * n_segments
+            assert sizes == [min(workers, n_blocks)]  # one pool per map
         assert len(self.ENSEMBLE.tls_list) > 2 * spectro._TLS_CHUNK
         assert grids[0] == grids[1] == grids[2]
 
@@ -309,7 +343,7 @@ class TestWorkerCount:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+            got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got, chunked_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2))
@@ -334,8 +368,73 @@ class TestWorkerCount:
         f_tls = np.full((80, 3), 6.0)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="block failed"):
-            _lorentzian_rate(FREQ, f_tls, np.ones_like(f_tls), np.ones(3))
+            lorentzian_rate(FREQ, f_tls, np.ones_like(f_tls), np.ones(3))
         assert threading.active_count() == before
+
+
+def segment(control, bias):
+    held = {"v_p": 20.0, "v_g": 10.0, "v_s": 1e-3}
+    del held[{"piezo": "v_p", "global": "v_g", "sample": "v_s"}[control]]
+    return SegmentSpec(control=control, bias=np.asarray(bias, dtype=float), held=held)
+
+
+class TestRepeatedRows:
+    """A bias row with the lines of the row before it is computed once; the
+    grids keep the bits of computing every row."""
+
+    ENSEMBLE = TestWorkerCount.ENSEMBLE
+    N = 2 * _BIAS_BLOCK + 3
+    RAMP = np.linspace(-2e-3, 2e-3, N - 5)
+    PLANS = {
+        # gamma_g = 0 for every sample-dielectric defect
+        "global-all-repeat": ([segment("global", np.linspace(90.0, -30.0, N))], [1]),
+        "one-row": ([segment("sample", [1e-3])], [1]),
+        "repeats-at-ends": ([segment("sample", np.r_[[-2e-3] * 3, RAMP, [2e-3] * 2])],
+                            [N - 5]),
+        "no-repeats": ([segment("piezo", np.linspace(-30.0, 90.0, N))], [N]),
+        "mixed": ([segment("global", np.linspace(90.0, -30.0, N)),
+                   segment("sample", [1e-3]),
+                   segment("piezo", np.linspace(-30.0, 90.0, N))], [1, 1, N]),
+    }
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_grids_equal_every_row_computed(self, monkeypatch, name):
+        plan, distinct = self.PLANS[name]
+        computed = []
+
+        def spy(pool, freq, f_tls, g_mhz, gamma2):
+            computed.append(f_tls.shape[0])
+            return _lorentzian_rate(pool, freq, f_tls, g_mhz, gamma2)
+
+        monkeypatch.setattr(spectro, "_lorentzian_rate", spy)
+        field, g1 = 90.0, 1 / 4.3
+        ds = t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=g1,
+                    noise_sigma=0.0, seed=0, field_rms=field)
+        assert computed == distinct
+        table = TlsTable.of(self.ENSEMBLE.tls_list)
+        for seg, t1 in zip(plan, ds.t1_us):
+            v_p, v_g, v_s = seg.bias_vectors()
+            _, e_tls = energies(table, v_p[:, None], v_g[:, None], v_s[:, None])
+            g_mhz = coupling_mhz(table.p_parallel, table.delta0 / e_tls, field)
+            want = 1.0 / (g1 + chunked_lorentzian_rate(FREQ, e_tls, g_mhz,
+                                                       table.gamma2_tls))
+            for row, want_row in zip(t1, want):
+                assert row.tobytes() == want_row.tobytes()
+
+
+class TestEmptySegment:
+    def test_segment_without_bias_steps_refused(self):
+        with pytest.raises(ValueError, match="a segment needs at least one bias step"):
+            SegmentSpec(control="sample", bias=np.array([]), held={"v_p": 0.0, "v_g": 0.0})
+
+    def test_coupled_panel_without_bias_steps_refused(self):
+        # Used to give a (0, n_freq) grid that write_dataset failed on.
+        pair = CoupledPair(*(TlsParams(delta0=d, gamma_s=100.0, p_parallel=0.3,
+                                       location=Location.SAMPLE_DIELECTRIC)
+                             for d in (5.9, 6.0)), g_z=10.0, g_x=-10.0)
+        with pytest.raises(ValueError, match="a segment needs at least one bias step"):
+            coupled_pair_t1_map(pair, np.array([]), 0.0, FREQ, field_rms=90.0,
+                                gamma1_background=0.2)
 
 
 class TestCoupledPanel:
