@@ -28,7 +28,6 @@ from .errors import (
 )
 from .hyperbola import TraceFit, fit_hyperbola
 from .metrics import (
-    MaterialReport,
     detectable_dipole_min,
     loss_tangent,
     material_report,

@@ -39,13 +39,14 @@ from .errors import (
     TlsScopeError,
 )
 from .hyperbola import MIN_POINTS
-from .pairfit import PairFitResult, fit_coupled_pair, nearer_branch, panel_points_from_dataset
+from .pairfit import fit_coupled_pair, nearer_branch, panel_points_from_dataset
 from .pipeline import AnalysisOptions, analyze_dataset
 from .spectro import default_sweep_plan, t1_map
 from .stm import (
-    SCHEMA_VERSION,
+    Location,
     SensorDesign,
     TlsParams,
+    check_schema_version,
     design_thickness,
     sample_capacitance,
     vacuum_voltage,
@@ -74,10 +75,14 @@ def _load_config(path, defaults: dict) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    if "schema_version" in raw:
+        check_schema_version(raw["schema_version"], "config")
     unknown = set(raw) - set(defaults) - {"schema_version"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
+        if not _finite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
         if key in defaults and not _same_kind(value, defaults[key]):
             raise ConfigError(
                 f"config key {key!r} has the wrong type: {value!r} "
@@ -85,6 +90,16 @@ def _load_config(path, defaults: dict) -> dict:
             )
     cfg.update(raw)
     return cfg
+
+
+def _finite(value) -> bool:
+    """Whether every number in a parsed JSON value is finite; JSON's
+    ``NaN`` and ``Infinity`` and an overflow such as ``1e999`` are not."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return not isinstance(value, list) or all(map(_finite, value))
 
 
 def _same_kind(value, default) -> bool:
@@ -247,6 +262,30 @@ def analyze(cfg: dict, ds):
     return result, report
 
 
+def _print_table(rows) -> None:
+    """Print (label, value, template) rows with the labels padded to one
+    width; a None value reads n/a and a bool yes or no."""
+    width = max(len(row[0]) for row in rows)
+    for label, value, template in rows:
+        if isinstance(value, bool):
+            value, template = ("no", "yes")[value], "{}"
+        print(f"{label:<{width}}  {'n/a' if value is None else template.format(value)}")
+
+
+#: (label, ``material_report.json`` key, template) of the table ``fit`` prints.
+MATERIAL_TABLE = (
+    ("defects tracked", "n_tls_total", "{}"),
+    ("sample-dielectric defects", "n_sample_tls", "{}"),
+    ("mean dipole p_par [eA]", "p_parallel_mean_eA", "{:.4g}"),
+    ("std dipole p_par [eA]", "p_parallel_std_eA", "{:.4g}"),
+    ("sample spectral density [1/GHz]", "sample_density_per_GHz", "{:.4g}"),
+    ("volume density P0 [1/(um^3 GHz)]", "P0_per_um3_GHz", "{:.4g}"),
+    ("loss tangent tan_d0", "tan_delta0", "{:.3e}"),
+    ("detectability cut p_min [eA]", "p_min_detectable_eA", "{:.4g}"),
+    ("P0 corrected for cut", "P0_detection_corrected", "{:.4g}"),
+)
+
+
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config, FIT_DEFAULTS)
     out = _outdir(args)
@@ -259,20 +298,17 @@ def cmd_fit(args) -> int:
     records = result.records
     if args.class_filter:
         records = [r for r in records if r.location.value == args.class_filter]
-    dataio.write_fit_report(
-        records,
-        result.density_by_class,
-        out / "fit_report.json",
-        extra={
-            "n_traces": len(result.traces),
-            "n_tracks": len(result.tracks),
-            "class_filter": args.class_filter,
-        },
-    )
-    (out / "material_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    print(report.text_table())
+    dataio.write_fit_report(records, result.density_by_class, out / "fit_report.json", {
+        "n_traces": len(result.traces),
+        "n_tracks": len(result.tracks),
+        "class_filter": args.class_filter,
+    })
+    dataio.write_json(out / "material_report.json", report)
+    _print_table([
+        *((label, report[key], template) for label, key, template in MATERIAL_TABLE),
+        *((f"density {k}", v, "{:.4g} /GHz")
+          for k, v in sorted(report["spectral_density_per_GHz"].items())),
+    ])
     return EXIT_OK
 
 
@@ -312,20 +348,7 @@ def cmd_coupled(args) -> int:
     except (NoConvergence, AmbiguousSigns) as exc:
         print(f"coupled fit failed: {exc}", file=sys.stderr)
         return EXIT_COUPLED
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "g_z_MHz": fit.g_z,
-        "g_x_MHz": fit.g_x,
-        "gamma_p2_GHz_per_V": fit.gamma_p2,
-        "sigma": fit.sigma.tolist(),
-        "covariance": fit.covariance.tolist(),
-        "chi2": fit.chi2,
-        "n_points": fit.n_points,
-        "gx_sign_from_convention": fit.gx_sign_from_convention,
-    }
-    (out / "coupled_fit.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    dataio.write_coupled_fit(fit, out / "coupled_fit.json")
     for k, (ds, panel) in enumerate(zip(datasets, panels)):
         _write_crossing(out / f"crossing_panel_{k}.csv", ds, panel, fit, tls1, tls2)
     print(
@@ -379,7 +402,6 @@ DESIGN_DEFAULTS = {
 
 def cmd_design(args) -> int:
     cfg = _load_config(args.config, DESIGN_DEFAULTS)
-    out = Path(args.out) if args.out else None
     for key in DESIGN_DEFAULTS:
         if cfg[key] <= 0 and (key != "tan_delta0" or cfg[key] < 0):
             raise ConfigError(f"design parameter {key} must be positive")
@@ -392,55 +414,36 @@ def cmd_design(args) -> int:
         design, cfg["tan_delta0"], cfg["gamma_background_per_us"]
     )
     gamma_diel = gamma1 - cfg["gamma_background_per_us"]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "V_rms_uV": v_rms * 1e6,
-        "d_rule_nm": d_rule * 1e9,
-        "d_chosen_nm": cfg["d_nm"],
-        "C_s_fF": c_s * 1e15,
-        "p_s": p_s,
-        "Gamma1_per_us": gamma1,
-        "T1_budget_us": 1.0 / gamma1,
-        "dielectric_limited": bool(gamma_diel > cfg["gamma_background_per_us"]),
-    }
+    # (label, design_report.json key, value, template)
     rows = [
-        ("V_rms [uV]", f"{report['V_rms_uV']:.3f}"),
-        ("d (detectability rule) [nm]", f"{report['d_rule_nm']:.1f}"),
-        ("d (configured) [nm]", f"{report['d_chosen_nm']:.1f}"),
-        ("C_s [fF]", f"{report['C_s_fF']:.4f}"),
-        ("participation p_s", f"{report['p_s']:.3e}"),
-        ("Gamma1 [1/us]", f"{report['Gamma1_per_us']:.4f}"),
-        ("T1 budget [us]", f"{report['T1_budget_us']:.3f}"),
-        ("dielectric-limited", "yes" if report["dielectric_limited"] else "no"),
+        ("V_rms [uV]", "V_rms_uV", v_rms * 1e6, "{:.3f}"),
+        ("d (detectability rule) [nm]", "d_rule_nm", d_rule * 1e9, "{:.1f}"),
+        ("d (configured) [nm]", "d_chosen_nm", cfg["d_nm"], "{:.1f}"),
+        ("C_s [fF]", "C_s_fF", c_s * 1e15, "{:.4f}"),
+        ("participation p_s", "p_s", p_s, "{:.3e}"),
+        ("Gamma1 [1/us]", "Gamma1_per_us", gamma1, "{:.4f}"),
+        ("T1 budget [us]", "T1_budget_us", 1.0 / gamma1, "{:.3f}"),
+        ("dielectric-limited", "dielectric_limited",
+         bool(gamma_diel > cfg["gamma_background_per_us"]), None),
     ]
-    width = max(len(r[0]) for r in rows)
-    for name, value in rows:
-        print(f"{name:<{width}}  {value}")
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "design_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+    _print_table([(label, value, template) for label, _key, value, template in rows])
+    if args.out:
+        dataio.write_json(_outdir(args) / "design_report.json",
+                          {key: value for _label, key, value, _template in rows})
     return EXIT_OK
 
 
 def cmd_plotdata(args) -> int:
-    out = _outdir(args)
+    path = _outdir(args) / (args.kind.replace("-", "_") + ".csv")
     if args.kind == "t1-map":
         ds = dataio.read_dataset(args.input)
-        bias, freq, t1 = [], [], []
-        for seg, grid in zip(ds.segments, ds.t1_us):
-            b = np.repeat(seg.bias, ds.freq_ghz.size)
-            f = np.tile(ds.freq_ghz, seg.bias.size)
-            bias.append(b)
-            freq.append(f)
-            t1.append(grid.ravel())
+        bias = np.concatenate([seg.bias for seg in ds.segments])
         dataio.write_table_csv(
-            out / "t1_map.csv",
+            path,
             "bias_V,freq_GHz,t1_us",
-            (np.concatenate(bias), np.concatenate(freq), np.concatenate(t1)),
+            (np.repeat(bias, ds.freq_ghz.size), np.tile(ds.freq_ghz, bias.size),
+             np.concatenate(ds.t1_us).ravel()),
         )
-        print(f"wrote {out / 't1_map.csv'}")
     elif args.kind == "dipole-histogram":
         payload = dataio.read_fit_report(args.input)
         dipoles = [
@@ -450,12 +453,7 @@ def cmd_plotdata(args) -> int:
         ]
         edges = np.arange(0.0, (max(dipoles) if dipoles else 1.0) + 0.1, 0.1)
         counts, edges = np.histogram(dipoles, bins=edges)
-        dataio.write_table_csv(
-            out / "dipole_histogram.csv",
-            "p_lo_eA,p_hi_eA,count",
-            (edges[:-1], edges[1:], counts),
-        )
-        print(f"wrote {out / 'dipole_histogram.csv'}")
+        dataio.write_table_csv(path, "p_lo_eA,p_hi_eA,count", (edges[:-1], edges[1:], counts))
     elif args.kind == "crossing":
         if args.coupled_fit is None or args.pair is None:
             raise ConfigError("crossing plotdata needs --coupled-fit and --pair")
@@ -465,20 +463,11 @@ def cmd_plotdata(args) -> int:
         pair_cfg = _load_config(args.pair, COUPLED_DEFAULTS)
         tls1 = _tls_from_config(pair_cfg, "tls1")
         tls2 = _tls_from_config(pair_cfg, "tls2")
-        payload = dataio.read_coupled_fit(args.coupled_fit)
-        fit = PairFitResult(
-            g_z=payload["g_z_MHz"],
-            g_x=payload["g_x_MHz"],
-            gamma_p2=payload["gamma_p2_GHz_per_V"],
-            covariance=np.array(payload["covariance"]),
-            chi2=payload["chi2"],
-            n_points=payload["n_points"],
-        )
-        panel = _panel(ds, pair_cfg)
-        _write_crossing(out / "crossing.csv", ds, panel, fit, tls1, tls2)
-        print(f"wrote {out / 'crossing.csv'}")
+        fit = dataio.read_coupled_fit(args.coupled_fit)
+        _write_crossing(path, ds, _panel(ds, pair_cfg), fit, tls1, tls2)
     else:
         raise ConfigError(f"unknown plotdata kind {args.kind!r}")
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -500,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="extract, fit and classify TLS in a dataset")
     common(p)
     p.add_argument("dataset", help="dataset CSV path")
-    p.add_argument("--class-filter", help="restrict report to one location class")
+    p.add_argument("--class-filter", choices=[loc.value for loc in Location],
+                   help="restrict report to one location class")
     p.add_argument("--allow-empty", action="store_true")
 
     p = sub.add_parser("coupled", help="fit an avoided-crossing pair")

@@ -1,5 +1,9 @@
 """File formats: dataset CSV + JSON sidecar, ground truth, fit reports.
 
+Every JSON output is written by :func:`write_json`, the one serializer
+(sorted keys, two-space indent, a final newline) and the one place a
+file gets its top-level ``schema_version``.
+
 The dataset is a long-format CSV with header
 
     segment,control,bias_V,freq_GHz,t1_us
@@ -36,10 +40,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
+from .pairfit import PairFitResult
 from .spectro import CONTROLS, SegmentSpec, SpectroscopyDataset
 from .stm import SCHEMA_VERSION, TlsParams, check_schema_version
 
 DATASET_HEADER = "segment,control,bias_V,freq_GHz,t1_us"
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as a JSON file of the current ``schema_version``."""
+    text = json.dumps({**payload, "schema_version": SCHEMA_VERSION}, indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n")
 
 
 def _meta_path(csv_path) -> Path:
@@ -63,19 +74,19 @@ def write_dataset(ds: SpectroscopyDataset, csv_path) -> None:
                     for f, t, ok in zip(freq, row, finite)
                 ]))
 
-    meta = dict(ds.meta)
-    meta["schema_version"] = SCHEMA_VERSION
-    meta["n_freq"] = int(np.size(ds.freq_ghz))
-    meta["segments"] = [
-        {
-            "control": seg.control,
-            "n_bias": int(seg.bias.size),
-            "direction": seg.direction,
-            "held": {k: float(v) for k, v in seg.held.items()},
-        }
-        for seg in ds.segments
-    ]
-    _meta_path(csv_path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(_meta_path(csv_path), {
+        **ds.meta,
+        "n_freq": int(np.size(ds.freq_ghz)),
+        "segments": [
+            {
+                "control": seg.control,
+                "n_bias": int(seg.bias.size),
+                "direction": seg.direction,
+                "held": {k: float(v) for k, v in seg.held.items()},
+            }
+            for seg in ds.segments
+        ],
+    })
 
 
 def _read_json(path: Path) -> dict:
@@ -290,11 +301,7 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
 
 def write_ground_truth(tls_list, path) -> None:
     """JSON list of TlsParams, for round-trip tests against analysis output."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tls": [t.to_dict() for t in tls_list],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"tls": [t.to_dict() for t in tls_list]})
 
 
 def _tls_records(payload: dict, name: str) -> list[dict]:
@@ -314,18 +321,14 @@ def read_ground_truth(path) -> list[TlsParams]:
         raise SchemaError(f"{path.name}: {exc}") from None
 
 
-def write_fit_report(records, density_by_class, path, extra: dict | None = None) -> None:
-    """Per-defect fit records plus class densities, as JSON."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+def write_fit_report(records, density_by_class, path, extra: dict) -> None:
+    """Per-defect fit records, class densities and the ``extra`` top-level
+    entries (``fit`` gives ``n_traces``, ``n_tracks`` and ``class_filter``)."""
+    write_json(path, {
         "tls": [r.to_dict() for r in records],
-        "spectral_density_per_GHz": {
-            k: float(v) for k, v in density_by_class.items()
-        },
-    }
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        "spectral_density_per_GHz": {k: float(v) for k, v in density_by_class.items()},
+        **extra,
+    })
 
 
 def read_fit_report(path) -> dict:
@@ -343,16 +346,34 @@ def read_fit_report(path) -> dict:
     return payload
 
 
-def read_coupled_fit(path) -> dict:
-    """A ``coupled_fit.json`` payload with every number of the fit present."""
+#: (key in ``coupled_fit.json``, ``PairFitResult`` field) of each number of a fit.
+_COUPLED_NUMBERS = (("g_z_MHz", "g_z"), ("g_x_MHz", "g_x"), ("gamma_p2_GHz_per_V", "gamma_p2"),
+                    ("chi2", "chi2"), ("n_points", "n_points"))
+
+
+def write_coupled_fit(fit: PairFitResult, path) -> None:
+    """``coupled_fit.json``: the numbers of the fit, its sigma and covariance."""
+    write_json(path, {
+        **{key: getattr(fit, name) for key, name in _COUPLED_NUMBERS},
+        "sigma": fit.sigma.tolist(),
+        "covariance": fit.covariance.tolist(),
+        "gx_sign_from_convention": fit.gx_sign_from_convention,
+    })
+
+
+def read_coupled_fit(path) -> PairFitResult:
+    """The fit in a ``coupled_fit.json``, with every number of it present."""
     path = Path(path)
     payload = _read_json(path)
-    for key in ("g_z_MHz", "g_x_MHz", "gamma_p2_GHz_per_V", "chi2", "n_points"):
+    for key, _name in _COUPLED_NUMBERS:
         if not is_number(payload.get(key)):
             raise SchemaError(f"{path.name}: {key!r} is missing or not a number")
     if not isinstance(payload.get("covariance"), list):
         raise SchemaError(f"{path.name}: 'covariance' is missing or not a list")
-    return payload
+    return PairFitResult(
+        **{name: payload[key] for key, name in _COUPLED_NUMBERS},
+        covariance=np.array(payload["covariance"]),
+    )
 
 
 def write_table_csv(path, header: str, columns) -> None:

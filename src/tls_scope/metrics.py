@@ -11,12 +11,11 @@ nm, e*Angstrom, (um^3 GHz)^-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import EPS0, HBAR, J_PER_GHZ, CM_PER_EA
-from .stm import SCHEMA_VERSION, Location, SensorDesign, sample_capacitance
+from .stm import Location, SensorDesign, sample_capacitance
 
 
 def volume_density(spectral_density_per_ghz: float, volume_um3: float) -> float:
@@ -69,63 +68,6 @@ def detectable_dipole_min(field_rms: float, t1_us: float) -> float:
     return HBAR / (field_rms * t1_us * 1e-6) / CM_PER_EA
 
 
-@dataclass(frozen=True)
-class MaterialReport:
-    """Material summary derived from one analyzed dataset."""
-
-    n_tls_total: int
-    n_sample_tls: int
-    p_parallel_mean: float | None
-    p_parallel_std: float | None
-    density_by_class: dict
-    sample_density_per_ghz: float
-    p0_um3_ghz: float
-    tan_delta0: float | None
-    p_min_detectable_ea: float | None
-    p0_detection_corrected: float | None
-    assumptions: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n_tls_total": self.n_tls_total,
-            "n_sample_tls": self.n_sample_tls,
-            "p_parallel_mean_eA": self.p_parallel_mean,
-            "p_parallel_std_eA": self.p_parallel_std,
-            "spectral_density_per_GHz": {
-                k: float(v) for k, v in self.density_by_class.items()
-            },
-            "sample_density_per_GHz": self.sample_density_per_ghz,
-            "P0_per_um3_GHz": self.p0_um3_ghz,
-            "tan_delta0": self.tan_delta0,
-            "p_min_detectable_eA": self.p_min_detectable_ea,
-            "P0_detection_corrected": self.p0_detection_corrected,
-            "assumptions": self.assumptions,
-        }
-
-    def text_table(self) -> str:
-        rows = [
-            ("defects tracked", f"{self.n_tls_total}"),
-            ("sample-dielectric defects", f"{self.n_sample_tls}"),
-            ("mean dipole p_par [eA]", _fmt(self.p_parallel_mean)),
-            ("std dipole p_par [eA]", _fmt(self.p_parallel_std)),
-            ("sample spectral density [1/GHz]", _fmt(self.sample_density_per_ghz)),
-            ("volume density P0 [1/(um^3 GHz)]", _fmt(self.p0_um3_ghz)),
-            ("loss tangent tan_d0", _fmt(self.tan_delta0, "{:.3e}")),
-            ("detectability cut p_min [eA]", _fmt(self.p_min_detectable_ea)),
-            ("P0 corrected for cut", _fmt(self.p0_detection_corrected)),
-        ]
-        width = max(len(r[0]) for r in rows)
-        lines = [f"{name:<{width}}  {value}" for name, value in rows]
-        for k, v in sorted(self.density_by_class.items()):
-            lines.append(f"{'density ' + k:<{width}}  {float(v):.4g} /GHz")
-        return "\n".join(lines)
-
-
-def _fmt(x, spec="{:.4g}"):
-    return "n/a" if x is None else spec.format(x)
-
-
 def material_report(
     analysis,
     volume_um3: float,
@@ -134,8 +76,9 @@ def material_report(
     field_rms: float | None = None,
     t1_us: float | None = None,
     dipole_sigma_truncated_normal: float | None = None,
-) -> MaterialReport:
-    """Reduce an :class:`~tls_scope.pipeline.AnalysisResult` to material numbers.
+) -> dict:
+    """Reduce an :class:`~tls_scope.pipeline.AnalysisResult` to material numbers,
+    the payload of ``material_report.json``.
 
     The detectability cut is reported, never silently applied: when the
     rms field and qubit T1 are given, the minimum detectable dipole and a
@@ -171,22 +114,22 @@ def material_report(
                 if detected > 0:
                     corrected = p0 / detected
 
-    return MaterialReport(
-        n_tls_total=len(analysis.records),
-        n_sample_tls=int(dip.size),
-        p_parallel_mean=p_mean,
-        p_parallel_std=p_std,
-        density_by_class=dict(analysis.density_by_class),
-        sample_density_per_ghz=sample_density,
-        p0_um3_ghz=p0,
-        tan_delta0=tan_d,
-        p_min_detectable_ea=p_min,
-        p0_detection_corrected=corrected,
-        assumptions={
+    return {
+        "n_tls_total": len(analysis.records),
+        "n_sample_tls": int(dip.size),
+        "p_parallel_mean_eA": p_mean,
+        "p_parallel_std_eA": p_std,
+        "spectral_density_per_GHz": {k: float(v) for k, v in analysis.density_by_class.items()},
+        "sample_density_per_GHz": sample_density,
+        "P0_per_um3_GHz": p0,
+        "tan_delta0": tan_d,
+        "p_min_detectable_eA": p_min,
+        "P0_detection_corrected": corrected,
+        "assumptions": {
             "volume_um3": volume_um3,
             "eps_r": eps_r,
             "thickness_nm": thickness_nm,
             "field_rms_v_per_m": field_rms,
             "t1_us": t1_us,
         },
-    )
+    }

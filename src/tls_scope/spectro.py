@@ -32,7 +32,6 @@ from .coupled import CoupledPair, transitions_truncated
 from .ensemble import Ensemble
 from .errors import BiasLimitExceeded
 from .stm import (
-    SCHEMA_VERSION,
     V_S_LIMIT,
     SensorDesign,
     TlsTable,
@@ -358,8 +357,8 @@ def _simulate(plan, freq, lines, gamma1_background, noise_sigma, seeds, meta):
                 finish(*pending)
             pending = submitted
         finish(*pending)
-    meta = {"schema_version": SCHEMA_VERSION, "noise_sigma": noise_sigma,
-            "gamma1_background_per_us": gamma1_background, **meta}
+    meta = {"noise_sigma": noise_sigma, "gamma1_background_per_us": gamma1_background,
+            **meta}
     return SpectroscopyDataset(segments=tuple(plan), freq_ghz=freq, t1_us=tuple(grids),
                                meta=meta)
 

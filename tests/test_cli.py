@@ -72,6 +72,36 @@ COUPLED_SHA256 = {
 }
 
 
+#: stdout of `design` with the default config, and the sha256 of the
+#: design_report.json it writes (numpy 2.4, x86-64).
+DESIGN_STDOUT = """\
+V_rms [uV]                   4.532
+d (detectability rule) [nm]  68.9
+d (configured) [nm]          50.0
+C_s [fF]                     0.1328
+participation p_s            1.328e-03
+Gamma1 [1/us]                0.1828
+T1 budget [us]               5.471
+dielectric-limited           no
+"""
+DESIGN_SHA256 = "d67dac68fd532de502c4b2509dd486154deac62de7e44eba454c100ac1a2eb3b"
+
+#: stdout of `fit` on the SMALL dataset of `generate --seed 1`.
+FIT_STDOUT = """\
+defects tracked                   34
+sample-dielectric defects         4
+mean dipole p_par [eA]            0.5777
+std dipole p_par [eA]             0.06326
+sample spectral density [1/GHz]   1.062
+volume density P0 [1/(um^3 GHz)]  236.1
+loss tangent tan_d0               3.611e-04
+detectability cut p_min [eA]      n/a
+P0 corrected for cut              n/a
+density sample_dielectric         1.062 /GHz
+density unclassified              3.198 /GHz
+"""
+
+
 def run(*argv):
     return cli.main([str(a) for a in argv])
 
@@ -205,11 +235,15 @@ class TestExitCodes:
         ({"v_s_source_amplitude": 0.6},
          "source 0.6 V divides to 2.927 mV cold-end, above the 2.500 mV limit"),
         # Infinity used to flatten every sample segment (exit 0), and NaN
-        # ended in "a trace is more than half missing".
-        ({"division_factor": float("inf")}, "division_factor must be > 0 and finite, got inf"),
-        ({"v_s_source_amplitude": float("nan")}, "v_s_source_amplitude must be finite, got nan"),
-        ({"v_g_range": [float("nan"), -30.0]}, "v_g_range must be finite, got (nan, -30.0)"),
-        ({"v_p_range": [90.0, float("inf")]}, "v_p_range must be finite, got (90.0, inf)"),
+        # ended in "a trace is more than half missing".  The config loader
+        # refuses them now, by the key as written.
+        ({"division_factor": float("inf")}, "config key 'division_factor' must be finite, got inf"),
+        ({"v_s_source_amplitude": float("nan")},
+         "config key 'v_s_source_amplitude' must be finite, got nan"),
+        ({"v_g_range": [float("nan"), -30.0]},
+         "config key 'v_g_range' must be finite, got [nan, -30.0]"),
+        ({"v_p_range": [90.0, float("inf")]},
+         "config key 'v_p_range' must be finite, got [90.0, inf]"),
     ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit",
             "infinite-division", "nan-amplitude", "nan-global-range", "infinite-piezo-range"])
     def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
@@ -219,22 +253,23 @@ class TestExitCodes:
         assert not (tmp_path / "dataset.csv").exists()
 
     @pytest.mark.parametrize("override, needle", [
-        ({"p0_per_um3_ghz": float("nan")}, "p0_target must be finite and >= 0, got nan"),
+        ({"p0_per_um3_ghz": float("nan")}, "config key 'p0_per_um3_ghz' must be finite, got nan"),
         ({"p0_per_um3_ghz": -5}, "p0_target must be finite and >= 0, got -5"),
         ({"gamma_p_max_ghz_per_v": float("nan")},
-         "gamma_p_max must be finite and >= 0, got nan"),
+         "config key 'gamma_p_max_ghz_per_v' must be finite, got nan"),
         ({"gamma_p_max_ghz_per_v": float("inf")},
-         "gamma_p_max must be finite and >= 0, got inf"),
-        ({"volume_um3": float("nan")}, "volume_um3 must be finite and >= 0, got nan"),
+         "config key 'gamma_p_max_ghz_per_v' must be finite, got inf"),
+        ({"volume_um3": float("nan")}, "config key 'volume_um3' must be finite, got nan"),
         ({"volume_um3": -1.0}, "volume_um3 must be finite and >= 0, got -1.0"),
-        ({"volume_um3": float("inf")}, "volume_um3 must be finite and >= 0, got inf"),
+        ({"volume_um3": float("inf")}, "config key 'volume_um3' must be finite, got inf"),
     ], ids=["p0-nan", "p0-negative", "gamma_p-nan", "gamma_p-inf", "volume-nan",
             "volume-negative", "volume-inf"])
     def test_generate_refuses_bad_ensemble_value(self, tmp_path, capsys, override, needle):
         # NaN and a negative P0 or volume used to draw an empty ensemble
         # (exit 0), a non-finite gamma_p_max ended in an OverflowError
         # traceback, and an infinite volume exited 2 only through numpy's
-        # Poisson draw.
+        # Poisson draw.  The non-finite values are refused by the config
+        # loader, the negative ones by EnsembleConfig.
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
         assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
         assert f"config error: {needle}" in capsys.readouterr().err
@@ -251,13 +286,66 @@ class TestExitCodes:
     @pytest.mark.parametrize("volume", [float("nan"), float("inf"), -1.0, 0.0])
     def test_fit_refuses_bad_volume(self, small_run, tmp_path, capsys, volume):
         # A NaN volume used to exit 0 with a bare NaN, which is no JSON,
-        # in material_report.json.
+        # in material_report.json.  The config loader refuses a non-finite
+        # one, volume_density a non-positive one.
         cfg = write_json(tmp_path / "fit.json", {"volume_um3": volume})
         argv = ("fit", small_run / "dataset.csv", "--config", cfg, "--out", tmp_path)
         assert run(*argv) == cli.EXIT_CONFIG
-        assert (f"config error: volume must be positive and finite, got {volume}"
-                in capsys.readouterr().err)
+        needle = (f"volume must be positive and finite, got {volume}" if np.isfinite(volume)
+                  else f"config key 'volume_um3' must be finite, got {volume}")
+        assert f"config error: {needle}" in capsys.readouterr().err
         assert not (tmp_path / "material_report.json").exists()
+
+    @pytest.mark.parametrize("command, text, needle", [
+        ("generate", '{"band_ghz": [6.0, 1e999]}', "'band_ghz' must be finite, got [6.0, inf]"),
+        ("fit", '{"threshold": NaN}', "'threshold' must be finite, got nan"),
+        ("fit", '{"eps_r": NaN, "thickness_nm": NaN}', "'eps_r' must be finite, got nan"),
+        ("coupled", '{"tls1": {"delta0": 5.9, "gamma_s": [1.0, -Infinity]}}',
+         "'tls1' must be finite, got {'delta0': 5.9, 'gamma_s': [1.0, -inf]}"),
+        ("design", '{"tan_delta0": NaN}', "'tan_delta0' must be finite, got nan"),
+        ("design", '{"tan_delta0": 1e999}', "'tan_delta0' must be finite, got inf"),
+    ], ids=["generate-overflow-in-list", "fit-nan-threshold", "fit-nan-film", "coupled-nested",
+            "design-nan", "design-overflow"])
+    def test_non_finite_config_number(self, small_run, tmp_path, capsys, command, text,
+                                      needle):
+        # design and fit used to exit 0 with NaN or Infinity, which is no
+        # JSON, in their reports; fit with a NaN threshold exited 4.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        argv = [command, "--config", cfg, "--out", tmp_path / "out"]
+        if command == "fit":
+            argv.insert(1, small_run / "dataset.csv")
+        assert run(*argv) == cli.EXIT_CONFIG
+        assert f"config error: config key {needle}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_schema_version_is_checked(self, tmp_path, capsys):
+        # A version 99 config used to be taken as it was (exit 0).
+        cfg = write_json(tmp_path / "design.json", {"schema_version": 99})
+        assert run("design", "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_IO
+        assert "file error: config: unsupported schema_version 99" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cfg = write_json(tmp_path / "design.json", {"schema_version": SCHEMA_VERSION})
+        assert run("design", "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_OK
+
+    def test_class_filter_keeps_one_class(self, small_run, tmp_path):
+        sample = Location.SAMPLE_DIELECTRIC.value
+        argv = ("fit", small_run / "dataset.csv", "--class-filter", sample, "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_OK
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        every = json.loads((small_run / "fit_report.json").read_text())["tls"]
+        assert report["class_filter"] == sample
+        assert report["tls"] == [r for r in every if r["class"] == sample] != []
+
+    def test_class_filter_takes_only_a_location(self, small_run, tmp_path, capsys):
+        # A misspelled class used to exit 0 with a report of no defects.
+        argv = ("fit", small_run / "dataset.csv", "--class-filter", "sample_dielectrik",
+                "--out", tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "invalid choice: 'sample_dielectrik'" in capsys.readouterr().err
+        assert not (tmp_path / "fit_report.json").exists()
 
     def test_constant_bias_dataset_is_no_config_error(self, small_run, tmp_path):
         # Every trace has a single bias value, so its start design is rank
@@ -540,6 +628,17 @@ class TestDeterminism:
         assert run("generate", "--seed", 1, "--config", cfg, "--out", tmp_path) == cli.EXIT_OK
         got = {name: sha256(tmp_path / name) for name in CROWDED_SHA256}
         assert got == CROWDED_SHA256
+
+    def test_design_output_matches_the_record(self, tmp_path, capsys):
+        assert run("design", "--out", tmp_path) == cli.EXIT_OK
+        assert capsys.readouterr().out == DESIGN_STDOUT
+        assert sha256(tmp_path / "design_report.json") == DESIGN_SHA256
+
+    def test_fit_stdout_matches_the_record(self, small_run, tmp_path, capsys):
+        fit = write_json(tmp_path / "fit.json", {"volume_um3": SMALL["volume_um3"]})
+        argv = ("fit", small_run / "dataset.csv", "--config", fit, "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == FIT_STDOUT
 
     def test_two_runs_give_identical_bytes(self, small_run, tmp_path):
         generate_and_fit(tmp_path, SMALL)

@@ -108,31 +108,31 @@ def mixed():
 class TestMaterialReport:
     def test_dipoles_come_from_sample_records_only(self, mixed):
         rep = material_report(mixed, volume_um3=VOLUME, eps_r=10.0, thickness_nm=50.0)
-        assert rep.n_tls_total == 6
-        assert rep.n_sample_tls == 3
-        assert rep.p_parallel_mean == pytest.approx(0.4, rel=1e-12)
-        assert rep.p_parallel_std == pytest.approx(0.2, rel=1e-12)
-        assert rep.sample_density_per_ghz == 0.9
-        assert rep.p0_um3_ghz == 0.9 / VOLUME
-        assert rep.tan_delta0 == loss_tangent(0.9 / VOLUME, rep.p_parallel_mean, 10.0)
-        assert rep.to_dict()["spectral_density_per_GHz"] == {
+        assert rep["n_tls_total"] == 6
+        assert rep["n_sample_tls"] == 3
+        assert rep["p_parallel_mean_eA"] == pytest.approx(0.4, rel=1e-12)
+        assert rep["p_parallel_std_eA"] == pytest.approx(0.2, rel=1e-12)
+        assert rep["sample_density_per_GHz"] == 0.9
+        assert rep["P0_per_um3_GHz"] == 0.9 / VOLUME
+        assert rep["tan_delta0"] == loss_tangent(0.9 / VOLUME, rep["p_parallel_mean_eA"], 10.0)
+        assert rep["spectral_density_per_GHz"] == {
             "sample_dielectric": 0.9, "unclassified": 0.5,
         }
 
     def test_no_dipole_means_no_loss_tangent(self):
         rep = material_report(analysis([record(0, SAMPLE, None)]), volume_um3=VOLUME,
                               eps_r=10.0, thickness_nm=50.0, field_rms=20.0, t1_us=1.0)
-        assert rep.n_sample_tls == 0
-        assert rep.p_parallel_mean is None and rep.p_parallel_std is None
-        assert rep.tan_delta0 is None
-        assert rep.p0_detection_corrected is None
+        assert rep["n_sample_tls"] == 0
+        assert rep["p_parallel_mean_eA"] is None and rep["p_parallel_std_eA"] is None
+        assert rep["tan_delta0"] is None
+        assert rep["P0_detection_corrected"] is None
 
     def test_detection_cut_needs_field_and_t1(self, mixed):
         for extra in ({}, {"field_rms": 20.0}, {"t1_us": 1.0}):
             rep = material_report(mixed, volume_um3=VOLUME, eps_r=10.0,
                                   thickness_nm=50.0, **extra)
-            assert rep.p_min_detectable_ea is None
-            assert rep.p0_detection_corrected is None
+            assert rep["p_min_detectable_eA"] is None
+            assert rep["P0_detection_corrected"] is None
 
     @pytest.mark.parametrize("prior", [None, 0.3])
     def test_detection_corrected_p0(self, mixed, prior):
@@ -140,10 +140,10 @@ class TestMaterialReport:
                               field_rms=20.0, t1_us=1.0,
                               dipole_sigma_truncated_normal=prior)
         p_min = detectable_dipole_min(20.0, 1.0)
-        mean, sigma = rep.p_parallel_mean, prior or rep.p_parallel_std
+        mean, sigma = rep["p_parallel_mean_eA"], prior or rep["p_parallel_std_eA"]
         detected = 1.0 - truncnorm.cdf(p_min, -mean / sigma, np.inf, loc=mean,
                                        scale=sigma)
-        assert rep.p_min_detectable_ea == p_min
+        assert rep["p_min_detectable_eA"] == p_min
         assert 0.0 < detected < 1.0
-        assert rep.p0_detection_corrected == pytest.approx(rep.p0_um3_ghz / detected,
-                                                           rel=1e-12)
+        assert rep["P0_detection_corrected"] == pytest.approx(rep["P0_per_um3_GHz"] / detected,
+                                                            rel=1e-12)

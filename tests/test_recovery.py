@@ -56,7 +56,7 @@ def score_seed(seed):
         ds.freq_ghz,
         [[(t.segment, t.bias_index, t.freq) for t in track] for track in result.tracks],
         [r.to_dict() for r in result.records],
-        report.to_dict(),
+        report,
         cfg["volume_um3"],
     )
     traces = [(t.bias, t.freq, t.weight) for track in result.tracks for t in track]
@@ -114,4 +114,4 @@ def test_one_ulp_of_t1_moves_no_result(direction):
         assert (b.p_parallel is None) == (a.p_parallel is None)
         if a.p_parallel is not None:
             assert b.p_parallel == pytest.approx(a.p_parallel, rel=1e-6)
-    assert moved_report.to_dict()["P0_per_um3_GHz"] == report.to_dict()["P0_per_um3_GHz"]
+    assert moved_report["P0_per_um3_GHz"] == report["P0_per_um3_GHz"]
