@@ -17,9 +17,8 @@ from .coupled import (
 from .ensemble import Ensemble, EnsembleConfig, generate_ensemble
 from .errors import (
     AmbiguousSigns,
-    BiasLimitExceeded,
+    ConfigError,
     DegenerateTrace,
-    InvalidBand,
     NoConvergence,
     NoCrossingInRange,
     NoTracesFound,

@@ -1,7 +1,8 @@
 """Command-line pipeline: generate, fit, coupled, design, plotdata.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O or file-format
-error, 4 no traces found (without --allow-empty), 5 coupled-fit failure.
+Exit codes: 0 success, 2 a refused setting or flag (``ConfigError``), 3
+I/O or file-format error, 4 no traces found (without --allow-empty), 5
+coupled-fit failure; any other exception is a bug, shown as a traceback.
 All outputs are deterministic for a fixed seed; no timestamps are
 written.
 
@@ -31,14 +32,12 @@ from . import dataio, metrics
 from .ensemble import EnsembleConfig, generate_ensemble
 from .errors import (
     AmbiguousSigns,
-    BiasLimitExceeded,
-    InvalidBand,
+    ConfigError,
     NoConvergence,
     NoTracesFound,
     SchemaError,
     TlsScopeError,
 )
-from .hyperbola import MIN_POINTS
 from .pairfit import fit_coupled_pair, nearer_branch, panel_points_from_dataset
 from .pipeline import AnalysisOptions, analyze_dataset
 from .spectro import default_sweep_plan, t1_map
@@ -57,10 +56,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_EMPTY = 4
 EXIT_COUPLED = 5
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _load_config(path, defaults: dict) -> dict:
@@ -85,7 +80,7 @@ def _load_config(path, defaults: dict) -> dict:
             raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
         if key in defaults and not _same_kind(value, defaults[key]):
             raise ConfigError(
-                f"config key {key!r} has the wrong type: {value!r} "
+                f"config key {key!r} has the wrong type or length: {value!r} "
                 f"(default {defaults[key]!r})"
             )
     cfg.update(raw)
@@ -107,7 +102,7 @@ def _same_kind(value, default) -> bool:
 
     A float default takes any number, an int default an integer, and a
     ``None`` default a number or ``None``; list elements must match the
-    default's first element.
+    default's first element, and a list of numbers its length too.
     """
     if default is None:
         return value is None or dataio.is_number(value)
@@ -116,9 +111,10 @@ def _same_kind(value, default) -> bool:
     if isinstance(default, int):
         return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(default, list):
-        return isinstance(value, list) and (
-            not default or all(_same_kind(v, default[0]) for v in value)
-        )
+        return isinstance(value, list) and (not default or (
+            all(_same_kind(v, default[0]) for v in value)
+            and (len(value) == len(default) or isinstance(default[0], str))
+        ))
     return isinstance(value, type(default))
 
 
@@ -126,7 +122,7 @@ def _tls_from_config(cfg: dict, key: str) -> TlsParams:
     """The TlsParams under ``cfg[key]``; a bad key or value is a config error."""
     try:
         return TlsParams.from_dict(cfg[key])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad or missing {key!r}: {exc}") from None
 
 
@@ -243,8 +239,6 @@ FIT_DEFAULTS = {
 
 def analyze(cfg: dict, ds):
     """(analysis result, material report) that ``fit`` writes for a full config."""
-    if cfg["min_points"] < MIN_POINTS:
-        raise ConfigError(f"min_points must be at least {MIN_POINTS}, got {cfg['min_points']}")
     opts = AnalysisOptions(
         **{key: cfg[key] for key in TRACKING_KEYS},
         thickness_m=cfg["thickness_nm"] * 1e-9,
@@ -458,8 +452,6 @@ def cmd_plotdata(args) -> int:
         if args.coupled_fit is None or args.pair is None:
             raise ConfigError("crossing plotdata needs --coupled-fit and --pair")
         ds = dataio.read_dataset(args.input)
-        if len(ds.segments) != 1:
-            raise ConfigError("crossing plotdata expects a single-panel dataset")
         pair_cfg = _load_config(args.pair, COUPLED_DEFAULTS)
         tls1 = _tls_from_config(pair_cfg, "tls1")
         tls2 = _tls_from_config(pair_cfg, "tls2")
@@ -478,35 +470,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--out", help="output directory")
-
     p = sub.add_parser("generate", help="synthesize a swap-spectroscopy dataset")
-    common(p)
+    p.add_argument("--seed", type=_seed, default=0, help="random seed, >= 0")
 
     p = sub.add_parser("fit", help="extract, fit and classify TLS in a dataset")
-    common(p)
     p.add_argument("dataset", help="dataset CSV path")
     p.add_argument("--class-filter", choices=[loc.value for loc in Location],
                    help="restrict report to one location class")
     p.add_argument("--allow-empty", action="store_true")
 
-    p = sub.add_parser("coupled", help="fit an avoided-crossing pair")
-    common(p)
-
-    p = sub.add_parser("design", help="evaluate sensor design rules")
-    common(p)
+    sub.add_parser("coupled", help="fit an avoided-crossing pair")
+    sub.add_parser("design", help="evaluate sensor design rules")
 
     p = sub.add_parser("plotdata", help="export tidy CSV for plotting")
-    common(p)
     p.add_argument("kind", choices=["t1-map", "crossing", "dipole-histogram"])
     p.add_argument("input", help="dataset CSV or fit-report JSON")
     p.add_argument("--coupled-fit", help="coupled_fit.json (crossing kind)")
     p.add_argument("--pair", help="coupled config JSON (crossing kind)")
 
+    for name, p in sub.choices.items():
+        if name != "plotdata":  # plotdata reads no config
+            p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output directory")
     return parser
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, else argparse exits 2."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 COMMANDS = {
@@ -522,7 +515,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ValueError, InvalidBand, BiasLimitExceeded) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemaError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBand
+from .errors import ConfigError
 from .stm import Location, TlsParams, dipole_to_gamma_s
 
 #: Asymmetry shift [GHz] the bias sweeps may apply; widens the eps_i window.
@@ -53,11 +53,11 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if not (self.dipole_mean > 0 and self.dipole_std > 0):
-            raise ValueError("dipole_mean and dipole_std must be > 0")
+            raise ConfigError("dipole_mean and dipole_std must be > 0")
         for name in ("p0_target", "volume_um3", "gamma_p_max"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
     def resolved_delta0_min(self) -> float:
         """Lower end of the log-uniform Delta0 window [GHz]."""
@@ -119,12 +119,12 @@ def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:
 
     Raises
     ------
-    InvalidBand
+    ConfigError
         If the band is empty.
     """
     lo, hi = cfg.band
     if not (0 < lo < hi):
-        raise InvalidBand(f"band {cfg.band} is empty")
+        raise ConfigError(f"band {cfg.band} is empty")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mean_in_band = cfg.p0_target * cfg.volume_um3 * (hi - lo)

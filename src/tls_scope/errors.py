@@ -1,20 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refused setting, in whichever layer, is a :class:`ConfigError` (exit
+2 on the command line), which is also a ``ValueError``.  The package's own
+consistency checks raise a plain ``ValueError``: a bug, shown as a traceback.
+"""
 
 
 class TlsScopeError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConfigError(TlsScopeError, ValueError):
+    """A caller-supplied setting is out of range or malformed."""
+
+
 class NoCrossingInRange(TlsScopeError):
     """The two transitions never approach each other within the sweep."""
-
-
-class InvalidBand(TlsScopeError):
-    """Requested frequency band is empty or inverted."""
-
-
-class BiasLimitExceeded(TlsScopeError):
-    """Cold-end sample bias would exceed the configured safety limit."""
 
 
 class DegenerateTrace(TlsScopeError):

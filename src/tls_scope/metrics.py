@@ -15,13 +15,14 @@ import math
 import numpy as np
 
 from .constants import EPS0, HBAR, J_PER_GHZ, CM_PER_EA
+from .errors import ConfigError
 from .stm import Location, SensorDesign, sample_capacitance
 
 
 def volume_density(spectral_density_per_ghz: float, volume_um3: float) -> float:
     """TLS volume density P0 [(um^3 GHz)^-1] from a per-trace density."""
     if not (volume_um3 > 0 and math.isfinite(volume_um3)):
-        raise ValueError(f"volume must be positive and finite, got {volume_um3}")
+        raise ConfigError(f"volume must be positive and finite, got {volume_um3}")
     return spectral_density_per_ghz / volume_um3
 
 
@@ -32,7 +33,7 @@ def loss_tangent(p0_um3_ghz: float, p_parallel_ea: float, eps_r: float) -> float
     the energy of one GHz, and the dipole from e*Angstrom to C*m.
     """
     if p0_um3_ghz < 0 or p_parallel_ea < 0 or eps_r <= 0:
-        raise ValueError("inputs must be positive")
+        raise ConfigError(f"inputs must be positive, got {p0_um3_ghz}, {p_parallel_ea}, {eps_r}")
     p0_si = p0_um3_ghz / (1e-18 * J_PER_GHZ)
     p_si = p_parallel_ea * CM_PER_EA
     return math.pi * p0_si * p_si**2 / (3.0 * EPS0 * eps_r)
@@ -42,7 +43,7 @@ def participation_ratio(design: SensorDesign) -> float:
     """Fraction of the qubit's electric energy in the sample capacitor."""
     c_s = sample_capacitance(design)
     if design.c_tot <= c_s:
-        raise ValueError("total capacitance must exceed the sample capacitance")
+        raise ConfigError(f"total capacitance must exceed the sample capacitance {c_s:.4g} F")
     return c_s / design.c_tot
 
 
@@ -56,7 +57,7 @@ def relaxation_budget(
     other loss channels [1/us].
     """
     if tan_delta0 < 0 or gamma_background < 0:
-        raise ValueError("loss inputs must be non-negative")
+        raise ConfigError("loss inputs must be non-negative")
     p_s = participation_ratio(design)
     return design.omega10 * p_s * tan_delta0 / 1e6 + gamma_background
 
@@ -64,7 +65,7 @@ def relaxation_budget(
 def detectable_dipole_min(field_rms: float, t1_us: float) -> float:
     """Smallest detectable dipole projection [e*A]: g*T1 = 1 at field F."""
     if field_rms <= 0 or t1_us <= 0:
-        raise ValueError("field and T1 must be positive")
+        raise ConfigError(f"field and T1 must be positive, got {field_rms}, {t1_us}")
     return HBAR / (field_rms * t1_us * 1e-6) / CM_PER_EA
 
 
@@ -85,8 +86,15 @@ def material_report(
     corrected P0 (raw divided by the detected fraction of a
     truncated-normal dipole population, the distribution the ensemble
     draws from, evaluated with :class:`statistics.NormalDist`) appear
-    alongside the raw value.
+    alongside the raw value.  One of the pair without the other, or a
+    dipole std prior that is not positive, is a
+    :class:`~tls_scope.errors.ConfigError`.
     """
+    if (field_rms is None) != (t1_us is None):
+        raise ConfigError(f"the detectability cut needs both the rms field and T1, "
+                          f"got {field_rms} and {t1_us}")
+    if dipole_sigma_truncated_normal is not None and not dipole_sigma_truncated_normal > 0:
+        raise ConfigError(f"the dipole std prior must be > 0, got {dipole_sigma_truncated_normal}")
     # Dipole projections [e*A] of the sample-dielectric defects.
     dip = np.array([
         r.p_parallel

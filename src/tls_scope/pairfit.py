@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import MHZ_PER_GHZ
 from .coupled import CoupledPair, pair_transitions, transitions_truncated
-from .errors import AmbiguousSigns, NoConvergence, NoTracesFound, SchemaError
+from .errors import AmbiguousSigns, ConfigError, NoConvergence, NoTracesFound, SchemaError
 from .lm import lm_batch
 from .stm import TlsParams, energies
 
@@ -83,6 +83,8 @@ def panel_points_from_dataset(ds, opts) -> CrossingPanel:
 
     Raises
     ------
+    ConfigError
+        If the dataset is not a one-segment V_s sweep.
     SchemaError
         If the segment's sidecar entry holds no V_p.
     NoTracesFound
@@ -91,7 +93,7 @@ def panel_points_from_dataset(ds, opts) -> CrossingPanel:
     from .traces import extract_traces
 
     if len(ds.segments) != 1 or ds.segments[0].control != "sample":
-        raise ValueError("crossing panels are single-segment V_s sweeps")
+        raise ConfigError("crossing panels are single-segment V_s sweeps")
     if "v_p" not in ds.segments[0].held:
         raise SchemaError("crossing panel: the sidecar's segment 0 has no held 'v_p'")
     v_p = float(ds.segments[0].held["v_p"])
@@ -153,7 +155,7 @@ def fit_coupled_pair(
         every panel at V_p = 0).
     """
     if not panels:
-        raise ValueError("need at least one panel")
+        raise ConfigError("need at least one panel")
     v_p, v_s, f_data, w = _stack(panels)
     _, e1 = energies(tls1, v_p, 0.0, v_s)
 

@@ -30,7 +30,7 @@ import numpy as np
 from .constants import MHZ_PER_GHZ
 from .coupled import CoupledPair, transitions_truncated
 from .ensemble import Ensemble
-from .errors import BiasLimitExceeded
+from .errors import ConfigError
 from .stm import (
     V_S_LIMIT,
     SensorDesign,
@@ -63,9 +63,9 @@ class SegmentSpec:
 
     def __post_init__(self):
         if self.control not in CONTROLS:
-            raise ValueError(f"unknown control {self.control!r}")
+            raise ConfigError(f"unknown control {self.control!r}")
         if self.bias.size == 0:
-            raise ValueError("a segment needs at least one bias step")
+            raise ConfigError("a segment needs at least one bias step")
 
     @property
     def direction(self) -> str:
@@ -98,13 +98,13 @@ class SpectroscopyDataset:
             if t1.shape != (seg.bias.size, self.freq_ghz.size):
                 raise ValueError("T1 grid shape mismatch")
             if np.any(np.isinf(t1)):
-                raise ValueError("T1 values must be finite or NaN")
+                raise ConfigError("T1 values must be finite or NaN")
             finite = np.isfinite(t1)
             if np.any(t1[finite] <= 0):
-                raise ValueError("T1 values must be positive or NaN")
+                raise ConfigError("T1 values must be positive or NaN")
             missing = 1.0 - finite.mean(axis=1)
             if np.any(missing >= 0.5):
-                raise ValueError("a trace is more than half missing")
+                raise ConfigError("a trace is more than half missing")
 
     @property
     def grid_step_ghz(self) -> float:
@@ -113,14 +113,14 @@ class SpectroscopyDataset:
 
 def validate_freq_axis(freq: np.ndarray) -> None:
     if freq.ndim != 1 or freq.size < 2:
-        raise ValueError("frequency axis needs at least 2 points")
+        raise ConfigError(f"frequency axis needs at least 2 points, got {freq.size}")
     if not np.all(np.isfinite(freq)):
-        raise ValueError("frequency axis must be finite")
+        raise ConfigError("frequency axis must be finite")
     steps = np.diff(freq)
     if np.any(steps <= 0):
-        raise ValueError("frequency axis must be strictly increasing")
+        raise ConfigError("frequency axis must be strictly increasing")
     if np.ptp(steps) > 1e-9 * steps.mean():
-        raise ValueError("frequency axis must be uniform")
+        raise ConfigError("frequency axis must be uniform")
 
 
 def default_sweep_plan(
@@ -144,27 +144,28 @@ def default_sweep_plan(
 
     Raises
     ------
-    ValueError
-        On an unknown control, fewer than 2 bias steps, a non-finite
-        voltage or range, or a division factor that is not positive and
-        finite.
-    BiasLimitExceeded
-        If the divided amplitude exceeds the cold-end safety limit.
+    ConfigError
+        On an empty order or an unknown control, fewer than 2 bias
+        steps, a non-finite voltage or range, a division factor that is
+        not positive and finite, or a divided amplitude above the
+        cold-end safety limit.
     """
+    if not order:
+        raise ConfigError("the segment order is empty")
     unknown = sorted(set(order) - set(CONTROLS))
     if unknown:
-        raise ValueError(f"unknown controls {unknown} in the segment order")
+        raise ConfigError(f"unknown controls {unknown} in the segment order")
     if n_bias < 2:
-        raise ValueError(f"n_bias must be at least 2, got {n_bias}")
+        raise ConfigError(f"n_bias must be at least 2, got {n_bias}")
     for key, value in (("v_g_range", v_g_range), ("v_p_range", v_p_range),
                        ("v_s_source_amplitude", v_s_source_amplitude)):
         if not np.all(np.isfinite(value)):
-            raise ValueError(f"{key} must be finite, got {value}")
+            raise ConfigError(f"{key} must be finite, got {value}")
     if not 0 < division_factor < math.inf:
-        raise ValueError(f"division_factor must be > 0 and finite, got {division_factor}")
+        raise ConfigError(f"division_factor must be > 0 and finite, got {division_factor}")
     amp = v_s_source_amplitude / division_factor
     if abs(amp) > V_S_LIMIT:
-        raise BiasLimitExceeded(
+        raise ConfigError(
             f"source {v_s_source_amplitude:.4g} V divides to {amp * 1e3:.3f} mV "
             f"cold-end, above the {V_S_LIMIT * 1e3:.3f} mV limit"
         )
@@ -331,7 +332,7 @@ def _simulate(plan, freq, lines, gamma1_background, noise_sigma, seeds, meta):
     freq = np.asarray(freq, dtype=float)
     validate_freq_axis(freq)
     if not noise_sigma >= 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+        raise ConfigError(f"noise_sigma must be non-negative, got {noise_sigma}")
     grids = []
 
     def finish(rate, rows, seed_seq):
@@ -395,13 +396,13 @@ def t1_map(
         Root seed; each segment uses its own child stream.
     """
     if not plan:
-        raise ValueError("sweep plan is empty")
+        raise ConfigError("sweep plan is empty")
     field = capacitor_field_rms(design) if field_rms is None else field_rms
     table = TlsTable.of(ensemble.tls_list)
 
     def lines(v_p, v_g, v_s):
         if np.any(np.abs(v_s) > V_S_LIMIT * (1 + 1e-12)):
-            raise ValueError("segment exceeds the cold-end sample-bias limit")
+            raise ConfigError("segment exceeds the cold-end sample-bias limit")
         _, e_tls = energies(table, v_p[:, None], v_g[:, None], v_s[:, None])
         g_mhz = coupling_mhz(table.p_parallel, table.delta0 / e_tls, field)
         return e_tls, g_mhz, table.gamma2_tls

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .constants import HBAR, J_PER_GHZ, CM_PER_EA, EPS0, H_PLANCK, MHZ
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 
 SCHEMA_VERSION = 1
 
@@ -83,19 +83,19 @@ class TlsParams:
 
     def __post_init__(self):
         if not self.delta0 > 0:
-            raise ValueError(f"delta0 must be > 0, got {self.delta0}")
+            raise ConfigError(f"delta0 must be > 0, got {self.delta0}")
         if self.gamma1_tls < 0:
-            raise ValueError("gamma1_tls must be >= 0")
+            raise ConfigError(f"gamma1_tls must be >= 0, got {self.gamma1_tls}")
         if self.gamma2_tls < self.gamma1_tls / 2:
-            raise ValueError("gamma2_tls must be >= gamma1_tls/2")
+            raise ConfigError(f"gamma2_tls must be >= gamma1_tls/2, got {self.gamma2_tls}")
         if self.p_parallel < 0:
-            raise ValueError("p_parallel is a magnitude; sign lives in gamma_s")
+            raise ConfigError("p_parallel is a magnitude; sign lives in gamma_s")
         if self.location is Location.SAMPLE_DIELECTRIC and self.gamma_s == 0:
-            raise ValueError("sample-dielectric TLS must respond to V_s")
+            raise ConfigError("sample-dielectric TLS must respond to V_s")
         if self.location is Location.JUNCTION and (
             self.gamma_g != 0 or self.gamma_s != 0
         ):
-            raise ValueError("junction TLS are screened from both E-fields")
+            raise ConfigError("junction TLS are screened from both E-fields")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -125,7 +125,7 @@ class BiasPoint:
 
     def __post_init__(self):
         if abs(self.v_s) > V_S_LIMIT:
-            raise ValueError(
+            raise ConfigError(
                 f"|v_s| = {abs(self.v_s):.4g} V exceeds the "
                 f"{V_S_LIMIT:.4g} V safety limit"
             )
@@ -184,7 +184,7 @@ class SensorDesign:
     def __post_init__(self):
         for name in ("d", "area", "eps_r", "c_tot", "omega10", "t1_qubit"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ConfigError(f"{name} must be strictly positive, got {getattr(self, name)}")
         ratio = sample_capacitance(self) / self.c_tot
         if ratio > 0.05:
             warnings.warn(
@@ -250,7 +250,7 @@ def design_thickness(p_min: float, t1: float, v_rms: float) -> float:
         Vacuum voltage fluctuation on the qubit island [V].
     """
     if p_min <= 0 or t1 <= 0 or v_rms <= 0:
-        raise ValueError("p_min, t1 and v_rms must be positive")
+        raise ConfigError(f"p_min, t1 and v_rms must be positive, got {p_min}, {t1}, {v_rms}")
     return p_min * CM_PER_EA * t1 * v_rms / HBAR
 
 
@@ -261,7 +261,7 @@ def sample_capacitance(design: SensorDesign) -> float:
     capacitors run 10-20% above this.
     """
     if design.d <= 0:
-        raise ValueError("thickness must be positive")
+        raise ConfigError(f"thickness must be positive, got {design.d}")
     return EPS0 * design.eps_r * design.area / design.d
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .hyperbola import MIN_POINTS
 from .spectro import SpectroscopyDataset
 
@@ -28,9 +29,10 @@ class AnalysisOptions:
     candidate from a trace's one-step linear prediction, widened by
     ``first_link_factor`` while the trace has one point.  ``max_gap``: bias
     steps a trace may miss before it closes; ``min_points``: shorter
-    traces are dropped.  ``boundary_tol``: grid steps within which traces
-    chain across a segment boundary.  ``thickness_m``: film thickness [m]
-    in the dipole p = |gamma_s|*d/2.
+    traces are dropped, at least the hyperbola fit's ``MIN_POINTS``.
+    ``boundary_tol``: grid steps within which traces chain across a
+    segment boundary.  ``thickness_m``: film thickness [m] in the dipole
+    p = |gamma_s|*d/2.  A value out of range is a ``ConfigError``.
     """
 
     threshold: float = 0.25
@@ -40,6 +42,18 @@ class AnalysisOptions:
     first_link_factor: float = 5.0
     boundary_tol: float = 5.0
     thickness_m: float = 50.0 * 1e-9
+
+    def __post_init__(self):
+        if not 0 < self.threshold < 1:
+            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
+        if self.min_points < MIN_POINTS:
+            raise ConfigError(f"min_points must be at least {MIN_POINTS}, got {self.min_points}")
+        for name in ("jump_limit", "first_link_factor", "thickness_m"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("max_gap", "boundary_tol"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

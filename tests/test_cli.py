@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tls_scope import cli, dataio
 from tls_scope.coupled import CoupledPair
@@ -199,6 +200,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("tls1, panels, needle", [
         ({"bogus": 1}, ["panel.csv"], "bogus"),
         ({}, [5], "panels"),
+        ({"delta0": -1}, ["panel.csv"], "'tls1': delta0 must be > 0, got -1"),
+        ({"location": "bogus"}, ["panel.csv"], "'tls1': 'bogus' is not a valid Location"),
+        ({"p_parallel": -1}, ["panel.csv"], "'tls1': p_parallel is a magnitude"),
     ])
     def test_malformed_coupled_config(self, tmp_path, capsys, tls1, panels, needle):
         tls = {"schema_version": 1, "delta0": 5.9}
@@ -210,8 +214,8 @@ class TestExitCodes:
         assert "config error:" in err and needle in err
 
     @pytest.mark.parametrize("override", [
-        {"band_ghz": [6.7, 5.8]},  # InvalidBand
-        {"v_s_source_amplitude": 1.0},  # BiasLimitExceeded: 4.9 mV cold-end
+        {"band_ghz": [6.7, 5.8]},  # generate_ensemble: an empty band
+        {"v_s_source_amplitude": 1.0},  # default_sweep_plan: 4.9 mV cold-end
     ])
     def test_config_raised_as_package_error(self, tmp_path, capsys, override):
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
@@ -244,8 +248,23 @@ class TestExitCodes:
          "config key 'v_g_range' must be finite, got [nan, -30.0]"),
         ({"v_p_range": [90.0, float("inf")]},
          "config key 'v_p_range' must be finite, got [90.0, inf]"),
+        # These used to reach exit 2 only through a catch-all of every
+        # ValueError, with numpy's or Python's message.
+        ({"band_ghz": [6.0, 6.4, 7.0]}, "config key 'band_ghz' has the wrong type or length: "
+                                        "[6.0, 6.4, 7.0] (default [5.8, 6.7])"),
+        ({"band_ghz": [6.0]}, "config key 'band_ghz' has the wrong type or length: [6.0]"),
+        ({"v_g_range": [1.0]}, "config key 'v_g_range' has the wrong type or length: [1.0]"),
+        ({"segment_order": []}, "the segment order is empty"),
+        ({"thickness_nm": 0}, "d must be strictly positive, got 0.0"),
+        ({"c_tot_fF": 0}, "c_tot must be strictly positive, got 0.0"),
+        ({"area_um2": 0}, "area must be strictly positive, got 0.0"),
+        ({"f10_ghz": 0}, "omega10 must be strictly positive, got 0.0"),
+        ({"t1_qubit_us": 0}, "t1_qubit must be strictly positive, got 0"),
+        ({"band_ghz": [6.0, 6.001]}, "frequency axis needs at least 2 points, got 1"),
     ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit",
-            "infinite-division", "nan-amplitude", "nan-global-range", "infinite-piezo-range"])
+            "infinite-division", "nan-amplitude", "nan-global-range", "infinite-piezo-range",
+            "long-band", "short-band", "short-global-range", "empty-order", "zero-thickness",
+            "zero-capacitance", "zero-area", "zero-frequency", "zero-t1", "one-point-band"])
     def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
         assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
@@ -282,6 +301,87 @@ class TestExitCodes:
         assert run(*argv) == cli.EXIT_CONFIG
         assert "config error: min_points must be at least 5" in capsys.readouterr().err
         assert not (tmp_path / "fit_report.json").exists()
+
+    @pytest.mark.parametrize("command, override, needle", [
+        ("fit", {"threshold": -1}, "threshold must be in (0, 1), got -1"),
+        ("fit", {"threshold": 1.5}, "threshold must be in (0, 1), got 1.5"),
+        ("fit", {"jump_limit": -1}, "jump_limit must be > 0, got -1"),
+        ("fit", {"max_gap": -1}, "max_gap must be >= 0, got -1"),
+        ("fit", {"first_link_factor": -1}, "first_link_factor must be > 0, got -1"),
+        ("fit", {"boundary_tol": -1}, "boundary_tol must be >= 0, got -1"),
+        ("fit", {"thickness_nm": 0}, "thickness_m must be > 0, got 0.0"),
+        ("fit", {"field_rms_v_per_m": 20.0},
+         "the detectability cut needs both the rms field and T1, got 20.0 and None"),
+        ("fit", {"t1_us": 1.0},
+         "the detectability cut needs both the rms field and T1, got None and 1.0"),
+        ("fit", {"dipole_std_prior_ea": 0, "field_rms_v_per_m": 20.0, "t1_us": 1.0},
+         "the dipole std prior must be > 0, got 0"),
+        ("fit", {"dipole_std_prior_ea": -1, "field_rms_v_per_m": 20.0, "t1_us": 1.0},
+         "the dipole std prior must be > 0, got -1"),
+        ("coupled", {"threshold": 0}, "threshold must be in (0, 1), got 0"),
+        ("coupled", {"jump_limit": -8}, "jump_limit must be > 0, got -8"),
+        ("design", {"c_tot_fF": 0.01}, "total capacitance must exceed the sample capacitance"),
+    ], ids=["fit-negative-threshold", "fit-threshold-above-1", "fit-negative-jump",
+            "fit-negative-gap", "fit-negative-first-link", "fit-negative-boundary",
+            "fit-zero-thickness", "fit-field-only", "fit-t1-only", "fit-zero-prior",
+            "fit-negative-prior", "coupled-zero-threshold", "coupled-negative-jump",
+            "design-loaded-qubit"])
+    @pytest.mark.filterwarnings("ignore:sample capacitor holds")
+    def test_refuses_bad_setting(self, small_run, coupled_run, tmp_path, capsys, command,
+                                 override, needle):
+        # Each fit case used to exit 0 with other numbers, or 4 with no
+        # traces; a zero or negative prior fell back or dropped P0 silently.
+        base = {}
+        if command == "coupled":
+            base = json.loads((coupled_run[0] / "coupled.json").read_text())
+        cfg = write_json(tmp_path / "bad.json", {**base, **override})
+        argv = [command, "--config", cfg, "--out", tmp_path / "out"]
+        if command == "fit":
+            argv.insert(1, small_run / "dataset.csv")
+        assert run(*argv) == cli.EXIT_CONFIG
+        assert f"config error: {needle}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/*"))
+
+    @pytest.mark.parametrize("command", ["coupled", "plotdata crossing"])
+    def test_panel_must_be_a_sample_sweep(self, small_run, coupled_run, tmp_path, capsys,
+                                          command):
+        out, _code = coupled_run
+        dataset = small_run / "dataset.csv"
+        if command == "coupled":
+            cfg = write_json(tmp_path / "coupled.json", {
+                **json.loads((out / "coupled.json").read_text()), "panels": [str(dataset)]})
+            argv = ("coupled", "--config", cfg, "--out", tmp_path)
+        else:
+            argv = ("plotdata", "crossing", dataset, "--coupled-fit", out / "coupled_fit.json",
+                    "--pair", out / "coupled.json", "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_CONFIG
+        assert ("config error: crossing panels are single-segment V_s sweeps"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["generate", "--seed", "-1"], "--seed: must be a non-negative integer, got '-1'"),
+        (["design", "--seed", "7"], "unrecognized arguments: --seed 7"),
+        (["plotdata", "t1-map", "DATASET", "--config", "/nonexistent.json", "--seed", "5"],
+         "unrecognized arguments: --config /nonexistent.json --seed 5"),
+    ], ids=["negative-seed", "design-seed", "plotdata-config-and-seed"])
+    def test_each_command_takes_only_its_flags(self, small_run, tmp_path, capsys, argv,
+                                               needle):
+        # design and plotdata used to take and ignore these flags (exit 0),
+        # and a negative seed ended in numpy's message through exit 2.
+        argv = [small_run / "dataset.csv" if a == "DATASET" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", tmp_path / "out")
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_library_bug_is_no_config_error(self, small_run, tmp_path, monkeypatch):
+        def bug(*args):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "analyze_dataset", bug)
+        with pytest.raises(ValueError, match="^bug$"):
+            run("fit", small_run / "dataset.csv", "--out", tmp_path)
 
     @pytest.mark.parametrize("volume", [float("nan"), float("inf"), -1.0, 0.0])
     def test_fit_refuses_bad_volume(self, small_run, tmp_path, capsys, volume):
@@ -503,6 +603,83 @@ class TestExitCodes:
         assert run(*argv) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and "held 'v_p'" in err
+
+
+#: The tiny grid of the config properties: 6-12 TLS in 0.1 GHz, 8 bias
+#: steps per segment.  A `generate` or `fit` on it takes about 25 ms.
+TINY = {"band_ghz": [6.0, 6.1], "freq_step_ghz": 0.004, "n_bias": 8, "volume_um3": 0.0225}
+
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_EMPTY, cli.EXIT_COUPLED}
+
+
+def variants(value):
+    """What a config key may be drawn as: its good ``value``, 0, minus
+    ``value``, a list one element short or long, [] and a string."""
+    drawn = [value, 0, [], "x"]
+    if isinstance(value, (int, float)):
+        drawn.append(-value)
+    elif isinstance(value, list):
+        drawn += [value[:-1], value + value[-1:]]
+        if all(isinstance(v, (int, float)) for v in value):
+            drawn.append([-v for v in value])
+    elif isinstance(value, dict):
+        drawn.append({k: -v if isinstance(v, (int, float)) else v for k, v in value.items()})
+    return drawn
+
+
+def overrides(config):
+    """Up to two keys of ``config``, each drawn from its :func:`variants`."""
+    keys = st.lists(st.sampled_from(sorted(config)), max_size=2, unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries(
+        {k: st.sampled_from(variants(config[k])) for k in ks}))
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """(directory, full config of each command) on the TINY grid; the
+    directory holds a TINY dataset and two small crossing panels."""
+    out = tmp_path_factory.mktemp("tiny")
+    gen = write_json(out / "tiny.json", TINY)
+    assert run("generate", "--seed", 1, "--config", gen, "--out", out) == cli.EXIT_OK
+    panels = []
+    for k, v_p in enumerate((-4.0, 4.0)):
+        ds = coupled_pair_t1_map(PAIR, np.linspace(-2.4e-3, 2.4e-3, 30), v_p,
+                                 np.arange(5.90, 6.06, 0.002), field_rms=90.0,
+                                 gamma1_background=1 / 4.3, noise_sigma=0.1, seed=1 + k)
+        panels.append(str(out / f"panel_{k}.csv"))
+        dataio.write_dataset(ds, panels[-1])
+    return out, {
+        "generate": {**cli.GENERATE_DEFAULTS, **TINY},
+        "fit": {**cli.FIT_DEFAULTS, "volume_um3": TINY["volume_um3"]},
+        "coupled": {**cli.COUPLED_DEFAULTS, "panels": panels,
+                    "tls1": PAIR.tls1.to_dict(), "tls2": PAIR.tls2.to_dict()},
+        "design": dict(cli.DESIGN_DEFAULTS),
+    }
+
+
+class TestAnyConfig:
+    @pytest.mark.parametrize("command", ["generate", "fit", "coupled", "design"])
+    @pytest.mark.filterwarnings("ignore:sample capacitor holds")
+    def test_exits_with_a_documented_code(self, tiny_inputs, command):
+        # Only a refused setting exits 2; any other exception is a bug and
+        # must come out as itself, so this fails on it.
+        out, configs = tiny_inputs
+
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(overrides(configs[command]))
+        def check(override):
+            cfg = write_json(out / f"{command}.json", {**configs[command], **override})
+            argv = [command, "--config", cfg, "--out", out / command]
+            if command == "fit":
+                argv.insert(1, out / "dataset.csv")
+            try:
+                code = run(*argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == cli.EXIT_CONFIG
+            assert code in EXIT_CODES
+
+        check()
 
 
 class TestCoupled:

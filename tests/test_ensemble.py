@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tls_scope.ensemble import EnsembleConfig, _truncnorm_left_ppf, generate_ensemble
-from tls_scope.errors import InvalidBand
+from tls_scope.errors import ConfigError
 from tls_scope.stm import Location
 
 
@@ -34,7 +34,7 @@ class TestGenerateEnsemble:
         assert c.tls_list != a.tls_list
 
     def test_invalid_band(self):
-        with pytest.raises(InvalidBand):
+        with pytest.raises(ConfigError):
             generate_ensemble(EnsembleConfig(band=(6.7, 5.8)), seed=0)
 
     def test_in_band_mean_is_p0_volume_bandwidth(self):

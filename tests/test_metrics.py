@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
+from tls_scope.errors import ConfigError
 from tls_scope.metrics import (
     detectable_dipole_min,
     loss_tangent,
@@ -128,11 +129,21 @@ class TestMaterialReport:
         assert rep["P0_detection_corrected"] is None
 
     def test_detection_cut_needs_field_and_t1(self, mixed):
-        for extra in ({}, {"field_rms": 20.0}, {"t1_us": 1.0}):
-            rep = material_report(mixed, volume_um3=VOLUME, eps_r=10.0,
-                                  thickness_nm=50.0, **extra)
-            assert rep["p_min_detectable_eA"] is None
-            assert rep["P0_detection_corrected"] is None
+        rep = material_report(mixed, volume_um3=VOLUME, eps_r=10.0, thickness_nm=50.0)
+        assert rep["p_min_detectable_eA"] is None
+        assert rep["P0_detection_corrected"] is None
+        # One of the pair alone used to give the same report without a word.
+        for extra in ({"field_rms": 20.0}, {"t1_us": 1.0}):
+            with pytest.raises(ConfigError, match="needs both the rms field and T1"):
+                material_report(mixed, volume_um3=VOLUME, eps_r=10.0, thickness_nm=50.0,
+                                **extra)
+
+    @pytest.mark.parametrize("prior", [0.0, -1.0])
+    def test_dipole_std_prior_must_be_positive(self, mixed, prior):
+        # 0 used to fall back to the sample std, -1 to drop the corrected P0.
+        with pytest.raises(ConfigError, match=f"dipole std prior must be > 0, got {prior}"):
+            material_report(mixed, volume_um3=VOLUME, eps_r=10.0, thickness_nm=50.0,
+                            field_rms=20.0, t1_us=1.0, dipole_sigma_truncated_normal=prior)
 
     @pytest.mark.parametrize("prior", [None, 0.3])
     def test_detection_corrected_p0(self, mixed, prior):

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from tls_scope import spectro
 from tls_scope.constants import MHZ_PER_GHZ
-from tls_scope.errors import BiasLimitExceeded
+from tls_scope.errors import ConfigError
 from tls_scope.ensemble import Ensemble, EnsembleConfig, generate_ensemble
 from tls_scope.spectro import (
     _BIAS_BLOCK,
@@ -118,7 +118,7 @@ class TestControlChain:
         assert all(np.all(s.bias == 0.0) for s in plan if s.control == "sample")
 
     def test_limit_exceeded(self):
-        with pytest.raises(BiasLimitExceeded, match="above the 2.500 mV limit"):
+        with pytest.raises(ConfigError, match="above the 2.500 mV limit"):
             default_sweep_plan(v_s_source_amplitude=0.6, division_factor=205.0)
 
     @pytest.mark.parametrize("factor", [0.0, -205.0, float("nan"), float("inf")])

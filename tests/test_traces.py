@@ -164,7 +164,7 @@ class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("kwargs", [
         dict(threshold=0.1),
         dict(jump_limit=1.5, first_link_factor=1.0),
-        dict(min_points=2, max_gap=0),
+        dict(max_gap=0),
         dict(max_gap=5, min_points=10),
     ])
     def test_options(self, kwargs):
@@ -195,7 +195,7 @@ class TestExtraction:
         assert sum(len(tr) for tr in traces) == n - missing
 
     @pytest.mark.parametrize("shown, min_points, n_traces", [
-        (4, 5, 0), (4, 4, 1), (5, 5, 1),
+        (4, 5, 0), (5, 5, 1), (5, 6, 0), (6, 6, 1),
     ])
     def test_min_points_drops_short_traces(self, shown, min_points, n_traces):
         n = 20
@@ -218,17 +218,19 @@ class TestExtraction:
     def test_tie_goes_to_the_earlier_trace(self):
         # On a dyadic grid every candidate sits exactly on a grid point, so
         # the line at index 100 is exactly 3 steps from both open traces:
-        # A (rows 0-1 at index 97) and B (rows 2-3 at index 103).
+        # A (rows 0-4 at index 97, still open after a gap of 5) and B
+        # (rows 5-9 at index 103, 6 steps from A).
         freq = 6.0 + np.arange(200) * 2.0**-9
-        n = 10
+        n = 16
         rows = np.arange(n)
-        paths = [np.where(rows < 2, freq[97], np.nan),
-                 np.where((rows >= 2) & (rows < 4), freq[103], np.nan),
-                 np.where(rows >= 4, freq[100], np.nan)]
+        paths = [np.where(rows < 5, freq[97], np.nan),
+                 np.where((rows >= 5) & (rows < 10), freq[103], np.nan),
+                 np.where(rows >= 10, freq[100], np.nan)]
         ds = dataset([t1_grid(paths, n, freq=freq)], freq=freq)
-        traces = extract_traces(ds, AnalysisOptions(min_points=2))
-        assert [tr.bias_index for tr in traces] == [[2, 3], [0, 1, 4, 5, 6, 7, 8, 9]]
-        assert traces[1].freq == [freq[97]] * 2 + [freq[100]] * 6
+        traces = extract_traces(ds, AnalysisOptions(max_gap=5))
+        assert [tr.bias_index for tr in traces] == [
+            [5, 6, 7, 8, 9], [0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15]]
+        assert traces[1].freq == [freq[97]] * 5 + [freq[100]] * 6
 
     def test_first_link_factor_finds_the_second_point(self):
         # 10 grid steps per bias step: beyond jump_limit (5 steps) around
