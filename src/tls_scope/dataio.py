@@ -4,30 +4,26 @@ Every JSON output is written by :func:`write_json`, the one serializer
 (sorted keys, two-space indent, a final newline) and the one place a
 file gets its top-level ``schema_version``.
 
-The dataset is a long-format CSV with header
+The dataset CSV is the (bias step x qubit frequency) T1 map of each
+sweep segment, one line per bias step, segment after segment:
 
-    segment,control,bias_V,freq_GHz,t1_us
+    segment,control,bias_V,<f_0 [GHz]>,...,<f_{n-1}>
+    <segment>,<control>,<bias_V>,<T1 [us] at f_0>,...,<T1 at f_{n-1}>
 
-accompanied by ``<name>.meta.json`` carrying qubit parameters, the seed,
-``schema_version``, the length ``n_freq`` of the frequency axis and one
-entry per segment.  Floats are written with ``repr`` (shortest
-round-trip), so identical inputs produce identical bytes; a missing (NaN)
-T1 cell is an empty field.  The writer formats each frequency once per
-file and each bias once per row, and streams the file row by row.
-
-Row order: within a segment the rows run bias step by bias step, each
-step a block of one row per frequency of the axis, in ascending order,
-all with the step's ``bias_V``.  The file ends with a newline.  The
-reader parses the whole file with one structured ``np.loadtxt``, groups
-the rows into segments with numpy masks and checks this order on the
-reshaped (bias, frequency) grids, so a cut, shuffled or edited file is
-refused, not misread.  Readers check ``schema_version`` on every file
-and refuse versions they do not know.  The sidecar's ``segments``, the
-``tls`` records of the fit report and the ground truth, and the numbers
-of a coupled fit are type-checked as well, and the CSV's segments must
-be the sidecar's, by id, control and number of bias steps, and its
-frequency axis must have the sidecar's ``n_freq`` points (a sidecar
-without ``n_freq``, written before it was recorded, skips that check).
+Floats are written with ``repr`` (shortest round-trip), so identical
+inputs produce identical bytes; a missing (NaN) T1 cell is ``nan``; the
+file ends with a newline.  Its ``<name>.meta.json`` sidecar carries qubit
+parameters, the seed, ``schema_version``, the length ``n_freq`` of the
+frequency axis and one entry per segment.  The reader takes the axis from
+the header and parses the data lines with one structured ``np.loadtxt``,
+which refuses a line with a cell too many or too few; a file of the
+earlier one-line-per-cell layout is refused by its header.  Readers check
+``schema_version`` on every file and refuse versions they do not know.
+The sidecar's ``segments``, the ``tls`` records of the fit report and the
+ground truth, and the numbers of a coupled fit are type-checked as well,
+and the CSV's segments must be the sidecar's, by id, control and number
+of bias steps, and its frequency axis must have the sidecar's ``n_freq``
+points (a sidecar without ``n_freq`` skips that check).
 """
 
 from __future__ import annotations
@@ -44,7 +40,11 @@ from .pairfit import PairFitResult
 from .spectro import CONTROLS, SegmentSpec, SpectroscopyDataset
 from .stm import SCHEMA_VERSION, TlsParams, check_schema_version
 
-DATASET_HEADER = "segment,control,bias_V,freq_GHz,t1_us"
+#: The columns before the frequencies in the header of a dataset CSV.
+DATASET_COLUMNS = "segment,control,bias_V"
+
+#: The header of the earlier one-line-per-cell dataset layout.
+_PER_CELL_HEADER = "segment,control,bias_V,freq_GHz,t1_us"
 
 
 def write_json(path, payload: dict) -> None:
@@ -61,18 +61,17 @@ def _meta_path(csv_path) -> Path:
 def write_dataset(ds: SpectroscopyDataset, csv_path) -> None:
     """Write a dataset as CSV plus its .meta.json sidecar."""
     csv_path = Path(csv_path)
-    freq = [f"{f!r}," for f in np.asarray(ds.freq_ghz, dtype=float).tolist()]
+    freq = np.asarray(ds.freq_ghz, dtype=float).tolist()
     with open(csv_path, "w") as fh:
-        fh.write(DATASET_HEADER + "\n")
+        fh.write(",".join([DATASET_COLUMNS, *map(repr, freq)]) + "\n")
         for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
             t1 = np.asarray(t1, dtype=float)
+            cells = np.where(np.isfinite(t1), t1, np.nan).tolist()
             bias = np.asarray(seg.bias, dtype=float).tolist()
-            for v, row, finite in zip(bias, t1.tolist(), np.isfinite(t1).tolist()):
-                head = f"{s},{seg.control},{v!r},"
-                fh.write("".join([
-                    f"{head}{f}{t!r}\n" if ok else f"{head}{f}\n"
-                    for f, t, ok in zip(freq, row, finite)
-                ]))
+            fh.write("".join([
+                f"{s},{seg.control},{v!r},{','.join(map(repr, row))}\n"
+                for v, row in zip(bias, cells)
+            ]))
 
     write_json(_meta_path(csv_path), {
         **ds.meta,
@@ -124,21 +123,27 @@ def _segment_meta(meta: dict, name: str) -> list[tuple[str, dict, object]]:
     return out
 
 
-#: One CSV row as ``np.loadtxt`` parses it.  The control field is one
-#: character wider than the longest control name, so a longer name that
-#: gets cut short still fails the check in SegmentSpec.
+#: A CSV line before its T1 cells, as ``np.loadtxt`` parses it.  The
+#: control field is one character wider than the longest control name, so
+#: a longer name that gets cut short still fails the check in SegmentSpec.
 _ROW_DTYPE = [
     ("segment", np.int64),
     ("control", f"U{max(map(len, CONTROLS)) + 1}"),
     ("bias", float),
-    ("freq", float),
-    ("t1", float),
 ]
 
 
-def _t1_cell(text: str) -> float:
-    """An empty ``t1_us`` field is a missing cell."""
-    return float(text) if text else np.nan
+def _header_frequencies(header: str) -> np.ndarray:
+    """The frequency axis [GHz] that a dataset CSV header names."""
+    if header == _PER_CELL_HEADER:
+        raise SchemaError(f"row 1: {header!r} is the header of the old one-line-per-cell "
+                          "layout; run generate again to write the dataset")
+    if not header.startswith(DATASET_COLUMNS + ","):
+        raise SchemaError(f"unexpected CSV header {header[:80]!r}")
+    try:
+        return np.array(header.split(",")[3:], dtype=float)
+    except ValueError as exc:
+        raise SchemaError(f"row 1: {exc}") from None
 
 
 class _DataLines:
@@ -190,12 +195,13 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
         type), CSV segment ids other than 0..n-1 for the n sidecar
         segments, a segment whose control or number of bias steps is
         not its sidecar entry's, a frequency axis whose length is not
-        the sidecar's ``n_freq``, bad header, a corrupt row, a file
-        without its final newline, a non-finite bias or frequency,
-        rows out of the order stated in the module docstring (these
-        messages carry the 1-based file line as "row N"), or values
-        the dataset itself rejects, such as a non-positive or infinite
-        T1.
+        the sidecar's ``n_freq``, a bad header (the one-line-per-cell
+        layout included), a corrupt line or one whose number of cells is
+        not the header's, a file without its final newline, a non-finite
+        bias, a control that changes within a segment (these messages
+        carry the 1-based file line as "row N"), or values the dataset
+        itself rejects, such as a frequency axis that is not strictly
+        increasing or a non-positive or infinite T1.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path(csv_path)
@@ -206,17 +212,15 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
 
     # Undecodable bytes become U+FFFD, which the header and row checks reject.
     with open(csv_path, errors="replace") as fh:
-        header = fh.readline().strip()
-        if header != DATASET_HEADER:
-            raise SchemaError(f"unexpected CSV header {header!r}")
+        freq_axis = _header_frequencies(fh.readline().strip())
         lines = _DataLines(fh)
         try:
             with warnings.catch_warnings():
                 # A header-only file warns "input contained no data".
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(
-                    lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                    converters={4: _t1_cell}, ndmin=1,
+                    lines, dtype=[*_ROW_DTYPE, ("t1", float, (freq_axis.size,))],
+                    delimiter=",", comments=None, ndmin=1,
                 )
         except ValueError as exc:
             # numpy's own "at row ..." counts parsed rows, not file lines.
@@ -227,9 +231,7 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
         raise SchemaError(f"row {lines.lineno}: no final newline; the file is cut short")
     if rows.size == 0:
         raise SchemaError("dataset has no rows")
-    for col, name in (("bias", "bias_V"), ("freq", "freq_GHz")):
-        lines.refuse_first(~np.isfinite(rows[col]), range(rows.size),
-                           f"{name} is not finite")
+    lines.refuse_first(~np.isfinite(rows["bias"]), range(rows.size), "bias_V is not finite")
     seg_ids = rows["segment"]
     ids = np.unique(seg_ids).tolist()
     if ids != list(range(len(seg_meta))):
@@ -237,64 +239,36 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
             f"{meta_path.name}: describes segments 0..{len(seg_meta) - 1}, "
             f"the CSV has segments {ids}"
         )
+    n_freq = meta.get("n_freq", freq_axis.size)
+    if n_freq != freq_axis.size:
+        raise SchemaError(
+            f"{meta_path.name}: the frequency axis has {n_freq!r} points, "
+            f"the CSV has {freq_axis.size}"
+        )
     segments, grids = [], []
-    freq_axis = None
     # SegmentSpec and SpectroscopyDataset raise ValueError on bad content.
     try:
         for s in ids:
             in_seg = seg_ids == s
-            seg_rows = np.flatnonzero(in_seg)
             controls = rows["control"][in_seg]
-            lines.refuse_first(controls != controls[0], seg_rows,
+            lines.refuse_first(controls != controls[0], np.flatnonzero(in_seg),
                                f"control changed within segment {s}")
-            bias = rows["bias"][in_seg]
-            freq = rows["freq"][in_seg]
-            t1 = rows["t1"][in_seg]
-            uniq_freq = np.unique(freq)
-            n_f = uniq_freq.size
-            if bias.size % n_f != 0:
-                raise SchemaError(f"segment {s}: ragged grid")
-            n_b = bias.size // n_f
-            if freq_axis is None:
-                freq_axis = uniq_freq
-            elif not np.array_equal(freq_axis, uniq_freq):
-                raise SchemaError(f"segment {s}: frequency axis differs")
-            bias_grid = bias.reshape(n_b, n_f)
-            lines.refuse_first((freq.reshape(n_b, n_f) != uniq_freq).ravel(), seg_rows,
-                               f"frequency out of order in segment {s}")
-            lines.refuse_first((bias_grid != bias_grid[:, :1]).ravel(), seg_rows,
-                               f"bias_V changes within a bias step of segment {s}")
             control, held, n_bias = seg_meta[s]
-            if n_bias != n_b:
+            if n_bias != controls.size:
                 raise SchemaError(
                     f"{meta_path.name}: segment {s} has {n_bias!r} bias steps, "
-                    f"the CSV has {n_b}"
+                    f"the CSV has {controls.size}"
                 )
-            segments.append(
-                SegmentSpec(
-                    control=str(controls[0]),
-                    bias=bias_grid[:, 0],
-                    held={k: float(v) for k, v in held.items()},
-                )
-            )
+            segments.append(SegmentSpec(control=str(controls[0]), bias=rows["bias"][in_seg],
+                                        held={k: float(v) for k, v in held.items()}))
             if control != segments[-1].control:
                 raise SchemaError(
                     f"{meta_path.name}: segment {s} is {control!r}, "
                     f"the CSV has {segments[-1].control!r}"
                 )
-            grids.append(t1.reshape(n_b, n_f))
-        n_freq = meta.get("n_freq", freq_axis.size)
-        if n_freq != freq_axis.size:
-            raise SchemaError(
-                f"{meta_path.name}: the frequency axis has {n_freq!r} points, "
-                f"the CSV has {freq_axis.size}"
-            )
-        return SpectroscopyDataset(
-            segments=tuple(segments),
-            freq_ghz=freq_axis,
-            t1_us=tuple(grids),
-            meta=meta,
-        )
+            grids.append(rows["t1"][in_seg])
+        return SpectroscopyDataset(segments=tuple(segments), freq_ghz=freq_axis,
+                                   t1_us=tuple(grids), meta=meta)
     except ValueError as exc:
         raise SchemaError(f"{csv_path.name}: {exc}") from None
 

@@ -26,6 +26,10 @@ from .stm import Location, TlsParams, dipole_to_gamma_s
 #: Asymmetry shift [GHz] the bias sweeps may apply; widens the eps_i window.
 MAX_BIAS_SWING = 2.5
 
+#: Largest mean number of in-band defects, P0 * volume * bandwidth, that a
+#: config may ask for (the CLI default asks for 3.6, 100x its volume 365).
+MAX_MEAN_IN_BAND = 1e5
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -40,7 +44,8 @@ class EnsembleConfig:
     [GHz/V]; the global-gate rate is zero for defects buried in the
     sample capacitor (the top electrode screens the global field).
     ``p0_target``, ``volume_um3`` and ``gamma_p_max`` must be finite and
-    non-negative; a zero density or volume draws an empty ensemble.
+    non-negative; a zero density or volume draws an empty ensemble, and
+    the mean in-band count may not exceed :data:`MAX_MEAN_IN_BAND`.
     """
 
     band: tuple[float, float] = (5.8, 6.7)
@@ -58,6 +63,15 @@ class EnsembleConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if self.mean_in_band > MAX_MEAN_IN_BAND:
+            raise ConfigError(f"p0_target * volume_um3 * bandwidth asks for "
+                              f"{self.mean_in_band:.3g} defects in band, "
+                              f"more than {MAX_MEAN_IN_BAND:.0f}")
+
+    @property
+    def mean_in_band(self) -> float:
+        """Mean number of defects whose zero-bias transition is in band."""
+        return self.p0_target * self.volume_um3 * (self.band[1] - self.band[0])
 
     def resolved_delta0_min(self) -> float:
         """Lower end of the log-uniform Delta0 window [GHz]."""
@@ -127,11 +141,10 @@ def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:
         raise ConfigError(f"band {cfg.band} is empty")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    mean_in_band = cfg.p0_target * cfg.volume_um3 * (hi - lo)
     tls: list[TlsParams] = []
-    if mean_in_band > 0:
+    if cfg.mean_in_band > 0:
         q = _in_band_probability(cfg)
-        n = int(rng.poisson(mean_in_band / q))
+        n = int(rng.poisson(cfg.mean_in_band / q))
         d_lo = cfg.resolved_delta0_min()
         w = cfg.resolved_eps_halfwidth()
         delta0 = np.exp(rng.uniform(np.log(d_lo), np.log(hi), size=n))

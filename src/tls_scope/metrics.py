@@ -86,10 +86,13 @@ def material_report(
     corrected P0 (raw divided by the detected fraction of a
     truncated-normal dipole population, the distribution the ensemble
     draws from, evaluated with :class:`statistics.NormalDist`) appear
-    alongside the raw value.  One of the pair without the other, or a
-    dipole std prior that is not positive, is a
+    alongside the raw value.  One of the pair without the other, a
+    dipole std prior that is not positive, or an ``eps_r`` that is not
+    positive (checked whether or not a loss tangent follows), is a
     :class:`~tls_scope.errors.ConfigError`.
     """
+    if not eps_r > 0:
+        raise ConfigError(f"eps_r must be > 0, got {eps_r}")
     if (field_rms is None) != (t1_us is None):
         raise ConfigError(f"the detectability cut needs both the rms field and T1, "
                           f"got {field_rms} and {t1_us}")

@@ -26,10 +26,11 @@ SMALL = {"band_ghz": [6.0, 6.4], "freq_step_ghz": 0.004, "n_bias": 30,
 #: (numpy 2.4, x86-64).  A change to these bytes is a change to the
 #: simulator or the analysis and belongs in CHANGES.md with the new hashes.
 #: Last re-recorded for the standard-library dipole draw, the sidecar's
-#: ``n_freq`` and the batched hyperbola start solve.
+#: ``n_freq`` and the batched hyperbola start solve; ``dataset.csv`` alone
+#: re-recorded for the one-line-per-bias-step layout.
 EXPECTED_SHA256 = {
     "dataset.csv":
-        "2e06fa42420852d04640cfa23170ecf5e4bd5ce51740d8573f6f275d491d7b8b",
+        "6a3a3e63922066a772df635c6fdb473169966c84873d70d6ee82bc44951d1bf2",
     "dataset.csv.meta.json":
         "c1f19a43f3c01fbb56d8409a0cc1eee09c16fe230236263cb22743b335f0bb93",
     "ground_truth.json":
@@ -44,11 +45,12 @@ EXPECTED_SHA256 = {
 #: A crowded `generate` config: about 1.4k TLS (many 16-TLS chunks), 24
 #: bias steps (two bias blocks per segment) and global segments whose
 #: rows all repeat, and its output sha256 for `--seed 1` (numpy 2.4,
-#: x86-64), recorded before the T1-map pool became one per map.
+#: x86-64), recorded before the T1-map pool became one per map;
+#: ``dataset.csv`` re-recorded for the one-line-per-bias-step layout.
 CROWDED = {"volume_um3": 0.225, "band_ghz": [6.0, 6.1], "n_bias": 24}
 CROWDED_SHA256 = {
     "dataset.csv":
-        "34654d48103abb0bf1275c3c1c888a865c6a817e0483ee0a49d01cf5d2035219",
+        "3def1f5d5c77a93e5e2758bb2a42a52ba00398193bb7eb99e18f96e225912765",
     "dataset.csv.meta.json":
         "c45f2cfa7759a3d4b834abc7b7d0c19bc0d85ed6466699d7ff5a1b3092636d66",
     "ground_truth.json":
@@ -281,8 +283,11 @@ class TestExitCodes:
         ({"volume_um3": float("nan")}, "config key 'volume_um3' must be finite, got nan"),
         ({"volume_um3": -1.0}, "volume_um3 must be finite and >= 0, got -1.0"),
         ({"volume_um3": float("inf")}, "config key 'volume_um3' must be finite, got inf"),
+        # Used to end in numpy's "lam value too large" from the Poisson draw.
+        ({"p0_per_um3_ghz": 1e30},
+         "p0_target * volume_um3 * bandwidth asks for 1.8e+27 defects in band, more than 100000"),
     ], ids=["p0-nan", "p0-negative", "gamma_p-nan", "gamma_p-inf", "volume-nan",
-            "volume-negative", "volume-inf"])
+            "volume-negative", "volume-inf", "p0-huge"])
     def test_generate_refuses_bad_ensemble_value(self, tmp_path, capsys, override, needle):
         # NaN and a negative P0 or volume used to draw an empty ensemble
         # (exit 0), a non-finite gamma_p_max ended in an OverflowError
@@ -508,8 +513,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("damage, needle", [
         ("cut", "no final newline; the file is cut short"),
-        ("swap", "row 3: frequency out of order"),
-        ("bias", "row 4: bias_V changes"),
+        ("swap", "dataset.csv: frequency axis must be strictly increasing"),
+        ("cell", "row 4: "),
         ("nan", "row 4: bias_V is not finite"),
     ])
     def test_damaged_csv_is_a_file_error(self, small_run, tmp_path, capsys, damage, needle):
@@ -518,16 +523,29 @@ class TestExitCodes:
         if damage == "cut":
             lines[-2] = lines[-2][:-3]
             del lines[-1]
-        elif damage == "swap":
-            lines[2], lines[3] = lines[3], lines[2]
+        elif damage == "cell":
+            lines[3] += ",1.0"
         else:
-            fields = lines[3].split(",")
-            fields[2] = "nan" if damage == "nan" else repr(float(fields[2]) + 0.5)
-            lines[3] = ",".join(fields)
+            row = 0 if damage == "swap" else 3
+            fields = lines[row].split(",")
+            if damage == "swap":
+                fields[3], fields[4] = fields[4], fields[3]
+            else:
+                fields[2] = "nan"
+            lines[row] = ",".join(fields)
         csv.write_text("\n".join(lines))
         assert run("fit", csv, "--out", tmp_path) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and needle in err
+
+    def test_per_cell_layout_is_a_file_error(self, small_run, tmp_path, capsys):
+        # A dataset of the layout before one line per bias step.
+        csv = copy_dataset(small_run, tmp_path / "data")
+        csv.write_text("segment,control,bias_V,freq_GHz,t1_us\n0,global,90.0,6.0,3.5\n")
+        assert run("fit", csv, "--out", tmp_path) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and "Traceback" not in err
+        assert "one-line-per-cell layout" in err and "run generate again" in err
 
     def test_undecodable_csv_is_a_file_error(self, small_run, tmp_path):
         csv = copy_dataset(small_run, tmp_path / "data")
@@ -553,6 +571,19 @@ class TestExitCodes:
         argv = ("fit", tmp_path / "dataset.csv", "--config", bad, "--out", tmp_path)
         assert run(*argv) == cli.EXIT_CONFIG
         assert "config error: volume must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps_r", [-10.0, 0.0])
+    def test_fit_refuses_non_positive_eps_r_without_a_loss_tangent(self, tmp_path, capsys,
+                                                                   eps_r):
+        # No defect, so no loss tangent: eps_r used to go into the report as is.
+        cfg = write_json(tmp_path / "empty.json", {**SMALL, "p0_per_um3_ghz": 0.0})
+        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_OK
+        bad = write_json(tmp_path / "bad.json", {"eps_r": eps_r})
+        argv = ("fit", tmp_path / "dataset.csv", "--allow-empty", "--config", bad,
+                "--out", tmp_path)
+        assert run(*argv) == cli.EXIT_CONFIG
+        assert f"config error: eps_r must be > 0, got {eps_r}" in capsys.readouterr().err
+        assert not (tmp_path / "material_report.json").exists()
 
 
     def test_coupled_panel_without_resonance(self, tmp_path, capsys):
@@ -614,10 +645,11 @@ EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_EMPTY, cli.EXI
 
 def variants(value):
     """What a config key may be drawn as: its good ``value``, 0, minus
-    ``value``, a list one element short or long, [] and a string."""
+    ``value``, 1e30 for a number, a list one element short or long, []
+    and a string."""
     drawn = [value, 0, [], "x"]
     if isinstance(value, (int, float)):
-        drawn.append(-value)
+        drawn += [-value, 1e30]
     elif isinstance(value, list):
         drawn += [value[:-1], value + value[-1:]]
         if all(isinstance(v, (int, float)) for v in value):
@@ -741,8 +773,10 @@ class TestPlotdata:
         # A dataset with missing cells, so that empty fields are written too.
         csv = copy_dataset(small_run, tmp_path / "data")
         lines = csv.read_text().split("\n")
-        for k in (1, 5, 900):
-            lines[k] = lines[k][:lines[k].rindex(",") + 1]
+        for k, j in ((1, 3), (5, 50), (200, 103)):
+            fields = lines[k].split(",")
+            fields[j] = "nan"
+            lines[k] = ",".join(fields)
         csv.write_text("\n".join(lines))
         source = csv if kind == "t1-map" else small_run / "fit_report.json"
         assert run("plotdata", kind, source, "--out", tmp_path / "new") == cli.EXIT_OK

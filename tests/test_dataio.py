@@ -56,15 +56,20 @@ def written(tmp_path):
 
 
 def reference_csv(ds):
-    """The dataset CSV written cell by cell, as the format defines it."""
-    lines = [dataio.DATASET_HEADER]
+    """The dataset CSV written line by line, as the format defines it: one
+    line per bias step, its T1 cells in the order of the header's
+    frequencies, a non-finite cell as ``nan``."""
+    lines = [",".join([dataio.DATASET_COLUMNS, *(repr(float(f)) for f in ds.freq_ghz)])]
     for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
-        for i, v in enumerate(seg.bias):
-            for j, f in enumerate(ds.freq_ghz):
-                t = t1[i, j]
-                t_str = repr(float(t)) if np.isfinite(t) else ""
-                lines.append(f"{s},{seg.control},{float(v)!r},{float(f)!r},{t_str}")
+        for v, row in zip(seg.bias, t1):
+            cells = [repr(float(t)) if np.isfinite(t) else "nan" for t in row]
+            lines.append(",".join([str(s), seg.control, repr(float(v)), *cells]))
     return "\n".join(lines) + "\n"
+
+
+#: The file line of the last bias step of make_dataset, whose 4 + 3 + 5
+#: bias steps are lines 2-13.
+LAST_LINE = 13
 
 
 def replace_line(path, lineno, text):
@@ -92,15 +97,16 @@ class TestRoundTrip:
             assert b.tobytes() == a.tobytes()
         assert back.meta["note"] == "round trip"
 
-    def test_missing_cells_are_empty_fields(self, written):
+    def test_missing_cells_are_nan(self, written):
         ds, path = written
         lines = path.read_text().splitlines()
-        assert lines[0] == dataio.DATASET_HEADER
-        assert len(lines) == 1 + sum(t.size for t in ds.t1_us)
-        empty = [line for line in lines if line.endswith(",")]
-        assert len(empty) == 3
-        # Row 1 (bias index 1), column 2 of segment 0.
-        assert lines[1 + N_FREQ + 2] == empty[0]
+        assert lines[0].startswith(dataio.DATASET_COLUMNS + ",")
+        assert len(lines) == 1 + sum(seg.bias.size for seg in ds.segments) == LAST_LINE
+        missing = [(i, j) for i, line in enumerate(lines[1:])
+                   for j, cell in enumerate(line.split(",")[3:]) if cell == "nan"]
+        # Bias step 1, column 2 of segment 0; steps 0 and 4 of segment 2,
+        # which starts after the 4 + 3 steps of segments 0 and 1.
+        assert missing == [(1, 2), (7, 6), (11, 0)]
 
     def test_writer_matches_reference_loop(self, tmp_path):
         ds = make_dataset()
@@ -135,24 +141,34 @@ class TestRowChecks:
 
     def test_non_numeric_cell_names_its_line(self, written):
         _, path = written
-        replace_line(path, 9, "0,sample,0.001,5.8,abc")
+        fields = path.read_text().split("\n")[8].split(",")
+        fields[5] = "abc"
+        replace_line(path, 9, ",".join(fields))
         with pytest.raises(SchemaError, match=r"\brow 9\b.*'abc'"):
+            dataio.read_dataset(path)
+
+    def test_non_numeric_header_frequency_names_row_1(self, written):
+        _, path = written
+        fields = path.read_text().split("\n")[0].split(",")
+        fields[4] = "abc"
+        replace_line(path, 1, ",".join(fields))
+        with pytest.raises(SchemaError, match=r"\brow 1\b.*'abc'"):
             dataio.read_dataset(path)
 
     def test_control_change_within_segment(self, written):
         _, path = written
-        line = path.read_text().split("\n")[11]
-        replace_line(path, 12, line.replace(",sample,", ",piezo,"))
-        with pytest.raises(SchemaError, match=r"\brow 12\b.*control changed"):
+        line = path.read_text().split("\n")[3]
+        replace_line(path, 4, line.replace(",sample,", ",piezo,"))
+        with pytest.raises(SchemaError, match=r"\brow 4\b.*control changed"):
             dataio.read_dataset(path)
 
     def test_line_numbers_count_blank_lines(self, written):
         _, path = written
         lines = path.read_text().split("\n")
-        lines[11] = lines[11].replace(",sample,", ",piezo,")
-        lines.insert(3, "")
+        lines[3] = lines[3].replace(",sample,", ",piezo,")
+        lines.insert(2, "")
         path.write_text("\n".join(lines))
-        with pytest.raises(SchemaError, match=r"\brow 13\b.*control changed"):
+        with pytest.raises(SchemaError, match=r"\brow 5\b.*control changed"):
             dataio.read_dataset(path)
 
     def test_long_control_name_with_a_valid_prefix(self, written):
@@ -161,36 +177,37 @@ class TestRowChecks:
         with pytest.raises(SchemaError, match="unknown control"):
             dataio.read_dataset(path)
 
-    def test_ragged_grid(self, written):
+    def test_doubled_bias_step_is_the_sidecar_count(self, written):
         _, path = written
         lines = path.read_text().split("\n")
-        del lines[3]
+        lines.insert(3, lines[3])
         path.write_text("\n".join(lines))
-        with pytest.raises(SchemaError, match="ragged"):
+        needle = "meta.json: segment 0 has 4 bias steps, the CSV has 5"
+        with pytest.raises(SchemaError, match=re.escape(needle)):
             dataio.read_dataset(path)
 
     @pytest.mark.parametrize("cut", [1, 3, 9])
     def test_cut_file_names_its_last_line(self, written, cut):
         # Cut 1 leaves "...0.2325873" as "...0.232587": still a number.
-        ds, path = written
+        _, path = written
         path.write_bytes(path.read_bytes()[:-cut])
-        last = 1 + sum(t.size for t in ds.t1_us)
-        with pytest.raises(SchemaError, match=rf"\brow {last}\b.*cut short"):
+        with pytest.raises(SchemaError, match=rf"\brow {LAST_LINE}\b.*cut short"):
             dataio.read_dataset(path)
 
-    def test_swapped_cells_within_a_bias_row(self, written):
+    def test_swapped_header_frequencies(self, written):
         _, path = written
-        lines = path.read_text().split("\n")
-        lines[3], lines[5] = lines[5], lines[3]
-        path.write_text("\n".join(lines))
-        with pytest.raises(SchemaError, match=r"\brow 4\b.*frequency out of order"):
+        fields = path.read_text().split("\n")[0].split(",")
+        fields[4], fields[6] = fields[6], fields[4]
+        replace_line(path, 1, ",".join(fields))
+        with pytest.raises(SchemaError, match="frequency axis must be strictly increasing"):
             dataio.read_dataset(path)
 
-    def test_bias_cell_differs_from_its_row(self, written):
+    @pytest.mark.parametrize("change", ["more", "fewer"])
+    def test_line_with_a_cell_more_or_fewer(self, written, change):
         _, path = written
-        bias = float(path.read_text().split("\n")[4].split(",")[2])
-        set_bias(path, 5, repr(bias + 0.5))
-        with pytest.raises(SchemaError, match=r"\brow 5\b.*bias_V changes"):
+        line = path.read_text().split("\n")[4]
+        replace_line(path, 5, line + ",1.0" if change == "more" else line[:line.rindex(",")])
+        with pytest.raises(SchemaError, match=r"\brow 5\b"):
             dataio.read_dataset(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -214,7 +231,7 @@ class TestRowChecks:
     def test_bias_steps_are_the_sidecar_count(self, written):
         _, path = written
         lines = path.read_text().split("\n")
-        del lines[1:1 + N_FREQ]
+        del lines[1]
         path.write_text("\n".join(lines))
         needle = "meta.json: segment 0 has 4 bias steps, the CSV has 3"
         with pytest.raises(SchemaError, match=re.escape(needle)):
@@ -222,7 +239,7 @@ class TestRowChecks:
 
     def test_header_only_file_has_no_rows(self, written):
         _, path = written
-        path.write_text(dataio.DATASET_HEADER + "\n")
+        path.write_text(path.read_text().split("\n")[0] + "\n")
         with pytest.raises(SchemaError, match="no rows"):
             dataio.read_dataset(path)
 
@@ -320,26 +337,30 @@ def small_datasets(draw):
 def corrupt(text, kind, data, n_freq):
     """``text`` with one damage of the given kind, drawn from ``data``."""
     if kind == "cut":
-        return text[:data.draw(st.integers(len(dataio.DATASET_HEADER) + 1, len(text) - 1))]
+        return text[:data.draw(st.integers(text.index("\n") + 1, len(text) - 1))]
     lines = text.split("\n")
+    if kind == "swap":
+        # Two frequencies of the header.
+        i, j = data.draw(st.lists(st.integers(3, 2 + n_freq), min_size=2, max_size=2,
+                                  unique=True))
+        fields = lines[0].split(",")
+        fields[i], fields[j] = fields[j], fields[i]
+        lines[0] = ",".join(fields)
+        return "\n".join(lines)
     k = data.draw(st.integers(1, len(lines) - 2))
     fields = lines[k].split(",")
-    if kind == "swap":
-        # Another cell of the same bias step.
-        j = 1 + (k - 1) // n_freq * n_freq + data.draw(st.integers(0, n_freq - 1))
-        lines[k], lines[j] = lines[j], lines[k]
-    elif kind == "bias":
-        fields[2] = repr(float(fields[2]) + data.draw(st.sampled_from([0.5, 1e-9, -1e-3])))
+    if kind == "cells":
+        # A cell more or one fewer on a bias-step line.
+        fields = data.draw(st.sampled_from([fields + ["1.0"], fields[:-1]]))
     else:
         fields[2] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
-    if kind != "swap":
-        lines[k] = ",".join(fields)
+    lines[k] = ",".join(fields)
     return "\n".join(lines)
 
 
 class TestCorruption:
     @settings(max_examples=60, deadline=None)
-    @given(ds=small_datasets(), kind=st.sampled_from(["cut", "swap", "bias", "non-finite"]),
+    @given(ds=small_datasets(), kind=st.sampled_from(["cut", "swap", "cells", "non-finite"]),
            data=st.data())
     def test_damage_is_refused_or_harmless(self, ds, kind, data):
         with tempfile.TemporaryDirectory() as tmp:
@@ -359,8 +380,8 @@ class TestCorruption:
 
 def refused_damage(text, kind, data, n_freq):
     """``text`` with one damage of the given kind that makes it no dataset
-    file: cut short, a row dropped or doubled, or a non-finite value where
-    the format forbids one."""
+    file: cut short, a bias-step line dropped or doubled, or a non-finite
+    value where the format forbids one."""
     if kind == "truncated":
         return text[:data.draw(st.integers(0, len(text) - 1))]
     lines = text.split("\n")
@@ -368,20 +389,22 @@ def refused_damage(text, kind, data, n_freq):
     if kind == "ragged":
         lines[k:k + 1] = [lines[k]] * data.draw(st.sampled_from([0, 2]))
         return "\n".join(lines)
-    column = data.draw(st.sampled_from([2, 3, 4]))  # bias_V, freq_GHz, t1_us
+    where = data.draw(st.sampled_from(["bias_V", "freq_GHz", "t1_us"]))
+    columns = [2] if where == "bias_V" else [3 + data.draw(st.integers(0, n_freq - 1))]
+    if where == "freq_GHz":
+        k = 0  # the header
     if kind == "inf":
-        rows, value = [k], data.draw(st.sampled_from(["inf", "-inf", "1e400"]))
-    elif column == 4:
+        value = data.draw(st.sampled_from(["inf", "-inf", "1e400"]))
+    elif where == "t1_us":
         # A NaN T1 is a missing cell; half a bias step missing is too many.
-        step = 1 + (k - 1) // n_freq * n_freq
         cells = data.draw(st.sets(st.integers(0, n_freq - 1), min_size=(n_freq + 1) // 2))
-        rows, value = [step + j for j in cells], data.draw(st.sampled_from(["nan", ""]))
+        columns, value = [3 + j for j in cells], data.draw(st.sampled_from(["nan", ""]))
     else:
-        rows, value = [k], "nan"
-    for row in rows:
-        fields = lines[row].split(",")
+        value = "nan"
+    fields = lines[k].split(",")
+    for column in columns:
         fields[column] = value
-        lines[row] = ",".join(fields)
+    lines[k] = ",".join(fields)
     return "\n".join(lines)
 
 
@@ -398,7 +421,7 @@ class TestDamagedFiles:
             with pytest.raises(SchemaError):
                 dataio.read_dataset(path)
 
-    def test_lone_one_step_segment_cut_at_a_row(self, tmp_path):
+    def test_lone_one_step_segment_cut_at_a_cell(self, tmp_path):
         ds = SpectroscopyDataset(
             segments=(SegmentSpec("sample", np.array([1e-3]), {}),),
             freq_ghz=5.0 + 0.25 * np.arange(4),
@@ -406,8 +429,9 @@ class TestDamagedFiles:
         )
         path = tmp_path / "dataset.csv"
         dataio.write_dataset(ds, path)
-        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
-        with pytest.raises(SchemaError, match="the frequency axis has 4 points, the CSV has 3"):
+        text = path.read_text()
+        path.write_text(text[:text.rindex(",")] + "\n")
+        with pytest.raises(SchemaError, match=r"\brow 2\b"):
             dataio.read_dataset(path)
 
 

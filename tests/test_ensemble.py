@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tls_scope.ensemble import EnsembleConfig, _truncnorm_left_ppf, generate_ensemble
+from tls_scope.ensemble import (
+    MAX_MEAN_IN_BAND, EnsembleConfig, _truncnorm_left_ppf, generate_ensemble,
+)
 from tls_scope.errors import ConfigError
 from tls_scope.stm import Location
 
@@ -131,6 +133,15 @@ class TestDipoleSampler:
     def test_non_positive_dipole_parameters_rejected(self, field):
         with pytest.raises(ValueError):
             EnsembleConfig(**{field: 0.0})
+
+    def test_mean_in_band_count_is_bounded(self):
+        # 1800 /(um^3 GHz) * 2.25e-3 um^3 * 0.9 GHz = 3.645 defects in band.
+        assert EnsembleConfig().mean_in_band == pytest.approx(3.645)
+        at_limit = MAX_MEAN_IN_BAND / EnsembleConfig().mean_in_band * 1800.0
+        EnsembleConfig(p0_target=at_limit * (1 - 1e-9))
+        for p0 in (at_limit * (1 + 1e-9), 1e30):
+            with pytest.raises(ConfigError, match="defects in band, more than 100000"):
+                EnsembleConfig(p0_target=p0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -5.0, -1e-300])
     @pytest.mark.parametrize("field", ["p0_target", "volume_um3", "gamma_p_max"])
