@@ -1,4 +1,4 @@
-"""Command-line pipeline: generate, fit, coupled, design, plotdata.
+"""Command-line pipeline: generate, fit, coupled, design.
 
 Exit codes: 0 success, 2 a refused setting or flag (``ConfigError``), 3
 I/O or file-format error, 4 no traces found (without --allow-empty), 5
@@ -10,12 +10,6 @@ Each config default is written once: ``fit`` and ``design`` take the
 film and sensor values from ``GENERATE_DEFAULTS``, the tracking values
 come from ``AnalysisOptions``.  :func:`simulate` and :func:`analyze` are
 the in-memory forms of ``generate`` and ``fit``.
-
-``plotdata crossing`` takes the ``coupled`` config as ``--pair`` and
-extracts the panel as ``coupled`` does, so its ``crossing.csv`` equals
-``crossing_panel_k.csv``.  A missing flag or a bad pair config exits 2;
-a ``coupled_fit.json`` that is not valid JSON of our schema, or lacks a
-number of the fit, exits 3.
 """
 
 from __future__ import annotations
@@ -171,11 +165,25 @@ def _sensor_design(cfg: dict, d_nm: float, t1_us: float) -> SensorDesign:
     )
 
 
+#: Largest T1 map, segments x bias steps x frequencies, that ``generate``
+#: draws: about 35x the default map of 288,640 cells.  The map is held as
+#: float64 grids and written at about 65 bytes a cell, so this is ~80 MB
+#: of grids and ~650 MB of CSV.
+MAX_MAP_CELLS = 10_000_000
+
+
 def simulate(cfg: dict, seed: int):
     """(ensemble, dataset) that ``generate`` writes for a full config."""
-    if not cfg["freq_step_ghz"] > 0:
+    step = cfg["freq_step_ghz"]
+    if not step > 0:
         raise ConfigError("freq_step_ghz must be positive")
     band = tuple(cfg["band_ghz"])
+    stop = band[1] + step / 2
+    # np.arange's own point count, ceil((stop - start) / step); inf if huge.
+    cells = len(cfg["segment_order"]) * cfg["n_bias"] * np.ceil((stop - band[0]) / step)
+    if cells > MAX_MAP_CELLS:
+        raise ConfigError(f"freq_step_ghz {step} gives a T1 map of {cells:.3g} cells "
+                          f"(segments x n_bias x frequencies), more than {MAX_MAP_CELLS}")
     design = _sensor_design(cfg, cfg["thickness_nm"], cfg["t1_qubit_us"])
     ens_cfg = EnsembleConfig(
         band=band,
@@ -195,7 +203,7 @@ def simulate(cfg: dict, seed: int):
         v_s_source_amplitude=cfg["v_s_source_amplitude"],
         division_factor=cfg["division_factor"],
     )
-    freq = np.arange(band[0], band[1] + cfg["freq_step_ghz"] / 2, cfg["freq_step_ghz"])
+    freq = np.arange(band[0], stop, step)
     ds = t1_map(
         ensemble,
         design,
@@ -329,7 +337,8 @@ def cmd_coupled(args) -> int:
     tls1 = _tls_from_config(cfg, "tls1")
     tls2 = _tls_from_config(cfg, "tls2")
     datasets = [dataio.read_dataset(p) for p in cfg["panels"]]
-    panels = [_panel(ds, cfg) for ds in datasets]
+    opts = AnalysisOptions(threshold=cfg["threshold"], jump_limit=cfg["jump_limit"])
+    panels = [panel_points_from_dataset(ds, opts) for ds in datasets]
     try:
         fit = fit_coupled_pair(
             panels,
@@ -350,12 +359,6 @@ def cmd_coupled(args) -> int:
         f"gamma_p2 = {fit.gamma_p2:.5f} GHz/V"
     )
     return EXIT_OK
-
-
-def _panel(ds, cfg: dict):
-    """Crossing panel of ``ds``, extracted as the ``coupled`` config says."""
-    opts = AnalysisOptions(threshold=cfg["threshold"], jump_limit=cfg["jump_limit"])
-    return panel_points_from_dataset(ds, opts)
 
 
 def _write_crossing(path, ds, panel, fit, tls1, tls2) -> None:
@@ -427,42 +430,6 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
-def cmd_plotdata(args) -> int:
-    path = _outdir(args) / (args.kind.replace("-", "_") + ".csv")
-    if args.kind == "t1-map":
-        ds = dataio.read_dataset(args.input)
-        bias = np.concatenate([seg.bias for seg in ds.segments])
-        dataio.write_table_csv(
-            path,
-            "bias_V,freq_GHz,t1_us",
-            (np.repeat(bias, ds.freq_ghz.size), np.tile(ds.freq_ghz, bias.size),
-             np.concatenate(ds.t1_us).ravel()),
-        )
-    elif args.kind == "dipole-histogram":
-        payload = dataio.read_fit_report(args.input)
-        dipoles = [
-            rec["p_parallel_eA"]
-            for rec in payload["tls"]
-            if rec.get("p_parallel_eA") is not None
-        ]
-        edges = np.arange(0.0, (max(dipoles) if dipoles else 1.0) + 0.1, 0.1)
-        counts, edges = np.histogram(dipoles, bins=edges)
-        dataio.write_table_csv(path, "p_lo_eA,p_hi_eA,count", (edges[:-1], edges[1:], counts))
-    elif args.kind == "crossing":
-        if args.coupled_fit is None or args.pair is None:
-            raise ConfigError("crossing plotdata needs --coupled-fit and --pair")
-        ds = dataio.read_dataset(args.input)
-        pair_cfg = _load_config(args.pair, COUPLED_DEFAULTS)
-        tls1 = _tls_from_config(pair_cfg, "tls1")
-        tls2 = _tls_from_config(pair_cfg, "tls2")
-        fit = dataio.read_coupled_fit(args.coupled_fit)
-        _write_crossing(path, ds, _panel(ds, pair_cfg), fit, tls1, tls2)
-    else:
-        raise ConfigError(f"unknown plotdata kind {args.kind!r}")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tls-scope",
@@ -482,15 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("coupled", help="fit an avoided-crossing pair")
     sub.add_parser("design", help="evaluate sensor design rules")
 
-    p = sub.add_parser("plotdata", help="export tidy CSV for plotting")
-    p.add_argument("kind", choices=["t1-map", "crossing", "dipole-histogram"])
-    p.add_argument("input", help="dataset CSV or fit-report JSON")
-    p.add_argument("--coupled-fit", help="coupled_fit.json (crossing kind)")
-    p.add_argument("--pair", help="coupled config JSON (crossing kind)")
-
-    for name, p in sub.choices.items():
-        if name != "plotdata":  # plotdata reads no config
-            p.add_argument("--config", help="JSON config file")
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
     return parser
 
@@ -507,7 +467,6 @@ COMMANDS = {
     "fit": cmd_fit,
     "coupled": cmd_coupled,
     "design": cmd_design,
-    "plotdata": cmd_plotdata,
 }
 
 

@@ -19,11 +19,11 @@ the header and parses the data lines with one structured ``np.loadtxt``,
 which refuses a line with a cell too many or too few; a file of the
 earlier one-line-per-cell layout is refused by its header.  Readers check
 ``schema_version`` on every file and refuse versions they do not know.
-The sidecar's ``segments``, the ``tls`` records of the fit report and the
-ground truth, and the numbers of a coupled fit are type-checked as well,
-and the CSV's segments must be the sidecar's, by id, control and number
-of bias steps, and its frequency axis must have the sidecar's ``n_freq``
-points (a sidecar without ``n_freq`` skips that check).
+The sidecar's ``segments`` and the ``tls`` records of the ground truth
+are type-checked as well, and the CSV's segments must be the sidecar's,
+by id, control and number of bias steps, and its frequency axis must
+have the sidecar's ``n_freq`` points (a sidecar without ``n_freq`` skips
+that check).
 """
 
 from __future__ import annotations
@@ -278,17 +278,12 @@ def write_ground_truth(tls_list, path) -> None:
     write_json(path, {"tls": [t.to_dict() for t in tls_list]})
 
 
-def _tls_records(payload: dict, name: str) -> list[dict]:
-    records = payload.get("tls")
-    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise SchemaError(f"{name}: 'tls' is missing or not a list of objects")
-    return records
-
-
 def read_ground_truth(path) -> list[TlsParams]:
     """The defects written by :func:`write_ground_truth`."""
     path = Path(path)
-    records = _tls_records(_read_json(path), path.name)
+    records = _read_json(path).get("tls")
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise SchemaError(f"{path.name}: 'tls' is missing or not a list of objects")
     try:
         return [TlsParams.from_dict(d) for d in records]
     except (TypeError, ValueError) as exc:
@@ -305,53 +300,22 @@ def write_fit_report(records, density_by_class, path, extra: dict) -> None:
     })
 
 
-def read_fit_report(path) -> dict:
-    """A ``fit_report.json`` payload whose ``tls`` records are objects and
-    whose dipoles are null or finite non-negative numbers."""
-    path = Path(path)
-    payload = _read_json(path)
-    for k, rec in enumerate(_tls_records(payload, path.name)):
-        p = rec.get("p_parallel_eA")
-        if p is not None and not (is_number(p) and 0 <= p < math.inf):
-            raise SchemaError(
-                f"{path.name}: record {k}: 'p_parallel_eA' is not null or a "
-                "finite non-negative number"
-            )
-    return payload
-
-
-#: (key in ``coupled_fit.json``, ``PairFitResult`` field) of each number of a fit.
-_COUPLED_NUMBERS = (("g_z_MHz", "g_z"), ("g_x_MHz", "g_x"), ("gamma_p2_GHz_per_V", "gamma_p2"),
-                    ("chi2", "chi2"), ("n_points", "n_points"))
-
-
 def write_coupled_fit(fit: PairFitResult, path) -> None:
     """``coupled_fit.json``: the numbers of the fit, its sigma and covariance."""
     write_json(path, {
-        **{key: getattr(fit, name) for key, name in _COUPLED_NUMBERS},
+        "g_z_MHz": fit.g_z,
+        "g_x_MHz": fit.g_x,
+        "gamma_p2_GHz_per_V": fit.gamma_p2,
+        "chi2": fit.chi2,
+        "n_points": fit.n_points,
         "sigma": fit.sigma.tolist(),
         "covariance": fit.covariance.tolist(),
         "gx_sign_from_convention": fit.gx_sign_from_convention,
     })
 
 
-def read_coupled_fit(path) -> PairFitResult:
-    """The fit in a ``coupled_fit.json``, with every number of it present."""
-    path = Path(path)
-    payload = _read_json(path)
-    for key, _name in _COUPLED_NUMBERS:
-        if not is_number(payload.get(key)):
-            raise SchemaError(f"{path.name}: {key!r} is missing or not a number")
-    if not isinstance(payload.get("covariance"), list):
-        raise SchemaError(f"{path.name}: 'covariance' is missing or not a list")
-    return PairFitResult(
-        **{name: payload[key] for key, name in _COUPLED_NUMBERS},
-        covariance=np.array(payload["covariance"]),
-    )
-
-
 def write_table_csv(path, header: str, columns) -> None:
-    """Tidy columnar CSV for plotting tools; one row per grid cell.
+    """Columnar CSV of a header line and one row per element of the columns.
 
     Each number is written with ``repr`` of its Python value, so an
     integer column stays integral; a non-finite float is an empty field.

@@ -205,6 +205,11 @@ _TLS_CHUNK = 16
 #: block gets its own (16, 16, 451) float64 term buffer of about 1 MB,
 #: small enough to stay in a per-core L2 cache.
 _BIAS_BLOCK = 16
+#: Largest log-normal noise sigma.  numpy's normal draw is bounded,
+#: |z| <= 13.7 (its tail sample takes the log of a 53-bit uniform), so
+#: exp(sigma * z) stays below exp(686), under the float64 overflow at
+#: exp(709.8).
+MAX_NOISE_SIGMA = 50.0
 
 
 def _usable_cpus() -> int:
@@ -331,8 +336,9 @@ def _simulate(plan, freq, lines, gamma1_background, noise_sigma, seeds, meta):
 
     freq = np.asarray(freq, dtype=float)
     validate_freq_axis(freq)
-    if not noise_sigma >= 0:
-        raise ConfigError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if not 0 <= noise_sigma <= MAX_NOISE_SIGMA:
+        raise ConfigError(f"noise_sigma must be non-negative and at most {MAX_NOISE_SIGMA}, "
+                          f"got {noise_sigma}")
     grids = []
 
     def finish(rate, rows, seed_seq):

@@ -158,6 +158,9 @@ class TlsTable:
 class SensorDesign:
     """Geometry and electrical parameters of the sample-capacitor sensor.
 
+    Every parameter must be positive and ``c_tot`` must exceed the sample
+    capacitance; a sample capacitor above 5 % of ``c_tot`` warns.
+
     Attributes
     ----------
     d : float
@@ -185,7 +188,11 @@ class SensorDesign:
         for name in ("d", "area", "eps_r", "c_tot", "omega10", "t1_qubit"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be strictly positive, got {getattr(self, name)}")
-        ratio = sample_capacitance(self) / self.c_tot
+        c_s = sample_capacitance(self)
+        if self.c_tot <= c_s:
+            raise ConfigError(
+                f"total capacitance must exceed the sample capacitance {c_s:.4g} F")
+        ratio = c_s / self.c_tot
         if ratio > 0.05:
             warnings.warn(
                 f"sample capacitor holds {ratio:.1%} of the total capacitance; "

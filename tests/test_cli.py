@@ -58,9 +58,9 @@ CROWDED_SHA256 = {
 }
 
 
-#: sha256 of `coupled` on the `coupled_run` panels, and of `plotdata
-#: crossing` on its panel 0 (numpy 2.4, x86-64).  Recorded before the
-#: coupled fit moved onto one `lm_batch`; the same rule as above holds.
+#: sha256 of `coupled` on the `coupled_run` panels (numpy 2.4, x86-64).
+#: Recorded before the coupled fit moved onto one `lm_batch`; the same
+#: rule as above holds.
 COUPLED_SHA256 = {
     "coupled_fit.json":
         "20be0f296e1e35ec59db69255c1069dc6a31b58e9f7518fd593b7923a05a2268",
@@ -70,8 +70,6 @@ COUPLED_SHA256 = {
         "8c8de4a321047c259bb4374281bd0142c78b89cac8176e3bf4ed668396f1d703",
     "crossing_panel_2.csv":
         "972d4c015cc13e646c259549b0423a71965787f90f13b7ede8523ccd758ab28d",
-    "crossing.csv":
-        "d7b1f3716b6a57560a8da24962bc07926dcd1d928aaced8d4147489de4b7e958",
 }
 
 
@@ -286,8 +284,18 @@ class TestExitCodes:
         # Used to end in numpy's "lam value too large" from the Poisson draw.
         ({"p0_per_um3_ghz": 1e30},
          "p0_target * volume_um3 * bandwidth asks for 1.8e+27 defects in band, more than 100000"),
+        # Used to end in numpy's "Maximum allowed size exceeded" traceback.
+        ({"freq_step_ghz": 1e-300},
+         "freq_step_ghz 1e-300 gives a T1 map of 9.6e+301 cells (segments x n_bias x "
+         "frequencies), more than 10000000"),
+        # These two used to exit 2 only after numpy RuntimeWarnings, with
+        # "T1 values must be finite or NaN" and "a trace is more than half
+        # missing".
+        ({"noise_sigma": 1e30}, "noise_sigma must be non-negative and at most 50.0, got 1e+30"),
+        ({"thickness_nm": 1e-300}, "total capacitance must exceed the sample capacitance"),
     ], ids=["p0-nan", "p0-negative", "gamma_p-nan", "gamma_p-inf", "volume-nan",
-            "volume-negative", "volume-inf", "p0-huge"])
+            "volume-negative", "volume-inf", "p0-huge", "freq-step-tiny", "noise-huge",
+            "thickness-tiny"])
     def test_generate_refuses_bad_ensemble_value(self, tmp_path, capsys, override, needle):
         # NaN and a negative P0 or volume used to draw an empty ensemble
         # (exit 0), a non-finite gamma_p_max ended in an OverflowError
@@ -347,38 +355,60 @@ class TestExitCodes:
         assert f"config error: {needle}" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*"))
 
-    @pytest.mark.parametrize("command", ["coupled", "plotdata crossing"])
-    def test_panel_must_be_a_sample_sweep(self, small_run, coupled_run, tmp_path, capsys,
-                                          command):
+    def test_panel_must_be_a_sample_sweep(self, small_run, coupled_run, tmp_path, capsys):
         out, _code = coupled_run
-        dataset = small_run / "dataset.csv"
-        if command == "coupled":
-            cfg = write_json(tmp_path / "coupled.json", {
-                **json.loads((out / "coupled.json").read_text()), "panels": [str(dataset)]})
-            argv = ("coupled", "--config", cfg, "--out", tmp_path)
-        else:
-            argv = ("plotdata", "crossing", dataset, "--coupled-fit", out / "coupled_fit.json",
-                    "--pair", out / "coupled.json", "--out", tmp_path)
-        assert run(*argv) == cli.EXIT_CONFIG
+        cfg = write_json(tmp_path / "coupled.json", {
+            **json.loads((out / "coupled.json").read_text()),
+            "panels": [str(small_run / "dataset.csv")]})
+        assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
         assert ("config error: crossing panels are single-segment V_s sweeps"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, needle", [
         (["generate", "--seed", "-1"], "--seed: must be a non-negative integer, got '-1'"),
         (["design", "--seed", "7"], "unrecognized arguments: --seed 7"),
-        (["plotdata", "t1-map", "DATASET", "--config", "/nonexistent.json", "--seed", "5"],
-         "unrecognized arguments: --config /nonexistent.json --seed 5"),
-    ], ids=["negative-seed", "design-seed", "plotdata-config-and-seed"])
-    def test_each_command_takes_only_its_flags(self, small_run, tmp_path, capsys, argv,
-                                               needle):
-        # design and plotdata used to take and ignore these flags (exit 0),
-        # and a negative seed ended in numpy's message through exit 2.
-        argv = [small_run / "dataset.csv" if a == "DATASET" else a for a in argv]
+        (["plotdata"], "invalid choice: 'plotdata'"),
+    ], ids=["negative-seed", "design-seed", "plotdata-is-gone"])
+    def test_each_command_takes_only_its_flags(self, tmp_path, capsys, argv, needle):
+        # design used to take and ignore --seed (exit 0), and a negative
+        # seed ended in numpy's message through exit 2.  plotdata is no
+        # longer a command.
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", tmp_path / "out")
         assert exc.value.code == cli.EXIT_CONFIG
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "coupled", "design"])
+    def test_every_command_reads_its_config(self, small_run, tmp_path, capsys, command):
+        # Every command takes --config; a missing file is refused by each.
+        argv = [command, "--config", tmp_path / "missing.json", "--out", tmp_path / "out"]
+        if command == "fit":
+            argv.insert(1, small_run / "dataset.csv")
+        assert run(*argv) == cli.EXIT_CONFIG
+        assert "config error: config not found: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("slack, expected", [(0, cli.EXIT_OK), (-1, cli.EXIT_CONFIG)],
+                             ids=["at-limit", "one-cell-over"])
+    def test_map_limit_counts_the_drawn_cells(self, tmp_path, monkeypatch, capsys, slack,
+                                              expected):
+        # The limit counts the cells np.arange's frequencies give (TINY's
+        # 6.0-6.1 GHz band is 24.99999999999991 steps of 4 MHz, 26
+        # points): a map of exactly MAX_MAP_CELLS cells is drawn, one
+        # cell more is refused.
+        _, ds = cli.simulate({**cli.GENERATE_DEFAULTS, **TINY}, 0)
+        cells = sum(grid.size for grid in ds.t1_us)
+        monkeypatch.setattr(cli, "MAX_MAP_CELLS", cells + slack)
+        cfg = write_json(tmp_path / "tiny.json", TINY)
+        assert run("generate", "--config", cfg, "--out", tmp_path / "out") == expected
+        err = capsys.readouterr().err
+        if expected == cli.EXIT_OK:
+            assert (tmp_path / "out" / "dataset.csv").is_file()
+        else:
+            assert f"gives a T1 map of {cells:.3g} cells" in err
+            assert err.endswith(f"more than {cells - 1}\n")
+            assert not list(tmp_path.glob("out/*"))
 
     def test_library_bug_is_no_config_error(self, small_run, tmp_path, monkeypatch):
         def bug(*args):
@@ -479,26 +509,6 @@ class TestExitCodes:
         (tmp_path / "data" / "dataset.csv.meta.json").write_text("{not json")
         assert run("fit", csv, "--out", tmp_path) == cli.EXIT_IO
         assert "dataset.csv.meta.json" in capsys.readouterr().err
-
-    def test_corrupt_fit_report_is_a_file_error(self, tmp_path):
-        report = tmp_path / "fit_report.json"
-        report.write_text("[1, 2")
-        argv = ("plotdata", "dipole-histogram", report, "--out", tmp_path)
-        assert run(*argv) == cli.EXIT_IO
-
-    @pytest.mark.parametrize("payload", [
-        {"schema_version": SCHEMA_VERSION},
-        {"schema_version": SCHEMA_VERSION, "tls": 3},
-        {"schema_version": SCHEMA_VERSION, "tls": [{"p_parallel_eA": "x"}]},
-        {"schema_version": SCHEMA_VERSION, "tls": [{"p_parallel_eA": -0.1}]},
-        {"schema_version": SCHEMA_VERSION, "tls": [{"p_parallel_eA": float("nan")}]},
-    ], ids=["no-tls", "tls-not-a-list", "dipole-not-a-number", "dipole-negative",
-            "dipole-nan"])
-    def test_malformed_fit_report_is_a_file_error(self, tmp_path, capsys, payload):
-        report = write_json(tmp_path / "fit_report.json", payload)
-        argv = ("plotdata", "dipole-histogram", report, "--out", tmp_path)
-        assert run(*argv) == cli.EXIT_IO
-        assert "file error: fit_report.json: " in capsys.readouterr().err
 
     def test_negative_t1_row_is_a_file_error(self, small_run, tmp_path, capsys):
         csv = copy_dataset(small_run, tmp_path / "data")
@@ -614,24 +624,17 @@ class TestExitCodes:
         assert "singular at the solution" in capsys.readouterr().err
         assert not (tmp_path / "coupled_fit.json").exists()
 
-    @pytest.mark.parametrize("command", ["coupled", "plotdata crossing"])
-    def test_panel_without_held_v_p_is_a_file_error(self, coupled_run, tmp_path, capsys,
-                                                    command):
+    def test_panel_without_held_v_p_is_a_file_error(self, coupled_run, tmp_path, capsys):
         out, _code = coupled_run
         panel = tmp_path / "panel_0.csv"
         shutil.copy(out / "panel_0.csv", panel)
         meta = json.loads((out / "panel_0.csv.meta.json").read_text())
         meta["segments"][0]["held"] = {}
         write_json(tmp_path / "panel_0.csv.meta.json", meta)
-        pair = out / "coupled.json"
-        if command == "coupled":
-            cfg = write_json(tmp_path / "coupled.json",
-                             {**json.loads(pair.read_text()), "panels": [str(panel)]})
-            argv = ("coupled", "--config", cfg, "--out", tmp_path)
-        else:
-            argv = ("plotdata", "crossing", panel, "--coupled-fit", out / "coupled_fit.json",
-                    "--pair", pair, "--out", tmp_path)
-        assert run(*argv) == cli.EXIT_IO
+        cfg = write_json(tmp_path / "coupled.json",
+                         {**json.loads((out / "coupled.json").read_text()),
+                          "panels": [str(panel)]})
+        assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and "held 'v_p'" in err
 
@@ -727,6 +730,29 @@ class TestCoupled:
         crossings = sorted(p.name for p in out.glob("crossing_panel_*.csv"))
         assert crossings == [f"crossing_panel_{k}.csv" for k in range(3)]
 
+    def test_tables_equal_the_cell_by_cell_writer(self, coupled_run, tmp_path, monkeypatch):
+        # The crossing tables hold empty (NaN) fields where a branch has
+        # no data point at a bias step, so empty fields are written too.
+        out, code = coupled_run
+        assert code == cli.EXIT_OK
+        cfg = out / "coupled.json"
+        monkeypatch.setattr(dataio, "write_table_csv", cell_by_cell_table_csv)
+        assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_OK
+        for k in range(3):
+            new = (out / f"crossing_panel_{k}.csv").read_bytes()
+            assert new == (tmp_path / f"crossing_panel_{k}.csv").read_bytes()
+            assert b",," in new
+
+
+    def test_crossing_tables_have_one_line_per_bias_step(self, coupled_run):
+        out, code = coupled_run
+        assert code == cli.EXIT_OK
+        for k in range(3):
+            lines = (out / f"crossing_panel_{k}.csv").read_text().splitlines()
+            bias = dataio.read_dataset(out / f"panel_{k}.csv").segments[0].bias
+            assert lines[0] == "bias_V,transition1_GHz,transition2_GHz,model1_GHz,model2_GHz"
+            assert [float(line.split(",")[0]) for line in lines[1:]] == bias.tolist()
+
 
 def cell_by_cell_table_csv(path, header, columns):
     """``dataio.write_table_csv`` as it was, formatting each cell with ``_cell``."""
@@ -748,90 +774,15 @@ def _cell(x) -> str:
     return repr(xf)
 
 
-class TestPlotdata:
-    def test_t1_map_has_one_row_per_cell(self, small_run, tmp_path):
-        csv = small_run / "dataset.csv"
-        assert run("plotdata", "t1-map", csv, "--out", tmp_path) == cli.EXIT_OK
-        rows = (tmp_path / "t1_map.csv").read_text().splitlines()
-        ds = dataio.read_dataset(csv)
-        assert rows[0] == "bias_V,freq_GHz,t1_us"
-        assert len(rows) - 1 == sum(grid.size for grid in ds.t1_us)
-
-    def test_dipole_histogram_counts_every_dipole(self, small_run, tmp_path):
-        report = small_run / "fit_report.json"
-        argv = ("plotdata", "dipole-histogram", report, "--out", tmp_path)
-        assert run(*argv) == cli.EXIT_OK
-        rows = (tmp_path / "dipole_histogram.csv").read_text().splitlines()[1:]
-        records = json.loads(report.read_text())["tls"]
-        with_dipole = [r for r in records if r["p_parallel_eA"] is not None]
-        assert with_dipole
-        assert sum(int(row.split(",")[2]) for row in rows) == len(with_dipole)
-
-    @pytest.mark.parametrize("kind", ["t1-map", "dipole-histogram"])
-    def test_tables_equal_the_cell_by_cell_writer(self, small_run, tmp_path, monkeypatch,
-                                                   kind):
-        # A dataset with missing cells, so that empty fields are written too.
-        csv = copy_dataset(small_run, tmp_path / "data")
-        lines = csv.read_text().split("\n")
-        for k, j in ((1, 3), (5, 50), (200, 103)):
-            fields = lines[k].split(",")
-            fields[j] = "nan"
-            lines[k] = ",".join(fields)
-        csv.write_text("\n".join(lines))
-        source = csv if kind == "t1-map" else small_run / "fit_report.json"
-        assert run("plotdata", kind, source, "--out", tmp_path / "new") == cli.EXIT_OK
-        monkeypatch.setattr(dataio, "write_table_csv", cell_by_cell_table_csv)
-        assert run("plotdata", kind, source, "--out", tmp_path / "old") == cli.EXIT_OK
-        name = kind.replace("-", "_") + ".csv"
-        new = (tmp_path / "new" / name).read_bytes()
-        assert new == (tmp_path / "old" / name).read_bytes()
-        assert (kind == "t1-map") == (b",\n" in new)
-
-    def test_crossing_equals_the_coupled_output(self, coupled_run, tmp_path):
-        out, code = coupled_run
-        assert code == cli.EXIT_OK
-        for k in range(3):
-            argv = ("plotdata", "crossing", out / f"panel_{k}.csv",
-                    "--coupled-fit", out / "coupled_fit.json",
-                    "--pair", out / "coupled.json", "--out", tmp_path / str(k))
-            assert run(*argv) == cli.EXIT_OK
-            got = (tmp_path / str(k) / "crossing.csv").read_bytes()
-            assert got == (out / f"crossing_panel_{k}.csv").read_bytes()
-
-    @pytest.mark.parametrize("case, expected, needle", [
-        ("no pair", cli.EXIT_CONFIG, "config error: crossing plotdata needs"),
-        ("no g_z", cli.EXIT_IO, "file error: coupled_fit.json: 'g_z_MHz'"),
-        ("invalid JSON", cli.EXIT_IO, "file error: coupled_fit.json: not valid JSON"),
-    ], ids=["no-pair", "no-g_z", "invalid-json"])
-    def test_crossing_input_errors(self, coupled_run, tmp_path, capsys, case, expected,
-                                   needle):
-        out, _code = coupled_run
-        fit = tmp_path / "coupled_fit.json"
-        payload = json.loads((out / "coupled_fit.json").read_text())
-        if case == "no g_z":
-            del payload["g_z_MHz"]
-        fit.write_text("{not json" if case == "invalid JSON" else json.dumps(payload))
-        argv = ["plotdata", "crossing", out / "panel_0.csv", "--coupled-fit", fit,
-                "--out", tmp_path]
-        if case != "no pair":
-            argv += ["--pair", out / "coupled.json"]
-        assert run(*argv) == expected
-        assert needle in capsys.readouterr().err
-
-
 class TestDeterminism:
     def test_bytes_match_recorded_hashes(self, small_run):
         got = {name: sha256(small_run / name) for name in EXPECTED_SHA256}
         assert got == EXPECTED_SHA256
 
-    def test_coupled_bytes_match_recorded_hashes(self, coupled_run, tmp_path):
+    def test_coupled_bytes_match_recorded_hashes(self, coupled_run):
         out, code = coupled_run
         assert code == cli.EXIT_OK
-        assert run("plotdata", "crossing", out / "panel_0.csv",
-                   "--coupled-fit", out / "coupled_fit.json",
-                   "--pair", out / "coupled.json", "--out", tmp_path) == cli.EXIT_OK
-        got = {name: sha256((tmp_path if name == "crossing.csv" else out) / name)
-               for name in COUPLED_SHA256}
+        got = {name: sha256(out / name) for name in COUPLED_SHA256}
         assert got == COUPLED_SHA256
 
     def test_crowded_generate_matches_recorded_hashes(self, tmp_path):
@@ -921,8 +872,7 @@ sys.meta_path.insert(0, NoScipy())
 
 def test_every_command_runs_without_scipy(coupled_run, tmp_path):
     """With ``import scipy`` blocked in a fresh interpreter, generate, a
-    fit with the detection correction, design, coupled and plotdata
-    crossing all exit 0."""
+    fit with the detection correction, design and coupled all exit 0."""
     out, code = coupled_run
     assert code == cli.EXIT_OK
     small = write_json(tmp_path / "small.json", SMALL)
@@ -933,9 +883,6 @@ def test_every_command_runs_without_scipy(coupled_run, tmp_path):
         ["fit", tmp_path / "g" / "dataset.csv", "--config", fit, "--out", tmp_path / "g"],
         ["design", "--out", tmp_path / "d"],
         ["coupled", "--config", out / "coupled.json", "--out", tmp_path / "c"],
-        ["plotdata", "crossing", out / "panel_0.csv", "--coupled-fit",
-         tmp_path / "c" / "coupled_fit.json", "--pair", out / "coupled.json",
-         "--out", tmp_path / "p"],
     ]
     code = BLOCK_SCIPY + (
         "import tls_scope.cli as cli\n"
@@ -950,5 +897,3 @@ def test_every_command_runs_without_scipy(coupled_run, tmp_path):
     assert codes == [f"{argv[0]} {cli.EXIT_OK}" for argv in commands], proc.stderr
     report = json.loads((tmp_path / "g" / "material_report.json").read_text())
     assert report["P0_detection_corrected"] > report["P0_per_um3_GHz"]
-    assert (tmp_path / "p" / "crossing.csv").read_bytes() == (
-        out / "crossing_panel_0.csv").read_bytes()

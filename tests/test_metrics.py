@@ -67,9 +67,11 @@ def test_participation_ratio_needs_c_tot_above_c_s():
         EPS0 * 10.0 * 0.075e-12 / 50e-9 / 100e-15, rel=1e-12
     )
     with pytest.warns(UserWarning, match="load the qubit"):
-        design = replace(DESIGN, c_tot=1e-18)
-    with pytest.raises(ValueError, match="total capacitance"):
-        participation_ratio(design)
+        design = replace(DESIGN, c_tot=1e-15)
+    assert participation_ratio(design) == pytest.approx(0.1328, rel=1e-3)
+    # A sensor whose sample capacitor holds all of c_tot is refused when built.
+    with pytest.raises(ValueError, match="total capacitance must exceed"):
+        replace(DESIGN, c_tot=1e-18)
 
 
 def record(k, location, p_parallel):

@@ -20,7 +20,14 @@ from tls_scope import cli
 from tls_scope.constants import MHZ_PER_GHZ
 from tls_scope.coupled import CoupledPair, transitions_truncated
 from tls_scope.errors import AmbiguousSigns, NoConvergence
-from tls_scope.pairfit import DISTINCT_TOL, PairFitResult, _stack, fit_coupled_pair
+from tls_scope.pairfit import (
+    DISTINCT_TOL,
+    PairFitResult,
+    _stack,
+    fit_coupled_pair,
+    panel_points_from_dataset,
+)
+from tls_scope.pipeline import AnalysisOptions
 from tls_scope.spectro import coupled_pair_t1_map
 from tls_scope.stm import energies
 
@@ -121,18 +128,21 @@ def reference_fit_coupled_pair(panels, tls1, tls2, g_z0, g_x0, gamma_p2_0):
     )
 
 
-#: The start values `coupled` uses.
+#: The start values and the panel extraction options `coupled` uses.
 STARTS = {"g_z0": cli.COUPLED_DEFAULTS["g_z0_mhz"], "g_x0": cli.COUPLED_DEFAULTS["g_x0_mhz"],
           "gamma_p2_0": cli.COUPLED_DEFAULTS["gamma_p2_0"]}
+PANEL_OPTIONS = AnalysisOptions(threshold=cli.COUPLED_DEFAULTS["threshold"],
+                                jump_limit=cli.COUPLED_DEFAULTS["jump_limit"])
 
 
 def fit_inputs(pair, seed, v_p_values=(0.0,), v_s=PANEL_V_S):
     """Crossing panels of ``pair`` as `coupled` extracts them (panel k
     gets noise seed ``seed + k``), tls1, and tls2 without its gamma_p."""
     panels = [
-        cli._panel(coupled_pair_t1_map(pair, v_s, v_p, PANEL_FREQ, field_rms=90.0,
-                                       gamma1_background=1 / 4.3, noise_sigma=0.1,
-                                       seed=seed + k), cli.COUPLED_DEFAULTS)
+        panel_points_from_dataset(
+            coupled_pair_t1_map(pair, v_s, v_p, PANEL_FREQ, field_rms=90.0,
+                                gamma1_background=1 / 4.3, noise_sigma=0.1, seed=seed + k),
+            PANEL_OPTIONS)
         for k, v_p in enumerate(v_p_values)
     ]
     return panels, pair.tls1, replace(pair.tls2, gamma_p=0.0)

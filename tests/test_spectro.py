@@ -207,6 +207,21 @@ class TestT1Map:
             t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
                    gamma1_background=0.2, noise_sigma=noise, seed=0)
 
+    @pytest.mark.parametrize("noise", [np.nextafter(spectro.MAX_NOISE_SIGMA, np.inf), 1e30,
+                                       float("inf")], ids=["just-above", "huge", "inf"])
+    def test_noise_above_the_bound_refused(self, noise):
+        with pytest.raises(ConfigError, match="noise_sigma must be non-negative and at most 50.0"):
+            t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
+                   gamma1_background=0.2, noise_sigma=noise, seed=0)
+
+    def test_largest_noise_stays_finite(self):
+        # exp(sigma * z) at the bound neither overflows nor underflows to
+        # zero; an overflow warning would be an error under pytest's config.
+        ds = t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ, gamma1_background=0.2,
+                    noise_sigma=spectro.MAX_NOISE_SIGMA, seed=0)
+        t1 = ds.t1_us[0]
+        assert np.all(np.isfinite(t1)) and np.all(t1 > 0)
+
     def test_freq_axis_validation(self):
         with pytest.raises(ValueError):
             t1_map(empty_ensemble(), DESIGN, sample_segment(),

@@ -218,6 +218,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             design(d=-1e-9)
 
+    @pytest.mark.parametrize("share", [1.0, 2.0], ids=["equal", "above"])
+    def test_sample_capacitance_must_stay_below_c_tot(self, share):
+        c_s = sample_capacitance(design())
+        with pytest.raises(ValueError, match="total capacitance must exceed the sample"):
+            design(c_tot=c_s / share)
+
+    def test_c_tot_just_above_sample_capacitance_is_built(self):
+        c_s = sample_capacitance(design())
+        with pytest.warns(UserWarning, match="load the qubit"):
+            sensor = design(c_tot=np.nextafter(c_s, np.inf))
+        assert sensor.c_tot > c_s
+
 
 class TestSerialization:
     def test_tls_round_trip(self):
