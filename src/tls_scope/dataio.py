@@ -310,7 +310,7 @@ def write_coupled_fit(fit: PairFitResult, path) -> None:
         "n_points": fit.n_points,
         "sigma": fit.sigma.tolist(),
         "covariance": fit.covariance.tolist(),
-        "gx_sign_from_convention": fit.gx_sign_from_convention,
+        "gx_sign_from_convention": True,  # the g_x sign is the initial guess's
     })
 
 

@@ -53,10 +53,6 @@ class TraceFit:
         """1-sigma uncertainties of (delta0, eps_at_zero, gamma)."""
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
-    def model(self, volts) -> np.ndarray:
-        v = np.asarray(volts, dtype=float)
-        return np.hypot(self.delta0, self.eps_at_zero + self.gamma * v)
-
 
 #: Why a trace has no hyperbolic start, in the order the checks run.
 _NOT_A_HYPERBOLA = (

@@ -11,10 +11,10 @@ iteration.  Both sign starts of g_z run as one lockstep
 
 The truncated model sees g_x only through g_x^2, so the *sign* of the
 transverse coupling is not identifiable from transition frequencies; the
-reported sign follows the sign of the supplied initial guess and the
-result carries ``gx_sign_from_convention=True``.  The longitudinal
-coupling enters linearly (it offsets both transitions against the known
-bare hyperbolas), so its sign is measured.
+reported sign follows the sign of the supplied initial guess, and
+``coupled_fit.json`` says so with ``"gx_sign_from_convention": true``.
+The longitudinal coupling enters linearly (it offsets both transitions
+against the known bare hyperbolas), so its sign is measured.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class PairFitResult:
     covariance: np.ndarray
     chi2: float
     n_points: int
-    gx_sign_from_convention: bool = True
 
     @property
     def sigma(self) -> np.ndarray:
@@ -97,19 +96,14 @@ def panel_points_from_dataset(ds, opts) -> CrossingPanel:
     if "v_p" not in ds.segments[0].held:
         raise SchemaError("crossing panel: the sidecar's segment 0 has no held 'v_p'")
     v_p = float(ds.segments[0].held["v_p"])
-    vs, fs, ws = [], [], []
-    for tr in extract_traces(ds, opts):
-        v, f, w = tr.arrays()
-        vs.append(v)
-        fs.append(f)
-        ws.append(w)
-    if not vs:
+    traces = extract_traces(ds, opts)
+    if not traces:
         raise NoTracesFound("no resonance traces found in the panel")
     return CrossingPanel(
         v_p=v_p,
-        v_s=np.concatenate(vs),
-        freq=np.concatenate(fs),
-        weight=np.concatenate(ws),
+        v_s=np.concatenate([tr.bias for tr in traces]),
+        freq=np.concatenate([tr.freq for tr in traces]),
+        weight=np.concatenate([tr.weight for tr in traces]),
     )
 
 

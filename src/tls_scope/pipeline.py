@@ -115,7 +115,7 @@ def _summarize_track(
     for tr, fit in track:
         segments_seen.add(tr.segment)
         seg = ds.segments[tr.segment]
-        visible[tr.segment] += tr.coverage(seg.bias.size)
+        visible[tr.segment] += len(tr) / seg.bias.size  # one point per bias step
         if not isinstance(fit, TraceFit):
             continue  # DegenerateTrace or NoConvergence
         seg_span = abs(float(seg.bias[-1] - seg.bias[0]))

@@ -5,13 +5,17 @@ resonance candidates; candidates are linked across bias steps into
 traces by nearest-frequency continuity around a one-step linear
 prediction, which keeps steep traces intact and crossing traces apart.
 Sub-grid frequency refinement uses a three-point parabola on
-log(1/T1), whose peak is locally quadratic for a Lorentzian dip.  All
-settings come from one :class:`AnalysisOptions`.
+log(1/T1), whose peak is locally quadratic for a Lorentzian dip.  A
+segment's points are one flat record of (trace id, bias index, f, w),
+cut into array traces at its end.  Traces leave in the order they
+close, those closing on one bias step in the order they opened, and the
+ones still open at the segment's end come last.  All settings come from
+one :class:`AnalysisOptions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,30 +60,21 @@ class AnalysisOptions:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """One linked resonance trace inside a single segment."""
+    """One linked resonance trace inside a single segment: arrays with one
+    entry per bias step it shows at.  ``==`` is identity, as arrays have
+    no single truth value."""
 
     segment: int
     control: str
-    bias_index: list[int] = field(default_factory=list)
-    bias: list[float] = field(default_factory=list)
-    freq: list[float] = field(default_factory=list)
-    weight: list[float] = field(default_factory=list)
+    bias_index: np.ndarray
+    bias: np.ndarray
+    freq: np.ndarray
+    weight: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.bias)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.asarray(self.bias, dtype=float),
-            np.asarray(self.freq, dtype=float),
-            np.asarray(self.weight, dtype=float),
-        )
-
-    def coverage(self, n_bias: int) -> float:
-        """Fraction of the segment's bias steps carrying a trace point."""
-        return len(set(self.bias_index)) / n_bias
+        return self.bias.size
 
 
 def _row_candidates(t1_row: np.ndarray, freq: np.ndarray, threshold: float):
@@ -106,18 +101,16 @@ def extract_traces(
     step = ds.grid_step_ghz
     traces: list[Trace] = []
     for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
-        # Open traces in the order they were opened: per-trace state as
-        # arrays, and the (bias index, freq, weight) points of each.
-        last_f = np.empty(0)
-        slope = np.empty(0)
-        last_i = np.empty(0, dtype=np.intp)
-        n_pts = np.empty(0, dtype=np.intp)
-        points: list[tuple[list, list, list]] = []
+        # Open traces in the order they were opened: the id and state of each.
+        ids = last_i = n_pts = np.empty(0, dtype=np.intp)
+        last_f = slope = np.empty(0)
+        n_ids = 0
+        # Every candidate joins a trace: per bias step, (trace id, i, f, w).
+        record = []
         for i in range(seg.bias.size):
             f_c, w_c = _row_candidates(t1[i], ds.freq_ghz, opts.threshold)
-            f_list, w_list = f_c.tolist(), w_c.tolist()
-            used_c = np.zeros(f_c.size, dtype=bool)
-            if points and f_c.size:
+            cand_id = np.full(f_c.size, -1, dtype=np.intp)
+            if ids.size and f_c.size:
                 # Predict each open trace forward and greedily match the
                 # globally closest (trace, candidate) pairs first; ties
                 # go to the earlier trace, then the earlier candidate.
@@ -128,7 +121,7 @@ def extract_traces(
                 dist = np.abs(f_c[None, :] - pred[:, None])
                 a_idx, c_idx = np.nonzero(dist <= window[:, None])
                 order = np.lexsort((c_idx, a_idx, dist[a_idx, c_idx]))
-                used_a = [False] * len(points)
+                used_a, used_c = [False] * ids.size, [False] * f_c.size
                 matched_a, matched_c = [], []
                 for a, c in zip(a_idx[order].tolist(), c_idx[order].tolist()):
                     if used_a[a] or used_c[c]:
@@ -136,52 +129,43 @@ def extract_traces(
                     used_a[a] = used_c[c] = True
                     matched_a.append(a)
                     matched_c.append(c)
-                    pts = points[a]
-                    pts[0].append(i)
-                    pts[1].append(f_list[c])
-                    pts[2].append(w_list[c])
                 if matched_a:
                     ma = np.array(matched_a, dtype=np.intp)
+                    cand_id[matched_c] = ids[ma]
                     f_new = f_c[matched_c]
                     slope[ma] = (f_new - last_f[ma]) / gap[ma]
                     last_f[ma] = f_new
                     last_i[ma] = i
                     n_pts[ma] += 1
-            fresh = np.flatnonzero(~used_c)
-            if fresh.size:
-                last_f = np.concatenate((last_f, f_c[fresh]))
-                slope = np.concatenate((slope, np.zeros(fresh.size)))
-                last_i = np.concatenate((last_i, np.full(fresh.size, i)))
-                n_pts = np.concatenate((n_pts, np.ones(fresh.size, dtype=np.intp)))
-                points.extend(([i], [f_list[c]], [w_list[c]]) for c in fresh.tolist())
-            closed = i - last_i > opts.max_gap
-            if closed.any():
-                for k in np.flatnonzero(closed).tolist():
-                    traces.extend(_finalize(points[k], s, seg, opts.min_points))
-                keep = ~closed
-                last_f, slope, last_i, n_pts = (
-                    last_f[keep], slope[keep], last_i[keep], n_pts[keep]
-                )
-                points = [p for p, k in zip(points, keep.tolist()) if k]
-        for pts in points:
-            traces.extend(_finalize(pts, s, seg, opts.min_points))
+            # Unmatched candidates open traces; closed ones leave the open state.
+            fresh = np.flatnonzero(cand_id < 0)
+            cand_id[fresh] = np.arange(n_ids, n_ids + fresh.size)
+            n_ids += fresh.size
+            ids = np.concatenate((ids, cand_id[fresh]))
+            last_f = np.concatenate((last_f, f_c[fresh]))
+            slope = np.concatenate((slope, np.zeros(fresh.size)))
+            last_i = np.concatenate((last_i, np.full(fresh.size, i)))
+            n_pts = np.concatenate((n_pts, np.ones(fresh.size, dtype=np.intp)))
+            record.append((cand_id, np.full(f_c.size, i), f_c, w_c))
+            keep = i - last_i <= opts.max_gap
+            ids, last_f, slope, last_i, n_pts = (
+                a[keep] for a in (ids, last_f, slope, last_i, n_pts))
+        # Cut the flat record into traces: one stable sort by id groups
+        # each trace's points in bias order, and a trace whose last point
+        # is at step L closed at step L + max_gap + 1, or is open at the end.
+        rec_id, bias_index, freq, weight = (np.concatenate(col) for col in zip(*record))
+        order = np.argsort(rec_id, kind="stable")
+        bias_index, freq, weight = bias_index[order], freq[order], weight[order]
+        bias = np.asarray(seg.bias, dtype=float)[bias_index]
+        counts = np.bincount(rec_id, minlength=n_ids)
+        ends = np.cumsum(counts)
+        closes = np.minimum(bias_index[ends - 1] + opts.max_gap + 1, seg.bias.size)
+        for k in np.lexsort((np.arange(n_ids), closes)).tolist():
+            if counts[k] >= opts.min_points:
+                sl = slice(ends[k] - counts[k], ends[k])
+                traces.append(Trace(s, seg.control, bias_index[sl], bias[sl],
+                                    freq[sl], weight[sl]))
     return traces
-
-
-def _finalize(points: tuple, segment: int, seg, min_points: int) -> list[Trace]:
-    bias_index, freq, weight = points
-    if len(freq) < min_points:
-        return []
-    return [
-        Trace(
-            segment=segment,
-            control=seg.control,
-            bias_index=bias_index,
-            bias=[float(seg.bias[j]) for j in bias_index],
-            freq=freq,
-            weight=weight,
-        )
-    ]
 
 
 def link_tracks(

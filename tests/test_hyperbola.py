@@ -142,11 +142,3 @@ class TestCovarianceCalibration:
             )
         assert total > 380
         assert hits / total >= 0.99
-
-
-class TestModelAccessor:
-    def test_model_reproduces_input(self):
-        v = np.linspace(-1e-3, 1e-3, 20)
-        f = hyperbola(v, 6.0, 0.1, 90.0)
-        fit = fit_hyperbola(v, f)
-        assert np.allclose(fit.model(v), f, rtol=1e-9)

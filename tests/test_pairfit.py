@@ -175,7 +175,7 @@ def outcome(fit, inputs, **starts):
     except (AmbiguousSigns, NoConvergence) as exc:
         return type(exc).__name__, str(exc)
     return (np.array([res.g_z, res.g_x, res.gamma_p2, res.chi2]).tobytes(),
-            res.covariance.tobytes(), res.n_points, res.gx_sign_from_convention)
+            res.covariance.tobytes(), res.n_points)
 
 
 @pytest.mark.parametrize("case", CASES)

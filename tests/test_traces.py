@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tls_scope.spectro import SegmentSpec, SpectroscopyDataset
 from tls_scope.traces import AnalysisOptions, Trace, extract_traces, link_tracks
@@ -85,15 +86,15 @@ def reference_finalize(a, segment, seg, min_points):
     if len(a["freq"]) < min_points:
         return []
     return [Trace(segment=segment, control=seg.control,
-                  bias_index=list(a["bias_index"]),
-                  bias=[float(seg.bias[j]) for j in a["bias_index"]],
-                  freq=list(a["freq"]), weight=list(a["weight"]))]
+                  bias_index=np.array(a["bias_index"]),
+                  bias=np.array([float(seg.bias[j]) for j in a["bias_index"]]),
+                  freq=np.array(a["freq"]), weight=np.array(a["weight"]))]
 
 
 def trace_bytes(traces):
     """Every field of every trace, floats as their exact bytes."""
     return [
-        (tr.segment, tr.control, tr.bias_index,
+        (tr.segment, tr.control, np.asarray(tr.bias_index).tolist(),
          np.array(tr.bias).tobytes(), np.array(tr.freq).tobytes(),
          np.array(tr.weight).tobytes())
         for tr in traces
@@ -133,7 +134,7 @@ def line(f0, slope_steps, n_bias, present=None):
     return path
 
 
-def crowded_grid(seed, n_bias=60, n_lines=40):
+def crowded_grid(seed, n_bias=60, n_lines=40, noise=0.1):
     """Many lines, crossing ones and steep ones, with T1 noise."""
     rng = np.random.default_rng(seed)
     lines = [line(rng.uniform(5.82, 6.18), rng.uniform(-3.0, 3.0), n_bias)
@@ -141,7 +142,7 @@ def crowded_grid(seed, n_bias=60, n_lines=40):
     lines.append(line(5.90, 4.0, n_bias))  # crosses the next one
     lines.append(line(6.10, -4.0, n_bias))
     lines.append(line(5.85, 12.0, n_bias))  # steep: needs the first-link window
-    return t1_grid(lines, n_bias, noise=0.1, rng=rng)
+    return t1_grid(lines, n_bias, noise=noise, rng=rng)
 
 
 class TestMatchesReferenceLoop:
@@ -173,16 +174,57 @@ class TestMatchesReferenceLoop:
         got = extract_traces(ds, AnalysisOptions(**kwargs))
         assert trace_bytes(got) == trace_bytes(want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        grids=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(5, 40),
+                                 st.integers(0, 20), st.floats(0.0, 0.3)),
+                       min_size=1, max_size=3),
+        max_gap=st.integers(0, 5),
+        min_points=st.integers(5, 10),
+        jump_limit=st.floats(0.5, 10.0),
+        first_link_factor=st.floats(0.2, 10.0),
+    )
+    def test_random_grids_and_options(self, grids, **kwargs):
+        ds = dataset([crowded_grid(seed, n_bias=n_bias, n_lines=n_lines, noise=noise)
+                      for seed, n_bias, n_lines, noise in grids])
+        got = extract_traces(ds, AnalysisOptions(**kwargs))
+        assert trace_bytes(got) == trace_bytes(reference_extract_traces(ds, **kwargs))
+
+    def test_a_trace_closing_on_the_last_step_leaves_before_the_open_ones(self):
+        # Three lines open on step 0, in frequency order.  With max_gap 2
+        # the middle one, last seen 3 steps before the end, closes on the
+        # last step; the other two are still open there and come after it.
+        n = 12
+        paths = [line(5.90, 0.0, n),
+                 line(6.00, 0.0, n, present=np.arange(n) <= n - 4),
+                 line(6.10, 0.0, n, present=np.arange(n) <= n - 3)]
+        ds = dataset([t1_grid(paths, n)])
+        traces = extract_traces(ds, AnalysisOptions(max_gap=2))
+        assert [tr.bias_index[-1] for tr in traces] == [n - 4, n - 1, n - 3]
+        assert np.allclose([tr.freq[0] for tr in traces], [6.00, 5.90, 6.10])
+        assert trace_bytes(traces) == trace_bytes(reference_extract_traces(ds, max_gap=2))
+
 
 class TestExtraction:
     def test_clean_line_is_one_trace(self):
         n = 30
         ds = dataset([t1_grid([line(5.95, 1.3, n)], n)])
         (tr,) = extract_traces(ds)
-        assert tr.bias_index == list(range(n))
+        assert tr.bias_index.tolist() == list(range(n))
         assert tr.control == "sample"
         assert np.allclose(tr.freq, line(5.95, 1.3, n), atol=0.25 * STEP)
-        assert tr.bias == ds.segments[0].bias.tolist()
+        assert tr.bias.tolist() == ds.segments[0].bias.tolist()
+
+    @pytest.mark.parametrize("line_segment", [0, 1])
+    def test_a_segment_without_candidates_gives_no_trace(self, line_segment):
+        n = 20
+        grids = [t1_grid([], n), t1_grid([], n)]
+        grids[line_segment] = t1_grid([line(5.95, 1.0, n)], n)
+        ds = dataset(grids)
+        (tr,) = extract_traces(ds)
+        assert tr.segment == line_segment
+        assert tr.bias_index.tolist() == list(range(n))
+        assert trace_bytes([tr]) == trace_bytes(reference_extract_traces(ds))
 
     @pytest.mark.parametrize("missing, n_traces", [(2, 1), (3, 2)])
     def test_max_gap_closes_a_trace(self, missing, n_traces):
@@ -212,7 +254,7 @@ class TestExtraction:
         row[49:52] = np.nextafter(low, 1.0), low, low
         ds = dataset([np.tile(row, (8, 1))])
         (tr,) = extract_traces(ds)
-        assert tr.freq == [FREQ[50]] * 8
+        assert tr.freq.tolist() == [FREQ[50]] * 8
         assert trace_bytes([tr]) == trace_bytes(reference_extract_traces(ds))
 
     def test_tie_goes_to_the_earlier_trace(self):
@@ -228,9 +270,9 @@ class TestExtraction:
                  np.where(rows >= 10, freq[100], np.nan)]
         ds = dataset([t1_grid(paths, n, freq=freq)], freq=freq)
         traces = extract_traces(ds, AnalysisOptions(max_gap=5))
-        assert [tr.bias_index for tr in traces] == [
+        assert [tr.bias_index.tolist() for tr in traces] == [
             [5, 6, 7, 8, 9], [0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15]]
-        assert traces[1].freq == [freq[97]] * 5 + [freq[100]] * 6
+        assert traces[1].freq.tolist() == [freq[97]] * 5 + [freq[100]] * 6
 
     def test_first_link_factor_finds_the_second_point(self):
         # 10 grid steps per bias step: beyond jump_limit (5 steps) around
@@ -239,7 +281,7 @@ class TestExtraction:
         ds = dataset([t1_grid([line(5.85, 10.0, n)], n)])
         wide = AnalysisOptions(jump_limit=5.0, first_link_factor=5.0)
         (tr,) = extract_traces(ds, wide)
-        assert tr.bias_index == list(range(n))
+        assert tr.bias_index.tolist() == list(range(n))
         narrow = AnalysisOptions(jump_limit=5.0, first_link_factor=1.0)
         assert extract_traces(ds, narrow) == []
 
