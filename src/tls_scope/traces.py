@@ -106,7 +106,7 @@ def extract_traces(
         last_f = slope = np.empty(0)
         n_ids = 0
         # Every candidate joins a trace: per bias step, (trace id, i, f, w).
-        record = []
+        record, done = [], []
         for i in range(seg.bias.size):
             f_c, w_c = _row_candidates(t1[i], ds.freq_ghz, opts.threshold)
             cand_id = np.full(f_c.size, -1, dtype=np.intp)
@@ -137,30 +137,31 @@ def extract_traces(
                     last_f[ma] = f_new
                     last_i[ma] = i
                     n_pts[ma] += 1
-            # Unmatched candidates open traces; closed ones leave the open state.
+            # Unmatched candidates open traces; closed ones leave, into ``done``.
             fresh = np.flatnonzero(cand_id < 0)
-            cand_id[fresh] = np.arange(n_ids, n_ids + fresh.size)
-            n_ids += fresh.size
-            ids = np.concatenate((ids, cand_id[fresh]))
-            last_f = np.concatenate((last_f, f_c[fresh]))
-            slope = np.concatenate((slope, np.zeros(fresh.size)))
-            last_i = np.concatenate((last_i, np.full(fresh.size, i)))
-            n_pts = np.concatenate((n_pts, np.ones(fresh.size, dtype=np.intp)))
+            if fresh.size:
+                cand_id[fresh] = np.arange(n_ids, n_ids + fresh.size)
+                n_ids += fresh.size
+                ids = np.concatenate((ids, cand_id[fresh]))
+                last_f = np.concatenate((last_f, f_c[fresh]))
+                slope = np.concatenate((slope, np.zeros(fresh.size)))
+                last_i = np.concatenate((last_i, np.full(fresh.size, i)))
+                n_pts = np.concatenate((n_pts, np.ones(fresh.size, dtype=np.intp)))
             record.append((cand_id, np.full(f_c.size, i), f_c, w_c))
-            keep = i - last_i <= opts.max_gap
-            ids, last_f, slope, last_i, n_pts = (
-                a[keep] for a in (ids, last_f, slope, last_i, n_pts))
-        # Cut the flat record into traces: one stable sort by id groups
-        # each trace's points in bias order, and a trace whose last point
-        # is at step L closed at step L + max_gap + 1, or is open at the end.
+            closed = i - last_i > opts.max_gap
+            if closed.any():
+                done.extend(ids[closed].tolist())
+                ids, last_f, slope, last_i, n_pts = (
+                    a[~closed] for a in (ids, last_f, slope, last_i, n_pts))
+        done.extend(ids.tolist())
+        # One stable sort by id groups each trace's points in bias order.
         rec_id, bias_index, freq, weight = (np.concatenate(col) for col in zip(*record))
         order = np.argsort(rec_id, kind="stable")
         bias_index, freq, weight = bias_index[order], freq[order], weight[order]
         bias = np.asarray(seg.bias, dtype=float)[bias_index]
         counts = np.bincount(rec_id, minlength=n_ids)
         ends = np.cumsum(counts)
-        closes = np.minimum(bias_index[ends - 1] + opts.max_gap + 1, seg.bias.size)
-        for k in np.lexsort((np.arange(n_ids), closes)).tolist():
+        for k in done:
             if counts[k] >= opts.min_points:
                 sl = slice(ends[k] - counts[k], ends[k])
                 traces.append(Trace(s, seg.control, bias_index[sl], bias[sl],
