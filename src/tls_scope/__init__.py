@@ -27,7 +27,6 @@ from .errors import (
 )
 from .hyperbola import TraceFit, fit_hyperbola
 from .metrics import (
-    detectable_dipole_min,
     loss_tangent,
     material_report,
     participation_ratio,

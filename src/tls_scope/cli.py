@@ -239,9 +239,6 @@ TRACKING_KEYS = (
 FIT_DEFAULTS = {
     **{key: getattr(AnalysisOptions, key) for key in TRACKING_KEYS},
     **{key: GENERATE_DEFAULTS[key] for key in ("thickness_nm", "volume_um3", "eps_r")},
-    "field_rms_v_per_m": None,
-    "t1_us": None,
-    "dipole_std_prior_ea": None,
 }
 
 
@@ -257,9 +254,6 @@ def analyze(cfg: dict, ds):
         volume_um3=cfg["volume_um3"],
         eps_r=cfg["eps_r"],
         thickness_nm=cfg["thickness_nm"],
-        field_rms=cfg["field_rms_v_per_m"],
-        t1_us=cfg["t1_us"],
-        dipole_sigma_truncated_normal=cfg["dipole_std_prior_ea"],
     )
     return result, report
 
@@ -283,8 +277,6 @@ MATERIAL_TABLE = (
     ("sample spectral density [1/GHz]", "sample_density_per_GHz", "{:.4g}"),
     ("volume density P0 [1/(um^3 GHz)]", "P0_per_um3_GHz", "{:.4g}"),
     ("loss tangent tan_d0", "tan_delta0", "{:.3e}"),
-    ("detectability cut p_min [eA]", "p_min_detectable_eA", "{:.4g}"),
-    ("P0 corrected for cut", "P0_detection_corrected", "{:.4g}"),
 )
 
 
@@ -423,6 +415,9 @@ def cmd_design(args) -> int:
         ("dielectric-limited", "dielectric_limited",
          bool(gamma_diel > cfg["gamma_background_per_us"]), None),
     ]
+    overflow = [key for _label, key, value, _template in rows if not math.isfinite(value)]
+    if overflow:
+        raise ConfigError(f"design outputs {overflow} overflow for this config")
     _print_table([(label, value, template) for label, _key, value, template in rows])
     if args.out:
         dataio.write_json(_outdir(args) / "design_report.json",

@@ -48,8 +48,10 @@ _PER_CELL_HEADER = "segment,control,bias_V,freq_GHz,t1_us"
 
 
 def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as a JSON file of the current ``schema_version``."""
-    text = json.dumps({**payload, "schema_version": SCHEMA_VERSION}, indent=2, sort_keys=True)
+    """Write ``payload`` as a JSON file of the current ``schema_version``;
+    a NaN or infinite number, which is no JSON, raises ``ValueError``."""
+    text = json.dumps({**payload, "schema_version": SCHEMA_VERSION}, indent=2, sort_keys=True,
+                      allow_nan=False)
     Path(path).write_text(text + "\n")
 
 

@@ -16,6 +16,7 @@ was drawn for stay in its :class:`EnsembleConfig`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,11 @@ from .stm import Location, TlsParams, dipole_to_gamma_s
 #: Asymmetry shift [GHz] the bias sweeps may apply; widens the eps_i window.
 MAX_BIAS_SWING = 2.5
 
-#: Largest mean number of in-band defects, P0 * volume * bandwidth, that a
-#: config may ask for (the CLI default asks for 3.6, 100x its volume 365).
-MAX_MEAN_IN_BAND = 1e5
+#: Largest mean number of candidate defects that a config may have drawn:
+#: the in-band mean P0 * volume * bandwidth over the share of the
+#: generation window that lands in band (the CLI default draws 18 for
+#: 3.6 in band, 100x its volume 1836).
+MAX_MEAN_DRAWN = 1e5
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,9 @@ class EnsembleConfig:
     [GHz/V]; the global-gate rate is zero for defects buried in the
     sample capacitor (the top electrode screens the global field).
     ``p0_target``, ``volume_um3`` and ``gamma_p_max`` must be finite and
-    non-negative; a zero density or volume draws an empty ensemble, and
-    the mean in-band count may not exceed :data:`MAX_MEAN_IN_BAND`.
+    non-negative, and the band must satisfy 0 < lo < hi; a zero density or
+    volume draws an empty ensemble, and the mean number of candidates
+    drawn may not exceed :data:`MAX_MEAN_DRAWN`.
     """
 
     band: tuple[float, float] = (5.8, 6.7)
@@ -63,15 +67,30 @@ class EnsembleConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        if self.mean_in_band > MAX_MEAN_IN_BAND:
+        if not 0 < self.band[0] < self.band[1]:
+            raise ConfigError(f"band {self.band} is empty")
+        drawn = self.mean_drawn
+        if drawn > MAX_MEAN_DRAWN:
             raise ConfigError(f"p0_target * volume_um3 * bandwidth asks for "
-                              f"{self.mean_in_band:.3g} defects in band, "
-                              f"more than {MAX_MEAN_IN_BAND:.0f}")
+                              f"{self.mean_in_band:.3g} defects in band, drawn from "
+                              f"{drawn:.3g} candidates, more than {MAX_MEAN_DRAWN:.0f}")
 
     @property
     def mean_in_band(self) -> float:
         """Mean number of defects whose zero-bias transition is in band."""
         return self.p0_target * self.volume_um3 * (self.band[1] - self.band[0])
+
+    @property
+    def mean_drawn(self) -> float:
+        """Mean number of candidate defects drawn, in band or not; inf when
+        no part of the generation window lands in band."""
+        if self.mean_in_band == 0:
+            return 0.0
+        try:
+            q = _in_band_probability(self)
+        except OverflowError:  # a band edge whose square is no float
+            return math.inf
+        return self.mean_in_band / q if q > 0 else math.inf
 
     def resolved_delta0_min(self) -> float:
         """Lower end of the log-uniform Delta0 window [GHz]."""
@@ -129,25 +148,14 @@ def _truncnorm_left_ppf(u: np.ndarray, a: float) -> np.ndarray:
 
 
 def generate_ensemble(cfg: EnsembleConfig, seed: int) -> Ensemble:
-    """Draw a TLS ensemble; deterministic for a given (cfg, seed).
-
-    Raises
-    ------
-    ConfigError
-        If the band is empty.
-    """
-    lo, hi = cfg.band
-    if not (0 < lo < hi):
-        raise ConfigError(f"band {cfg.band} is empty")
-
+    """Draw a TLS ensemble; deterministic for a given (cfg, seed)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tls: list[TlsParams] = []
     if cfg.mean_in_band > 0:
-        q = _in_band_probability(cfg)
-        n = int(rng.poisson(cfg.mean_in_band / q))
+        n = int(rng.poisson(cfg.mean_drawn))
         d_lo = cfg.resolved_delta0_min()
         w = cfg.resolved_eps_halfwidth()
-        delta0 = np.exp(rng.uniform(np.log(d_lo), np.log(hi), size=n))
+        delta0 = np.exp(rng.uniform(np.log(d_lo), np.log(cfg.band[1]), size=n))
         eps_i = rng.uniform(-w, w, size=n)
         a = (0.0 - cfg.dipole_mean) / cfg.dipole_std
         u = rng.uniform(size=n)

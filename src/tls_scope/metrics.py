@@ -4,6 +4,9 @@ Converts trace densities into volume densities, and those into the
 intrinsic loss tangent; also evaluates the participation-ratio
 relaxation budget used to size the sample capacitor.  Dipole moments
 come from the tuning rates through :func:`tls_scope.stm.gamma_s_to_dipole`.
+The numbers are the raw ones, with no correction for the defects the
+extraction misses; the detectability rule g*T1 = 1 lives in
+:func:`tls_scope.stm.design_thickness`, which sizes the capacitor.
 Arguments use the natural units of the quantities as usually quoted:
 nm, e*Angstrom, (um^3 GHz)^-1.
 """
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from .constants import EPS0, HBAR, J_PER_GHZ, CM_PER_EA
+from .constants import EPS0, J_PER_GHZ, CM_PER_EA
 from .errors import ConfigError
 from .stm import Location, SensorDesign, sample_capacitance
 
@@ -59,42 +62,17 @@ def relaxation_budget(
     return design.omega10 * p_s * tan_delta0 / 1e6 + gamma_background
 
 
-def detectable_dipole_min(field_rms: float, t1_us: float) -> float:
-    """Smallest detectable dipole projection [e*A]: g*T1 = 1 at field F."""
-    if field_rms <= 0 or t1_us <= 0:
-        raise ConfigError(f"field and T1 must be positive, got {field_rms}, {t1_us}")
-    return HBAR / (field_rms * t1_us * 1e-6) / CM_PER_EA
-
-
-def material_report(
-    analysis,
-    volume_um3: float,
-    eps_r: float,
-    thickness_nm: float,
-    field_rms: float | None = None,
-    t1_us: float | None = None,
-    dipole_sigma_truncated_normal: float | None = None,
-) -> dict:
+def material_report(analysis, volume_um3: float, eps_r: float, thickness_nm: float) -> dict:
     """Reduce an :class:`~tls_scope.pipeline.AnalysisResult` to material numbers,
     the payload of ``material_report.json``.
 
-    The detectability cut is reported, never silently applied: when the
-    rms field and qubit T1 are given, the minimum detectable dipole and a
-    corrected P0 (raw divided by the detected fraction of a
-    truncated-normal dipole population, the distribution the ensemble
-    draws from, evaluated with :class:`statistics.NormalDist`) appear
-    alongside the raw value.  One of the pair without the other, a
-    dipole std prior that is not positive, or an ``eps_r`` that is not
-    positive (checked whether or not a loss tangent follows), is a
+    An ``eps_r`` that is not positive (checked whether or not a loss
+    tangent follows), and a P0, dipole moment or loss tangent that
+    overflows (a tiny volume or ``eps_r``, a huge thickness), is a
     :class:`~tls_scope.errors.ConfigError`.
     """
     if not eps_r > 0:
         raise ConfigError(f"eps_r must be > 0, got {eps_r}")
-    if (field_rms is None) != (t1_us is None):
-        raise ConfigError(f"the detectability cut needs both the rms field and T1, "
-                          f"got {field_rms} and {t1_us}")
-    if dipole_sigma_truncated_normal is not None and not dipole_sigma_truncated_normal > 0:
-        raise ConfigError(f"the dipole std prior must be > 0, got {dipole_sigma_truncated_normal}")
     # Dipole projections [e*A] of the sample-dielectric defects.
     dip = np.array([
         r.p_parallel
@@ -104,23 +82,19 @@ def material_report(
     sample_key = Location.SAMPLE_DIELECTRIC.value
     sample_density = float(analysis.density_by_class.get(sample_key, 0.0))
     p0 = volume_density(sample_density, volume_um3)
-    p_mean = float(dip.mean()) if dip.size else None
-    p_std = float(dip.std(ddof=1)) if dip.size > 1 else None
-    tan_d = loss_tangent(p0, p_mean, eps_r) if (p_mean and p0 > 0) else None
-
-    p_min = corrected = None
-    if field_rms is not None and t1_us is not None:
-        p_min = detectable_dipole_min(field_rms, t1_us)
-        if p_mean is not None and dip.size:
-            sigma = dipole_sigma_truncated_normal or (p_std or 0.0)
-            if sigma > 0:
-                from statistics import NormalDist
-
-                # P(p > p_min | p > 0) of the normal N(p_mean, sigma).
-                cdf = NormalDist().cdf
-                detected = cdf((p_mean - p_min) / sigma) / cdf(p_mean / sigma)
-                if detected > 0:
-                    corrected = p0 / detected
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        p_mean = float(dip.mean()) if dip.size else None
+        p_std = float(dip.std(ddof=1)) if dip.size > 1 else None
+    try:
+        tan_d = loss_tangent(p0, p_mean, eps_r) if (p_mean and p0 > 0) else None
+    except (OverflowError, ZeroDivisionError):
+        tan_d = math.inf
+    numbers = {"P0": p0, "mean dipole": p_mean, "dipole std": p_std, "tan_delta0": tan_d}
+    overflow = [name for name, value in numbers.items()
+                if value is not None and not math.isfinite(value)]
+    if overflow:
+        raise ConfigError(f"{', '.join(overflow)} overflow with volume_um3 {volume_um3}, "
+                          f"eps_r {eps_r} and thickness_nm {thickness_nm}")
 
     return {
         "n_tls_total": len(analysis.records),
@@ -131,13 +105,9 @@ def material_report(
         "sample_density_per_GHz": sample_density,
         "P0_per_um3_GHz": p0,
         "tan_delta0": tan_d,
-        "p_min_detectable_eA": p_min,
-        "P0_detection_corrected": corrected,
         "assumptions": {
             "volume_um3": volume_um3,
             "eps_r": eps_r,
             "thickness_nm": thickness_nm,
-            "field_rms_v_per_m": field_rms,
-            "t1_us": t1_us,
         },
     }

@@ -158,8 +158,8 @@ class TlsTable:
 class SensorDesign:
     """Geometry and electrical parameters of the sample-capacitor sensor.
 
-    Every parameter must be positive and ``c_tot`` must exceed the sample
-    capacitance; a sample capacitor above 5 % of ``c_tot`` warns.
+    Every parameter must be positive and finite, and ``c_tot`` must exceed
+    the sample capacitance; a sample capacitor above 5 % of ``c_tot`` warns.
 
     Attributes
     ----------
@@ -186,8 +186,11 @@ class SensorDesign:
 
     def __post_init__(self):
         for name in ("d", "area", "eps_r", "c_tot", "omega10", "t1_qubit"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be strictly positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be strictly positive, got {value}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         c_s = sample_capacitance(self)
         if self.c_tot <= c_s:
             raise ConfigError(

@@ -27,7 +27,8 @@ SMALL = {"band_ghz": [6.0, 6.4], "freq_step_ghz": 0.004, "n_bias": 30,
 #: simulator or the analysis and belongs in CHANGES.md with the new hashes.
 #: Last re-recorded for the standard-library dipole draw, the sidecar's
 #: ``n_freq`` and the batched hyperbola start solve; ``dataset.csv`` alone
-#: re-recorded for the one-line-per-bias-step layout.
+#: re-recorded for the one-line-per-bias-step layout, and
+#: ``material_report.json`` alone when its four detection-cut keys went.
 EXPECTED_SHA256 = {
     "dataset.csv":
         "6a3a3e63922066a772df635c6fdb473169966c84873d70d6ee82bc44951d1bf2",
@@ -38,7 +39,7 @@ EXPECTED_SHA256 = {
     "fit_report.json":
         "c53a1c10639ee174088f0ef487d7603cd5694305103298d6221c82400ed81fb4",
     "material_report.json":
-        "1a86e12a37e305669fcf2e42aed7c681dfd800e790eb43cd8c415c7786a393ca",
+        "49cb16e679b4de58566acc6283ff22538cc96c7666a301eeeca4f334c5ca7272",
 }
 
 
@@ -96,8 +97,6 @@ std dipole p_par [eA]             0.06326
 sample spectral density [1/GHz]   1.062
 volume density P0 [1/(um^3 GHz)]  236.1
 loss tangent tan_d0               3.611e-04
-detectability cut p_min [eA]      n/a
-P0 corrected for cut              n/a
 density sample_dielectric         1.062 /GHz
 density unclassified              3.198 /GHz
 """
@@ -282,8 +281,14 @@ class TestExitCodes:
         ({"volume_um3": -1.0}, "volume_um3 must be finite and >= 0, got -1.0"),
         ({"volume_um3": float("inf")}, "config key 'volume_um3' must be finite, got inf"),
         # Used to end in numpy's "lam value too large" from the Poisson draw.
-        ({"p0_per_um3_ghz": 1e30},
-         "p0_target * volume_um3 * bandwidth asks for 1.8e+27 defects in band, more than 100000"),
+        ({"p0_per_um3_ghz": 1e30}, "p0_target * volume_um3 * bandwidth asks for 1.8e+27 "
+                                   "defects in band, drawn from 1.77e+28 candidates, "
+                                   "more than 100000"),
+        # No part of the generation window lands in this band: it used to
+        # end in the same numpy traceback.
+        ({"band_ghz": [1e-300, 1e-299]}, "p0_target * volume_um3 * bandwidth asks for "
+                                         "7.29e-299 defects in band, drawn from inf "
+                                         "candidates, more than 100000"),
         # Used to end in numpy's "Maximum allowed size exceeded" traceback.
         ({"freq_step_ghz": 1e-300},
          "freq_step_ghz 1e-300 gives a T1 map of 9.6e+301 cells (segments x n_bias x "
@@ -294,8 +299,8 @@ class TestExitCodes:
         ({"noise_sigma": 1e30}, "noise_sigma must be non-negative and at most 50.0, got 1e+30"),
         ({"thickness_nm": 1e-300}, "total capacitance must exceed the sample capacitance"),
     ], ids=["p0-nan", "p0-negative", "gamma_p-nan", "gamma_p-inf", "volume-nan",
-            "volume-negative", "volume-inf", "p0-huge", "freq-step-tiny", "noise-huge",
-            "thickness-tiny"])
+            "volume-negative", "volume-inf", "p0-huge", "band-outside-window", "freq-step-tiny",
+            "noise-huge", "thickness-tiny"])
     def test_generate_refuses_bad_ensemble_value(self, tmp_path, capsys, override, needle):
         # NaN and a negative P0 or volume used to draw an empty ensemble
         # (exit 0), a non-finite gamma_p_max ended in an OverflowError
@@ -323,27 +328,40 @@ class TestExitCodes:
         ("fit", {"first_link_factor": -1}, "first_link_factor must be > 0, got -1"),
         ("fit", {"boundary_tol": -1}, "boundary_tol must be >= 0, got -1"),
         ("fit", {"thickness_nm": 0}, "thickness_m must be > 0, got 0.0"),
-        ("fit", {"field_rms_v_per_m": 20.0},
-         "the detectability cut needs both the rms field and T1, got 20.0 and None"),
-        ("fit", {"t1_us": 1.0},
-         "the detectability cut needs both the rms field and T1, got None and 1.0"),
-        ("fit", {"dipole_std_prior_ea": 0, "field_rms_v_per_m": 20.0, "t1_us": 1.0},
-         "the dipole std prior must be > 0, got 0"),
-        ("fit", {"dipole_std_prior_ea": -1, "field_rms_v_per_m": 20.0, "t1_us": 1.0},
-         "the dipole std prior must be > 0, got -1"),
+        # The analytic detection cut and its three keys are gone.
+        ("fit", {"field_rms_v_per_m": 20.0}, "unknown config keys: ['field_rms_v_per_m']"),
+        ("fit", {"t1_us": 1.0}, "unknown config keys: ['t1_us']"),
+        ("fit", {"dipole_std_prior_ea": 0.3}, "unknown config keys: ['dipole_std_prior_ea']"),
+        # These used to write Infinity into material_report.json, or end in
+        # a ZeroDivisionError or OverflowError traceback.
+        ("fit", {"volume_um3": 1e-320},
+         "P0, tan_delta0 overflow with volume_um3 1e-320, eps_r 10.0 and thickness_nm 50.0"),
+        ("fit", {"eps_r": 1e-320},
+         "tan_delta0 overflow with volume_um3 0.00225, eps_r 1e-320 and thickness_nm 50.0"),
+        ("fit", {"thickness_nm": 1e300}, "dipole std, tan_delta0 overflow with "
+                                         "volume_um3 0.00225, eps_r 10.0 and thickness_nm 1e+300"),
         ("coupled", {"threshold": 0}, "threshold must be in (0, 1), got 0"),
         ("coupled", {"jump_limit": -8}, "jump_limit must be > 0, got -8"),
         ("design", {"c_tot_fF": 0.01}, "total capacitance must exceed the sample capacitance"),
+        # These used to write Infinity into design_report.json.
+        ("design", {"f10_ghz": 1e300}, "omega10 must be finite, got inf"),
+        ("design", {"tan_delta0": 1e308},
+         "design outputs ['Gamma1_per_us'] overflow for this config"),
+        ("design", {"p_min_ea": 1e308}, "design outputs ['d_rule_nm'] overflow for this config"),
+        ("design", {"tan_delta0": 0, "gamma_background_per_us": 1e-320},
+         "design outputs ['T1_budget_us'] overflow for this config"),
     ], ids=["fit-negative-threshold", "fit-threshold-above-1", "fit-negative-jump",
             "fit-negative-gap", "fit-negative-first-link", "fit-negative-boundary",
-            "fit-zero-thickness", "fit-field-only", "fit-t1-only", "fit-zero-prior",
-            "fit-negative-prior", "coupled-zero-threshold", "coupled-negative-jump",
-            "design-loaded-qubit"])
+            "fit-zero-thickness", "fit-removed-field", "fit-removed-t1", "fit-removed-prior",
+            "fit-tiny-volume", "fit-tiny-eps", "fit-huge-thickness",
+            "coupled-zero-threshold", "coupled-negative-jump", "design-loaded-qubit",
+            "design-huge-frequency", "design-huge-loss", "design-huge-dipole",
+            "design-tiny-background"])
     @pytest.mark.filterwarnings("ignore:sample capacitor holds")
     def test_refuses_bad_setting(self, small_run, coupled_run, tmp_path, capsys, command,
                                  override, needle):
-        # Each fit case used to exit 0 with other numbers, or 4 with no
-        # traces; a zero or negative prior fell back or dropped P0 silently.
+        # Each fit tracking case used to exit 0 with other numbers, or 4
+        # with no traces.
         base = {}
         if command == "coupled":
             base = json.loads((coupled_run[0] / "coupled.json").read_text())
@@ -871,13 +889,12 @@ sys.meta_path.insert(0, NoScipy())
 
 
 def test_every_command_runs_without_scipy(coupled_run, tmp_path):
-    """With ``import scipy`` blocked in a fresh interpreter, generate, a
-    fit with the detection correction, design and coupled all exit 0."""
+    """With ``import scipy`` blocked in a fresh interpreter, generate,
+    fit, design and coupled all exit 0."""
     out, code = coupled_run
     assert code == cli.EXIT_OK
     small = write_json(tmp_path / "small.json", SMALL)
-    fit = write_json(tmp_path / "fit.json", {"volume_um3": SMALL["volume_um3"],
-                                             "field_rms_v_per_m": 20.0, "t1_us": 1.0})
+    fit = write_json(tmp_path / "fit.json", {"volume_um3": SMALL["volume_um3"]})
     commands = [
         ["generate", "--seed", "1", "--config", small, "--out", tmp_path / "g"],
         ["fit", tmp_path / "g" / "dataset.csv", "--config", fit, "--out", tmp_path / "g"],
@@ -895,5 +912,3 @@ def test_every_command_runs_without_scipy(coupled_run, tmp_path):
     )
     codes = [line for line in proc.stderr.splitlines() if line.split(" ")[0] in cli.COMMANDS]
     assert codes == [f"{argv[0]} {cli.EXIT_OK}" for argv in commands], proc.stderr
-    report = json.loads((tmp_path / "g" / "material_report.json").read_text())
-    assert report["P0_detection_corrected"] > report["P0_per_um3_GHz"]

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from tls_scope.ensemble import (
-    MAX_MEAN_IN_BAND, EnsembleConfig, _truncnorm_left_ppf, generate_ensemble,
+    MAX_MEAN_DRAWN, EnsembleConfig, _in_band_probability, _truncnorm_left_ppf,
+    generate_ensemble,
 )
 from tls_scope.errors import ConfigError
 from tls_scope.stm import Location
@@ -134,14 +137,30 @@ class TestDipoleSampler:
         with pytest.raises(ValueError):
             EnsembleConfig(**{field: 0.0})
 
-    def test_mean_in_band_count_is_bounded(self):
-        # 1800 /(um^3 GHz) * 2.25e-3 um^3 * 0.9 GHz = 3.645 defects in band.
-        assert EnsembleConfig().mean_in_band == pytest.approx(3.645)
-        at_limit = MAX_MEAN_IN_BAND / EnsembleConfig().mean_in_band * 1800.0
+    def test_mean_drawn_count_is_bounded(self):
+        # 1800 /(um^3 GHz) * 2.25e-3 um^3 * 0.9 GHz = 3.645 defects in band,
+        # drawn from 3.645 / q candidates, q the in-band share of the window.
+        cfg = EnsembleConfig()
+        assert cfg.mean_in_band == pytest.approx(3.645)
+        assert cfg.mean_drawn == cfg.mean_in_band / _in_band_probability(cfg)
+        assert cfg.mean_drawn == pytest.approx(18.36, rel=1e-3)
+        at_limit = MAX_MEAN_DRAWN / cfg.mean_drawn * 1800.0
         EnsembleConfig(p0_target=at_limit * (1 - 1e-9))
         for p0 in (at_limit * (1 + 1e-9), 1e30):
-            with pytest.raises(ConfigError, match="defects in band, more than 100000"):
+            with pytest.raises(ConfigError, match="candidates, more than 100000"):
                 EnsembleConfig(p0_target=p0)
+
+    @pytest.mark.parametrize("band, p0, drawn", [
+        ((5.8, 5.8001), 1e9, "7.58e+06"),
+        ((1e-300, 1e-299), 1800.0, "inf"),
+        ((5.8, 1e200), 1e-250, "inf"),
+    ], ids=["narrow-band", "window-misses-band", "band-edge-overflows"])
+    def test_bound_counts_the_candidates_drawn(self, band, p0, drawn):
+        # The bound used to count only the in-band mean: the narrow band
+        # asks for 225 in band and passed it, to draw ~7.6M defects; the
+        # others ended in numpy's "lam value too large" or an OverflowError.
+        with pytest.raises(ConfigError, match=re.escape(f"drawn from {drawn} candidates")):
+            EnsembleConfig(band=band, p0_target=p0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -5.0, -1e-300])
     @pytest.mark.parametrize("field", ["p0_target", "volume_um3", "gamma_p_max"])

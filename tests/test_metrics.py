@@ -1,16 +1,14 @@
 """Material quantities: SI conversions, input checks and the report."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from scipy.stats import truncnorm
 
 from tls_scope.errors import ConfigError
 from tls_scope.metrics import (
-    detectable_dipole_min,
     loss_tangent,
     material_report,
     participation_ratio,
@@ -21,7 +19,6 @@ from tls_scope.stm import Location, SensorDesign
 
 # SI values, written out here independently of tls_scope.constants.
 H = 6.62607015e-34  # J s
-HBAR = H / (2 * math.pi)
 E = 1.602176634e-19  # C
 EPS0 = 8.8541878188e-12  # F/m
 
@@ -40,23 +37,13 @@ def test_loss_tangent_by_hand():
     assert 1e-4 < expected < 1e-3
 
 
-def test_detectable_dipole_min_by_hand():
-    p_min = detectable_dipole_min(90.0, 4.3)
-    assert p_min == pytest.approx(HBAR / (90.0 * 4.3e-6) / (E * 1e-10), rel=1e-12)
-    # g * T1 = 1 at the cut: g = p F / hbar
-    assert p_min * E * 1e-10 * 90.0 / HBAR * 4.3e-6 == pytest.approx(1.0, rel=1e-12)
-
-
 @pytest.mark.parametrize("call", [
     lambda: volume_density(1.0, 0.0),
     lambda: volume_density(1.0, -1.0),
     lambda: loss_tangent(-1.0, 0.4, 10.0),
     lambda: loss_tangent(1.0, -0.4, 10.0),
     lambda: loss_tangent(1.0, 0.4, 0.0),
-    lambda: detectable_dipole_min(0.0, 4.3),
-    lambda: detectable_dipole_min(90.0, -1.0),
-], ids=["volume-zero", "volume-negative", "p0-negative", "dipole-negative",
-        "eps-zero", "field-zero", "t1-negative"])
+], ids=["volume-zero", "volume-negative", "p0-negative", "dipole-negative", "eps-zero"])
 def test_input_errors(call):
     with pytest.raises(ValueError):
         call()
@@ -124,39 +111,19 @@ class TestMaterialReport:
 
     def test_no_dipole_means_no_loss_tangent(self):
         rep = material_report(analysis([record(0, SAMPLE, None)]), volume_um3=VOLUME,
-                              eps_r=10.0, thickness_nm=50.0, field_rms=20.0, t1_us=1.0)
+                              eps_r=10.0, thickness_nm=50.0)
         assert rep["n_sample_tls"] == 0
         assert rep["p_parallel_mean_eA"] is None and rep["p_parallel_std_eA"] is None
         assert rep["tan_delta0"] is None
-        assert rep["P0_detection_corrected"] is None
 
-    def test_detection_cut_needs_field_and_t1(self, mixed):
-        rep = material_report(mixed, volume_um3=VOLUME, eps_r=10.0, thickness_nm=50.0)
-        assert rep["p_min_detectable_eA"] is None
-        assert rep["P0_detection_corrected"] is None
-        # One of the pair alone used to give the same report without a word.
-        for extra in ({"field_rms": 20.0}, {"t1_us": 1.0}):
-            with pytest.raises(ConfigError, match="needs both the rms field and T1"):
-                material_report(mixed, volume_um3=VOLUME, eps_r=10.0, thickness_nm=50.0,
-                                **extra)
-
-    @pytest.mark.parametrize("prior", [0.0, -1.0])
-    def test_dipole_std_prior_must_be_positive(self, mixed, prior):
-        # 0 used to fall back to the sample std, -1 to drop the corrected P0.
-        with pytest.raises(ConfigError, match=f"dipole std prior must be > 0, got {prior}"):
-            material_report(mixed, volume_um3=VOLUME, eps_r=10.0, thickness_nm=50.0,
-                            field_rms=20.0, t1_us=1.0, dipole_sigma_truncated_normal=prior)
-
-    @pytest.mark.parametrize("prior", [None, 0.3])
-    def test_detection_corrected_p0(self, mixed, prior):
-        rep = material_report(mixed, volume_um3=VOLUME, eps_r=10.0, thickness_nm=50.0,
-                              field_rms=20.0, t1_us=1.0,
-                              dipole_sigma_truncated_normal=prior)
-        p_min = detectable_dipole_min(20.0, 1.0)
-        mean, sigma = rep["p_parallel_mean_eA"], prior or rep["p_parallel_std_eA"]
-        detected = 1.0 - truncnorm.cdf(p_min, -mean / sigma, np.inf, loc=mean,
-                                       scale=sigma)
-        assert rep["p_min_detectable_eA"] == p_min
-        assert 0.0 < detected < 1.0
-        assert rep["P0_detection_corrected"] == pytest.approx(rep["P0_per_um3_GHz"] / detected,
-                                                            rel=1e-12)
+    @pytest.mark.parametrize("volume, eps_r, dipole, needle", [
+        (1e-320, 10.0, 0.4, "P0, tan_delta0 overflow with volume_um3 1e-320, eps_r 10.0"),
+        (VOLUME, 1e-320, 0.4, "tan_delta0 overflow with volume_um3 0.00225, eps_r 1e-320"),
+        (VOLUME, 10.0, 1e200, "dipole std, tan_delta0 overflow with volume_um3 0.00225"),
+    ], ids=["tiny-volume", "tiny-eps", "huge-dipole"])
+    def test_overflow_is_refused(self, volume, eps_r, dipole, needle):
+        # These used to give Infinity in the report, a ZeroDivisionError
+        # and an OverflowError.
+        records = analysis([record(0, SAMPLE, dipole), record(1, SAMPLE, dipole / 2)])
+        with pytest.raises(ConfigError, match=re.escape(needle)):
+            material_report(records, volume_um3=volume, eps_r=eps_r, thickness_nm=50.0)
