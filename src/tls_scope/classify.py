@@ -8,19 +8,17 @@ The location of a defect follows from which controls move its resonance:
     responds to nothing, or seen in only   -> unclassified
     a single segment
 
-Spectral densities follow the per-trace bookkeeping: every defect
-contributes its visible fraction of each segment, summed and normalized
-by (number of segments x frequency span).  The arithmetic is done with
-exact rationals so worked examples like 0.5/8/0.9 GHz^-1 reproduce
-bit-for-bit, and one call over a class's defects equals the sum of one
-call per defect.
+Spectral densities count trace points: every trace point of a class
+stands for one bias step of its segment, so a segment contributes
+points / bias steps, and the sum is normalized by (number of segments x
+frequency span).  The arithmetic is done with exact rationals, so worked
+examples like 0.5/8/0.9 GHz^-1 reproduce bit-for-bit and the density
+does not depend on the order in which points are counted.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from numbers import Rational
 
 from .stm import Location
 
@@ -46,42 +44,18 @@ def classify_location(responds: dict, single_segment: bool) -> Location:
     return Location.UNCLASSIFIED
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(_FRACTION_LIMIT)
-
-
-def spectral_density(
-    visible_fractions: list[list[float]],
-    n_segments: int,
-    span_ghz,
-) -> Fraction:
+def spectral_density(points: list[int], n_bias: list[int], span_ghz: float) -> Fraction:
     """Average number of detectable defects per frequency trace [1/GHz].
 
-    Parameters
-    ----------
-    visible_fractions : list of per-defect lists
-        For each defect, the fraction of each segment's bias range in
-        which its trace is visible (include only nonzero entries or all
-        segments; zeros contribute nothing).
-    n_segments : int
-        Total number of segments in the dataset.
-    span_ghz : float or Fraction
-        Frequency span of one trace [GHz].
-
-    Returns
-    -------
-    Fraction
-        Exact rational density; ``float()`` it for reporting.
+    ``points`` holds per segment the trace points of one class, ``n_bias``
+    the segment's bias steps; ``span_ghz`` is the span of one trace, taken
+    as the nearest fraction with a denominator of at most 10^6.  Returns
+    the exact sum_s points_s / n_bias_s / (n_segments x span).
     """
-    if n_segments <= 0:
+    if not n_bias:
         raise ValueError("n_segments must be positive")
-    span = _to_fraction(span_ghz)
+    span = Fraction(span_ghz).limit_denominator(_FRACTION_LIMIT)
     if span <= 0:
         raise ValueError("span must be positive")
-    # Each distinct value converts once; a Rational is kept apart from an
-    # equal float, which converts through limit_denominator instead.
-    counts = Counter((isinstance(f, Rational), f) for fs in visible_fractions for f in fs)
-    total = sum((_to_fraction(f) * n for (_, f), n in counts.items()), Fraction(0))
-    return total / (n_segments * span)
+    total = sum((Fraction(p, n) for p, n in zip(points, n_bias, strict=True)), Fraction(0))
+    return total / (len(n_bias) * span)

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     ConfigError,
     NoConvergence,
     NoTracesFound,
+    OutOfRange,
     SchemaError,
     TlsScopeError,
 )
@@ -121,9 +123,25 @@ def _tls_from_config(cfg: dict, key: str) -> TlsParams:
 
 
 def _outdir(args) -> Path:
+    """The output directory, made now: call it once the work that can
+    refuse is done, so a refused run leaves no directory behind."""
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+@contextmanager
+def _keys_as_written(cfg: dict, keys: dict):
+    """Restate an :class:`OutOfRange` of a library field by the config key
+    in ``keys`` that it came from, with the value as written and the value
+    in the field's own unit; a field not in ``keys`` keeps its name."""
+    try:
+        yield
+    except OutOfRange as exc:
+        if exc.name not in keys:
+            raise
+        key = keys[exc.name]
+        raise OutOfRange(key, exc.rule, f"{cfg[key]}, which is {exc.name} = {exc.value}") from None
 
 
 GENERATE_DEFAULTS = {
@@ -153,16 +171,21 @@ GENERATE_DEFAULTS = {
 }
 
 
-def _sensor_design(cfg: dict, d_nm: float, t1_us: float) -> SensorDesign:
-    """SI sensor of a ``generate`` or ``design`` config; its only unit conversion."""
-    return SensorDesign(
-        d=d_nm * 1e-9,
-        area=cfg["area_um2"] * 1e-12,
-        eps_r=cfg["eps_r"],
-        c_tot=cfg["c_tot_fF"] * 1e-15,
-        omega10=2 * math.pi * cfg["f10_ghz"] * 1e9,
-        t1_qubit=t1_us,
-    )
+def _sensor_design(cfg: dict, d_key: str, t1_key: str) -> SensorDesign:
+    """SI sensor of a ``generate`` or ``design`` config; its only unit
+    conversion.  ``d_key`` and ``t1_key`` name the config's thickness [nm]
+    and qubit T1 [us], and a refused value is named by its key."""
+    keys = {"d": d_key, "area": "area_um2", "c_tot": "c_tot_fF", "omega10": "f10_ghz",
+            "t1_qubit": t1_key}
+    with _keys_as_written(cfg, keys):
+        return SensorDesign(
+            d=cfg[d_key] * 1e-9,
+            area=cfg["area_um2"] * 1e-12,
+            eps_r=cfg["eps_r"],
+            c_tot=cfg["c_tot_fF"] * 1e-15,
+            omega10=2 * math.pi * cfg["f10_ghz"] * 1e9,
+            t1_qubit=cfg[t1_key],
+        )
 
 
 #: Largest T1 map, segments x bias steps x frequencies, that ``generate``
@@ -184,7 +207,7 @@ def simulate(cfg: dict, seed: int):
     if cells > MAX_MAP_CELLS:
         raise ConfigError(f"freq_step_ghz {step} gives a T1 map of {cells:.3g} cells "
                           f"(segments x n_bias x frequencies), more than {MAX_MAP_CELLS}")
-    design = _sensor_design(cfg, cfg["thickness_nm"], cfg["t1_qubit_us"])
+    design = _sensor_design(cfg, "thickness_nm", "t1_qubit_us")
     ens_cfg = EnsembleConfig(
         band=band,
         p0_target=cfg["p0_per_um3_ghz"],
@@ -219,8 +242,8 @@ def simulate(cfg: dict, seed: int):
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config, GENERATE_DEFAULTS)
-    out = _outdir(args)
     ensemble, ds = simulate(cfg, args.seed)
+    out = _outdir(args)
     dataio.write_dataset(ds, out / "dataset.csv")
     dataio.write_ground_truth(ensemble.tls_list, out / "ground_truth.json")
     print(
@@ -233,7 +256,6 @@ def cmd_generate(args) -> int:
 #: ``fit`` config keys that are ``AnalysisOptions`` fields of the same name.
 TRACKING_KEYS = (
     "threshold", "jump_limit", "min_points", "max_gap", "first_link_factor",
-    "boundary_tol",
 )
 
 FIT_DEFAULTS = {
@@ -244,10 +266,11 @@ FIT_DEFAULTS = {
 
 def analyze(cfg: dict, ds):
     """(analysis result, material report) that ``fit`` writes for a full config."""
-    opts = AnalysisOptions(
-        **{key: cfg[key] for key in TRACKING_KEYS},
-        thickness_m=cfg["thickness_nm"] * 1e-9,
-    )
+    with _keys_as_written(cfg, {"thickness_m": "thickness_nm"}):
+        opts = AnalysisOptions(
+            **{key: cfg[key] for key in TRACKING_KEYS},
+            thickness_m=cfg["thickness_nm"] * 1e-9,
+        )
     result = analyze_dataset(ds, opts)
     report = metrics.material_report(
         result,
@@ -282,18 +305,18 @@ MATERIAL_TABLE = (
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config, FIT_DEFAULTS)
-    out = _outdir(args)
     ds = dataio.read_dataset(args.dataset)
     result, report = analyze(cfg, ds)
-    if not result.traces and not args.allow_empty:
+    if not result.tracks and not args.allow_empty:
         print("no resonance traces found (use --allow-empty to accept)", file=sys.stderr)
         return EXIT_EMPTY
+    out = _outdir(args)
 
     records = result.records
     if args.class_filter:
         records = [r for r in records if r.location.value == args.class_filter]
     dataio.write_fit_report(records, result.density_by_class, out / "fit_report.json", {
-        "n_traces": len(result.traces),
+        "n_traces": sum(map(len, result.tracks)),  # each trace is in one track
         "n_tracks": len(result.tracks),
         "class_filter": args.class_filter,
     })
@@ -321,7 +344,6 @@ COUPLED_DEFAULTS = {
 
 def cmd_coupled(args) -> int:
     cfg = _load_config(args.config, COUPLED_DEFAULTS)
-    out = _outdir(args)
     if not (cfg["panels"] and cfg["tls1"] and cfg["tls2"]):
         raise ConfigError("coupled needs 'panels', 'tls1' and 'tls2' in the config")
     if not all(isinstance(p, str) for p in cfg["panels"]):
@@ -343,6 +365,7 @@ def cmd_coupled(args) -> int:
     except (NoConvergence, AmbiguousSigns) as exc:
         print(f"coupled fit failed: {exc}", file=sys.stderr)
         return EXIT_COUPLED
+    out = _outdir(args)
     dataio.write_coupled_fit(fit, out / "coupled_fit.json")
     for k, (ds, panel) in enumerate(zip(datasets, panels)):
         _write_crossing(out / f"crossing_panel_{k}.csv", ds, panel, fit, tls1, tls2)
@@ -391,10 +414,11 @@ DESIGN_DEFAULTS = {
 
 def cmd_design(args) -> int:
     cfg = _load_config(args.config, DESIGN_DEFAULTS)
-    for key in DESIGN_DEFAULTS:
+    # The sensor keys are checked by SensorDesign.
+    for key in ("p_min_ea", "tan_delta0", "gamma_background_per_us"):
         if cfg[key] <= 0 and (key != "tan_delta0" or cfg[key] < 0):
             raise ConfigError(f"design parameter {key} must be positive")
-    design = _sensor_design(cfg, cfg["d_nm"], cfg["t1_us"])
+    design = _sensor_design(cfg, "d_nm", "t1_us")
     v_rms = vacuum_voltage(design)
     d_rule = design_thickness(cfg["p_min_ea"], cfg["t1_us"] * 1e-6, v_rms)
     c_s = sample_capacitance(design)

@@ -14,6 +14,16 @@ class ConfigError(TlsScopeError, ValueError):
     """A caller-supplied setting is out of range or malformed."""
 
 
+class OutOfRange(ConfigError):
+    """One named setting breaks its range rule.  ``name``, ``rule`` and
+    ``value`` let a caller that knows the setting by another name or unit
+    restate the refusal."""
+
+    def __init__(self, name: str, rule: str, value):
+        super().__init__(f"{name} {rule}, got {value}")
+        self.name, self.rule, self.value = name, rule, value
+
+
 class NoCrossingInRange(TlsScopeError):
     """The two transitions never approach each other within the sweep."""
 

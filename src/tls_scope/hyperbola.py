@@ -12,6 +12,8 @@ is flat within the noise (or that has fewer than three distinct biases),
 curves down, or has its minimum at or below zero is no hyperbola and
 raises ``DegenerateTrace``.  The model is blind to the joint sign flip
 (eps_i, gamma) -> (-eps_i, -gamma); fits are canonicalized to gamma >= 0.
+Delta0 is the fitted value whether or not the sweep reached the vertex;
+its sigma from the covariance says how well the trace determines it.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ class TraceFit:
 
     ``covariance`` is the scaled 3x3 covariance of (delta0, eps_at_zero,
     gamma); ``residual_rms`` is the rms frequency residual [GHz].
-    ``delta0_lower_bound_only`` is set when the hyperbola vertex falls
-    outside the observed bias window; the symmetry point was not actually
-    reached, so ``delta0`` is an extrapolated bound rather than a
-    measurement.
     """
 
     delta0: float
@@ -46,7 +44,6 @@ class TraceFit:
     covariance: np.ndarray
     residual_rms: float
     n_points: int
-    delta0_lower_bound_only: bool
 
     @property
     def sigma(self) -> np.ndarray:
@@ -204,11 +201,6 @@ def _trace_fit(volts, freqs, x, cov) -> TraceFit:
         flip = np.diag([1.0, -1.0, -1.0])
         cov = flip @ cov @ flip
     d0 = abs(d0)
-
-    vertex = -eps_i / gamma if gamma != 0 else np.inf
-    in_window = volts.min() <= vertex <= volts.max()
     rms = float(np.sqrt(np.mean((freqs - np.hypot(d0, eps_i + gamma * volts)) ** 2)))
-    return TraceFit(
-        delta0=float(d0), eps_at_zero=float(eps_i), gamma=float(gamma), covariance=cov,
-        residual_rms=rms, n_points=int(volts.size), delta0_lower_bound_only=not in_window,
-    )
+    return TraceFit(delta0=float(d0), eps_at_zero=float(eps_i), gamma=float(gamma),
+                    covariance=cov, residual_rms=rms, n_points=int(volts.size))

@@ -5,9 +5,10 @@ the per-defect records consumed by reporting and by the material
 metrics.  Each linked track fits its own traces, control by control; a
 control counts as "responding" when at least one segment shows a tuning
 rate that is both resolvable on the frequency grid and significant
-against its own uncertainty.  A record keeps that ``responds`` map and
-the :class:`~tls_scope.stm.Location` it classifies to.  Settings come in
-one :class:`~tls_scope.traces.AnalysisOptions`.
+against its own uncertainty.  A record keeps that ``responds`` map, the
+:class:`~tls_scope.stm.Location` it classifies to, and Delta0 from the
+fit of smallest sigma(Delta0).  A class's spectral density counts its
+trace points.  Settings come in one :class:`~tls_scope.traces.AnalysisOptions`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class TlsRecord:
     responds: dict
     delta0: float | None
     delta0_sigma: float | None
-    delta0_lower_bound_only: bool
     gammas: dict
     p_parallel: float | None
     visible_fractions: list[float]
@@ -52,7 +52,6 @@ class TlsRecord:
             "responds": self.responds,
             "delta0_GHz": self.delta0,
             "delta0_sigma_GHz": self.delta0_sigma,
-            "delta0_lower_bound_only": self.delta0_lower_bound_only,
             "gammas_GHz_per_V": self.gammas,
             "p_parallel_eA": self.p_parallel,
             "visible_fractions": self.visible_fractions,
@@ -66,7 +65,6 @@ class AnalysisResult:
     """Everything the fit stage produces for one dataset."""
 
     records: list[TlsRecord]
-    traces: list[Trace]
     tracks: list[list[Trace]]
     density_by_class: dict
 
@@ -75,25 +73,24 @@ def analyze_dataset(
     ds: SpectroscopyDataset, opts: AnalysisOptions = AnalysisOptions()
 ) -> AnalysisResult:
     """Run extraction, per-segment fits and classification on a dataset."""
-    traces = extract_traces(ds, opts)
-    tracks = link_tracks(traces, ds, opts)
+    tracks = link_tracks(extract_traces(ds, opts), ds, opts)
     # One batch in track order; each track takes the next len(track) fits.
     fits = iter(fit_hyperbola([(tr.bias, tr.freq, tr.weight) for t in tracks for tr in t]))
     records = [_summarize_track(k, [(tr, next(fits)) for tr in t], ds, opts)
                for k, t in enumerate(tracks)]
 
     span = float(ds.freq_ghz[-1] - ds.freq_ghz[0])
-    by_class: dict[str, list] = {}
-    for rec in records:
-        by_class.setdefault(rec.location.value, []).append(rec.visible_fractions)
+    n_bias = [seg.bias.size for seg in ds.segments]
+    points: dict[str, list[int]] = {}
+    for rec, track in zip(records, tracks):
+        counts = points.setdefault(rec.location.value, [0] * len(n_bias))
+        for tr in track:
+            counts[tr.segment] += len(tr)
     return AnalysisResult(
         records=records,
-        traces=traces,
         tracks=tracks,
-        density_by_class={
-            key: spectral_density(visible, len(ds.segments), span)
-            for key, visible in by_class.items()
-        },
+        density_by_class={key: spectral_density(counts, n_bias, span)
+                          for key, counts in points.items()},
     )
 
 
@@ -120,11 +117,9 @@ def _summarize_track(
             continue  # DegenerateTrace or NoConvergence
         seg_span = abs(float(seg.bias[-1] - seg.bias[0]))
         per_control[tr.control].append((fit, seg_span))
-    visible = [min(f, 1.0) for f in visible]
 
     responds = {}
     gammas = {}
-    best_cov = None
     for control, fits in per_control.items():
         sig = [f for f, s in fits if _significant(f, s, ds.grid_step_ghz)]
         responds[control] = bool(sig)
@@ -137,17 +132,13 @@ def _summarize_track(
                 "n_segments": len(sig),
             }
 
-    # Tunneling energy: prefer fits whose vertex was actually swept over
-    candidates = [f for fits in per_control.values() for f, _s in fits]
-    measured = [f for f in candidates if not f.delta0_lower_bound_only]
-    pool = measured or candidates
-    delta0 = delta0_sigma = None
-    lower_bound_only = True
-    if pool:
-        best = min(pool, key=lambda f: f.sigma[0])
+    # Tunneling energy: the fit that determines it best
+    best = min((f for fits in per_control.values() for f, _s in fits),
+               key=lambda f: f.sigma[0], default=None)
+    delta0 = delta0_sigma = best_cov = None
+    if best is not None:
         delta0 = float(best.delta0)
         delta0_sigma = float(best.sigma[0])
-        lower_bound_only = best.delta0_lower_bound_only
         best_cov = best.covariance.tolist()
 
     p_parallel = None
@@ -161,7 +152,6 @@ def _summarize_track(
         responds=responds,
         delta0=delta0,
         delta0_sigma=delta0_sigma,
-        delta0_lower_bound_only=lower_bound_only,
         gammas=gammas,
         p_parallel=p_parallel,
         visible_fractions=visible,

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .constants import HBAR, J_PER_GHZ, CM_PER_EA, EPS0, H_PLANCK, MHZ
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, OutOfRange, SchemaError
 
 SCHEMA_VERSION = 1
 
@@ -188,9 +188,9 @@ class SensorDesign:
         for name in ("d", "area", "eps_r", "c_tot", "omega10", "t1_qubit"):
             value = getattr(self, name)
             if not value > 0:
-                raise ConfigError(f"{name} must be strictly positive, got {value}")
+                raise OutOfRange(name, "must be strictly positive", value)
             if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+                raise OutOfRange(name, "must be finite", value)
         c_s = sample_capacitance(self)
         if self.c_tot <= c_s:
             raise ConfigError(

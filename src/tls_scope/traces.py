@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import OutOfRange
 from .hyperbola import MIN_POINTS
 from .spectro import SpectroscopyDataset
 
@@ -31,12 +31,12 @@ class AnalysisOptions:
     ``threshold``: relative T1 dip below the per-step baseline that counts
     as a resonance.  ``jump_limit``: largest distance, in grid steps, of a
     candidate from a trace's one-step linear prediction, widened by
-    ``first_link_factor`` while the trace has one point.  ``max_gap``: bias
-    steps a trace may miss before it closes; ``min_points``: shorter
-    traces are dropped, at least the hyperbola fit's ``MIN_POINTS``.
-    ``boundary_tol``: grid steps within which traces chain across a
-    segment boundary.  ``thickness_m``: film thickness [m] in the dipole
-    p = |gamma_s|*d/2.  A value out of range is a ``ConfigError``.
+    ``first_link_factor`` while the trace has one point, and of two traces
+    chained across a segment boundary.  ``max_gap``: bias steps a trace
+    may miss before it closes; ``min_points``: shorter traces are dropped,
+    at least the hyperbola fit's ``MIN_POINTS``.  ``thickness_m``: film
+    thickness [m] in the dipole p = |gamma_s|*d/2.  A value out of range
+    is a ``ConfigError``.
     """
 
     threshold: float = 0.25
@@ -44,20 +44,18 @@ class AnalysisOptions:
     min_points: int = MIN_POINTS
     max_gap: int = 2
     first_link_factor: float = 5.0
-    boundary_tol: float = 5.0
     thickness_m: float = 50.0 * 1e-9
 
     def __post_init__(self):
         if not 0 < self.threshold < 1:
-            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
+            raise OutOfRange("threshold", "must be in (0, 1)", self.threshold)
         if self.min_points < MIN_POINTS:
-            raise ConfigError(f"min_points must be at least {MIN_POINTS}, got {self.min_points}")
+            raise OutOfRange("min_points", f"must be at least {MIN_POINTS}", self.min_points)
         for name in ("jump_limit", "first_link_factor", "thickness_m"):
             if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("max_gap", "boundary_tol"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise OutOfRange(name, "must be > 0", getattr(self, name))
+        if not self.max_gap >= 0:
+            raise OutOfRange("max_gap", "must be >= 0", self.max_gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,12 +177,13 @@ def link_tracks(
     Controls hold their value across segment boundaries, so a defect's
     resonance frequency is continuous from the end of one segment to the
     start of the next; traces whose boundary frequencies agree within
-    ``opts.boundary_tol`` grid steps are chained: each trace continues the
-    nearest one, the earlier trace winning a tie, and is continued at
-    most once.  Traces that appear or vanish mid-segment start or end
-    their own track.
+    ``opts.jump_limit`` grid steps, the tracker's own tolerance per bias
+    step, are chained: each trace continues the nearest one, the earlier
+    trace winning a tie, and is continued at most once, so a track holds
+    at most one trace of each segment.  Traces that appear or vanish
+    mid-segment start or end their own track.
     """
-    tol = opts.boundary_tol * ds.grid_step_ghz
+    tol = opts.jump_limit * ds.grid_step_ghz
     by_segment: dict[int, list[Trace]] = {}
     for tr in traces:
         by_segment.setdefault(tr.segment, []).append(tr)

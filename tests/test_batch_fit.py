@@ -139,9 +139,6 @@ def reference_fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
         flip = np.diag([1.0, -1.0, -1.0])
         cov = flip @ cov @ flip
     d0 = abs(d0)
-
-    vertex = -eps_i / gamma if gamma != 0 else np.inf
-    in_window = volts.min() <= vertex <= volts.max()
     rms = float(np.sqrt(np.mean(residuals((d0, eps_i, gamma)) ** 2)))
     return TraceFit(
         delta0=float(d0),
@@ -150,7 +147,6 @@ def reference_fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
         covariance=cov,
         residual_rms=rms,
         n_points=int(volts.size),
-        delta0_lower_bound_only=not in_window,
     )
 
 
@@ -228,7 +224,7 @@ def as_bytes(res):
         return res.tobytes()
     if isinstance(res, TraceFit):
         return (np.array([res.delta0, res.eps_at_zero, res.gamma, res.residual_rms]).tobytes(),
-                res.covariance.tobytes(), res.n_points, res.delta0_lower_bound_only)
+                res.covariance.tobytes(), res.n_points)
     return res.params.tobytes(), res.covariance.tobytes(), res.chi2, res.n_iter
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tls_scope.classify import _to_fraction, classify_location, spectral_density
+from tls_scope.classify import classify_location, spectral_density
 from tls_scope.stm import Location
 
 #: (responds to V_p, V_g, V_s) -> location, for a defect seen in more
@@ -37,59 +37,60 @@ class TestClassifyLocation:
         assert classify_location(responds(*flags), True) is Location.UNCLASSIFIED
 
 
+def reference_density(visible_fractions, n_segments, span_ghz):
+    """The density as it was defined on per-defect float visible fractions:
+    each float, and the span, taken as the nearest fraction with a
+    denominator of at most 10^6, summed and normalized."""
+    def exact(x):
+        return Fraction(x).limit_denominator(10**6)
+
+    total = sum((exact(f) for fs in visible_fractions for f in fs), Fraction(0))
+    return total / (n_segments * exact(span_ghz))
+
+
+@st.composite
+def scans(draw):
+    """(bias steps per segment, per defect its trace points per segment,
+    the class's trace points per segment)."""
+    n_bias = draw(st.lists(st.integers(2, 1000), min_size=1, max_size=12))
+    defects = draw(st.lists(st.tuples(*(st.integers(0, n) for n in n_bias)), max_size=40))
+    return n_bias, defects, [sum(d[s] for d in defects) for s in range(len(n_bias))]
+
+
+SPANS = st.sampled_from([0.9, 0.25, 1.0 / 3.0, 2, 0.7])
+
+
 class TestSpectralDensity:
     def test_worked_example(self):
-        assert spectral_density([[0.5]], 8, 0.9) == Fraction(5, 72)
+        # One defect seen over half of one of eight segments, 0.9 GHz span.
+        assert spectral_density([40] + [0] * 7, [80] * 8, 0.9) == Fraction(5, 72)
 
-    @pytest.mark.parametrize("n_segments", [0, -1])
-    def test_non_positive_segment_count(self, n_segments):
+    def test_no_segment(self):
         with pytest.raises(ValueError, match="n_segments"):
-            spectral_density([[0.5]], n_segments, 0.9)
+            spectral_density([], [], 0.9)
+
+    def test_one_count_per_segment(self):
+        with pytest.raises(ValueError):
+            spectral_density([40, 0], [80], 0.9)
 
     @pytest.mark.parametrize("span", [0.0, -0.9, Fraction(0)])
     def test_non_positive_span(self, span):
         with pytest.raises(ValueError, match="span"):
-            spectral_density([[0.5]], 8, span)
+            spectral_density([40], [80], span)
 
-    @given(
-        defects=st.lists(
-            st.lists(st.integers(0, 80).map(lambda k: k / 80), min_size=1, max_size=8),
-            max_size=40,
-        ),
-        n_segments=st.integers(1, 12),
-        span=st.sampled_from([0.9, 0.25, 1.0 / 3.0, 2]),
-    )
-    def test_one_call_per_class_equals_the_sum_per_defect(self, defects, n_segments,
-                                                           span):
-        whole = spectral_density(defects, n_segments, span)
-        parts = sum(
-            (spectral_density([d], n_segments, span) for d in defects), Fraction(0)
-        )
+    @given(scan=scans(), span=SPANS)
+    def test_one_call_per_class_equals_the_sum_per_defect(self, scan, span):
+        n_bias, defects, points = scan
+        whole = spectral_density(points, n_bias, span)
+        parts = sum((spectral_density(list(d), n_bias, span) for d in defects), Fraction(0))
         assert whole == parts
         assert float(whole) == float(parts)
 
-    @given(
-        defects=st.lists(
-            st.lists(
-                st.one_of(
-                    st.integers(0, 80).map(lambda k: k / 80),
-                    st.floats(0.0, 1.0),
-                    st.fractions(0, 1, max_denominator=10**8),
-                    st.sampled_from([0.1, Fraction(0.1), Fraction(1, 10), 1, 1.0]),
-                ),
-                max_size=8,
-            ),
-            max_size=40,
-        ),
-        n_segments=st.integers(1, 12),
-        span=st.sampled_from([0.9, 0.25, 1.0 / 3.0, 2, Fraction(7, 3)]),
-    )
-    def test_counted_sum_equals_the_loop_it_replaces(self, defects, n_segments, span):
-        # The per-defect loop spectral_density ran before it counted
-        # distinct values; the Fraction must be the same, not just close.
-        span_f = _to_fraction(span)
-        total = Fraction(0)
-        for fractions in defects:
-            s = sum((_to_fraction(f) for f in fractions), Fraction(0))
-            total += s / n_segments
-        assert spectral_density(defects, n_segments, span) == total / span_f
+    @given(scan=scans(), span=SPANS)
+    def test_counts_give_the_float_definition(self, scan, span):
+        # Each float points/n_bias limit-denominators back to exactly
+        # points/n_bias, so the count form is the same Fraction.
+        n_bias, defects, points = scan
+        visible = [[p / n for p, n in zip(d, n_bias)] for d in defects]
+        density = spectral_density(points, n_bias, span)
+        assert density == reference_density(visible, len(n_bias), span)

@@ -27,8 +27,10 @@ SMALL = {"band_ghz": [6.0, 6.4], "freq_step_ghz": 0.004, "n_bias": 30,
 #: simulator or the analysis and belongs in CHANGES.md with the new hashes.
 #: Last re-recorded for the standard-library dipole draw, the sidecar's
 #: ``n_freq`` and the batched hyperbola start solve; ``dataset.csv`` alone
-#: re-recorded for the one-line-per-bias-step layout, and
-#: ``material_report.json`` alone when its four detection-cut keys went.
+#: re-recorded for the one-line-per-bias-step layout,
+#: ``material_report.json`` alone when its four detection-cut keys went,
+#: and ``fit_report.json`` alone when each record's
+#: ``delta0_lower_bound_only`` key went.
 EXPECTED_SHA256 = {
     "dataset.csv":
         "6a3a3e63922066a772df635c6fdb473169966c84873d70d6ee82bc44951d1bf2",
@@ -37,7 +39,7 @@ EXPECTED_SHA256 = {
     "ground_truth.json":
         "1f367622bc76c3e28cb3e9f9c85e5bf74e8ae21bc7977bbf6207227596fb4b56",
     "fit_report.json":
-        "c53a1c10639ee174088f0ef487d7603cd5694305103298d6221c82400ed81fb4",
+        "0bd8348c9cdd327a055f469e4bb59df517feffab7eb68772e769665a739b4465",
     "material_report.json":
         "49cb16e679b4de58566acc6283ff22538cc96c7666a301eeeca4f334c5ca7272",
 }
@@ -227,8 +229,9 @@ class TestExitCodes:
     ], ids=["unknown-control", "zero-freq-step"])
     def test_generate_refuses_bad_sweep(self, tmp_path, capsys, override, needle):
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
-        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+        assert run("generate", "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_CONFIG
         assert f"config error: {needle}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, needle", [
         ({"n_bias": 0}, "n_bias must be at least 2"),
@@ -254,21 +257,27 @@ class TestExitCodes:
         ({"band_ghz": [6.0]}, "config key 'band_ghz' has the wrong type or length: [6.0]"),
         ({"v_g_range": [1.0]}, "config key 'v_g_range' has the wrong type or length: [1.0]"),
         ({"segment_order": []}, "the segment order is empty"),
-        ({"thickness_nm": 0}, "d must be strictly positive, got 0.0"),
-        ({"c_tot_fF": 0}, "c_tot must be strictly positive, got 0.0"),
-        ({"area_um2": 0}, "area must be strictly positive, got 0.0"),
-        ({"f10_ghz": 0}, "omega10 must be strictly positive, got 0.0"),
-        ({"t1_qubit_us": 0}, "t1_qubit must be strictly positive, got 0"),
+        # These used to name the SensorDesign field: d, c_tot, area,
+        # omega10 and t1_qubit.
+        ({"thickness_nm": 0}, "thickness_nm must be strictly positive, got 0, which is d = 0.0"),
+        ({"c_tot_fF": 0}, "c_tot_fF must be strictly positive, got 0, which is c_tot = 0.0"),
+        ({"area_um2": 0}, "area_um2 must be strictly positive, got 0, which is area = 0.0"),
+        ({"f10_ghz": 0}, "f10_ghz must be strictly positive, got 0, which is omega10 = 0.0"),
+        ({"t1_qubit_us": 0},
+         "t1_qubit_us must be strictly positive, got 0, which is t1_qubit = 0"),
+        ({"eps_r": 0}, "eps_r must be strictly positive, got 0"),
         ({"band_ghz": [6.0, 6.001]}, "frequency axis needs at least 2 points, got 1"),
     ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit",
             "infinite-division", "nan-amplitude", "nan-global-range", "infinite-piezo-range",
             "long-band", "short-band", "short-global-range", "empty-order", "zero-thickness",
-            "zero-capacitance", "zero-area", "zero-frequency", "zero-t1", "one-point-band"])
+            "zero-capacitance", "zero-area", "zero-frequency", "zero-t1", "zero-eps",
+            "one-point-band"])
     def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
+        # A refused run used to leave an empty output directory.
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
-        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+        assert run("generate", "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_CONFIG
         assert f"config error: {needle}" in capsys.readouterr().err
-        assert not (tmp_path / "dataset.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, needle", [
         ({"p0_per_um3_ghz": float("nan")}, "config key 'p0_per_um3_ghz' must be finite, got nan"),
@@ -308,17 +317,17 @@ class TestExitCodes:
         # Poisson draw.  The non-finite values are refused by the config
         # loader, the negative ones by EnsembleConfig.
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})
-        assert run("generate", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+        assert run("generate", "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_CONFIG
         assert f"config error: {needle}" in capsys.readouterr().err
-        assert not (tmp_path / "dataset.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("min_points", [0, 4])
     def test_fit_refuses_too_few_min_points(self, small_run, tmp_path, capsys, min_points):
         cfg = write_json(tmp_path / "fit.json", {"min_points": min_points})
-        argv = ("fit", small_run / "dataset.csv", "--config", cfg, "--out", tmp_path)
+        argv = ("fit", small_run / "dataset.csv", "--config", cfg, "--out", tmp_path / "out")
         assert run(*argv) == cli.EXIT_CONFIG
         assert "config error: min_points must be at least 5" in capsys.readouterr().err
-        assert not (tmp_path / "fit_report.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, override, needle", [
         ("fit", {"threshold": -1}, "threshold must be in (0, 1), got -1"),
@@ -326,8 +335,10 @@ class TestExitCodes:
         ("fit", {"jump_limit": -1}, "jump_limit must be > 0, got -1"),
         ("fit", {"max_gap": -1}, "max_gap must be >= 0, got -1"),
         ("fit", {"first_link_factor": -1}, "first_link_factor must be > 0, got -1"),
-        ("fit", {"boundary_tol": -1}, "boundary_tol must be >= 0, got -1"),
-        ("fit", {"thickness_nm": 0}, "thickness_m must be > 0, got 0.0"),
+        # Traces chain across a segment boundary within jump_limit.
+        ("fit", {"boundary_tol": 5}, "unknown config keys: ['boundary_tol']"),
+        ("fit", {"thickness_nm": 0},
+         "thickness_nm must be > 0, got 0, which is thickness_m = 0.0"),
         # The analytic detection cut and its three keys are gone.
         ("fit", {"field_rms_v_per_m": 20.0}, "unknown config keys: ['field_rms_v_per_m']"),
         ("fit", {"t1_us": 1.0}, "unknown config keys: ['t1_us']"),
@@ -344,18 +355,22 @@ class TestExitCodes:
         ("coupled", {"jump_limit": -8}, "jump_limit must be > 0, got -8"),
         ("design", {"c_tot_fF": 0.01}, "total capacitance must exceed the sample capacitance"),
         # These used to write Infinity into design_report.json.
-        ("design", {"f10_ghz": 1e300}, "omega10 must be finite, got inf"),
+        ("design", {"f10_ghz": 1e300},
+         "f10_ghz must be finite, got 1e+300, which is omega10 = inf"),
+        ("design", {"d_nm": 0}, "d_nm must be strictly positive, got 0, which is d = 0.0"),
+        ("design", {"t1_us": 0}, "t1_us must be strictly positive, got 0, which is t1_qubit = 0"),
         ("design", {"tan_delta0": 1e308},
          "design outputs ['Gamma1_per_us'] overflow for this config"),
         ("design", {"p_min_ea": 1e308}, "design outputs ['d_rule_nm'] overflow for this config"),
         ("design", {"tan_delta0": 0, "gamma_background_per_us": 1e-320},
          "design outputs ['T1_budget_us'] overflow for this config"),
     ], ids=["fit-negative-threshold", "fit-threshold-above-1", "fit-negative-jump",
-            "fit-negative-gap", "fit-negative-first-link", "fit-negative-boundary",
+            "fit-negative-gap", "fit-negative-first-link", "fit-removed-boundary",
             "fit-zero-thickness", "fit-removed-field", "fit-removed-t1", "fit-removed-prior",
             "fit-tiny-volume", "fit-tiny-eps", "fit-huge-thickness",
             "coupled-zero-threshold", "coupled-negative-jump", "design-loaded-qubit",
-            "design-huge-frequency", "design-huge-loss", "design-huge-dipole",
+            "design-huge-frequency", "design-zero-thickness", "design-zero-t1",
+            "design-huge-loss", "design-huge-dipole",
             "design-tiny-background"])
     @pytest.mark.filterwarnings("ignore:sample capacitor holds")
     def test_refuses_bad_setting(self, small_run, coupled_run, tmp_path, capsys, command,
@@ -371,7 +386,7 @@ class TestExitCodes:
             argv.insert(1, small_run / "dataset.csv")
         assert run(*argv) == cli.EXIT_CONFIG
         assert f"config error: {needle}" in capsys.readouterr().err
-        assert not list(tmp_path.glob("out/*"))
+        assert not (tmp_path / "out").exists()
 
     def test_panel_must_be_a_sample_sweep(self, small_run, coupled_run, tmp_path, capsys):
         out, _code = coupled_run
@@ -426,7 +441,7 @@ class TestExitCodes:
         else:
             assert f"gives a T1 map of {cells:.3g} cells" in err
             assert err.endswith(f"more than {cells - 1}\n")
-            assert not list(tmp_path.glob("out/*"))
+            assert not (tmp_path / "out").exists()
 
     def test_library_bug_is_no_config_error(self, small_run, tmp_path, monkeypatch):
         def bug(*args):
@@ -442,12 +457,12 @@ class TestExitCodes:
         # in material_report.json.  The config loader refuses a non-finite
         # one, volume_density a non-positive one.
         cfg = write_json(tmp_path / "fit.json", {"volume_um3": volume})
-        argv = ("fit", small_run / "dataset.csv", "--config", cfg, "--out", tmp_path)
+        argv = ("fit", small_run / "dataset.csv", "--config", cfg, "--out", tmp_path / "out")
         assert run(*argv) == cli.EXIT_CONFIG
         needle = (f"volume must be positive and finite, got {volume}" if np.isfinite(volume)
                   else f"config key 'volume_um3' must be finite, got {volume}")
         assert f"config error: {needle}" in capsys.readouterr().err
-        assert not (tmp_path / "material_report.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, text, needle", [
         ("generate", '{"band_ghz": [6.0, 1e999]}', "'band_ghz' must be finite, got [6.0, inf]"),

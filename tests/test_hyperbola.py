@@ -18,7 +18,6 @@ class TestNoiselessRoundTrip:
         assert fit.delta0 == pytest.approx(5.957, rel=1e-6)
         assert fit.gamma == pytest.approx(161.95, rel=1e-6)
         assert fit.eps_at_zero == pytest.approx(0.05, rel=1e-6)
-        assert not fit.delta0_lower_bound_only
         assert fit.residual_rms < 1e-12
 
     def test_many_seeded_parameter_draws(self):
@@ -114,7 +113,6 @@ class TestReparameterization:
         assert mapped.delta0 == pytest.approx(fit.delta0, rel=1e-6)
         assert mapped.gamma == pytest.approx(gamma_m, rel=1e-6)
         assert mapped.eps_at_zero == pytest.approx(eps_m, rel=1e-6, abs=1e-6 * f.max())
-        assert mapped.delta0_lower_bound_only == fit.delta0_lower_bound_only
 
 
 class TestCovarianceCalibration:

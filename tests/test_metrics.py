@@ -65,7 +65,7 @@ def record(k, location, p_parallel):
     return TlsRecord(
         id=k, location=location,
         responds={"piezo": False, "global": False, "sample": p_parallel is not None},
-        delta0=None, delta0_sigma=None, delta0_lower_bound_only=True, gammas={},
+        delta0=None, delta0_sigma=None, gammas={},
         p_parallel=p_parallel, visible_fractions=[1.0, 0.0], n_segments_seen=2,
         covariance=None,
     )
@@ -77,7 +77,7 @@ VOLUME = 2.25e-3
 
 
 def analysis(records):
-    return AnalysisResult(records=records, traces=[], tracks=[],
+    return AnalysisResult(records=records, tracks=[],
                           density_by_class=DENSITY)
 
 

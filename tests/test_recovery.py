@@ -8,8 +8,9 @@ time it was set, rounded outward; tighten a floor in the change that
 improves it, and never lower one to make a run pass.
 
 The same seeds check that every fit of a tracked trace describes its
-data, and seed 6 that moving every T1 cell by one ulp moves no class,
-no dipole and not P0.
+data and, with seed 1 of the benchmark's dense scan, that no track holds
+two traces of one segment; seed 6 checks that moving every T1 cell by
+one ulp moves no class, no dipole and not P0.
 """
 
 import operator
@@ -46,7 +47,7 @@ FIT_RMS_LIMIT = 0.05
 
 
 def score_seed(seed):
-    """Score of one seed, and the fits of its tracked traces."""
+    """Score of one seed, the fits of its tracked traces, and its analysis."""
     cfg = cli.GENERATE_DEFAULTS
     ensemble, ds = cli.simulate(cfg, seed)
     result, report = cli.analyze(cli.FIT_DEFAULTS, ds)
@@ -60,7 +61,7 @@ def score_seed(seed):
         cfg["volume_um3"],
     )
     traces = [(t.bias, t.freq, t.weight) for track in result.tracks for t in track]
-    return score, [f for f in fit_hyperbolas(traces) if isinstance(f, TraceFit)]
+    return score, [f for f in fit_hyperbolas(traces) if isinstance(f, TraceFit)], result
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ def scored():
 @pytest.fixture(scope="module")
 def scorecard(scored):
     total = truth.Score()
-    for score, _fits in scored:
+    for score, _fits, _result in scored:
         total = total + score
     values = total.metrics()
     values["precision"] = total.matched_tracks / (
@@ -94,11 +95,33 @@ def test_scorecard_floor(scorecard, name, compare, floor):
 def test_every_fit_describes_its_trace(scored):
     # A trace whose f^2 is no upward parabola with a positive minimum is
     # degenerate, not a "converged" fit thousands of GHz off its data.
-    fits = [f for _score, seed_fits in scored for f in seed_fits]
+    fits = [f for _score, seed_fits, _result in scored for f in seed_fits]
     assert len(fits) > 600
     far = [f.residual_rms for f in fits if f.residual_rms > FIT_RMS_LIMIT]
     assert not far, f"{len(far)} of {len(fits)} fits are > 50 MHz off: {far[:5]}"
     assert all(np.all(f.sigma > 0) for f in fits)
+
+
+def assert_one_trace_per_segment(result):
+    # link_tracks continues a track at most once per segment, so no
+    # visible fraction can exceed 1.
+    for track in result.tracks:
+        segments = [tr.segment for tr in track]
+        assert len(set(segments)) == len(segments), segments
+    assert all(f <= 1.0 for rec in result.records for f in rec.visible_fractions)
+
+
+def test_a_track_holds_one_trace_per_segment(scored):
+    for _score, _fits, result in scored:
+        assert_one_trace_per_segment(result)
+
+
+def test_a_dense_track_holds_one_trace_per_segment():
+    # The benchmark's dense workload, seed 1: 100x the default volume.
+    _ensemble, ds = cli.simulate({**cli.GENERATE_DEFAULTS, "volume_um3": 0.225}, 1)
+    result, _report = cli.analyze(cli.FIT_DEFAULTS, ds)
+    assert len(result.tracks) > 500
+    assert_one_trace_per_segment(result)
 
 
 @pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])

@@ -307,12 +307,13 @@ class TestLinkTracks:
         (alone,) = [t for t in tracks if len(t) == 1]
         assert alone[0].bias_index[0] == 10
 
-    def test_no_chain_beyond_boundary_tol(self):
+    def test_no_chain_beyond_jump_limit(self):
+        # The boundary tolerance is the tracker's own jump_limit.
         n = 25
         first = line(5.95, 1.0, n)
         second = line(first[-1] + 10 * STEP, -1.0, n)
         ds = dataset([t1_grid([first], n), t1_grid([second], n)])
         traces = extract_traces(ds)
         assert len(traces) == 2
-        assert len(link_tracks(traces, ds, AnalysisOptions(boundary_tol=5.0))) == 2
-        assert len(link_tracks(traces, ds, AnalysisOptions(boundary_tol=15.0))) == 1
+        assert len(link_tracks(traces, ds, AnalysisOptions(jump_limit=5.0))) == 2
+        assert len(link_tracks(traces, ds, AnalysisOptions(jump_limit=15.0))) == 1
