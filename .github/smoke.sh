@@ -36,6 +36,11 @@ echo '{"f10_ghz": 0}' > no-qubit.json
 refused 2 bad.err tls-scope generate --config no-qubit.json --out bad
 grep -q "f10_ghz must be strictly positive" bad.err
 test ! -e bad
+# The tracking rules are constants, not fit config keys.
+echo '{"threshold": 0.3}' > threshold.json
+refused 2 bad.err tls-scope fit g/dataset.csv --config threshold.json --out bad
+grep -q "unknown config keys: \['threshold'\]" bad.err
+test ! -e bad
 
 # Three crossing panels of an interacting pair, built with numpy alone.
 python - <<'PY'

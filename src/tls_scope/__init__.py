@@ -34,7 +34,7 @@ from .metrics import (
     volume_density,
 )
 from .pairfit import CrossingPanel, PairFitResult, fit_coupled_pair
-from .pipeline import AnalysisOptions, AnalysisResult, TlsRecord, analyze_dataset
+from .pipeline import AnalysisResult, TlsRecord, analyze_dataset
 from .spectro import (
     SegmentSpec,
     SpectroscopyDataset,

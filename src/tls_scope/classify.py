@@ -23,6 +23,7 @@ from fractions import Fraction
 from .stm import Location
 
 _FRACTION_LIMIT = 10**6
+_SPAN_RTOL = Fraction(1, 10**9)
 
 
 def classify_location(responds: dict, single_segment: bool) -> Location:
@@ -49,13 +50,18 @@ def spectral_density(points: list[int], n_bias: list[int], span_ghz: float) -> F
 
     ``points`` holds per segment the trace points of one class, ``n_bias``
     the segment's bias steps; ``span_ghz`` is the span of one trace, taken
-    as the nearest fraction with a denominator of at most 10^6.  Returns
-    the exact sum_s points_s / n_bias_s / (n_segments x span).
+    as the nearest fraction with a denominator of at most 10^6 where that
+    is within 1e-9 of it, relative (a decimal span loses its float
+    noise), else as its exact binary value.  Returns the exact
+    sum_s points_s / n_bias_s / (n_segments x span).
     """
     if not n_bias:
         raise ValueError("n_segments must be positive")
-    span = Fraction(span_ghz).limit_denominator(_FRACTION_LIMIT)
+    span = Fraction(span_ghz)
     if span <= 0:
         raise ValueError("span must be positive")
+    near = span.limit_denominator(_FRACTION_LIMIT)
+    if abs(near - span) <= _SPAN_RTOL * span:
+        span = near
     total = sum((Fraction(p, n) for p, n in zip(points, n_bias, strict=True)), Fraction(0))
     return total / (len(n_bias) * span)

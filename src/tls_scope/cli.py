@@ -7,9 +7,10 @@ All outputs are deterministic for a fixed seed; no timestamps are
 written.
 
 Each config default is written once: ``fit`` and ``design`` take the
-film and sensor values from ``GENERATE_DEFAULTS``, the tracking values
-come from ``AnalysisOptions``.  :func:`simulate` and :func:`analyze` are
-the in-memory forms of ``generate`` and ``fit``.
+film and sensor values from ``GENERATE_DEFAULTS``.  ``fit`` takes only
+the film keys; its tracking rules are constants of
+:mod:`~tls_scope.traces`.  :func:`simulate` and :func:`analyze` are the
+in-memory forms of ``generate`` and ``fit``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     TlsScopeError,
 )
 from .pairfit import fit_coupled_pair, nearer_branch, panel_points_from_dataset
-from .pipeline import AnalysisOptions, analyze_dataset
+from .pipeline import analyze_dataset
 from .spectro import default_sweep_plan, t1_map
 from .stm import (
     Location,
@@ -253,25 +254,13 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-#: ``fit`` config keys that are ``AnalysisOptions`` fields of the same name.
-TRACKING_KEYS = (
-    "threshold", "jump_limit", "min_points", "max_gap", "first_link_factor",
-)
-
-FIT_DEFAULTS = {
-    **{key: getattr(AnalysisOptions, key) for key in TRACKING_KEYS},
-    **{key: GENERATE_DEFAULTS[key] for key in ("thickness_nm", "volume_um3", "eps_r")},
-}
+FIT_DEFAULTS = {key: GENERATE_DEFAULTS[key] for key in ("thickness_nm", "volume_um3", "eps_r")}
 
 
 def analyze(cfg: dict, ds):
     """(analysis result, material report) that ``fit`` writes for a full config."""
     with _keys_as_written(cfg, {"thickness_m": "thickness_nm"}):
-        opts = AnalysisOptions(
-            **{key: cfg[key] for key in TRACKING_KEYS},
-            thickness_m=cfg["thickness_nm"] * 1e-9,
-        )
-    result = analyze_dataset(ds, opts)
+        result = analyze_dataset(ds, cfg["thickness_nm"] * 1e-9)
     report = metrics.material_report(
         result,
         volume_um3=cfg["volume_um3"],
@@ -336,9 +325,6 @@ COUPLED_DEFAULTS = {
     "g_z0_mhz": 10.0,
     "g_x0_mhz": -10.0,
     "gamma_p2_0": 0.0,
-    "threshold": AnalysisOptions.threshold,
-    # Not AnalysisOptions.jump_limit: the crossing branches bend sharply.
-    "jump_limit": 8.0,
 }
 
 
@@ -351,8 +337,7 @@ def cmd_coupled(args) -> int:
     tls1 = _tls_from_config(cfg, "tls1")
     tls2 = _tls_from_config(cfg, "tls2")
     datasets = [dataio.read_dataset(p) for p in cfg["panels"]]
-    opts = AnalysisOptions(threshold=cfg["threshold"], jump_limit=cfg["jump_limit"])
-    panels = [panel_points_from_dataset(ds, opts) for ds in datasets]
+    panels = [panel_points_from_dataset(ds) for ds in datasets]
     try:
         fit = fit_coupled_pair(
             panels,

@@ -42,6 +42,9 @@ _SZSZ = np.kron(_SZ, _SZ)
 #: Voltage tolerance of the golden-section refinement in
 #: :func:`crossing_geometry`, relative to max(1 V, |V|).
 GOLDEN_TOL = 1e-12
+#: Largest grid-minimum splitting [GHz] that :func:`crossing_geometry`
+#: still takes for a crossing.
+APPROACH_WINDOW = 0.5
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,7 @@ def pair_transitions(pair: CoupledPair, v_p, v_g, v_s) -> tuple[np.ndarray, np.n
     return levels[..., 1] - levels[..., 0], levels[..., 2] - levels[..., 0]
 
 
-def crossing_geometry(
-    pair: CoupledPair,
-    sweep: Sequence[BiasPoint],
-    approach_window: float = 0.5,
-) -> tuple[float, float]:
+def crossing_geometry(pair: CoupledPair, sweep: Sequence[BiasPoint]) -> tuple[float, float]:
     """Locate the avoided crossing along a one-control bias sweep.
 
     Exactly one control varies over the sweep, strictly monotonically;
@@ -128,8 +127,6 @@ def crossing_geometry(
     pair : CoupledPair
     sweep : sequence of BiasPoint
         Strictly monotone in one of v_p, v_g, v_s; the others constant.
-    approach_window : float
-        Largest grid-minimum splitting [GHz] still considered a crossing.
 
     Returns
     -------
@@ -139,7 +136,7 @@ def crossing_geometry(
     Raises
     ------
     NoCrossingInRange
-        If the transitions never approach within ``approach_window``.
+        If the transitions never approach within ``APPROACH_WINDOW``.
     """
     if len(sweep) < 3:
         raise ValueError("sweep needs at least 3 points")
@@ -161,10 +158,10 @@ def crossing_geometry(
 
     split = splitting(volts)
     k = int(np.argmin(split))
-    if split[k] > approach_window:
+    if split[k] > APPROACH_WINDOW:
         raise NoCrossingInRange(
             f"minimum splitting {split[k]:.4g} GHz exceeds the "
-            f"{approach_window:.4g} GHz window"
+            f"{APPROACH_WINDOW:.4g} GHz window"
         )
     lo = volts[max(k - 1, 0)]
     hi = volts[min(k + 1, len(volts) - 1)]

@@ -16,10 +16,16 @@ import numpy as np
 #: Initial damping and the factor of its schedule.
 LAM0 = 1e-3
 LAM_FACTOR = 10.0
+#: Iterations before a problem counts as not converged.
+MAX_ITER = 200
+#: Convergence: gradient max <= GTOL * max(1, chi2), relative step <= XTOL,
+#: or chi2 falls by <= FTOL * chi2.
+GTOL = 1e-12
+XTOL = 1e-12
+FTOL = 1e-14
 
 
-def lm_batch(residuals, jacobian, x0, weights, lengths,
-             max_iter=200, gtol=1e-12, xtol=1e-12, ftol=1e-14):
+def lm_batch(residuals, jacobian, x0, weights, lengths):
     """Minimize sum(w * r(x)^2) for m independent problems in lockstep.
 
     ``x0`` is (m, p), ``weights`` (m, n); problem i uses its first
@@ -40,13 +46,13 @@ def lm_batch(residuals, jacobian, x0, weights, lengths,
     chi2 = _row_sums(w * r * r, n)
     lam, n_iter, converged = np.full(m, LAM0), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
     active, diag = np.arange(m), np.arange(p)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not active.size:
             break
         n_iter[active] = it
         a, grad = _normal_equations(jacobian(x[active], active), w[active], r[active], n[active])
         # np.fmax(1.0, nan) is 1.0, as the builtin max(1.0, nan) is.
-        small = np.abs(grad).max(axis=1) <= gtol * np.fmax(1.0, chi2[active])
+        small = np.abs(grad).max(axis=1) <= GTOL * np.fmax(1.0, chi2[active])
         converged[active[small]] = True
         rows, a, neg_grad = active[~small], a[~small], -grad[~small]
         scale = np.zeros_like(a)
@@ -65,7 +71,7 @@ def lm_batch(residuals, jacobian, x0, weights, lengths,
             lam[rows[t[~good]]] *= LAM_FACTOR
             t, g, c_new = t[good], rows[t[good]], c_try[good]
             dx = np.abs(step[good]).max(axis=1) / np.maximum(np.abs(x[g]).max(axis=1), 1e-30)
-            stop[t] = (dx <= xtol) | (chi2[g] - c_new <= ftol * np.maximum(c_new, 1e-300))
+            stop[t] = (dx <= XTOL) | (chi2[g] - c_new <= FTOL * np.maximum(c_new, 1e-300))
             x[g], r[g], chi2[g], trying[t] = x_try[good], r_try[good], c_new, False
             lam[g] = np.maximum(lam[g] / LAM_FACTOR, 1e-14)
         converged[rows[trying | stop]] = True  # still trying: damping exhausted

@@ -29,6 +29,10 @@ from .errors import AmbiguousSigns, ConfigError, NoConvergence, NoTracesFound, S
 from .lm import lm_batch
 from .stm import TlsParams, energies
 
+#: ``extract_traces``'s match window on crossing panels [grid steps per
+#: bias step]; not the survey's ``JUMP_LIMIT``: the branches bend sharply.
+PANEL_JUMP_LIMIT = 8.0
+
 #: Parameter distances (g_z [MHz], |g_x| [MHz], gamma_p2 [GHz/V]) above
 #: which two converged sign branches count as different solutions.
 DISTINCT_TOL = (0.1, 0.1, 1e-4)
@@ -77,8 +81,9 @@ def nearer_branch(f, lower, upper, on_lower, on_upper):
     return np.where(np.abs(f - upper) < np.abs(f - lower), on_upper, on_lower)
 
 
-def panel_points_from_dataset(ds, opts) -> CrossingPanel:
-    """Pool the points ``extract_traces(ds, opts)`` finds in a one-segment crossing scan.
+def panel_points_from_dataset(ds) -> CrossingPanel:
+    """Pool the points ``extract_traces(ds, PANEL_JUMP_LIMIT)`` finds in a
+    one-segment crossing scan.
 
     Raises
     ------
@@ -96,7 +101,7 @@ def panel_points_from_dataset(ds, opts) -> CrossingPanel:
     if "v_p" not in ds.segments[0].held:
         raise SchemaError("crossing panel: the sidecar's segment 0 has no held 'v_p'")
     v_p = float(ds.segments[0].held["v_p"])
-    traces = extract_traces(ds, opts)
+    traces = extract_traces(ds, PANEL_JUMP_LIMIT)
     if not traces:
         raise NoTracesFound("no resonance traces found in the panel")
     return CrossingPanel(

@@ -8,7 +8,9 @@ rate that is both resolvable on the frequency grid and significant
 against its own uncertainty.  A record keeps that ``responds`` map, the
 :class:`~tls_scope.stm.Location` it classifies to, and Delta0 from the
 fit of smallest sigma(Delta0).  A class's spectral density counts its
-trace points.  Settings come in one :class:`~tls_scope.traces.AnalysisOptions`.
+trace points.  The tracking rules are :mod:`~tls_scope.traces` constants;
+the one input besides the dataset is the film thickness, a property of
+the sample.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import classify_location, spectral_density
+from .errors import OutOfRange
 from .hyperbola import TraceFit, fit_hyperbolas as fit_hyperbola  # the name perfbench wraps
 from .spectro import CONTROLS, SpectroscopyDataset
 from .stm import Location, gamma_s_to_dipole
-from .traces import AnalysisOptions, Trace, extract_traces, link_tracks
+from .traces import JUMP_LIMIT, Trace, extract_traces, link_tracks
 
 #: A fitted tuning rate counts as a response when it moves the line by
 #: more than this many frequency-grid steps over its segment ...
@@ -69,14 +72,15 @@ class AnalysisResult:
     density_by_class: dict
 
 
-def analyze_dataset(
-    ds: SpectroscopyDataset, opts: AnalysisOptions = AnalysisOptions()
-) -> AnalysisResult:
-    """Run extraction, per-segment fits and classification on a dataset."""
-    tracks = link_tracks(extract_traces(ds, opts), ds, opts)
+def analyze_dataset(ds: SpectroscopyDataset, thickness_m: float) -> AnalysisResult:
+    """Run extraction, per-segment fits and classification on a dataset
+    whose film is ``thickness_m`` [m] thick (the d in p = |gamma_s|*d/2)."""
+    if not thickness_m > 0:
+        raise OutOfRange("thickness_m", "must be > 0", thickness_m)
+    tracks = link_tracks(extract_traces(ds, JUMP_LIMIT), ds)
     # One batch in track order; each track takes the next len(track) fits.
     fits = iter(fit_hyperbola([(tr.bias, tr.freq, tr.weight) for t in tracks for tr in t]))
-    records = [_summarize_track(k, [(tr, next(fits)) for tr in t], ds, opts)
+    records = [_summarize_track(k, [(tr, next(fits)) for tr in t], ds, thickness_m)
                for k, t in enumerate(tracks)]
 
     span = float(ds.freq_ghz[-1] - ds.freq_ghz[0])
@@ -104,7 +108,7 @@ def _summarize_track(
     k: int,
     track: list[tuple[Trace, TraceFit | Exception]],
     ds: SpectroscopyDataset,
-    opts: AnalysisOptions,
+    thickness_m: float,
 ) -> TlsRecord:
     per_control: dict[str, list[tuple[TraceFit, float]]] = {c: [] for c in CONTROLS}
     segments_seen = set()
@@ -143,9 +147,7 @@ def _summarize_track(
 
     p_parallel = None
     if "sample" in gammas:
-        p_parallel = float(
-            gamma_s_to_dipole(gammas["sample"]["gamma"], opts.thickness_m)
-        )
+        p_parallel = float(gamma_s_to_dipole(gammas["sample"]["gamma"], thickness_m))
     return TlsRecord(
         id=k,
         location=classify_location(responds, len(segments_seen) == 1),

@@ -9,8 +9,10 @@ log(1/T1), whose peak is locally quadratic for a Lorentzian dip.  A
 segment's points are one flat record of (trace id, bias index, f, w),
 cut into array traces at its end.  Traces leave in the order they
 close, those closing on one bias step in the order they opened, and the
-ones still open at the segment's end come last.  All settings come from
-one :class:`AnalysisOptions`.
+ones still open at the segment's end come last; traces shorter than the
+hyperbola fit's ``MIN_POINTS`` are dropped.  The tracking rules are the
+module constants below; only the match window ``jump_limit`` is an
+argument, as crossing panels need a wider one than the survey.
 """
 
 from __future__ import annotations
@@ -19,43 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
 from .hyperbola import MIN_POINTS
 from .spectro import SpectroscopyDataset
 
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    """Settings of the extract-and-fit stage, the one home of their defaults.
-
-    ``threshold``: relative T1 dip below the per-step baseline that counts
-    as a resonance.  ``jump_limit``: largest distance, in grid steps, of a
-    candidate from a trace's one-step linear prediction, widened by
-    ``first_link_factor`` while the trace has one point, and of two traces
-    chained across a segment boundary.  ``max_gap``: bias steps a trace
-    may miss before it closes; ``min_points``: shorter traces are dropped,
-    at least the hyperbola fit's ``MIN_POINTS``.  ``thickness_m``: film
-    thickness [m] in the dipole p = |gamma_s|*d/2.  A value out of range
-    is a ``ConfigError``.
-    """
-
-    threshold: float = 0.25
-    jump_limit: float = 5.0
-    min_points: int = MIN_POINTS
-    max_gap: int = 2
-    first_link_factor: float = 5.0
-    thickness_m: float = 50.0 * 1e-9
-
-    def __post_init__(self):
-        if not 0 < self.threshold < 1:
-            raise OutOfRange("threshold", "must be in (0, 1)", self.threshold)
-        if self.min_points < MIN_POINTS:
-            raise OutOfRange("min_points", f"must be at least {MIN_POINTS}", self.min_points)
-        for name in ("jump_limit", "first_link_factor", "thickness_m"):
-            if not getattr(self, name) > 0:
-                raise OutOfRange(name, "must be > 0", getattr(self, name))
-        if not self.max_gap >= 0:
-            raise OutOfRange("max_gap", "must be >= 0", self.max_gap)
+#: Relative T1 dip below a bias step's median that counts as a resonance.
+THRESHOLD = 0.25
+#: Bias steps a trace may miss before it closes.
+MAX_GAP = 2
+#: Widening of the match window while a trace has one point.
+FIRST_LINK_FACTOR = 5.0
+#: The survey's ``jump_limit``: largest distance, in grid steps per bias
+#: step, of a candidate from a trace's one-step linear prediction, and of
+#: two traces chained across a segment boundary.
+JUMP_LIMIT = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,11 +53,12 @@ class Trace:
         return self.bias.size
 
 
-def _row_candidates(t1_row: np.ndarray, freq: np.ndarray, threshold: float):
+def _row_candidates(t1_row: np.ndarray, freq: np.ndarray):
     """(freq, weight) arrays of significant local T1 minima in one bias step."""
     baseline = np.nanmedian(t1_row)
-    limit = (1.0 - threshold) * baseline
-    y = np.log(1.0 / np.clip(t1_row, 1e-12, None))
+    limit = (1.0 - THRESHOLD) * baseline
+    clipped = np.clip(t1_row, 1e-12, None)
+    y = np.log(1.0 / clipped)
     inner = t1_row[1:-1]
     is_min = (inner < t1_row[:-2]) & (inner <= t1_row[2:]) & (inner < limit)
     idx = np.nonzero(is_min)[0] + 1
@@ -88,14 +67,13 @@ def _row_candidates(t1_row: np.ndarray, freq: np.ndarray, threshold: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.clip((ym - yp) / (2.0 * denom), -0.5, 0.5)
     shift[denom == 0] = 0.0
-    depth = baseline / t1_row[idx] - 1.0
+    depth = baseline / clipped[idx] - 1.0
     return freq[idx] + shift * (freq[1] - freq[0]), depth * depth
 
 
-def extract_traces(
-    ds: SpectroscopyDataset, opts: AnalysisOptions = AnalysisOptions()
-) -> list[Trace]:
-    """Extract linked resonance traces from every segment of a dataset."""
+def extract_traces(ds: SpectroscopyDataset, jump_limit: float) -> list[Trace]:
+    """Extract linked resonance traces from every segment of a dataset,
+    matching within ``jump_limit`` grid steps per bias step."""
     step = ds.grid_step_ghz
     traces: list[Trace] = []
     for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
@@ -106,7 +84,7 @@ def extract_traces(
         # Every candidate joins a trace: per bias step, (trace id, i, f, w).
         record, done = [], []
         for i in range(seg.bias.size):
-            f_c, w_c = _row_candidates(t1[i], ds.freq_ghz, opts.threshold)
+            f_c, w_c = _row_candidates(t1[i], ds.freq_ghz)
             cand_id = np.full(f_c.size, -1, dtype=np.intp)
             if ids.size and f_c.size:
                 # Predict each open trace forward and greedily match the
@@ -114,8 +92,8 @@ def extract_traces(
                 # go to the earlier trace, then the earlier candidate.
                 gap = i - last_i
                 pred = last_f + slope * gap
-                window = opts.jump_limit * step * gap
-                window = np.where(n_pts == 1, window * opts.first_link_factor, window)
+                window = jump_limit * step * gap
+                window = np.where(n_pts == 1, window * FIRST_LINK_FACTOR, window)
                 dist = np.abs(f_c[None, :] - pred[:, None])
                 a_idx, c_idx = np.nonzero(dist <= window[:, None])
                 order = np.lexsort((c_idx, a_idx, dist[a_idx, c_idx]))
@@ -146,7 +124,7 @@ def extract_traces(
                 last_i = np.concatenate((last_i, np.full(fresh.size, i)))
                 n_pts = np.concatenate((n_pts, np.ones(fresh.size, dtype=np.intp)))
             record.append((cand_id, np.full(f_c.size, i), f_c, w_c))
-            closed = i - last_i > opts.max_gap
+            closed = i - last_i > MAX_GAP
             if closed.any():
                 done.extend(ids[closed].tolist())
                 ids, last_f, slope, last_i, n_pts = (
@@ -160,30 +138,26 @@ def extract_traces(
         counts = np.bincount(rec_id, minlength=n_ids)
         ends = np.cumsum(counts)
         for k in done:
-            if counts[k] >= opts.min_points:
+            if counts[k] >= MIN_POINTS:
                 sl = slice(ends[k] - counts[k], ends[k])
                 traces.append(Trace(s, seg.control, bias_index[sl], bias[sl],
                                     freq[sl], weight[sl]))
     return traces
 
 
-def link_tracks(
-    traces: list[Trace],
-    ds: SpectroscopyDataset,
-    opts: AnalysisOptions = AnalysisOptions(),
-) -> list[list[Trace]]:
+def link_tracks(traces: list[Trace], ds: SpectroscopyDataset) -> list[list[Trace]]:
     """Group per-segment traces into per-defect tracks.
 
     Controls hold their value across segment boundaries, so a defect's
     resonance frequency is continuous from the end of one segment to the
     start of the next; traces whose boundary frequencies agree within
-    ``opts.jump_limit`` grid steps, the tracker's own tolerance per bias
+    ``JUMP_LIMIT`` grid steps, the survey tracker's own tolerance per bias
     step, are chained: each trace continues the nearest one, the earlier
     trace winning a tie, and is continued at most once, so a track holds
     at most one trace of each segment.  Traces that appear or vanish
     mid-segment start or end their own track.
     """
-    tol = opts.jump_limit * ds.grid_step_ghz
+    tol = JUMP_LIMIT * ds.grid_step_ghz
     by_segment: dict[int, list[Trace]] = {}
     for tr in traces:
         by_segment.setdefault(tr.segment, []).append(tr)

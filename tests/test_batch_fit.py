@@ -14,6 +14,7 @@ per-trace ``np.polyfit`` start that the batched solve replaces.
 """
 
 from typing import Callable, NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from tls_scope.errors import DegenerateTrace, NoConvergence
 from tls_scope.hyperbola import TraceFit, _quadratic_starts, fit_hyperbola, fit_hyperbolas
+from tls_scope import lm
 from tls_scope.lm import LAM0, LAM_FACTOR, _each, lm_batch
 
 
@@ -382,8 +384,8 @@ class TestLmBatch:
         problems = [(residuals, jacobian), exponential(10, 3), (residuals, jacobian)]
         x0s, lengths = [[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]], [2, 10, 2]
         limits = dict(max_iter=5, ftol=0.0, xtol=0.0, gtol=0.0)
-        params, cov, chi2, n_iter, converged = lm_batch(
-            *stack(problems, x0s, lengths), **limits)
+        with mock.patch.multiple(lm, **{k.upper(): v for k, v in limits.items()}):
+            params, cov, chi2, n_iter, converged = lm_batch(*stack(problems, x0s, lengths))
         for i, (res, jac) in enumerate(problems):
             want = outcome(lambda: reference_lm_fit(res, jac, x0s[i], **limits))
             if converged[i]:

@@ -78,6 +78,13 @@ class TestSpectralDensity:
         with pytest.raises(ValueError, match="span"):
             spectral_density([40], [80], span)
 
+    @pytest.mark.parametrize("span", [100 * 2.0**-30, 7e-7, 1 + 2.0**-20])
+    def test_a_span_no_short_fraction_matches_is_taken_exactly(self, span):
+        # The nearest fraction with a denominator of at most 10^6 is 0 for
+        # the first span (a ValueError), 1e-6 for the second and 1 + 1e-6
+        # for the third: none is within 1e-9 of the span.
+        assert spectral_density([1], [1], span) == 1 / Fraction(span)
+
     @given(scan=scans(), span=SPANS)
     def test_one_call_per_class_equals_the_sum_per_defect(self, scan, span):
         n_bias, defects, points = scan

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -321,21 +322,18 @@ class TestExitCodes:
         assert f"config error: {needle}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("min_points", [0, 4])
-    def test_fit_refuses_too_few_min_points(self, small_run, tmp_path, capsys, min_points):
-        cfg = write_json(tmp_path / "fit.json", {"min_points": min_points})
-        argv = ("fit", small_run / "dataset.csv", "--config", cfg, "--out", tmp_path / "out")
-        assert run(*argv) == cli.EXIT_CONFIG
-        assert "config error: min_points must be at least 5" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("command, override, needle", [
-        ("fit", {"threshold": -1}, "threshold must be in (0, 1), got -1"),
-        ("fit", {"threshold": 1.5}, "threshold must be in (0, 1), got 1.5"),
-        ("fit", {"jump_limit": -1}, "jump_limit must be > 0, got -1"),
-        ("fit", {"max_gap": -1}, "max_gap must be >= 0, got -1"),
-        ("fit", {"first_link_factor": -1}, "first_link_factor must be > 0, got -1"),
-        # Traces chain across a segment boundary within jump_limit.
+        # The tracking rules are constants: a key that sets one, even to
+        # the value in use, is refused.
+        ("fit", {"threshold": 0.3}, "unknown config keys: ['threshold']"),
+        ("fit", {"threshold": 0.25}, "unknown config keys: ['threshold']"),
+        ("fit", {"jump_limit": 5.0}, "unknown config keys: ['jump_limit']"),
+        ("fit", {"max_gap": 3}, "unknown config keys: ['max_gap']"),
+        ("fit", {"first_link_factor": 5.0}, "unknown config keys: ['first_link_factor']"),
+        ("fit", {"min_points": 4}, "unknown config keys: ['min_points']"),
+        ("fit", {"min_points": 6, "max_gap": 1},
+         "unknown config keys: ['max_gap', 'min_points']"),
+        # Traces chain across a segment boundary within traces.JUMP_LIMIT.
         ("fit", {"boundary_tol": 5}, "unknown config keys: ['boundary_tol']"),
         ("fit", {"thickness_nm": 0},
          "thickness_nm must be > 0, got 0, which is thickness_m = 0.0"),
@@ -351,8 +349,8 @@ class TestExitCodes:
          "tan_delta0 overflow with volume_um3 0.00225, eps_r 1e-320 and thickness_nm 50.0"),
         ("fit", {"thickness_nm": 1e300}, "dipole std, tan_delta0 overflow with "
                                          "volume_um3 0.00225, eps_r 10.0 and thickness_nm 1e+300"),
-        ("coupled", {"threshold": 0}, "threshold must be in (0, 1), got 0"),
-        ("coupled", {"jump_limit": -8}, "jump_limit must be > 0, got -8"),
+        ("coupled", {"threshold": 0.25}, "unknown config keys: ['threshold']"),
+        ("coupled", {"jump_limit": 8.0}, "unknown config keys: ['jump_limit']"),
         ("design", {"c_tot_fF": 0.01}, "total capacitance must exceed the sample capacitance"),
         # These used to write Infinity into design_report.json.
         ("design", {"f10_ghz": 1e300},
@@ -364,19 +362,18 @@ class TestExitCodes:
         ("design", {"p_min_ea": 1e308}, "design outputs ['d_rule_nm'] overflow for this config"),
         ("design", {"tan_delta0": 0, "gamma_background_per_us": 1e-320},
          "design outputs ['T1_budget_us'] overflow for this config"),
-    ], ids=["fit-negative-threshold", "fit-threshold-above-1", "fit-negative-jump",
-            "fit-negative-gap", "fit-negative-first-link", "fit-removed-boundary",
+    ], ids=["fit-removed-threshold", "fit-threshold-in-use", "fit-removed-jump",
+            "fit-removed-gap", "fit-removed-first-link", "fit-removed-min-points",
+            "fit-two-removed-keys", "fit-removed-boundary",
             "fit-zero-thickness", "fit-removed-field", "fit-removed-t1", "fit-removed-prior",
             "fit-tiny-volume", "fit-tiny-eps", "fit-huge-thickness",
-            "coupled-zero-threshold", "coupled-negative-jump", "design-loaded-qubit",
+            "coupled-removed-threshold", "coupled-removed-jump", "design-loaded-qubit",
             "design-huge-frequency", "design-zero-thickness", "design-zero-t1",
             "design-huge-loss", "design-huge-dipole",
             "design-tiny-background"])
     @pytest.mark.filterwarnings("ignore:sample capacitor holds")
     def test_refuses_bad_setting(self, small_run, coupled_run, tmp_path, capsys, command,
                                  override, needle):
-        # Each fit tracking case used to exit 0 with other numbers, or 4
-        # with no traces.
         base = {}
         if command == "coupled":
             base = json.loads((coupled_run[0] / "coupled.json").read_text())
@@ -466,18 +463,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, text, needle", [
         ("generate", '{"band_ghz": [6.0, 1e999]}', "'band_ghz' must be finite, got [6.0, inf]"),
-        ("fit", '{"threshold": NaN}', "'threshold' must be finite, got nan"),
+        ("fit", '{"thickness_nm": NaN}', "'thickness_nm' must be finite, got nan"),
         ("fit", '{"eps_r": NaN, "thickness_nm": NaN}', "'eps_r' must be finite, got nan"),
         ("coupled", '{"tls1": {"delta0": 5.9, "gamma_s": [1.0, -Infinity]}}',
          "'tls1' must be finite, got {'delta0': 5.9, 'gamma_s': [1.0, -inf]}"),
         ("design", '{"tan_delta0": NaN}', "'tan_delta0' must be finite, got nan"),
         ("design", '{"tan_delta0": 1e999}', "'tan_delta0' must be finite, got inf"),
-    ], ids=["generate-overflow-in-list", "fit-nan-threshold", "fit-nan-film", "coupled-nested",
+    ], ids=["generate-overflow-in-list", "fit-nan-thickness", "fit-nan-film", "coupled-nested",
             "design-nan", "design-overflow"])
     def test_non_finite_config_number(self, small_run, tmp_path, capsys, command, text,
                                       needle):
         # design and fit used to exit 0 with NaN or Infinity, which is no
-        # JSON, in their reports; fit with a NaN threshold exited 4.
+        # JSON, in their reports.
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)
         argv = [command, "--config", cfg, "--out", tmp_path / "out"]
@@ -530,6 +527,24 @@ class TestExitCodes:
         report = json.loads((tmp_path / "fit_report.json").read_text())
         assert report["n_traces"] > 0
         assert all(r["p_parallel_eA"] is None for r in report["tls"])
+
+    def test_tiny_frequency_span_is_analysed(self, small_run, tmp_path):
+        # A uniform dyadic axis 6.0 + k * 2^-30 GHz spans ~9e-8 GHz, which
+        # the spectral density rounded to the fraction 0: fit ended in
+        # "ValueError: span must be positive" (exit 1).  Tracking counts
+        # grid steps, so it finds the traces of the original axis.
+        csv = copy_dataset(small_run, tmp_path / "data")
+        lines = csv.read_text().split("\n")
+        head = lines[0].split(",")
+        head[3:] = [repr(6.0 + k * 2.0**-30) for k in range(len(head) - 3)]
+        lines[0] = ",".join(head)
+        csv.write_text("\n".join(lines))
+        assert run("fit", csv, "--out", tmp_path / "out") == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "fit_report.json").read_text())
+        before = json.loads((small_run / "fit_report.json").read_text())
+        assert report["n_traces"] == before["n_traces"] > 0
+        densities = report["spectral_density_per_GHz"].values()
+        assert densities and all(0 < d < math.inf for d in densities)
 
     def test_threads_option_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

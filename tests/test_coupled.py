@@ -1,9 +1,12 @@
 """Pair spectrum of two coupled TLS and the avoided-crossing geometry."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tls_scope import coupled
 from tls_scope.coupled import (
     CoupledPair,
     crossing_geometry,
@@ -280,8 +283,9 @@ class TestCrossingGeometry:
         t1 = TlsParams(delta0=6.4, gamma_s=30.0)
         t2 = TlsParams(delta0=5.0, gamma_s=20.0)
         pair = CoupledPair(t1, t2, g_z=5.0, g_x=5.0)
-        with pytest.raises(NoCrossingInRange):
-            crossing_geometry(pair, self.sweep(), approach_window=0.2)
+        with mock.patch.object(coupled, "APPROACH_WINDOW", 0.2):
+            with pytest.raises(NoCrossingInRange):
+                crossing_geometry(pair, self.sweep())
 
     def test_every_point_must_hold_the_other_controls(self):
         # V_p sits at 1 V over the middle half of a V_s sweep whose ends

@@ -1,17 +1,28 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from tls_scope import lm
 from tls_scope.lm import lm_batch
 
 
-def lm_one(residuals, jacobian, x0, weights=None, **limits):
+def lm_one(residuals, jacobian, x0, weights=None):
     """:func:`lm_batch` on one problem: its (params, covariance, chi2,
     n_iter, converged)."""
     x0 = np.asarray(x0, dtype=float)
     w = np.ones_like(residuals(x0)) if weights is None else np.asarray(weights, dtype=float)
     out = lm_batch(lambda x, _: residuals(x[0])[None], lambda x, _: jacobian(x[0])[None],
-                   x0[None], w[None], [w.size], **limits)
+                   x0[None], w[None], [w.size])
     return tuple(a[0] for a in out)
+
+
+def lm_one_capped(max_iter, *args, **limits):
+    """:func:`lm_one` with ``MAX_ITER`` and the tolerances named in
+    ``limits`` (``gtol``, ``xtol``, ``ftol``) patched."""
+    patched = {"MAX_ITER": max_iter, **{k.upper(): v for k, v in limits.items()}}
+    with mock.patch.multiple(lm, **patched):
+        return lm_one(*args)
 
 
 def exponential_problem(rng, n=60, noise=0.0):
@@ -45,7 +56,7 @@ def test_cost_decreases_monotonically():
     residuals, jacobian, _ = exponential_problem(rng, noise=0.05)
     n_iter = lm_one(residuals, jacobian, [1.0, 0.5])[3]
     assert n_iter > 3
-    chi2 = [lm_one(residuals, jacobian, [1.0, 0.5], max_iter=k)[2]
+    chi2 = [lm_one_capped(k, residuals, jacobian, [1.0, 0.5])[2]
             for k in range(1, n_iter + 1)]
     assert all(b <= a for a, b in zip(chi2, chi2[1:]))
 
@@ -87,7 +98,7 @@ def test_no_convergence_is_flagged():
     def jacobian(x):
         return np.array([[-np.exp(-x[0])]])
 
-    _params, cov, _chi2, n_iter, converged = lm_one(
-        residuals, jacobian, [0.0], max_iter=5, ftol=0.0, xtol=0.0, gtol=0.0)
+    _params, cov, _chi2, n_iter, converged = lm_one_capped(
+        5, residuals, jacobian, [0.0], ftol=0.0, xtol=0.0, gtol=0.0)
     assert not converged
     assert n_iter == 5 and np.isnan(cov).all()

@@ -27,7 +27,6 @@ from tls_scope.pairfit import (
     fit_coupled_pair,
     panel_points_from_dataset,
 )
-from tls_scope.pipeline import AnalysisOptions
 from tls_scope.spectro import coupled_pair_t1_map
 from tls_scope.stm import energies
 
@@ -128,11 +127,9 @@ def reference_fit_coupled_pair(panels, tls1, tls2, g_z0, g_x0, gamma_p2_0):
     )
 
 
-#: The start values and the panel extraction options `coupled` uses.
+#: The start values `coupled` uses.
 STARTS = {"g_z0": cli.COUPLED_DEFAULTS["g_z0_mhz"], "g_x0": cli.COUPLED_DEFAULTS["g_x0_mhz"],
           "gamma_p2_0": cli.COUPLED_DEFAULTS["gamma_p2_0"]}
-PANEL_OPTIONS = AnalysisOptions(threshold=cli.COUPLED_DEFAULTS["threshold"],
-                                jump_limit=cli.COUPLED_DEFAULTS["jump_limit"])
 
 
 def fit_inputs(pair, seed, v_p_values=(0.0,), v_s=PANEL_V_S):
@@ -141,8 +138,7 @@ def fit_inputs(pair, seed, v_p_values=(0.0,), v_s=PANEL_V_S):
     panels = [
         panel_points_from_dataset(
             coupled_pair_t1_map(pair, v_s, v_p, PANEL_FREQ, field_rms=90.0,
-                                gamma1_background=1 / 4.3, noise_sigma=0.1, seed=seed + k),
-            PANEL_OPTIONS)
+                                gamma1_background=1 / 4.3, noise_sigma=0.1, seed=seed + k))
         for k, v_p in enumerate(v_p_values)
     ]
     return panels, pair.tls1, replace(pair.tls2, gamma_p=0.0)

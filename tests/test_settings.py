@@ -10,12 +10,13 @@ import pytest
 import tls_scope
 from tls_scope import cli
 from tls_scope.ensemble import EnsembleConfig, generate_ensemble
-from tls_scope.traces import AnalysisOptions, extract_traces, link_tracks
+from tls_scope.pipeline import analyze_dataset
+from tls_scope.traces import extract_traces, link_tracks
 
 #: Settable values under src/tls_scope when this ratchet was last moved.
 #: Lower it when a value goes; a new knob has to pay for itself by
 #: removing another.
-MAX_SETTABLE = 50
+MAX_SETTABLE = 36
 
 
 def settable_values():
@@ -57,10 +58,12 @@ def test_library_defaults_draw_what_generate_draws(seed):
 
 def test_library_thickness_is_the_cli_thickness():
     d_m = cli.GENERATE_DEFAULTS["thickness_nm"] * 1e-9
-    assert AnalysisOptions().thickness_m == d_m == EnsembleConfig().thickness_m
+    assert d_m == EnsembleConfig().thickness_m
 
 
-@pytest.mark.parametrize("fn", [extract_traces, link_tracks])
-def test_tracking_settings_come_only_from_the_options(fn):
+@pytest.mark.parametrize("fn", [extract_traces, link_tracks, analyze_dataset])
+def test_tracking_has_no_defaulted_parameter(fn):
+    # The tracking rules are constants of traces; the survey's and the
+    # panels' jump_limit and the film thickness are passed by each caller.
     params = inspect.signature(fn).parameters.values()
-    assert [p.name for p in params if p.default is not p.empty] == ["opts"]
+    assert [p.name for p in params if p.default is not p.empty] == []

@@ -1,11 +1,14 @@
 """Trace extraction and track linking on synthetic T1 grids."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tls_scope.traces as tracing
 from tls_scope.spectro import SegmentSpec, SpectroscopyDataset
-from tls_scope.traces import AnalysisOptions, Trace, extract_traces, link_tracks
+from tls_scope.traces import JUMP_LIMIT, Trace, extract_traces, link_tracks
 
 FREQ = np.round(np.arange(5.8, 6.2, 0.002), 12)
 STEP = 0.002
@@ -17,7 +20,8 @@ HALF_WIDTH = 0.003  # GHz
 def reference_row_candidates(t1_row, freq, threshold):
     baseline = np.nanmedian(t1_row)
     limit = (1.0 - threshold) * baseline
-    y = np.log(1.0 / np.clip(t1_row, 1e-12, None))
+    clipped = np.clip(t1_row, 1e-12, None)
+    y = np.log(1.0 / clipped)
     inner = t1_row[1:-1]
     is_min = (inner < t1_row[:-2]) & (inner <= t1_row[2:]) & (inner < limit)
     out = []
@@ -26,7 +30,7 @@ def reference_row_candidates(t1_row, freq, threshold):
         ym, y0, yp = y[idx - 1], y[idx], y[idx + 1]
         denom = ym + yp - 2.0 * y0
         shift = 0.0 if denom == 0 else float(np.clip((ym - yp) / (2.0 * denom), -0.5, 0.5))
-        depth = baseline / t1_row[idx] - 1.0
+        depth = baseline / clipped[idx] - 1.0
         out.append((freq[idx] + shift * step, depth * depth))
     return out
 
@@ -91,6 +95,15 @@ def reference_finalize(a, segment, seg, min_points):
                   freq=np.array(a["freq"]), weight=np.array(a["weight"]))]
 
 
+def extract_with(ds, *, threshold=0.25, jump_limit=5.0, min_points=5, max_gap=2,
+                 first_link_factor=5.0):
+    """``extract_traces`` with its tracking constants patched to the
+    reference's settings."""
+    with mock.patch.multiple(tracing, THRESHOLD=threshold, MIN_POINTS=min_points,
+                             MAX_GAP=max_gap, FIRST_LINK_FACTOR=first_link_factor):
+        return extract_traces(ds, jump_limit)
+
+
 def trace_bytes(traces):
     """Every field of every trace, floats as their exact bytes."""
     return [
@@ -151,7 +164,7 @@ class TestMatchesReferenceLoop:
         ds = dataset([crowded_grid(seed), crowded_grid(seed + 10, n_bias=45)])
         want = reference_extract_traces(ds)
         assert len(want) > 40
-        assert trace_bytes(extract_traces(ds)) == trace_bytes(want)
+        assert trace_bytes(extract_traces(ds, JUMP_LIMIT)) == trace_bytes(want)
 
     def test_grid_with_nan_cells(self):
         grid = crowded_grid(3)
@@ -160,7 +173,7 @@ class TestMatchesReferenceLoop:
         ds = dataset([grid])
         want = reference_extract_traces(ds)
         assert want
-        assert trace_bytes(extract_traces(ds)) == trace_bytes(want)
+        assert trace_bytes(extract_traces(ds, JUMP_LIMIT)) == trace_bytes(want)
 
     @pytest.mark.parametrize("kwargs", [
         dict(threshold=0.1),
@@ -171,7 +184,7 @@ class TestMatchesReferenceLoop:
     def test_options(self, kwargs):
         ds = dataset([crowded_grid(5)])
         want = reference_extract_traces(ds, **kwargs)
-        got = extract_traces(ds, AnalysisOptions(**kwargs))
+        got = extract_with(ds, **kwargs)
         assert trace_bytes(got) == trace_bytes(want)
 
     @settings(max_examples=100, deadline=None)
@@ -187,7 +200,7 @@ class TestMatchesReferenceLoop:
     def test_random_grids_and_options(self, grids, **kwargs):
         ds = dataset([crowded_grid(seed, n_bias=n_bias, n_lines=n_lines, noise=noise)
                       for seed, n_bias, n_lines, noise in grids])
-        got = extract_traces(ds, AnalysisOptions(**kwargs))
+        got = extract_with(ds, **kwargs)
         assert trace_bytes(got) == trace_bytes(reference_extract_traces(ds, **kwargs))
 
     def test_a_trace_closing_on_the_last_step_leaves_before_the_open_ones(self):
@@ -199,7 +212,7 @@ class TestMatchesReferenceLoop:
                  line(6.00, 0.0, n, present=np.arange(n) <= n - 4),
                  line(6.10, 0.0, n, present=np.arange(n) <= n - 3)]
         ds = dataset([t1_grid(paths, n)])
-        traces = extract_traces(ds, AnalysisOptions(max_gap=2))
+        traces = extract_with(ds, max_gap=2)
         assert [tr.bias_index[-1] for tr in traces] == [n - 4, n - 1, n - 3]
         assert np.allclose([tr.freq[0] for tr in traces], [6.00, 5.90, 6.10])
         assert trace_bytes(traces) == trace_bytes(reference_extract_traces(ds, max_gap=2))
@@ -209,7 +222,7 @@ class TestExtraction:
     def test_clean_line_is_one_trace(self):
         n = 30
         ds = dataset([t1_grid([line(5.95, 1.3, n)], n)])
-        (tr,) = extract_traces(ds)
+        (tr,) = extract_traces(ds, JUMP_LIMIT)
         assert tr.bias_index.tolist() == list(range(n))
         assert tr.control == "sample"
         assert np.allclose(tr.freq, line(5.95, 1.3, n), atol=0.25 * STEP)
@@ -221,7 +234,7 @@ class TestExtraction:
         grids = [t1_grid([], n), t1_grid([], n)]
         grids[line_segment] = t1_grid([line(5.95, 1.0, n)], n)
         ds = dataset(grids)
-        (tr,) = extract_traces(ds)
+        (tr,) = extract_traces(ds, JUMP_LIMIT)
         assert tr.segment == line_segment
         assert tr.bias_index.tolist() == list(range(n))
         assert trace_bytes([tr]) == trace_bytes(reference_extract_traces(ds))
@@ -232,7 +245,7 @@ class TestExtraction:
         present = np.ones(n, dtype=bool)
         present[10:10 + missing] = False
         ds = dataset([t1_grid([line(6.0, 0.5, n, present)], n)])
-        traces = extract_traces(ds, AnalysisOptions(max_gap=2))
+        traces = extract_with(ds, max_gap=2)
         assert len(traces) == n_traces
         assert sum(len(tr) for tr in traces) == n - missing
 
@@ -243,8 +256,7 @@ class TestExtraction:
         n = 20
         present = np.arange(n) < shown
         ds = dataset([t1_grid([line(6.0, 0.0, n, present)], n)])
-        opts = AnalysisOptions(min_points=min_points)
-        assert len(extract_traces(ds, opts)) == n_traces
+        assert len(extract_with(ds, min_points=min_points)) == n_traces
 
     @pytest.mark.parametrize("low", [0.35, 0.6])
     def test_flat_parabola_keeps_the_grid_point(self, low):
@@ -253,7 +265,7 @@ class TestExtraction:
         row = np.ones(FREQ.size)
         row[49:52] = np.nextafter(low, 1.0), low, low
         ds = dataset([np.tile(row, (8, 1))])
-        (tr,) = extract_traces(ds)
+        (tr,) = extract_traces(ds, JUMP_LIMIT)
         assert tr.freq.tolist() == [FREQ[50]] * 8
         assert trace_bytes([tr]) == trace_bytes(reference_extract_traces(ds))
 
@@ -269,7 +281,7 @@ class TestExtraction:
                  np.where((rows >= 5) & (rows < 10), freq[103], np.nan),
                  np.where(rows >= 10, freq[100], np.nan)]
         ds = dataset([t1_grid(paths, n, freq=freq)], freq=freq)
-        traces = extract_traces(ds, AnalysisOptions(max_gap=5))
+        traces = extract_with(ds, max_gap=5)
         assert [tr.bias_index.tolist() for tr in traces] == [
             [5, 6, 7, 8, 9], [0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15]]
         assert traces[1].freq.tolist() == [freq[97]] * 5 + [freq[100]] * 6
@@ -279,11 +291,24 @@ class TestExtraction:
         # the flat first prediction, inside the widened first window.
         n = 15
         ds = dataset([t1_grid([line(5.85, 10.0, n)], n)])
-        wide = AnalysisOptions(jump_limit=5.0, first_link_factor=5.0)
-        (tr,) = extract_traces(ds, wide)
+        (tr,) = extract_with(ds, jump_limit=5.0, first_link_factor=5.0)
         assert tr.bias_index.tolist() == list(range(n))
-        narrow = AnalysisOptions(jump_limit=5.0, first_link_factor=1.0)
-        assert extract_traces(ds, narrow) == []
+        assert extract_with(ds, jump_limit=5.0, first_link_factor=1.0) == []
+
+    def test_a_tiny_cell_gives_a_finite_weight(self):
+        # log(1/T1) clips T1 at 1e-12 us, and so does the depth: a cell of
+        # 1e-200 us used to give an infinite weight and numpy's overflow
+        # warning.
+        n = 8
+        grid = t1_grid([line(6.0, 0.0, n)], n)
+        dip = int(np.argmin(grid[3]))
+        grid[3, dip] = 1e-200
+        ds = dataset([grid])
+        (tr,) = extract_traces(ds, JUMP_LIMIT)
+        assert tr.bias_index.tolist() == list(range(n))
+        depth = np.nanmedian(grid[3]) / 1e-12 - 1.0
+        assert tr.weight[3] == depth * depth
+        assert trace_bytes([tr]) == trace_bytes(reference_extract_traces(ds))
 
 
 class TestLinkTracks:
@@ -296,7 +321,7 @@ class TestLinkTracks:
             [t1_grid([first], n), t1_grid([second, late], n)],
             controls=["sample", "piezo"],
         )
-        traces = extract_traces(ds)
+        traces = extract_traces(ds, JUMP_LIMIT)
         assert [(tr.segment, tr.control) for tr in traces] == [
             (0, "sample"), (1, "piezo"), (1, "piezo"),
         ]
@@ -307,13 +332,14 @@ class TestLinkTracks:
         (alone,) = [t for t in tracks if len(t) == 1]
         assert alone[0].bias_index[0] == 10
 
-    def test_no_chain_beyond_jump_limit(self):
-        # The boundary tolerance is the tracker's own jump_limit.
+    @pytest.mark.parametrize("jump_limit, n_tracks", [(5.0, 2), (15.0, 1)])
+    def test_no_chain_beyond_jump_limit(self, jump_limit, n_tracks):
+        # The boundary tolerance is the survey tracker's own JUMP_LIMIT.
         n = 25
         first = line(5.95, 1.0, n)
         second = line(first[-1] + 10 * STEP, -1.0, n)
         ds = dataset([t1_grid([first], n), t1_grid([second], n)])
-        traces = extract_traces(ds)
+        traces = extract_traces(ds, JUMP_LIMIT)
         assert len(traces) == 2
-        assert len(link_tracks(traces, ds, AnalysisOptions(jump_limit=5.0))) == 2
-        assert len(link_tracks(traces, ds, AnalysisOptions(jump_limit=15.0))) == 1
+        with mock.patch.object(tracing, "JUMP_LIMIT", jump_limit):
+            assert len(link_tracks(traces, ds)) == n_tracks
