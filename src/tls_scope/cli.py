@@ -6,9 +6,11 @@ coupled-fit failure; any other exception is a bug, shown as a traceback.
 All outputs are deterministic for a fixed seed; no timestamps are
 written.
 
-Each config default is written once: ``fit`` and ``design`` take the
-film and sensor values from ``GENERATE_DEFAULTS``.  ``fit`` takes only
-the film keys; its tracking rules are constants of
+Each config default is written once.  The library takes every
+simulation value from its caller, ``generate`` from ``GENERATE_DEFAULTS``
+through :func:`ensemble_config` and :func:`sweep_plan`; ``fit`` and
+``design`` take the film and sensor values from that table.  ``fit``
+takes only the film keys; its tracking rules are constants of
 :mod:`~tls_scope.traces`.  :func:`simulate` and :func:`analyze` are the
 in-memory forms of ``generate`` and ``fit``.
 """
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .pairfit import fit_coupled_pair, nearer_branch, panel_points_from_dataset
 from .pipeline import analyze_dataset
-from .spectro import default_sweep_plan, t1_map
+from .spectro import SegmentSpec, default_sweep_plan, t1_map
 from .stm import (
     Location,
     SensorDesign,
@@ -189,6 +191,29 @@ def _sensor_design(cfg: dict, d_key: str, t1_key: str) -> SensorDesign:
         )
 
 
+def ensemble_config(cfg: dict) -> EnsembleConfig:
+    """What ``generate`` draws its ensemble from for a full config; a
+    refused value is named by its key."""
+    keys = {"p0_target": "p0_per_um3_ghz", "thickness_m": "thickness_nm",
+            "dipole_mean": "dipole_mean_ea", "dipole_std": "dipole_std_ea",
+            "gamma_p_max": "gamma_p_max_ghz_per_v"}
+    with _keys_as_written(cfg, keys):
+        return EnsembleConfig(
+            band=tuple(cfg["band_ghz"]), p0_target=cfg["p0_per_um3_ghz"],
+            volume_um3=cfg["volume_um3"], thickness_m=cfg["thickness_nm"] * 1e-9,
+            dipole_mean=cfg["dipole_mean_ea"], dipole_std=cfg["dipole_std_ea"],
+            gamma_p_max=cfg["gamma_p_max_ghz_per_v"])
+
+
+def sweep_plan(cfg: dict) -> list[SegmentSpec]:
+    """The segment plan of ``generate`` for a full config."""
+    return default_sweep_plan(
+        n_bias=cfg["n_bias"], order=tuple(cfg["segment_order"]),
+        v_g_range=tuple(cfg["v_g_range"]), v_p_range=tuple(cfg["v_p_range"]),
+        v_s_source_amplitude=cfg["v_s_source_amplitude"],
+        division_factor=cfg["division_factor"])
+
+
 #: Largest T1 map, segments x bias steps x frequencies, that ``generate``
 #: draws: about 35x the default map of 288,640 cells.  The map is held as
 #: float64 grids and written at about 65 bytes a cell, so this is ~80 MB
@@ -209,35 +234,10 @@ def simulate(cfg: dict, seed: int):
         raise ConfigError(f"freq_step_ghz {step} gives a T1 map of {cells:.3g} cells "
                           f"(segments x n_bias x frequencies), more than {MAX_MAP_CELLS}")
     design = _sensor_design(cfg, "thickness_nm", "t1_qubit_us")
-    ens_cfg = EnsembleConfig(
-        band=band,
-        p0_target=cfg["p0_per_um3_ghz"],
-        volume_um3=cfg["volume_um3"],
-        thickness_m=design.d,
-        dipole_mean=cfg["dipole_mean_ea"],
-        dipole_std=cfg["dipole_std_ea"],
-        gamma_p_max=cfg["gamma_p_max_ghz_per_v"],
-    )
-    ensemble = generate_ensemble(ens_cfg, seed=seed)
-    plan = default_sweep_plan(
-        n_bias=cfg["n_bias"],
-        order=tuple(cfg["segment_order"]),
-        v_g_range=tuple(cfg["v_g_range"]),
-        v_p_range=tuple(cfg["v_p_range"]),
-        v_s_source_amplitude=cfg["v_s_source_amplitude"],
-        division_factor=cfg["division_factor"],
-    )
-    freq = np.arange(band[0], stop, step)
-    ds = t1_map(
-        ensemble,
-        design,
-        plan,
-        freq,
-        gamma1_background=1.0 / cfg["t1_qubit_us"],
-        noise_sigma=cfg["noise_sigma"],
-        seed=seed,
-        meta_extra={"config": cfg},
-    )
+    ensemble = generate_ensemble(ensemble_config(cfg), seed=seed)
+    ds = t1_map(ensemble, design, sweep_plan(cfg), np.arange(band[0], stop, step),
+                gamma1_background=1.0 / cfg["t1_qubit_us"], noise_sigma=cfg["noise_sigma"],
+                seed=seed, meta_extra={"config": cfg})
     return ensemble, ds
 
 

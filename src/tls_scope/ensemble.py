@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, OutOfRange
 from .stm import Location, TlsParams, dipole_to_gamma_s
 
 #: Asymmetry shift [GHz] the bias sweeps may apply; widens the eps_i window.
@@ -33,40 +33,56 @@ MAX_BIAS_SWING = 2.5
 #: 3.6 in band, 100x its volume 1836).
 MAX_MEAN_DRAWN = 1e5
 
+#: Largest dipole mean and spread [e*Angstrom], a charge e moved 10 nm: far
+#: larger ones overflow float64 in the T1 map's squared couplings and
+#: detunings (a mean of 1e200 did) or in the draw (a spread of 1e308).
+MAX_DIPOLE_EA = 100.0
+
+#: Largest strain-rate bound [GHz/V], a terahertz per volt of piezo ramp:
+#: far larger ones overflow float64 in the T1 map's squared detunings
+#: (1e200 did) or in the width of the uniform draw (1e308).
+MAX_GAMMA_P = 1e3
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Knobs of the ensemble generator.
+    """What the ensemble generator draws from, every value set by the caller.
 
-    ``band`` is the observation band [GHz]; ``p0_target`` the TLS volume
-    density [1/(um^3 GHz)]; ``volume_um3`` the field-carrying dielectric
-    volume.  Dipole projections are truncated-normal (>= 0) with the given
-    mean/std [e*Angstrom], both positive; the sample-bias rate follows
-    from the dipole and thickness, gamma_s = +-2p/d, with random
-    orientation sign.  Strain rates are uniform within ``+-gamma_p_max``
-    [GHz/V]; the global-gate rate is zero for defects buried in the
-    sample capacitor (the top electrode screens the global field).
-    ``p0_target``, ``volume_um3`` and ``gamma_p_max`` must be finite and
-    non-negative, and the band must satisfy 0 < lo < hi; a zero density or
-    volume draws an empty ensemble, and the mean number of candidates
-    drawn may not exceed :data:`MAX_MEAN_DRAWN`.
+    ``band`` is the observation band [GHz], 0 < lo < hi.  ``p0_target`` is
+    the TLS volume density [1/(um^3 GHz)] and ``volume_um3`` the
+    field-carrying dielectric volume, both finite and >= 0; zero draws an
+    empty ensemble, and at most :data:`MAX_MEAN_DRAWN` candidates may be
+    drawn on average.  ``thickness_m`` is the film thickness [m], finite
+    and > 0.  Dipole projections are truncated-normal (>= 0) with mean and
+    std [e*Angstrom] in (0, :data:`MAX_DIPOLE_EA`]; gamma_s = +-2p/d with a
+    random sign.  Strain rates are uniform within ``+-gamma_p_max`` [GHz/V],
+    in [0, :data:`MAX_GAMMA_P`]; the global-gate rate is zero for defects
+    buried in the sample capacitor (the top electrode screens the global
+    field).  Each refusal but the band's and the candidate count's is an
+    :class:`OutOfRange` that names its field.
     """
 
-    band: tuple[float, float] = (5.8, 6.7)
-    p0_target: float = 1800.0
-    volume_um3: float = 2.25e-3
-    thickness_m: float = 50.0 * 1e-9
-    dipole_mean: float = 0.4
-    dipole_std: float = 0.2
-    gamma_p_max: float = 0.04
+    band: tuple[float, float]
+    p0_target: float
+    volume_um3: float
+    thickness_m: float
+    dipole_mean: float
+    dipole_std: float
+    gamma_p_max: float
 
     def __post_init__(self):
-        if not (self.dipole_mean > 0 and self.dipole_std > 0):
-            raise ConfigError("dipole_mean and dipole_std must be > 0")
+        for name in ("dipole_mean", "dipole_std"):
+            value = getattr(self, name)
+            if not 0 < value <= MAX_DIPOLE_EA:
+                raise OutOfRange(name, f"must be > 0 and at most {MAX_DIPOLE_EA}", value)
         for name in ("p0_target", "volume_um3", "gamma_p_max"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+                raise OutOfRange(name, "must be finite and >= 0", value)
+        if self.gamma_p_max > MAX_GAMMA_P:
+            raise OutOfRange("gamma_p_max", f"must be at most {MAX_GAMMA_P}", self.gamma_p_max)
+        if not 0 < self.thickness_m < math.inf:
+            raise OutOfRange("thickness_m", "must be finite and > 0", self.thickness_m)
         if not 0 < self.band[0] < self.band[1]:
             raise ConfigError(f"band {self.band} is empty")
         drawn = self.mean_drawn

@@ -123,17 +123,9 @@ def validate_freq_axis(freq: np.ndarray) -> None:
         raise ConfigError("frequency axis must be uniform")
 
 
-def default_sweep_plan(
-    n_bias: int = 80,
-    order: tuple[str, ...] = (
-        "global", "sample", "piezo", "sample",
-        "global", "sample", "piezo", "sample",
-    ),
-    v_g_range: tuple[float, float] = (90.0, -30.0),
-    v_p_range: tuple[float, float] = (90.0, -30.0),
-    v_s_source_amplitude: float = 0.5,
-    division_factor: float = 205.0,
-) -> list[SegmentSpec]:
+def default_sweep_plan(n_bias: int, order: tuple[str, ...], v_g_range: tuple[float, float],
+                       v_p_range: tuple[float, float], v_s_source_amplitude: float,
+                       division_factor: float) -> list[SegmentSpec]:
     """Paper-style segment plan: monotone gate/strain ramps, V_s sawtooth.
 
     The global and piezo ranges are split evenly over their segments and
@@ -376,10 +368,9 @@ def t1_map(
     plan: list[SegmentSpec],
     freq_ghz: np.ndarray,
     gamma1_background: float,
-    noise_sigma: float = 0.10,
-    seed: int = 0,
-    field_rms: float | None = None,
-    meta_extra: dict | None = None,
+    noise_sigma: float,
+    seed: int,
+    meta_extra: dict,
 ) -> SpectroscopyDataset:
     """Simulate the swap-spectroscopy T1 grid of an ensemble.
 
@@ -388,8 +379,7 @@ def t1_map(
     ensemble : Ensemble
         TLS population (sample-capacitor defects).
     design : SensorDesign
-        Sets the rms qubit field in the capacitor unless ``field_rms``
-        overrides it.
+        Sets the rms qubit field in the capacitor.
     plan : list of SegmentSpec
         Sweep segments, e.g. from :func:`default_sweep_plan`.
     freq_ghz : ndarray
@@ -403,7 +393,7 @@ def t1_map(
     """
     if not plan:
         raise ConfigError("sweep plan is empty")
-    field = capacitor_field_rms(design) if field_rms is None else field_rms
+    field = capacitor_field_rms(design)
     table = TlsTable.of(ensemble.tls_list)
 
     def lines(v_p, v_g, v_s):
@@ -414,21 +404,14 @@ def t1_map(
         return e_tls, g_mhz, table.gamma2_tls
 
     meta = {"seed": seed, "field_rms_v_per_m": field, "design": design.to_dict(),
-            **(meta_extra or {})}
+            **meta_extra}
     return _simulate(plan, freq_ghz, lines, gamma1_background, noise_sigma,
                      np.random.SeedSequence(seed).spawn(len(plan)), meta)
 
 
-def coupled_pair_t1_map(
-    pair: CoupledPair,
-    v_s_values: np.ndarray,
-    v_p: float,
-    freq_ghz: np.ndarray,
-    field_rms: float,
-    gamma1_background: float,
-    noise_sigma: float = 0.0,
-    seed: int = 0,
-) -> SpectroscopyDataset:
+def coupled_pair_t1_map(pair: CoupledPair, v_s_values: np.ndarray, v_p: float,
+                        freq_ghz: np.ndarray, field_rms: float, gamma1_background: float,
+                        noise_sigma: float, seed: int) -> SpectroscopyDataset:
     """One avoided-crossing panel: V_s sweep at fixed strain.
 
     The two single-excitation transitions of the (truncated-model) pair

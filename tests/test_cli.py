@@ -282,7 +282,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override, needle", [
         ({"p0_per_um3_ghz": float("nan")}, "config key 'p0_per_um3_ghz' must be finite, got nan"),
-        ({"p0_per_um3_ghz": -5}, "p0_target must be finite and >= 0, got -5"),
+        ({"p0_per_um3_ghz": -5},
+         "p0_per_um3_ghz must be finite and >= 0, got -5, which is p0_target = -5"),
         ({"gamma_p_max_ghz_per_v": float("nan")},
          "config key 'gamma_p_max_ghz_per_v' must be finite, got nan"),
         ({"gamma_p_max_ghz_per_v": float("inf")},
@@ -308,9 +309,23 @@ class TestExitCodes:
         # missing".
         ({"noise_sigma": 1e30}, "noise_sigma must be non-negative and at most 50.0, got 1e+30"),
         ({"thickness_nm": 1e-300}, "total capacitance must exceed the sample capacitance"),
+        # The first used to end in an OverflowError traceback from the
+        # strain-rate draw, the second in numpy's "overflow encountered in
+        # square" (exit 0), and the dipoles exited 2 only after numpy
+        # RuntimeWarnings, with "T1 values must be positive or NaN" or "a
+        # trace is more than half missing".
+        ({"gamma_p_max_ghz_per_v": 1e308}, "gamma_p_max_ghz_per_v must be at most 1000.0, "
+                                           "got 1e+308, which is gamma_p_max = 1e+308"),
+        ({"gamma_p_max_ghz_per_v": 1e200}, "gamma_p_max_ghz_per_v must be at most 1000.0"),
+        ({"dipole_mean_ea": 1e200}, "dipole_mean_ea must be > 0 and at most 100.0, got "
+                                    "1e+200, which is dipole_mean = 1e+200"),
+        ({"dipole_mean_ea": 1e308}, "dipole_mean_ea must be > 0 and at most 100.0"),
+        ({"dipole_std_ea": 1e308}, "dipole_std_ea must be > 0 and at most 100.0, got "
+                                   "1e+308, which is dipole_std = 1e+308"),
     ], ids=["p0-nan", "p0-negative", "gamma_p-nan", "gamma_p-inf", "volume-nan",
             "volume-negative", "volume-inf", "p0-huge", "band-outside-window", "freq-step-tiny",
-            "noise-huge", "thickness-tiny"])
+            "noise-huge", "thickness-tiny", "gamma_p-max-float", "gamma_p-huge",
+            "dipole-mean-huge", "dipole-mean-max-float", "dipole-std-max-float"])
     def test_generate_refuses_bad_ensemble_value(self, tmp_path, capsys, override, needle):
         # NaN and a negative P0 or volume used to draw an empty ensemble
         # (exit 0), a non-finite gamma_p_max ended in an OverflowError

@@ -1,14 +1,24 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tls_scope import cli
 from tls_scope.ensemble import (
-    MAX_MEAN_DRAWN, EnsembleConfig, _in_band_probability, _truncnorm_left_ppf,
+    MAX_DIPOLE_EA, MAX_GAMMA_P, MAX_MEAN_DRAWN, _in_band_probability, _truncnorm_left_ppf,
     generate_ensemble,
 )
-from tls_scope.errors import ConfigError
+from tls_scope.errors import ConfigError, OutOfRange
 from tls_scope.stm import Location
+
+#: What `generate` draws from at its defaults.
+DEFAULT = cli.ensemble_config(cli.GENERATE_DEFAULTS)
+
+
+def config(**fields):
+    """DEFAULT with ``fields`` replaced."""
+    return replace(DEFAULT, **fields)
 
 
 def in_band_counts(cfg, n_seeds):
@@ -24,14 +34,14 @@ def in_band_counts(cfg, n_seeds):
 
 class TestGenerateEnsemble:
     def test_empty_for_zero_density(self):
-        ens = generate_ensemble(EnsembleConfig(p0_target=0.0), seed=1)
+        ens = generate_ensemble(config(p0_target=0.0), seed=1)
         assert ens.tls_list == ()
 
     def test_empty_for_zero_volume(self):
-        assert generate_ensemble(EnsembleConfig(volume_um3=0.0), seed=1).tls_list == ()
+        assert generate_ensemble(config(volume_um3=0.0), seed=1).tls_list == ()
 
     def test_deterministic_under_seed(self):
-        cfg = EnsembleConfig()
+        cfg = DEFAULT
         a = generate_ensemble(cfg, seed=42)
         b = generate_ensemble(cfg, seed=42)
         assert a.tls_list == b.tls_list
@@ -40,14 +50,13 @@ class TestGenerateEnsemble:
 
     def test_invalid_band(self):
         with pytest.raises(ConfigError):
-            generate_ensemble(EnsembleConfig(band=(6.7, 5.8)), seed=0)
+            generate_ensemble(config(band=(6.7, 5.8)), seed=0)
 
     def test_in_band_mean_is_p0_volume_bandwidth(self):
         # 1800 /(um^3 GHz) * 2.25e-3 um^3 * 0.9 GHz = 3.645 defects in band;
         # the count pooled over many seeds is within 4 sigma of it.
-        cfg = EnsembleConfig(volume_um3=2.25e-3, p0_target=1800.0, band=(5.8, 6.7))
         n_batches = 150
-        total = in_band_counts(cfg, n_batches).sum()
+        total = in_band_counts(DEFAULT, n_batches).sum()
         assert abs(total - n_batches * 3.645) <= 4 * np.sqrt(n_batches * 3.645)
 
     def test_in_band_count_poisson_consistent(self):
@@ -55,20 +64,20 @@ class TestGenerateEnsemble:
         # sum((x - mean)^2) / mean is chi^2 with n - 1 degrees of freedom,
         # here within 4 sigma of its mean.
         n_batches = 150
-        counts = in_band_counts(EnsembleConfig(volume_um3=2.25e-3), n_batches)
+        counts = in_band_counts(DEFAULT, n_batches)
         dispersion = ((counts - counts.mean()) ** 2).sum() / counts.mean()
         assert abs(dispersion - (n_batches - 1)) <= 4 * np.sqrt(2 * (n_batches - 1))
 
     def test_all_sample_dielectric_with_consistent_rates(self):
         from tls_scope.stm import dipole_to_gamma_s as dipole_energy_rate
 
-        ens = generate_ensemble(EnsembleConfig(volume_um3=9e-3), seed=7)
+        ens = generate_ensemble(config(volume_um3=9e-3), seed=7)
         assert len(ens.tls_list) > 10
         for t in ens.tls_list:
             assert t.location is Location.SAMPLE_DIELECTRIC
             assert t.gamma_g == 0.0
             assert t.p_parallel > 0
-            expected = dipole_energy_rate(t.p_parallel, 50e-9)
+            expected = dipole_energy_rate(t.p_parallel, DEFAULT.thickness_m)
             assert abs(t.gamma_s) == pytest.approx(expected, rel=1e-12)
 
     def test_dipole_population_statistics(self):
@@ -76,15 +85,15 @@ class TestGenerateEnsemble:
         # mean is slightly above 0.4; check against scipy's moments.
         from scipy.stats import truncnorm
 
-        cfg = EnsembleConfig(volume_um3=0.2)  # big volume -> many TLS
+        cfg = config(volume_um3=0.2)  # big volume -> many TLS
         ens = generate_ensemble(cfg, seed=3)
         dip = np.array([t.p_parallel for t in ens.tls_list])
-        a = (0 - 0.4) / 0.2
-        mean, var = truncnorm.stats(a, np.inf, loc=0.4, scale=0.2, moments="mv")
+        loc, scale = cfg.dipole_mean, cfg.dipole_std
+        mean, var = truncnorm.stats(-loc / scale, np.inf, loc=loc, scale=scale, moments="mv")
         assert dip.mean() == pytest.approx(float(mean), abs=4 * np.sqrt(var / dip.size))
 
     def test_delta0_within_window(self):
-        cfg = EnsembleConfig(volume_um3=9e-3)
+        cfg = config(volume_um3=9e-3)
         ens = generate_ensemble(cfg, seed=9)
         lo = cfg.resolved_delta0_min()
         for t in ens.tls_list:
@@ -132,23 +141,43 @@ class TestDipoleSampler:
         x = _truncnorm_left_ppf(np.array([0.0, 0.5]), -20.0)
         assert np.all(np.isfinite(x)) and np.all(x >= -20.0)
 
-    @pytest.mark.parametrize("field", ["dipole_mean", "dipole_std"])
-    def test_non_positive_dipole_parameters_rejected(self, field):
-        with pytest.raises(ValueError):
-            EnsembleConfig(**{field: 0.0})
+    @pytest.mark.parametrize("field, value", [
+        ("dipole_mean", 0.0), ("dipole_std", 0.0),
+        # An infinite mean or spread used to draw p = inf and gamma_s = -inf.
+        ("dipole_mean", np.inf), ("dipole_std", np.inf),
+        # A zero thickness used to give an infinite gamma_s after numpy's
+        # divide-by-zero warning, a negative one went unseen under the random
+        # gamma_s sign, and NaN wrote NaN rates that write_json failed on.
+        ("thickness_m", 0.0), ("thickness_m", -50e-9), ("thickness_m", np.nan),
+        ("thickness_m", np.inf),
+    ], ids=["dipole_mean", "dipole_std", "dipole_mean-inf", "dipole_std-inf", "thickness-zero",
+            "thickness-negative", "thickness-nan", "thickness-inf"])
+    def test_non_positive_dipole_parameters_rejected(self, field, value):
+        with pytest.raises(OutOfRange, match=f"^{field} must be"):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("field, bound", [
+        ("dipole_mean", MAX_DIPOLE_EA), ("dipole_std", MAX_DIPOLE_EA),
+        ("gamma_p_max", MAX_GAMMA_P),
+    ])
+    def test_values_above_their_bound_rejected(self, field, bound):
+        config(**{field: bound})
+        for value in (np.nextafter(bound, np.inf), 1e200, 1e308):
+            with pytest.raises(OutOfRange, match=f"^{field} must be .*at most {bound}, got"):
+                config(**{field: value})
 
     def test_mean_drawn_count_is_bounded(self):
         # 1800 /(um^3 GHz) * 2.25e-3 um^3 * 0.9 GHz = 3.645 defects in band,
         # drawn from 3.645 / q candidates, q the in-band share of the window.
-        cfg = EnsembleConfig()
+        cfg = DEFAULT
         assert cfg.mean_in_band == pytest.approx(3.645)
         assert cfg.mean_drawn == cfg.mean_in_band / _in_band_probability(cfg)
         assert cfg.mean_drawn == pytest.approx(18.36, rel=1e-3)
-        at_limit = MAX_MEAN_DRAWN / cfg.mean_drawn * 1800.0
-        EnsembleConfig(p0_target=at_limit * (1 - 1e-9))
+        at_limit = MAX_MEAN_DRAWN / cfg.mean_drawn * cfg.p0_target
+        config(p0_target=at_limit * (1 - 1e-9))
         for p0 in (at_limit * (1 + 1e-9), 1e30):
             with pytest.raises(ConfigError, match="candidates, more than 100000"):
-                EnsembleConfig(p0_target=p0)
+                config(p0_target=p0)
 
     @pytest.mark.parametrize("band, p0, drawn", [
         ((5.8, 5.8001), 1e9, "7.58e+06"),
@@ -160,11 +189,11 @@ class TestDipoleSampler:
         # asks for 225 in band and passed it, to draw ~7.6M defects; the
         # others ended in numpy's "lam value too large" or an OverflowError.
         with pytest.raises(ConfigError, match=re.escape(f"drawn from {drawn} candidates")):
-            EnsembleConfig(band=band, p0_target=p0)
+            config(band=band, p0_target=p0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -5.0, -1e-300])
     @pytest.mark.parametrize("field", ["p0_target", "volume_um3", "gamma_p_max"])
     def test_non_finite_or_negative_density_and_strain_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
-            EnsembleConfig(**{field: value})
-        EnsembleConfig(**{field: 0.0})
+        with pytest.raises(OutOfRange, match=f"^{field} must be finite and >= 0"):
+            config(**{field: value})
+        config(**{field: 0.0})

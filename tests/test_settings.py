@@ -1,5 +1,6 @@
-"""Each setting has one home: a ratchet on the number of settable values,
-and the library defaults against the values the CLI computes."""
+"""Each setting has one home: a ratchet on the number of settable values.
+The simulation's defaults are written only in ``cli.GENERATE_DEFAULTS``;
+the library takes every simulation value from its caller."""
 
 import ast
 import inspect
@@ -8,15 +9,15 @@ from pathlib import Path
 import pytest
 
 import tls_scope
-from tls_scope import cli
-from tls_scope.ensemble import EnsembleConfig, generate_ensemble
+from tls_scope.ensemble import EnsembleConfig
 from tls_scope.pipeline import analyze_dataset
+from tls_scope.spectro import coupled_pair_t1_map, default_sweep_plan, t1_map
 from tls_scope.traces import extract_traces, link_tracks
 
 #: Settable values under src/tls_scope when this ratchet was last moved.
 #: Lower it when a value goes; a new knob has to pay for itself by
 #: removing another.
-MAX_SETTABLE = 36
+MAX_SETTABLE = 17
 
 
 def settable_values():
@@ -48,22 +49,13 @@ def test_settable_values_do_not_grow():
     assert len(found) <= MAX_SETTABLE, "\n".join(found)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_library_defaults_draw_what_generate_draws(seed):
-    library = generate_ensemble(EnsembleConfig(), seed)
-    command = cli.simulate(cli.GENERATE_DEFAULTS, seed)[0]
-    for name in vars(library):
-        assert getattr(library, name) == getattr(command, name), name
-
-
-def test_library_thickness_is_the_cli_thickness():
-    d_m = cli.GENERATE_DEFAULTS["thickness_nm"] * 1e-9
-    assert d_m == EnsembleConfig().thickness_m
-
-
-@pytest.mark.parametrize("fn", [extract_traces, link_tracks, analyze_dataset])
+@pytest.mark.parametrize("fn", [extract_traces, link_tracks, analyze_dataset, EnsembleConfig,
+                                default_sweep_plan, t1_map, coupled_pair_t1_map])
 def test_tracking_has_no_defaulted_parameter(fn):
     # The tracking rules are constants of traces; the survey's and the
     # panels' jump_limit and the film thickness are passed by each caller.
+    # The simulation takes every value from its caller, and the defaults
+    # of `generate` are written only in cli.GENERATE_DEFAULTS.
     params = inspect.signature(fn).parameters.values()
     assert [p.name for p in params if p.default is not p.empty] == []
+

@@ -9,17 +9,16 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tls_scope import spectro
+from tls_scope import cli, spectro
 from tls_scope.constants import MHZ_PER_GHZ
 from tls_scope.errors import ConfigError
-from tls_scope.ensemble import Ensemble, EnsembleConfig, generate_ensemble
+from tls_scope.ensemble import Ensemble, generate_ensemble
 from tls_scope.spectro import (
     _BIAS_BLOCK,
     SegmentSpec,
     _chunk_sum,
     _lorentzian_rate,
     coupled_pair_t1_map,
-    default_sweep_plan,
     t1_map,
 )
 from tls_scope.coupled import CoupledPair
@@ -31,6 +30,7 @@ from tls_scope.stm import (
     capacitor_field_rms,
     coupling_mhz,
     energies,
+    vacuum_voltage,
 )
 
 DESIGN = SensorDesign(
@@ -38,6 +38,16 @@ DESIGN = SensorDesign(
     omega10=2 * math.pi * 6.2e9, t1_qubit=4.3,
 )
 FREQ = np.arange(5.8, 6.7, 0.002)
+
+
+def sweep_plan(**overrides):
+    """The sweep plan of `generate` at its defaults but for ``overrides``."""
+    return cli.sweep_plan({**cli.GENERATE_DEFAULTS, **overrides})
+
+
+def field_design(field):
+    """DESIGN with the thickness that gives an rms field of ``field`` [V/m]."""
+    return replace(DESIGN, d=vacuum_voltage(DESIGN) / field)
 
 
 def empty_ensemble():
@@ -62,10 +72,10 @@ class TestSweepPlan:
     @pytest.mark.parametrize("n_bias", [0, 1])
     def test_fewer_than_two_bias_steps_refused(self, n_bias):
         with pytest.raises(ValueError, match="n_bias must be at least 2"):
-            default_sweep_plan(n_bias=n_bias)
+            sweep_plan(n_bias=n_bias)
 
     def test_default_structure(self):
-        plan = default_sweep_plan()
+        plan = sweep_plan()
         assert len(plan) == 8
         assert [s.control for s in plan] == [
             "global", "sample", "piezo", "sample",
@@ -73,7 +83,7 @@ class TestSweepPlan:
         ]
 
     def test_sample_alternates_direction(self):
-        plan = default_sweep_plan()
+        plan = sweep_plan()
         sample = [s for s in plan if s.control == "sample"]
         assert [s.direction for s in sample] == ["up", "down", "up", "down"]
         amp = 0.5 / 205.0
@@ -81,7 +91,7 @@ class TestSweepPlan:
         assert sample[1].bias[-1] == pytest.approx(-amp)
 
     def test_monotone_ramps_cover_ranges(self):
-        plan = default_sweep_plan(v_g_range=(90.0, -30.0))
+        plan = sweep_plan(v_g_range=(90.0, -30.0))
         glob = [s for s in plan if s.control == "global"]
         assert glob[0].bias[0] == 90.0
         assert glob[-1].bias[-1] == -30.0
@@ -89,7 +99,7 @@ class TestSweepPlan:
             assert np.all(np.diff(s.bias) < 0)
 
     def test_held_values_continuous(self):
-        plan = default_sweep_plan()
+        plan = sweep_plan()
         state = {"v_p": 90.0, "v_g": 90.0, "v_s": 0.0}
         attr = {"piezo": "v_p", "global": "v_g", "sample": "v_s"}
         for seg in plan:
@@ -100,7 +110,7 @@ class TestSweepPlan:
             state[a] = seg.bias[-1]
 
     def test_cold_end_amplitude_from_chain(self):
-        plan = default_sweep_plan(v_s_source_amplitude=0.41)
+        plan = sweep_plan(v_s_source_amplitude=0.41)
         sample = [s for s in plan if s.control == "sample"][0]
         assert sample.bias.max() == pytest.approx(0.41 / 205.0)
 
@@ -109,28 +119,28 @@ class TestControlChain:
     """The sample bias is the source voltage over the chain's division factor."""
 
     def test_paper_division(self):
-        plan = default_sweep_plan(v_s_source_amplitude=0.5, division_factor=205.0)
+        plan = sweep_plan(v_s_source_amplitude=0.5, division_factor=205.0)
         sample = [s for s in plan if s.control == "sample"]
         assert sample[0].bias[-1] * 1e3 == pytest.approx(2.439, rel=1e-3)
 
     def test_zero(self):
-        plan = default_sweep_plan(v_s_source_amplitude=0.0, division_factor=205.0)
+        plan = sweep_plan(v_s_source_amplitude=0.0, division_factor=205.0)
         assert all(np.all(s.bias == 0.0) for s in plan if s.control == "sample")
 
     def test_limit_exceeded(self):
         with pytest.raises(ConfigError, match="above the 2.500 mV limit"):
-            default_sweep_plan(v_s_source_amplitude=0.6, division_factor=205.0)
+            sweep_plan(v_s_source_amplitude=0.6, division_factor=205.0)
 
     @pytest.mark.parametrize("factor", [0.0, -205.0, float("nan"), float("inf")])
     def test_positive_division_factor(self, factor):
         with pytest.raises(ValueError, match="division_factor must be > 0"):
-            default_sweep_plan(division_factor=factor)
+            sweep_plan(division_factor=factor)
 
 
 class TestT1Map:
     def test_flat_reference_qubit(self):
         ds = t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
-                    gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0)
+                    gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
         assert np.allclose(ds.t1_us[0], 4.3, rtol=1e-12)
 
     def test_on_resonance_increment_closed_form(self):
@@ -148,8 +158,8 @@ class TestT1Map:
             TlsParams(delta0=6.25, p_parallel=0.3, gamma2_tls=2 * (2 * math.pi))
         )
         g10 = 0.1
-        ds = t1_map(ens, DESIGN, seg, freq, gamma1_background=g10,
-                    noise_sigma=0.0, seed=0, field_rms=field)
+        ds = t1_map(ens, field_design(field), seg, freq, gamma1_background=g10,
+                    noise_sigma=0.0, seed=0, meta_extra={})
         idx = np.argmin(np.abs(freq - 6.25))
         on_res = ds.t1_us[0][0, idx]
         expected = 1.0 / (g10 + 2 * math.pi)
@@ -158,18 +168,18 @@ class TestT1Map:
     def test_far_detuned_lorentzian_tail(self):
         tls = TlsParams(delta0=60.0, p_parallel=0.4)  # 50+ GHz away
         ds = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(), FREQ,
-                    gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0)
+                    gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
         assert np.allclose(ds.t1_us[0], 4.3, rtol=1e-6)
 
     def test_superposition_far_detuned_tls(self):
         # Adding a defect > 100 linewidths away changes no cell by > 0.1%.
         near = TlsParams(delta0=6.2, p_parallel=0.4)
         base = t1_map(one_tls_ensemble(near), DESIGN, sample_segment(), FREQ,
-                      gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0)
+                      gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
         # linewidth Gamma2/(2pi) = 1 MHz; 150 linewidths above the band top
         far = TlsParams(delta0=FREQ[-1] + 0.150, p_parallel=0.15)
         both = t1_map(Ensemble(tls_list=(near, far)), DESIGN, sample_segment(), FREQ,
-                      gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0)
+                      gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
         rel = np.abs(both.t1_us[0] - base.t1_us[0]) / base.t1_us[0]
         assert rel.max() < 1e-3
 
@@ -177,7 +187,7 @@ class TestT1Map:
         tls = TlsParams(delta0=5.9, gamma_s=400.0, p_parallel=0.4,
                         location=Location.SAMPLE_DIELECTRIC)
         ds = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(120), FREQ,
-                    gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0)
+                    gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
         t1 = ds.t1_us[0]
         dips = t1.min(axis=1)
         mid = np.argmin(np.abs(ds.segments[0].bias))
@@ -186,12 +196,12 @@ class TestT1Map:
     def test_determinism_and_noise_reproducibility(self):
         tls = TlsParams(delta0=6.0, gamma_s=300.0, p_parallel=0.4,
                         location=Location.SAMPLE_DIELECTRIC)
-        kwargs = dict(gamma1_background=1 / 4.3, noise_sigma=0.1, seed=9)
+        kwargs = dict(gamma1_background=1 / 4.3, noise_sigma=0.1, seed=9, meta_extra={})
         a = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(), FREQ, **kwargs)
         b = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(), FREQ, **kwargs)
         assert all(np.array_equal(x, y) for x, y in zip(a.t1_us, b.t1_us))
         c = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(), FREQ,
-                   gamma1_background=1 / 4.3, noise_sigma=0.1, seed=10)
+                   gamma1_background=1 / 4.3, noise_sigma=0.1, seed=10, meta_extra={})
         assert not np.array_equal(a.t1_us[0], c.t1_us[0])
 
     def test_bias_limit_enforced(self):
@@ -199,26 +209,26 @@ class TestT1Map:
                            held={"v_p": 0.0, "v_g": 0.0})]
         with pytest.raises(ValueError):
             t1_map(empty_ensemble(), DESIGN, seg, FREQ,
-                   gamma1_background=0.2, noise_sigma=0.0, seed=0)
+                   gamma1_background=0.2, noise_sigma=0.0, seed=0, meta_extra={})
 
     @pytest.mark.parametrize("noise", [-1.0, -1e-9, float("nan")])
     def test_negative_noise_refused(self, noise):
         with pytest.raises(ValueError, match="noise_sigma must be non-negative"):
             t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
-                   gamma1_background=0.2, noise_sigma=noise, seed=0)
+                   gamma1_background=0.2, noise_sigma=noise, seed=0, meta_extra={})
 
     @pytest.mark.parametrize("noise", [np.nextafter(spectro.MAX_NOISE_SIGMA, np.inf), 1e30,
                                        float("inf")], ids=["just-above", "huge", "inf"])
     def test_noise_above_the_bound_refused(self, noise):
         with pytest.raises(ConfigError, match="noise_sigma must be non-negative and at most 50.0"):
             t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
-                   gamma1_background=0.2, noise_sigma=noise, seed=0)
+                   gamma1_background=0.2, noise_sigma=noise, seed=0, meta_extra={})
 
     def test_largest_noise_stays_finite(self):
         # exp(sigma * z) at the bound neither overflows nor underflows to
         # zero; an overflow warning would be an error under pytest's config.
         ds = t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ, gamma1_background=0.2,
-                    noise_sigma=spectro.MAX_NOISE_SIGMA, seed=0)
+                    noise_sigma=spectro.MAX_NOISE_SIGMA, seed=0, meta_extra={})
         t1 = ds.t1_us[0]
         assert np.all(np.isfinite(t1)) and np.all(t1 > 0)
 
@@ -226,13 +236,13 @@ class TestT1Map:
         with pytest.raises(ValueError):
             t1_map(empty_ensemble(), DESIGN, sample_segment(),
                    np.array([6.0, 5.9, 6.1]), gamma1_background=0.2,
-                   noise_sigma=0.0, seed=0)
+                   noise_sigma=0.0, seed=0, meta_extra={})
         # NaN fails the "increasing" and "uniform" comparisons silently.
         for axis in ([5.8, np.nan, 6.0], [5.8, 5.9, np.inf], [np.nan, np.nan],
                      [-np.inf, 5.9, 6.0]):
             with pytest.raises(ValueError, match="frequency axis must be finite"):
                 t1_map(empty_ensemble(), DESIGN, sample_segment(), np.array(axis),
-                       gamma1_background=0.2, noise_sigma=0.0, seed=0)
+                       gamma1_background=0.2, noise_sigma=0.0, seed=0, meta_extra={})
 
 
 def chunked_lorentzian_rate(freq_ghz, f_tls_ghz, g_mhz, gamma2_per_us):
@@ -310,7 +320,7 @@ class TestLorentzianKernel:
 def cut_plan(n_segments, n_bias):
     """The first ``n_segments`` segments of the default plan, cut to
     ``n_bias`` bias steps each."""
-    plan = default_sweep_plan(n_bias=max(n_bias, 2))[:n_segments]
+    plan = sweep_plan(n_bias=max(n_bias, 2))[:n_segments]
     return [replace(seg, bias=seg.bias[:n_bias]) for seg in plan]
 
 
@@ -319,7 +329,8 @@ class TestWorkerCount:
     depend on its size, and no thread may outlive a call."""
 
     #: About 60 TLS: several 16-TLS chunks, the last one partial.
-    ENSEMBLE = generate_ensemble(EnsembleConfig(volume_um3=9e-3), seed=3)
+    ENSEMBLE = generate_ensemble(
+        replace(cli.ensemble_config(cli.GENERATE_DEFAULTS), volume_um3=9e-3), seed=3)
 
     @pytest.mark.parametrize("n_bias", [1, _BIAS_BLOCK + 5, 80])
     @pytest.mark.parametrize("n_segments", [1, 3, 8])
@@ -341,7 +352,7 @@ class TestWorkerCount:
             monkeypatch.setattr(spectro, "_usable_cpus", lambda n=workers: n)
             sizes.clear()
             ds = t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
-                        noise_sigma=0.1, seed=5)
+                        noise_sigma=0.1, seed=5, meta_extra={})
             grids.append([t1.tobytes() for t1 in ds.t1_us])
             assert sizes == [min(workers, n_blocks)]  # one pool per map
         assert len(self.ENSEMBLE.tls_list) > 2 * spectro._TLS_CHUNK
@@ -371,7 +382,7 @@ class TestWorkerCount:
         with pytest.raises(ValueError,
                            match="^segment exceeds the cold-end sample-bias limit$"):
             t1_map(self.ENSEMBLE, DESIGN, sample_segment() + [too_far], FREQ,
-                   gamma1_background=0.2, noise_sigma=0.0, seed=0)
+                   gamma1_background=0.2, noise_sigma=0.0, seed=0, meta_extra={})
         assert threading.active_count() == before
 
     def test_block_error_propagates_and_leaves_no_thread(self, monkeypatch):
@@ -422,9 +433,10 @@ class TestRepeatedRows:
             return _lorentzian_rate(pool, freq, f_tls, g_mhz, gamma2)
 
         monkeypatch.setattr(spectro, "_lorentzian_rate", spy)
-        field, g1 = 90.0, 1 / 4.3
-        ds = t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=g1,
-                    noise_sigma=0.0, seed=0, field_rms=field)
+        design, g1 = field_design(90.0), 1 / 4.3
+        field = capacitor_field_rms(design)
+        ds = t1_map(self.ENSEMBLE, design, plan, FREQ, gamma1_background=g1,
+                    noise_sigma=0.0, seed=0, meta_extra={})
         assert computed == distinct
         table = TlsTable.of(self.ENSEMBLE.tls_list)
         for seg, t1 in zip(plan, ds.t1_us):
@@ -449,7 +461,7 @@ class TestEmptySegment:
                              for d in (5.9, 6.0)), g_z=10.0, g_x=-10.0)
         with pytest.raises(ValueError, match="a segment needs at least one bias step"):
             coupled_pair_t1_map(pair, np.array([]), 0.0, FREQ, field_rms=90.0,
-                                gamma1_background=0.2)
+                                gamma1_background=0.2, noise_sigma=0.0, seed=0)
 
 
 class TestCoupledPanel:
@@ -459,7 +471,8 @@ class TestCoupledPanel:
                              for d in (5.9, 6.0)), g_z=10.0, g_x=-10.0)
         with pytest.raises(ValueError, match="noise_sigma must be non-negative"):
             coupled_pair_t1_map(pair, np.linspace(-1e-3, 1e-3, 5), 0.0, FREQ,
-                                field_rms=90.0, gamma1_background=0.2, noise_sigma=-1.0)
+                                field_rms=90.0, gamma1_background=0.2, noise_sigma=-1.0,
+                                seed=0)
 
     def test_two_branches_visible(self):
         t1p = TlsParams(delta0=5.957, gamma_s=161.95, gamma_p=0.022, p_parallel=0.335,
@@ -469,7 +482,8 @@ class TestCoupledPanel:
         pair = CoupledPair(t1p, t2p, g_z=25.0, g_x=-19.0)
         freq = np.arange(5.90, 6.05, 0.001)
         ds = coupled_pair_t1_map(pair, np.linspace(-2.4e-3, 2.4e-3, 80), 0.0,
-                                 freq, field_rms=90.0, gamma1_background=1 / 4.3)
+                                 freq, field_rms=90.0, gamma1_background=1 / 4.3,
+                                 noise_sigma=0.0, seed=0)
         # at the crossing bias, two dips separated by ~|g_x|
         from tls_scope.coupled import transitions_truncated
         t1 = ds.t1_us[0]
