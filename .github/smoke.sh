@@ -36,6 +36,10 @@ echo '{"f10_ghz": 0}' > no-qubit.json
 refused 2 bad.err tls-scope generate --config no-qubit.json --out bad
 grep -q "f10_ghz must be strictly positive" bad.err
 test ! -e bad
+echo '{"v_p_range": [1e300, -30.0]}' > huge-range.json
+refused 2 bad.err tls-scope generate --config huge-range.json --out bad
+grep -q "v_p_range" bad.err
+test ! -e bad
 # The tracking rules are constants, not fit config keys.
 echo '{"threshold": 0.3}' > threshold.json
 refused 2 bad.err tls-scope fit g/dataset.csv --config threshold.json --out bad

@@ -99,12 +99,10 @@ def _finite(value) -> bool:
 def _same_kind(value, default) -> bool:
     """Whether a config value has the JSON type of its default.
 
-    A float default takes any number, an int default an integer, and a
-    ``None`` default a number or ``None``; list elements must match the
-    default's first element, and a list of numbers its length too.
+    A float default takes any number and an int default an integer;
+    list elements must match the default's first element, and a list of
+    numbers its length too.
     """
-    if default is None:
-        return value is None or dataio.is_number(value)
     if isinstance(default, float):
         return dataio.is_number(value)
     if isinstance(default, int):

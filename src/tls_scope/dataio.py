@@ -19,11 +19,10 @@ the header and parses the data lines with one structured ``np.loadtxt``,
 which refuses a line with a cell too many or too few; a file of the
 earlier one-line-per-cell layout is refused by its header.  Readers check
 ``schema_version`` on every file and refuse versions they do not know.
-The sidecar's ``segments`` and the ``tls`` records of the ground truth
-are type-checked as well, and the CSV's segments must be the sidecar's,
-by id, control and number of bias steps, and its frequency axis must
-have the sidecar's ``n_freq`` points (a sidecar without ``n_freq`` skips
-that check).
+The sidecar's ``segments`` are type-checked as well, and the CSV's
+segments must be the sidecar's, by id, control and number of bias steps,
+and its frequency axis must have the sidecar's ``n_freq`` points (a
+sidecar without ``n_freq`` skips that check).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import SchemaError
 from .pairfit import PairFitResult
 from .spectro import CONTROLS, SegmentSpec, SpectroscopyDataset
-from .stm import SCHEMA_VERSION, TlsParams, check_schema_version
+from .stm import SCHEMA_VERSION, check_schema_version
 
 #: The columns before the frequencies in the header of a dataset CSV.
 DATASET_COLUMNS = "segment,control,bias_V"
@@ -276,20 +275,8 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
 
 
 def write_ground_truth(tls_list, path) -> None:
-    """JSON list of TlsParams, for round-trip tests against analysis output."""
+    """The simulated defects as TlsParams records, to score analyses by."""
     write_json(path, {"tls": [t.to_dict() for t in tls_list]})
-
-
-def read_ground_truth(path) -> list[TlsParams]:
-    """The defects written by :func:`write_ground_truth`."""
-    path = Path(path)
-    records = _read_json(path).get("tls")
-    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise SchemaError(f"{path.name}: 'tls' is missing or not a list of objects")
-    try:
-        return [TlsParams.from_dict(d) for d in records]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path.name}: {exc}") from None
 
 
 def write_fit_report(records, density_by_class, path, extra: dict) -> None:

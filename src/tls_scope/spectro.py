@@ -45,6 +45,10 @@ if TYPE_CHECKING:
 
 CONTROLS = ("piezo", "global", "sample")
 _CONTROL_ATTR = {"piezo": "v_p", "global": "v_g", "sample": "v_s"}
+#: Largest |end| [V] of the global and piezo ranges: with |gamma_p| <=
+#: ensemble.MAX_GAMMA_P the T1 map's squared detunings stay near 4e21
+#: (rad/us)^2, far below float64 overflow (a 1e300 V range overflowed).
+MAX_RANGE_V = 1e4
 
 
 @dataclass(frozen=True)
@@ -138,9 +142,9 @@ def default_sweep_plan(n_bias: int, order: tuple[str, ...], v_g_range: tuple[flo
     ------
     ConfigError
         On an empty order or an unknown control, fewer than 2 bias
-        steps, a non-finite voltage or range, a division factor that is
-        not positive and finite, or a divided amplitude above the
-        cold-end safety limit.
+        steps, a non-finite amplitude, a range end beyond
+        :data:`MAX_RANGE_V`, a division factor that is not positive and
+        finite, or a divided amplitude above the cold-end safety limit.
     """
     if not order:
         raise ConfigError("the segment order is empty")
@@ -149,10 +153,11 @@ def default_sweep_plan(n_bias: int, order: tuple[str, ...], v_g_range: tuple[flo
         raise ConfigError(f"unknown controls {unknown} in the segment order")
     if n_bias < 2:
         raise ConfigError(f"n_bias must be at least 2, got {n_bias}")
-    for key, value in (("v_g_range", v_g_range), ("v_p_range", v_p_range),
-                       ("v_s_source_amplitude", v_s_source_amplitude)):
-        if not np.all(np.isfinite(value)):
-            raise ConfigError(f"{key} must be finite, got {value}")
+    for key, value in (("v_g_range", v_g_range), ("v_p_range", v_p_range)):
+        if not np.all(np.abs(value) <= MAX_RANGE_V):
+            raise ConfigError(f"{key} ends must lie within +-{MAX_RANGE_V:g} V, got {value}")
+    if not math.isfinite(v_s_source_amplitude):
+        raise ConfigError(f"v_s_source_amplitude must be finite, got {v_s_source_amplitude}")
     if not 0 < division_factor < math.inf:
         raise ConfigError(f"division_factor must be > 0 and finite, got {division_factor}")
     amp = v_s_source_amplitude / division_factor

@@ -208,12 +208,6 @@ class SensorDesign:
         d["schema_version"] = SCHEMA_VERSION
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensorDesign":
-        d = dict(d)
-        check_schema_version(d.pop("schema_version", None), "SensorDesign")
-        return cls(**d)
-
 
 # ---------------------------------------------------------------------------
 # Single-TLS formulas
@@ -270,8 +264,6 @@ def sample_capacitance(design: SensorDesign) -> float:
     No fringe-field correction is applied; measured values of overlap
     capacitors run 10-20% above this.
     """
-    if design.d <= 0:
-        raise ConfigError(f"thickness must be positive, got {design.d}")
     return EPS0 * design.eps_r * design.area / design.d
 
 

@@ -268,11 +268,17 @@ class TestExitCodes:
          "t1_qubit_us must be strictly positive, got 0, which is t1_qubit = 0"),
         ({"eps_r": 0}, "eps_r must be strictly positive, got 0"),
         ({"band_ghz": [6.0, 6.001]}, "frequency axis needs at least 2 points, got 1"),
+        # The first used to exit 0 after numpy's "overflow encountered in
+        # square" in the T1 map's detunings.
+        ({"v_p_range": [1e300, -30.0]},
+         "v_p_range ends must lie within +-10000 V, got (1e+300, -30.0)"),
+        ({"v_g_range": [90.0, -1e5]},
+         "v_g_range ends must lie within +-10000 V, got (90.0, -100000.0)"),
     ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit",
             "infinite-division", "nan-amplitude", "nan-global-range", "infinite-piezo-range",
             "long-band", "short-band", "short-global-range", "empty-order", "zero-thickness",
             "zero-capacitance", "zero-area", "zero-frequency", "zero-t1", "zero-eps",
-            "one-point-band"])
+            "one-point-band", "huge-piezo-range", "huge-global-range"])
     def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
         # A refused run used to leave an empty output directory.
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})

@@ -302,6 +302,54 @@ class TestCrossingGeometry:
             crossing_geometry(pair, bad)
 
 
+def localized_oracle(pair, v_lo, v_hi, n=4001):
+    """(v*, splitting* [MHz], step) of a localized pair on an n-point V_s
+    grid: the argmin of eigvalsh of the 4x4 Hamiltonians, built here."""
+    v = np.linspace(v_lo, v_hi, n)
+    h = 0.5 * pair.g_localized / 1e3 * np.kron(SZ, SZ)
+    for t, place in ((pair.tls1, lambda m: np.kron(m, ID2)), (pair.tls2, lambda m: np.kron(ID2, m))):
+        eps = t.eps_i + t.gamma_s * v
+        h = h + 0.5 * (eps[:, None, None] * place(SZ) + t.delta0 * place(SX))
+    levels = np.linalg.eigvalsh(h)
+    split = levels[:, 2] - levels[:, 1]
+    k = int(np.argmin(split))
+    return v[k], split[k] * 1e3, v[1] - v[0]
+
+
+class TestCrossingOracle:
+    """The geometry benchmark's family of localized pairs: TLS1 at its
+    symmetry point and TLS2 on resonance with it at V_s = 0."""
+
+    def pair(self, seed):
+        rng = np.random.default_rng(seed)
+        delta2 = rng.uniform(4.5, 5.2)
+        return CoupledPair(
+            TlsParams(delta0=5.5, gamma_s=250.0),
+            TlsParams(delta0=delta2, eps_i=np.sqrt(5.5**2 - delta2**2), gamma_s=-40.0),
+            g_localized=rng.uniform(10.0, 40.0),
+        )
+
+    def assert_matches_oracle(self, pair, v_lo, v_hi):
+        sweep = [BiasPoint(v_s=v) for v in np.linspace(v_lo, v_hi, 241)]
+        v_min, s_min = crossing_geometry(pair, sweep)
+        v_star, s_star, dv = localized_oracle(pair, v_lo, v_hi)
+        assert abs(v_min - v_star) <= 2 * dv
+        # The refined minimum may only undercut the grid minimum, and barely.
+        assert s_star * (1 - 1e-4) - 1e-9 <= s_min <= s_star + 1e-9
+        return v_min, v_star
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_crossing_inside_the_sweep(self, seed):
+        self.assert_matches_oracle(self.pair(seed), -1e-3, 1e-3)
+
+    def test_minimum_at_the_sweep_start(self):
+        # The sweep starts past the crossing, so the splitting only grows
+        # along it and every bracket is clamped at index 0.  The answer is
+        # the sweep's start itself, not a point a tolerance inside it.
+        v_min, v_star = self.assert_matches_oracle(self.pair(0), 0.2e-3, 1e-3)
+        assert v_min == v_star == 0.2e-3
+
+
 class TestParameterization:
     def test_exactly_one_parameterization(self):
         t1, t2 = TlsParams(delta0=5.0), TlsParams(delta0=4.0)

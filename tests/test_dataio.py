@@ -1,7 +1,6 @@
 """Dataset CSV round trip and the row and sidecar checks of read_dataset."""
 
 import json
-import math
 import re
 import tempfile
 from pathlib import Path
@@ -13,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from tls_scope import dataio
 from tls_scope.errors import SchemaError
 from tls_scope.spectro import SegmentSpec, SpectroscopyDataset
-from tls_scope.stm import SCHEMA_VERSION, Location, TlsParams
 
 N_FREQ = 7
 
@@ -434,32 +432,3 @@ class TestDamagedFiles:
         with pytest.raises(SchemaError, match=r"\brow 2\b"):
             dataio.read_dataset(path)
 
-
-class TestGroundTruth:
-    def test_round_trip(self, tmp_path):
-        tls = [
-            TlsParams(delta0=5.957, eps_i=-0.2, gamma_p=0.022, gamma_s=161.95,
-                      p_parallel=0.335, location=Location.SAMPLE_DIELECTRIC),
-            TlsParams(delta0=math.pi, gamma1_tls=0.5, location=Location.JUNCTION),
-        ]
-        path = tmp_path / "ground_truth.json"
-        dataio.write_ground_truth(tls, path)
-        assert dataio.read_ground_truth(path) == tls
-
-    @pytest.mark.parametrize("tls, needle", [
-        (None, "'tls' is missing or not a list of objects"),
-        ([5], "'tls' is missing or not a list of objects"),
-        (3, "'tls' is missing or not a list of objects"),
-        ([{"schema_version": SCHEMA_VERSION, "delta0": 1.0, "bogus": 1}], "bogus"),
-        ([{"schema_version": SCHEMA_VERSION, "delta0": -1.0}], "delta0 must be > 0"),
-        ([{"schema_version": SCHEMA_VERSION, "delta0": 1.0, "location": "x"}], "'x'"),
-    ], ids=["no-tls", "number-record", "tls-not-a-list", "unknown-key",
-            "bad-value", "bad-location"])
-    def test_malformed_file_is_a_schema_error(self, tmp_path, tls, needle):
-        payload = {"schema_version": SCHEMA_VERSION}
-        if tls is not None:
-            payload["tls"] = tls
-        path = tmp_path / "ground_truth.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match=f"ground_truth.json: .*{re.escape(needle)}"):
-            dataio.read_ground_truth(path)

@@ -238,10 +238,6 @@ class TestSerialization:
         clone = TlsParams.from_dict(tls.to_dict())
         assert clone == tls
 
-    def test_design_round_trip(self):
-        d = design()
-        assert SensorDesign.from_dict(d.to_dict()) == d
-
     def test_unknown_version_rejected(self):
         payload = TlsParams(delta0=1.0).to_dict()
         payload["schema_version"] = 99
