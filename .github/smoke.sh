@@ -72,6 +72,16 @@ PY
 tls-scope coupled --config c/coupled.json --out c
 test "$(head -n 1 c/crossing_panel_0.csv)" = \
     "bias_V,transition1_GHz,transition2_GHz,model1_GHz,model2_GHz"
+# A TLS field that is not a JSON number exits 2 and names the field.
+python - <<'PY'
+import json, pathlib
+cfg = json.loads(pathlib.Path("c/coupled.json").read_text())
+cfg["tls1"]["gamma_s"] = "x"
+pathlib.Path("bad-tls.json").write_text(json.dumps(cfg))
+PY
+refused 2 bad.err tls-scope coupled --config bad-tls.json --out bad
+grep -q "'tls1': gamma_s must be a number" bad.err
+test ! -e bad
 
 # A removed command exits 2 with argparse's refusal.
 refused 2 gone.err tls-scope plotdata

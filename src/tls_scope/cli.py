@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -116,9 +117,14 @@ def _same_kind(value, default) -> bool:
 
 
 def _tls_from_config(cfg: dict, key: str) -> TlsParams:
-    """The TlsParams under ``cfg[key]``; a bad key or value is a config error."""
+    """The TlsParams under ``cfg[key]``; a bad key or value is a config error.
+    Every field but ``location`` must be a JSON number (a bool is none)."""
     try:
-        return TlsParams.from_dict(cfg[key])
+        spec = dict(cfg[key])
+        for f in fields(TlsParams):
+            if f.name != "location" and f.name in spec and not dataio.is_number(spec[f.name]):
+                raise TypeError(f"{f.name} must be a number, got {spec[f.name]!r}")
+        return TlsParams.from_dict(spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad or missing {key!r}: {exc}") from None
 

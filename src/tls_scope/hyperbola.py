@@ -99,7 +99,7 @@ def _quadratic_starts(volts, freqs, weights) -> list:
             for j, x in zip(why.tolist(), starts)]
 
 
-def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
+def fit_hyperbola(volts, freqs, weights) -> TraceFit:
     """Fit (Delta0, eps_i, gamma) to resonance points along one control.
 
     Parameters
@@ -107,10 +107,10 @@ def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
     volts, freqs : array_like
         Bias voltages [V] and resonance frequencies [GHz], at least
         :data:`MIN_POINTS` points.
-    weights : array_like, optional
-        Relative inverse-variance weights; defaults to uniform.  The
-        reported covariance is rescaled by chi^2/dof, so only the
-        relative weighting matters.
+    weights : array_like
+        Relative inverse-variance weights, one per point.  The reported
+        covariance is rescaled by chi^2/dof, so only the relative
+        weighting matters.
 
     Raises
     ------
@@ -122,7 +122,8 @@ def fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
         ends where the covariance is singular.
     ValueError
         If the arrays are not 1-d of equal length, hold fewer than
-        :data:`MIN_POINTS` points, or a weight is negative.
+        :data:`MIN_POINTS` points, or the weights are not one
+        non-negative value per point.
     """
     (outcome,) = fit_hyperbolas([(volts, freqs, weights)])
     if isinstance(outcome, Exception):
@@ -149,9 +150,9 @@ def fit_hyperbolas(traces) -> list:
             raise ValueError("volts and freqs must be 1-d arrays of equal length")
         if v.size < MIN_POINTS:
             raise ValueError(f"need at least {MIN_POINTS} points to fit a hyperbola")
-        w = np.ones_like(f) if w is None else np.asarray(w, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
+        w = np.asarray(w, dtype=float)
+        if w.shape != f.shape or np.any(w < 0):
+            raise ValueError("weights must be one non-negative value per point")
         checked.append((i, v, f, w))
     if not checked:
         return out

@@ -194,9 +194,8 @@ def default_sweep_plan(n_bias: int, order: tuple[str, ...], v_g_range: tuple[flo
     return plan
 
 
-#: TLS summed per chunk before the chunk is added to the running total.
-#: Part of the summation order the datasets are recorded in, and the
-#: most terms :func:`_chunk_sum` handles.
+#: TLS whose terms a block computes per pass, the length of its term
+#: buffer: of 16, 32 and 64, 16 timed fastest on the 100x-volume map.
 _TLS_CHUNK = 16
 #: Bias steps per block, the unit of work of the map's thread pool.  Each
 #: block gets its own (16, 16, 451) float64 term buffer of about 1 MB,
@@ -217,30 +216,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 (at most 16 long) in numpy's pairwise order.
-
-    Gives the bits of ``np.sum`` over a contiguous axis of the same
-    length: below 8 terms a sequential sum; otherwise eight partial sums
-    r_j = a_j (+ a_{j+8} for 16 terms), reduced as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then any remaining terms added
-    in sequence.  Overwrites ``terms`` and returns a view of its row 0.
-    """
-    k = terms.shape[0]
-    rest = range(1, k)
-    if k >= 8:
-        rest = range(8, k)
-        if k == 16:
-            terms[:8] += terms[8:]
-            rest = ()
-        np.add(terms[0:8:2], terms[1:8:2], out=terms[0:8:2])
-        np.add(terms[0:8:4], terms[2:8:4], out=terms[0:8:4])
-        terms[0] += terms[4]
-    for j in rest:
-        terms[0] += terms[j]
-    return terms[0]
-
-
 def _lorentzian_rate(
     pool: Executor,
     freq_ghz: np.ndarray,
@@ -255,13 +230,13 @@ def _lorentzian_rate(
     returned function waits for them (re-raising a block's exception)
     and gives the (n_bias, n_freq) result.
 
-    Within a block, the terms of 16 TLS at a time are computed TLS-major
-    into the block's own (TLS, bias, freq) buffer with in-place ufuncs,
-    then summed by :func:`_chunk_sum` and added to the block's output
-    rows chunk after chunk.  That is the floating-point order of summing
-    each chunk with ``np.sum`` over a 16-long inner axis, so the grid,
-    and every dataset written from it, is bit-identical to that simpler
-    form; the memory order only avoids its large strided temporaries.
+    Each map cell adds its TLS terms one at a time, in ensemble order, to
+    a running sum that starts at 0.  Within a block, the terms of
+    :data:`_TLS_CHUNK` TLS at a time are computed TLS-major into the
+    block's own (TLS, bias, freq) buffer with in-place ufuncs; the first
+    takes the running sum and ``np.add.reduce`` over the TLS axis adds
+    the rest slab by slab.  So the grid's bits depend on neither
+    :data:`_TLS_CHUNK` nor :data:`_BIAS_BLOCK`.
 
     The detunings of a chunk are one matrix product of the (pairs x 2)
     rows [f_tls, 1] with [1; -f], written into the buffer without
@@ -270,9 +245,8 @@ def _lorentzian_rate(
     removes.  One product pass replaces the short inner loop that a
     broadcast subtraction runs per (TLS, bias) pair.
 
-    The blocks write disjoint rows and their ufuncs release the GIL.
-    Each cell gets the same operations in the same order whatever the
-    pool's size.
+    The blocks write disjoint rows, so the bits do not depend on the
+    pool's size either; their ufuncs release the GIL.
     """
     n_b, n_tls = f_tls_ghz.shape
     n_f = freq_ghz.size
@@ -299,7 +273,8 @@ def _lorentzian_rate(
             np.square(terms, out=terms)
             terms += gamma2_sq[t]
             np.divide(numer[t, b, None], terms, out=terms)
-            out[b] += _chunk_sum(terms)
+            terms[0] += out[b]
+            np.add.reduce(terms, axis=0, out=out[b])
 
     futures = [pool.submit(block, b0) for b0 in range(0, n_b, _BIAS_BLOCK)]
 

@@ -104,14 +104,14 @@ def reference_lm_fit(
     return Fit(params=x, covariance=cov, chi2=chi2, n_iter=it)
 
 
-def reference_fit_hyperbola(volts, freqs, weights=None) -> TraceFit:
+def reference_fit_hyperbola(volts, freqs, weights) -> TraceFit:
     volts = np.asarray(volts, dtype=float)
     freqs = np.asarray(freqs, dtype=float)
     if volts.shape != freqs.shape or volts.ndim != 1:
         raise ValueError("volts and freqs must be 1-d arrays of equal length")
     if volts.size < 5:
         raise ValueError("need at least 5 points to fit a hyperbola")
-    w = np.ones_like(freqs) if weights is None else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
 
     (x0,) = _quadratic_starts(volts[None], freqs[None], w[None])
     if isinstance(x0, DegenerateTrace):
@@ -205,7 +205,7 @@ def mixed_traces(seed=0):
                 g = rng.uniform(10, 300)
                 f = np.hypot(rng.uniform(4.5, 6.5), g * rng.uniform(-2.5e-3, 2.5e-3) + g * v)
                 f = f + rng.normal(0, 2e-3, n)
-            w = rng.uniform(0.1, 5.0, n) if rng.integers(2) else None
+            w = rng.uniform(0.1, 5.0, n) if rng.integers(2) else np.ones(n)
             traces.append((v, f, w))
     return traces
 
@@ -264,9 +264,12 @@ class TestFitHyperbolas:
         assert fit_hyperbolas([]) == []
 
     @pytest.mark.parametrize("bad", [
-        ([0.0, 1.0, 2.0], [5.0, 5.1, 5.2], None),
-        ([0.0, 1.0, 2.0, 3.0, 4.0], [5.0] * 4, None),
+        ([0.0, 1.0, 2.0], [5.0, 5.1, 5.2], np.ones(3)),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [5.0] * 4, np.ones(4)),
         ([0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 5.1, 5.3, 5.6, 6.0], [1.0, 1.0, -1.0, 1.0, 1.0]),
+        # Weights have no default, and one is needed per point.
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 5.1, 5.3, 5.6, 6.0], None),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 5.1, 5.3, 5.6, 6.0], np.ones(4)),
     ])
     def test_malformed_trace_raises(self, mix, bad):
         with pytest.raises(ValueError):
@@ -283,7 +286,6 @@ class TestFitHyperbolas:
 def stacked(traces):
     """(volts, freqs, weights) of equal-length traces as (m, k) arrays."""
     v, f, w = zip(*traces)
-    w = [np.ones(np.size(fi)) if wi is None else wi for fi, wi in zip(f, w)]
     return [np.array(a, dtype=float) for a in (v, f, w)]
 
 

@@ -30,31 +30,35 @@ SMALL = {"band_ghz": [6.0, 6.4], "freq_step_ghz": 0.004, "n_bias": 30,
 #: ``n_freq`` and the batched hyperbola start solve; ``dataset.csv`` alone
 #: re-recorded for the one-line-per-bias-step layout,
 #: ``material_report.json`` alone when its four detection-cut keys went,
-#: and ``fit_report.json`` alone when each record's
-#: ``delta0_lower_bound_only`` key went.
+#: ``fit_report.json`` alone when each record's
+#: ``delta0_lower_bound_only`` key went, and ``dataset.csv``,
+#: ``fit_report.json`` and ``material_report.json`` when the T1 map began
+#: to add its TLS one at a time in ensemble order instead of numpy's
+#: pairwise order per 16 TLS (last bits of the T1 grid, so of the fits).
 EXPECTED_SHA256 = {
     "dataset.csv":
-        "6a3a3e63922066a772df635c6fdb473169966c84873d70d6ee82bc44951d1bf2",
+        "22aef9129b9fbc8736f3df4864391695d742980951a79e11de86e39dcfa34e5a",
     "dataset.csv.meta.json":
         "c1f19a43f3c01fbb56d8409a0cc1eee09c16fe230236263cb22743b335f0bb93",
     "ground_truth.json":
         "1f367622bc76c3e28cb3e9f9c85e5bf74e8ae21bc7977bbf6207227596fb4b56",
     "fit_report.json":
-        "0bd8348c9cdd327a055f469e4bb59df517feffab7eb68772e769665a739b4465",
+        "be3660806809f02b879d060d0be4512e17b7de5f8fd52f8f45aa0c441ae9644f",
     "material_report.json":
-        "49cb16e679b4de58566acc6283ff22538cc96c7666a301eeeca4f334c5ca7272",
+        "1f7aa0f9a9daab9036b367f44a17c95a71c7cc0c558371b469b4352ac53bee18",
 }
 
 
-#: A crowded `generate` config: about 1.4k TLS (many 16-TLS chunks), 24
+#: A crowded `generate` config: about 1.4k TLS (many term-buffer chunks), 24
 #: bias steps (two bias blocks per segment) and global segments whose
 #: rows all repeat, and its output sha256 for `--seed 1` (numpy 2.4,
 #: x86-64), recorded before the T1-map pool became one per map;
-#: ``dataset.csv`` re-recorded for the one-line-per-bias-step layout.
+#: ``dataset.csv`` re-recorded for the one-line-per-bias-step layout, and
+#: again when the T1 map began to add its TLS in ensemble order.
 CROWDED = {"volume_um3": 0.225, "band_ghz": [6.0, 6.1], "n_bias": 24}
 CROWDED_SHA256 = {
     "dataset.csv":
-        "3def1f5d5c77a93e5e2758bb2a42a52ba00398193bb7eb99e18f96e225912765",
+        "d361a16afd914d7a5d6f2bdfb7830ffbcc0037bdc50c22203ec90a4e6321bfa8",
     "dataset.csv.meta.json":
         "c45f2cfa7759a3d4b834abc7b7d0c19bc0d85ed6466699d7ff5a1b3092636d66",
     "ground_truth.json":
@@ -205,6 +209,13 @@ class TestExitCodes:
         ({"delta0": -1}, ["panel.csv"], "'tls1': delta0 must be > 0, got -1"),
         ({"location": "bogus"}, ["panel.csv"], "'tls1': 'bogus' is not a valid Location"),
         ({"p_parallel": -1}, ["panel.csv"], "'tls1': p_parallel is a magnitude"),
+        # These used to end in a numpy traceback, or (a bool) be taken as 1.0.
+        ({"gamma_s": "x"}, ["panel.csv"], "'tls1': gamma_s must be a number, got 'x'"),
+        ({"gamma_s": [1.0, 2.0]}, ["panel.csv"], "'tls1': gamma_s must be a number, got [1.0, 2.0]"),
+        ({"gamma_s": None}, ["panel.csv"], "'tls1': gamma_s must be a number, got None"),
+        ({"gamma_s": {"a": 1}}, ["panel.csv"], "'tls1': gamma_s must be a number, got {'a': 1}"),
+        ({"eps_i": "1"}, ["panel.csv"], "'tls1': eps_i must be a number, got '1'"),
+        ({"delta0": True}, ["panel.csv"], "'tls1': delta0 must be a number, got True"),
     ])
     def test_malformed_coupled_config(self, tmp_path, capsys, tls1, panels, needle):
         tls = {"schema_version": 1, "delta0": 5.9}

@@ -6,6 +6,12 @@ from tls_scope.errors import DegenerateTrace
 from tls_scope.hyperbola import fit_hyperbola
 
 
+
+def fit_uniform(volts, freqs):
+    """``fit_hyperbola`` with uniform weights."""
+    return fit_hyperbola(volts, freqs, np.ones(np.size(freqs)))
+
+
 def hyperbola(v, delta0, eps_i, gamma):
     return np.hypot(delta0, eps_i + gamma * v)
 
@@ -14,7 +20,7 @@ class TestNoiselessRoundTrip:
     def test_supp_table_parameters(self):
         v = np.linspace(-2.5e-3, 2.5e-3, 60)
         f = hyperbola(v, 5.957, 0.05, 161.95)
-        fit = fit_hyperbola(v, f)
+        fit = fit_uniform(v, f)
         assert fit.delta0 == pytest.approx(5.957, rel=1e-6)
         assert fit.gamma == pytest.approx(161.95, rel=1e-6)
         assert fit.eps_at_zero == pytest.approx(0.05, rel=1e-6)
@@ -27,14 +33,14 @@ class TestNoiselessRoundTrip:
             g = rng.uniform(10, 300)
             ei = g * rng.uniform(-0.7, 0.7) * 2.5e-3
             v = np.linspace(-2.5e-3, 2.5e-3, 40)
-            fit = fit_hyperbola(v, hyperbola(v, d0, ei, g))
+            fit = fit_uniform(v, hyperbola(v, d0, ei, g))
             assert fit.delta0 == pytest.approx(d0, rel=1e-6)
             assert fit.gamma == pytest.approx(g, rel=1e-6)
 
     def test_negative_gamma_canonicalized(self):
         v = np.linspace(-2e-3, 2e-3, 30)
         f = hyperbola(v, 5.0, 0.2, -120.0)
-        fit = fit_hyperbola(v, f)
+        fit = fit_uniform(v, f)
         assert fit.gamma == pytest.approx(120.0, rel=1e-6)
         assert fit.eps_at_zero == pytest.approx(-0.2, rel=1e-6)
 
@@ -45,14 +51,14 @@ class TestDegenerateAndErrors:
         v = rng.normal(0, 1e-7, 25)
         f = hyperbola(v, 5.0, 0.0, 161.95) + rng.normal(0, 1e-3, 25)
         with pytest.raises(DegenerateTrace):
-            fit_hyperbola(v, f)
+            fit_uniform(v, f)
 
     def test_flat_trace(self):
         v = np.linspace(-2e-3, 2e-3, 30)
         rng = np.random.default_rng(12)
         f = np.full(30, 6.0) + rng.normal(0, 1e-3, 30)
         with pytest.raises(DegenerateTrace):
-            fit_hyperbola(v, f)
+            fit_uniform(v, f)
 
     @pytest.mark.parametrize("curve", [
         lambda v: 6.0 + 40.0 * v - 2000.0 * v**2,  # f^2 curves down
@@ -61,7 +67,7 @@ class TestDegenerateAndErrors:
     def test_no_hyperbola_through_the_points(self, curve):
         v = np.linspace(-2.4e-3, 2.4e-3, 12)
         with pytest.raises(DegenerateTrace):
-            fit_hyperbola(v, curve(v))
+            fit_uniform(v, curve(v))
 
     @pytest.mark.parametrize("volt", [0.0, 0.1, 1e-3 / 3])
     def test_equal_volts(self, volt):
@@ -69,16 +75,16 @@ class TestDegenerateAndErrors:
         # np.polyfit raised LinAlgError ("SVD did not converge").
         f = 6.0 + np.random.default_rng(14).normal(0, 1e-3, 7)
         with pytest.raises(DegenerateTrace, match="no significant bias dependence"):
-            fit_hyperbola(np.full(7, volt), f)
+            fit_uniform(np.full(7, volt), f)
 
     def test_two_distinct_volts(self):
         v = np.repeat([-1e-3, 1e-3], 4)
         with pytest.raises(DegenerateTrace, match="no significant bias dependence"):
-            fit_hyperbola(v, hyperbola(v, 5.0, 0.1, 100.0))
+            fit_uniform(v, hyperbola(v, 5.0, 0.1, 100.0))
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            fit_hyperbola([0, 1e-3, 2e-3], [5.0, 5.1, 5.2])
+            fit_uniform([0, 1e-3, 2e-3], [5.0, 5.1, 5.2])
 
 
 class TestReparameterization:
@@ -87,8 +93,8 @@ class TestReparameterization:
         v = np.linspace(-2.5e-3, 2.5e-3, 50)
         f = hyperbola(v, 5.5, -0.1, 200.0) + rng.normal(0, 1e-3, 50)
         a, b = 4.2, 0.011
-        fit1 = fit_hyperbola(v, f)
-        fit2 = fit_hyperbola(a * v + b, f)
+        fit1 = fit_uniform(v, f)
+        fit2 = fit_uniform(a * v + b, f)
         assert fit2.gamma * a == pytest.approx(fit1.gamma, rel=1e-9)
         assert fit2.delta0 == pytest.approx(fit1.delta0, rel=1e-9)
         # eps at the transformed zero maps back consistently
@@ -105,8 +111,8 @@ class TestReparameterization:
         v = np.linspace(-2.4e-3, 2.4e-3, n)
         f = hyperbola(v, delta0, eps, signs[0] * gamma)
         a *= signs[1]
-        fit = fit_hyperbola(v, f)
-        mapped = fit_hyperbola(a * v + b, f)
+        fit = fit_uniform(v, f)
+        mapped = fit_uniform(a * v + b, f)
         gamma_m, eps_m = fit.gamma / a, fit.eps_at_zero - fit.gamma * b / a
         if gamma_m < 0:
             gamma_m, eps_m = -gamma_m, -eps_m
@@ -130,7 +136,7 @@ class TestCovarianceCalibration:
             span = max(clean.max() - clean.min(), 1e-9)
             f = clean + rng.normal(0, 0.10 * span, v.size)
             try:
-                fit = fit_hyperbola(v, f)
+                fit = fit_uniform(v, f)
             except DegenerateTrace:
                 continue
             total += 1

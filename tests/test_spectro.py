@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import sys
 import threading
@@ -6,8 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from tls_scope import cli, spectro
 from tls_scope.constants import MHZ_PER_GHZ
@@ -16,7 +15,6 @@ from tls_scope.ensemble import Ensemble, generate_ensemble
 from tls_scope.spectro import (
     _BIAS_BLOCK,
     SegmentSpec,
-    _chunk_sum,
     _lorentzian_rate,
     coupled_pair_t1_map,
     t1_map,
@@ -245,20 +243,16 @@ class TestT1Map:
                        gamma1_background=0.2, noise_sigma=0.0, seed=0, meta_extra={})
 
 
-def chunked_lorentzian_rate(freq_ghz, f_tls_ghz, g_mhz, gamma2_per_us):
-    """Reference: (bias, freq, 16-TLS chunk) terms, np.sum over the chunk."""
-    n_b = f_tls_ghz.shape[0]
-    out = np.zeros((n_b, freq_ghz.size))
+def sequential_lorentzian_rate(freq_ghz, f_tls_ghz, g_mhz, gamma2_per_us):
+    """Reference: each TLS's term added to a running sum, in ensemble order."""
+    out = np.zeros((f_tls_ghz.shape[0], freq_ghz.size))
     g_ang = 2.0 * math.pi * g_mhz  # rad/us
-    for start in range(0, f_tls_ghz.shape[1], 16):
-        sl = slice(start, start + 16)
-        dw = 2.0 * math.pi * MHZ_PER_GHZ * (
-            freq_ghz[None, :, None] - f_tls_ghz[:, None, sl]
-        )  # rad/us
-        g2 = gamma2_per_us[None, None, sl]
-        out += np.sum(
-            2.0 * g_ang[:, None, sl] ** 2 * g2 / (dw**2 + g2**2), axis=2
-        )
+    for j in range(gamma2_per_us.size):
+        dw = 2.0 * math.pi * MHZ_PER_GHZ * (freq_ghz[None, :] - f_tls_ghz[:, j, None])  # rad/us
+        # An array, not a scalar: a numpy scalar's ** 2 calls libm pow,
+        # which can round differently from the product.
+        g2 = gamma2_per_us[j:j + 1]
+        out += 2.0 * g_ang[:, j, None] ** 2 * g2 / (dw**2 + g2**2)
     return out
 
 
@@ -272,12 +266,13 @@ class TestLorentzianKernel:
     @pytest.mark.parametrize("n_bias", [1, _BIAS_BLOCK + 5, 80])
     @pytest.mark.parametrize("n_tls", [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 40])
     def test_bit_identical_to_chunked_sum(self, n_tls, n_bias):
+        # The chunked kernel's sum equals the sequential reference's bits.
         rng = np.random.default_rng(1000 * n_tls + n_bias)
         f_tls = rng.uniform(5.7, 6.8, (n_bias, n_tls))
         g_mhz = rng.uniform(0.0, 2.0, (n_bias, n_tls))
         gamma2 = rng.uniform(1.0, 20.0, n_tls)
         got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
-        want = chunked_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+        want = sequential_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
         assert got.shape == (n_bias, FREQ.size)
         assert np.array_equal(got, want)
 
@@ -298,23 +293,21 @@ class TestLorentzianKernel:
         monkeypatch.setattr(np, "empty", nan_empty)
         got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
         monkeypatch.undo()
-        assert np.array_equal(got, chunked_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2))
+        assert np.array_equal(got, sequential_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2))
 
-    @given(
-        st.integers(1, 16).flatmap(
-            lambda k: hnp.arrays(
-                np.float64,
-                st.tuples(st.integers(1, 4), st.integers(1, 9), st.just(k)),
-                elements=st.floats(-1e6, 1e6, allow_subnormal=False),
-            )
-        )
-    )
-    def test_chunk_sum_replays_numpy_pairwise_order(self, a):
-        # numpy sums a contiguous axis pairwise; _chunk_sum gets the same
-        # terms with that axis first (the TLS-major layout of the kernel).
-        want = a.sum(axis=2)
-        got = _chunk_sum(np.ascontiguousarray(np.moveaxis(a, 2, 0)))
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("n_tls", [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 40])
+    def test_bits_do_not_depend_on_chunk_block_or_worker_count(self, monkeypatch, n_tls):
+        rng = np.random.default_rng(n_tls)
+        f_tls = rng.uniform(5.7, 6.8, (80, n_tls))
+        g_mhz = rng.uniform(0.0, 2.0, f_tls.shape)
+        gamma2 = rng.uniform(1.0, 20.0, n_tls)
+        want = sequential_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+        for chunk, block, workers in itertools.product((1, 5, 16, 64), (1, 16, 50), (1, 2, 7)):
+            monkeypatch.setattr(spectro, "_TLS_CHUNK", chunk)
+            monkeypatch.setattr(spectro, "_BIAS_BLOCK", block)
+            monkeypatch.setattr(spectro, "_usable_cpus", lambda n=workers: n)
+            got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+            assert np.array_equal(got, want), (chunk, block, workers)
 
 
 def cut_plan(n_segments, n_bias):
@@ -372,7 +365,7 @@ class TestWorkerCount:
             got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got, chunked_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2))
+        assert np.array_equal(got, sequential_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2))
 
     def test_bias_limit_error_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(spectro, "_usable_cpus", lambda: 7)
@@ -386,15 +379,16 @@ class TestWorkerCount:
         assert threading.active_count() == before
 
     def test_block_error_propagates_and_leaves_no_thread(self, monkeypatch):
-        def broken(terms):
+        def broken(*args, **kwargs):
             raise FloatingPointError("block failed")
 
         monkeypatch.setattr(spectro, "_usable_cpus", lambda: 7)
-        monkeypatch.setattr(spectro, "_chunk_sum", broken)
         f_tls = np.full((80, 3), 6.0)
         before = threading.active_count()
+        monkeypatch.setattr(np, "matmul", broken)  # the detunings of each block
         with pytest.raises(FloatingPointError, match="block failed"):
             lorentzian_rate(FREQ, f_tls, np.ones_like(f_tls), np.ones(3))
+        monkeypatch.undo()
         assert threading.active_count() == before
 
 
@@ -443,8 +437,8 @@ class TestRepeatedRows:
             v_p, v_g, v_s = seg.bias_vectors()
             _, e_tls = energies(table, v_p[:, None], v_g[:, None], v_s[:, None])
             g_mhz = coupling_mhz(table.p_parallel, table.delta0 / e_tls, field)
-            want = 1.0 / (g1 + chunked_lorentzian_rate(FREQ, e_tls, g_mhz,
-                                                       table.gamma2_tls))
+            want = 1.0 / (g1 + sequential_lorentzian_rate(FREQ, e_tls, g_mhz,
+                                                          table.gamma2_tls))
             for row, want_row in zip(t1, want):
                 assert row.tobytes() == want_row.tobytes()
 
