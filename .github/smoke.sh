@@ -82,6 +82,26 @@ PY
 refused 2 bad.err tls-scope coupled --config bad-tls.json --out bad
 grep -q "'tls1': gamma_s must be a number" bad.err
 test ! -e bad
+# Hand-written TLS records need no schema_version; a sidecar NaN exits 3.
+python - <<'PY'
+import json, pathlib, shutil
+cfg = json.loads(pathlib.Path("c/coupled.json").read_text())
+nan = pathlib.Path("nan")
+nan.mkdir()
+shutil.copy(cfg["panels"][0], nan / "panel.csv")
+meta = json.loads(pathlib.Path(cfg["panels"][0] + ".meta.json").read_text())
+meta["segments"][0]["held"]["v_p"] = float("nan")
+(nan / "panel.csv.meta.json").write_text(json.dumps(meta))
+pathlib.Path("nan-panel.json").write_text(json.dumps({**cfg, "panels": ["nan/panel.csv"]}))
+for key in ("tls1", "tls2"):
+    del cfg[key]["schema_version"]
+pathlib.Path("no-version.json").write_text(json.dumps(cfg))
+PY
+tls-scope coupled --config no-version.json --out nv
+test -s nv/coupled_fit.json
+refused 3 bad.err tls-scope coupled --config nan-panel.json --out bad
+grep -q "panel.csv.meta.json: holds a number that is not finite" bad.err
+test ! -e bad
 
 # A removed command exits 2 with argparse's refusal.
 refused 2 gone.err tls-scope plotdata

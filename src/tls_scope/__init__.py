@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     TlsScopeError,
 )
-from .hyperbola import TraceFit, fit_hyperbola
+from .hyperbola import TraceFit, fit_hyperbolas
 from .metrics import (
     loss_tangent,
     material_report,

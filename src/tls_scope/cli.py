@@ -76,7 +76,7 @@ def _load_config(path, defaults: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
-        if not _finite(value):
+        if not dataio.all_finite(value):
             raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
         if key in defaults and not _same_kind(value, defaults[key]):
             raise ConfigError(
@@ -85,16 +85,6 @@ def _load_config(path, defaults: dict) -> dict:
             )
     cfg.update(raw)
     return cfg
-
-
-def _finite(value) -> bool:
-    """Whether every number in a parsed JSON value is finite; JSON's
-    ``NaN`` and ``Infinity`` and an overflow such as ``1e999`` are not."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, dict):
-        value = list(value.values())
-    return not isinstance(value, list) or all(map(_finite, value))
 
 
 def _same_kind(value, default) -> bool:

@@ -18,7 +18,9 @@ frequency axis and one entry per segment.  The reader takes the axis from
 the header and parses the data lines with one structured ``np.loadtxt``,
 which refuses a line with a cell too many or too few; a file of the
 earlier one-line-per-cell layout is refused by its header.  Readers check
-``schema_version`` on every file and refuse versions they do not know.
+``schema_version`` on every file and refuse versions they do not know,
+and refuse a JSON file with a number that is not finite, which
+:func:`write_json` never writes.
 The sidecar's ``segments`` are type-checked as well, and the CSV's
 segments must be the sidecar's, by id, control and number of bias steps,
 and its frequency axis must have the sidecar's ``n_freq`` points (a
@@ -90,7 +92,8 @@ def write_dataset(ds: SpectroscopyDataset, csv_path) -> None:
 
 
 def _read_json(path: Path) -> dict:
-    """The JSON object in ``path``, if it parses and has our schema_version."""
+    """The JSON object in ``path``, if it parses, has our schema_version
+    and holds only finite numbers, as :func:`write_json` writes them."""
     try:
         obj = json.loads(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -98,12 +101,24 @@ def _read_json(path: Path) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path.name}: expected a JSON object")
     check_schema_version(obj.get("schema_version"), path.name)
+    if not all_finite(obj):
+        raise SchemaError(f"{path.name}: holds a number that is not finite")
     return obj
 
 
 def is_number(x) -> bool:
     """Whether a parsed JSON value is a number (an int or float, not a bool)."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def all_finite(value) -> bool:
+    """Whether every number in a parsed JSON value is finite; JSON's
+    ``NaN`` and ``Infinity`` and an overflow such as ``1e999`` are not."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return not isinstance(value, list) or all(map(all_finite, value))
 
 
 def _segment_meta(meta: dict, name: str) -> list[tuple[str, dict, object]]:
@@ -191,9 +206,10 @@ def read_dataset(csv_path) -> SpectroscopyDataset:
     Raises
     ------
     SchemaError
-        On a missing/strange sidecar (including ``segments`` that is not
-        a list of objects, or a ``held`` or ``direction`` of the wrong
-        type), CSV segment ids other than 0..n-1 for the n sidecar
+        On a missing/strange sidecar (including a number that is not
+        finite anywhere in it, ``segments`` that is not a list of
+        objects, or a ``held`` or ``direction`` of the wrong type), CSV
+        segment ids other than 0..n-1 for the n sidecar
         segments, a segment whose control or number of bias steps is
         not its sidecar entry's, a frequency axis whose length is not
         the sidecar's ``n_freq``, a bad header (the one-line-per-cell

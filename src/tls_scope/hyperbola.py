@@ -7,11 +7,13 @@ A TLS tuned by one control voltage V traces
 in swap-spectroscopy data.  The fit linearizes f^2 as a quadratic in V
 for the starting point, one stacked least-squares solve for all traces
 of a length, and refines with damped Gauss-Newton using the analytic
-Jacobian, all traces of a dataset in one lockstep LM.  A trace whose f^2
-is flat within the noise (or that has fewer than three distinct biases),
-curves down, or has its minimum at or below zero is no hyperbola and
-raises ``DegenerateTrace``.  The model is blind to the joint sign flip
-(eps_i, gamma) -> (-eps_i, -gamma); fits are canonicalized to gamma >= 0.
+Jacobian, all traces of a dataset in one lockstep LM:
+:func:`fit_hyperbolas` is the one fit, of one trace or of many.  A trace
+whose f^2 is flat within the noise (or that has fewer than three
+distinct biases), curves down, or has its minimum at or below zero is no
+hyperbola and gets a ``DegenerateTrace``.  The model is blind to the
+sign of Delta0 and to the joint flip (eps_i, gamma) -> (-eps_i, -gamma);
+fits are canonicalized to Delta0 >= 0 and gamma >= 0.
 Delta0 is the fitted value whether or not the sweep reached the vertex;
 its sigma from the covariance says how well the trace determines it.
 """
@@ -99,47 +101,33 @@ def _quadratic_starts(volts, freqs, weights) -> list:
             for j, x in zip(why.tolist(), starts)]
 
 
-def fit_hyperbola(volts, freqs, weights) -> TraceFit:
-    """Fit (Delta0, eps_i, gamma) to resonance points along one control.
+def fit_hyperbolas(traces) -> list:
+    """Fit (Delta0, eps_i, gamma) to each trace of resonance points along
+    one control.
 
     Parameters
     ----------
-    volts, freqs : array_like
-        Bias voltages [V] and resonance frequencies [GHz], at least
-        :data:`MIN_POINTS` points.
-    weights : array_like
-        Relative inverse-variance weights, one per point.  The reported
-        covariance is rescaled by chi^2/dof, so only the relative
-        weighting matters.
+    traces : sequence of (volts, freqs, weights)
+        Bias voltages [V], resonance frequencies [GHz] and relative
+        inverse-variance weights, one weight per point and at least
+        :data:`MIN_POINTS` points.  The reported covariance is rescaled
+        by chi^2/dof, so only the relative weighting matters.
+
+    Returns per trace a :class:`TraceFit`, or the :class:`DegenerateTrace`
+    if the points carry no significant bias dependence or their f^2 is no
+    upward parabola in V with a positive minimum, or the
+    :class:`NoConvergence` if the refinement stalls (rare once the start
+    is a hyperbola) or ends where J^T W J is singular, so without a
+    covariance.  A trace's result does not depend on the other traces:
+    every trace with a hyperbolic start runs in one lockstep LM, sorted
+    by length and padded to the longest.
 
     Raises
     ------
-    DegenerateTrace
-        If the points carry no significant bias dependence, or their f^2
-        is no upward parabola in V with a positive minimum.
-    NoConvergence
-        If the refinement stalls (rare once the start is a hyperbola), or
-        ends where the covariance is singular.
     ValueError
-        If the arrays are not 1-d of equal length, hold fewer than
-        :data:`MIN_POINTS` points, or the weights are not one
+        If a trace's arrays are not 1-d of equal length, hold fewer than
+        :data:`MIN_POINTS` points, or its weights are not one
         non-negative value per point.
-    """
-    (outcome,) = fit_hyperbolas([(volts, freqs, weights)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def fit_hyperbolas(traces) -> list:
-    """:func:`fit_hyperbola` on each (volts, freqs, weights) of ``traces``.
-
-    Returns per trace the same :class:`TraceFit`, bit for bit, or the
-    :class:`DegenerateTrace` or :class:`NoConvergence` it would raise; a
-    fit that converges where J^T W J is singular has no covariance and is
-    a :class:`NoConvergence` too.
-    Every trace with a hyperbolic start runs in one lockstep LM, sorted
-    by length and padded to the longest.
     """
     out: list = [None] * len(traces)
     checked = []
@@ -195,13 +183,12 @@ def fit_hyperbolas(traces) -> list:
 
 
 def _trace_fit(volts, freqs, x, cov) -> TraceFit:
-    d0, eps_i, gamma = x
-    if gamma < 0:
-        # Canonical sign: the model is invariant under the joint flip.
-        eps_i, gamma = -eps_i, -gamma
-        flip = np.diag([1.0, -1.0, -1.0])
-        cov = flip @ cov @ flip
-    d0 = abs(d0)
+    # Canonical signs, Delta0 >= 0 and gamma >= 0: the model is invariant
+    # under Delta0 -> -Delta0 and under the joint flip of (eps_i, gamma),
+    # and the covariance is reflected with the parameters.
+    flip = np.where(np.signbit(x), -1.0, 1.0)[[0, 2, 2]]
+    d0, eps_i, gamma = flip * x
+    cov = cov * np.outer(flip, flip)
     rms = float(np.sqrt(np.mean((freqs - np.hypot(d0, eps_i + gamma * volts)) ** 2)))
     return TraceFit(delta0=float(d0), eps_at_zero=float(eps_i), gamma=float(gamma),
                     covariance=cov, residual_rms=rms, n_points=int(volts.size))

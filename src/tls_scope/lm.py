@@ -36,16 +36,17 @@ def lm_batch(residuals, jacobian, x0, weights, lengths):
     per run of equal lengths (sort by length to keep runs few).  Returns
     params, covariance s^2 (J^T W J)^-1 with s^2 = chi2 / (n - p) (NaN
     unless converged, and NaN where J^T W J is singular), chi2, n_iter and
-    converged, per problem.
+    converged, per problem.  A problem whose chi2 at ``x0`` is not finite
+    runs no iteration and does not converge.
     """
     x, w, n = np.array(x0, dtype=float), np.asarray(weights, dtype=float), np.asarray(lengths)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     m, p = x.shape
     r = residuals(x, np.arange(m))
-    chi2 = _row_sums(w * r * r, n)
+    chi2 = _chi2(w, r, n)
     lam, n_iter, converged = np.full(m, LAM0), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
-    active, diag = np.arange(m), np.arange(p)
+    active, diag = np.flatnonzero(np.isfinite(chi2)), np.arange(p)
     for it in range(1, MAX_ITER + 1):
         if not active.size:
             break
@@ -66,7 +67,7 @@ def lm_batch(residuals, jacobian, x0, weights, lengths):
                          a[t] + lam[rows[t], None, None] * scale[t], neg_grad[t])
             x_try = x[rows[t]] + step
             r_try = residuals(x_try, rows[t])
-            c_try = _row_sums(w[rows[t]] * r_try * r_try, n[rows[t]])
+            c_try = _chi2(w[rows[t]], r_try, n[rows[t]])
             good = np.isfinite(c_try) & (c_try <= chi2[rows[t]])
             lam[rows[t[~good]]] *= LAM_FACTOR
             t, g, c_new = t[good], rows[t[good]], c_try[good]
@@ -91,9 +92,12 @@ def _runs(n) -> list[tuple[slice, int]]:
     return [(slice(lo, hi), int(n[lo])) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _row_sums(v, n) -> np.ndarray:
-    """Sum of each row of ``v`` over its first ``n`` entries."""
-    return np.concatenate([v[s, :k].sum(axis=1) for s, k in _runs(n)])
+def _chi2(w, r, n) -> np.ndarray:
+    """Sum of w * r^2 of each row over its first ``n`` points; one that
+    overflows is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = w * r * r
+        return np.concatenate([v[s, :k].sum(axis=1) for s, k in _runs(n)])
 
 
 def _normal_equations(jac, w, r, n):

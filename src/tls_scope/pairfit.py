@@ -104,9 +104,10 @@ def panel_points_from_dataset(ds) -> CrossingPanel:
     traces = extract_traces(ds, PANEL_JUMP_LIMIT)
     if not traces:
         raise NoTracesFound("no resonance traces found in the panel")
+    bias = np.asarray(ds.segments[0].bias, dtype=float)
     return CrossingPanel(
         v_p=v_p,
-        v_s=np.concatenate([tr.bias for tr in traces]),
+        v_s=np.concatenate([bias[tr.bias_index] for tr in traces]),
         freq=np.concatenate([tr.freq for tr in traces]),
         weight=np.concatenate([tr.weight for tr in traces]),
     )

@@ -79,7 +79,9 @@ def analyze_dataset(ds: SpectroscopyDataset, thickness_m: float) -> AnalysisResu
         raise OutOfRange("thickness_m", "must be > 0", thickness_m)
     tracks = link_tracks(extract_traces(ds, JUMP_LIMIT), ds)
     # One batch in track order; each track takes the next len(track) fits.
-    fits = iter(fit_hyperbola([(tr.bias, tr.freq, tr.weight) for t in tracks for tr in t]))
+    bias = [seg.bias for seg in ds.segments]
+    fits = iter(fit_hyperbola([(bias[tr.segment][tr.bias_index], tr.freq, tr.weight)
+                               for t in tracks for tr in t]))
     records = [_summarize_track(k, [(tr, next(fits)) for tr in t], ds, thickness_m)
                for k, t in enumerate(tracks)]
 
@@ -89,7 +91,7 @@ def analyze_dataset(ds: SpectroscopyDataset, thickness_m: float) -> AnalysisResu
     for rec, track in zip(records, tracks):
         counts = points.setdefault(rec.location.value, [0] * len(n_bias))
         for tr in track:
-            counts[tr.segment] += len(tr)
+            counts[tr.segment] += tr.freq.size
     return AnalysisResult(
         records=records,
         tracks=tracks,
@@ -116,11 +118,11 @@ def _summarize_track(
     for tr, fit in track:
         segments_seen.add(tr.segment)
         seg = ds.segments[tr.segment]
-        visible[tr.segment] += len(tr) / seg.bias.size  # one point per bias step
+        visible[tr.segment] += tr.freq.size / seg.bias.size  # one point per bias step
         if not isinstance(fit, TraceFit):
             continue  # DegenerateTrace or NoConvergence
         seg_span = abs(float(seg.bias[-1] - seg.bias[0]))
-        per_control[tr.control].append((fit, seg_span))
+        per_control[seg.control].append((fit, seg_span))
 
     responds = {}
     gammas = {}

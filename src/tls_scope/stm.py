@@ -106,7 +106,8 @@ class TlsParams:
     @classmethod
     def from_dict(cls, d: dict) -> "TlsParams":
         d = dict(d)
-        check_schema_version(d.pop("schema_version", None), "TlsParams")
+        if "schema_version" in d:  # a hand-written record may have none
+            check_schema_version(d.pop("schema_version"), "TlsParams")
         d["location"] = Location(d.get("location", "unclassified"))
         return cls(**d)
 

@@ -7,10 +7,11 @@ prediction, which keeps steep traces intact and crossing traces apart.
 Sub-grid frequency refinement uses a three-point parabola on
 log(1/T1), whose peak is locally quadratic for a Lorentzian dip.  A
 segment's points are one flat record of (trace id, bias index, f, w),
-cut into array traces at its end.  Traces leave in the order they
-close, those closing on one bias step in the order they opened, and the
-ones still open at the segment's end come last; traces shorter than the
-hyperbola fit's ``MIN_POINTS`` are dropped.  The tracking rules are the
+cut into array traces at its end; a trace keeps no voltage, as its
+segment holds the control and the bias of each step.  Traces leave in
+the order they close, those closing on one bias step in the order they
+opened, and the ones still open at the segment's end come last; traces
+shorter than the hyperbola fit's ``MIN_POINTS`` are dropped.  The tracking rules are the
 module constants below; only the match window ``jump_limit`` is an
 argument, as crossing panels need a wider one than the survey.
 """
@@ -39,18 +40,14 @@ JUMP_LIMIT = 5.0
 @dataclass(frozen=True, eq=False)
 class Trace:
     """One linked resonance trace inside a single segment: arrays with one
-    entry per bias step it shows at.  ``==`` is identity, as arrays have
-    no single truth value."""
+    entry per bias step it shows at.  Its control and bias voltages are
+    the segment's, ``ds.segments[segment]`` and its ``bias[bias_index]``.
+    ``==`` is identity, as arrays have no single truth value."""
 
     segment: int
-    control: str
     bias_index: np.ndarray
-    bias: np.ndarray
     freq: np.ndarray
     weight: np.ndarray
-
-    def __len__(self) -> int:
-        return self.bias.size
 
 
 def _row_candidates(t1_row: np.ndarray, freq: np.ndarray):
@@ -134,14 +131,12 @@ def extract_traces(ds: SpectroscopyDataset, jump_limit: float) -> list[Trace]:
         rec_id, bias_index, freq, weight = (np.concatenate(col) for col in zip(*record))
         order = np.argsort(rec_id, kind="stable")
         bias_index, freq, weight = bias_index[order], freq[order], weight[order]
-        bias = np.asarray(seg.bias, dtype=float)[bias_index]
         counts = np.bincount(rec_id, minlength=n_ids)
         ends = np.cumsum(counts)
         for k in done:
             if counts[k] >= MIN_POINTS:
                 sl = slice(ends[k] - counts[k], ends[k])
-                traces.append(Trace(s, seg.control, bias_index[sl], bias[sl],
-                                    freq[sl], weight[sl]))
+                traces.append(Trace(s, bias_index[sl], freq[sl], weight[sl]))
     return traces
 
 

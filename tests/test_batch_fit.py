@@ -7,7 +7,8 @@ they no longer keep and the start, which ``reference_fit_hyperbola``
 takes from the batched start solve for its one trace.  Both follow the
 package's rule for a singular J^T W J at the solution: the covariance is
 NaN (where ``pinv``'s zeros used to be), and a hyperbola fit without a
-covariance is a ``NoConvergence``.
+covariance is a ``NoConvergence``; and the hyperbola fit reflects the
+covariance with a negative Delta0, as with a negative gamma.
 ``fit_hyperbolas`` and ``lm_batch`` must give their floats bit for bit,
 and the same exception per trace.  ``reference_quadratic_init`` is the
 per-trace ``np.polyfit`` start that the batched solve replaces.
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tls_scope.errors import DegenerateTrace, NoConvergence
-from tls_scope.hyperbola import TraceFit, _quadratic_starts, fit_hyperbola, fit_hyperbolas
+from tls_scope.hyperbola import TraceFit, _quadratic_starts, _trace_fit, fit_hyperbolas
 from tls_scope import lm
 from tls_scope.lm import LAM0, LAM_FACTOR, _each, lm_batch
 
@@ -140,7 +141,10 @@ def reference_fit_hyperbola(volts, freqs, weights) -> TraceFit:
         eps_i, gamma = -eps_i, -gamma
         flip = np.diag([1.0, -1.0, -1.0])
         cov = flip @ cov @ flip
-    d0 = abs(d0)
+    if d0 < 0:
+        d0 = -d0
+        flip = np.diag([-1.0, 1.0, 1.0])
+        cov = flip @ cov @ flip
     rms = float(np.sqrt(np.mean(residuals((d0, eps_i, gamma)) ** 2)))
     return TraceFit(
         delta0=float(d0),
@@ -255,10 +259,10 @@ class TestFitHyperbolas:
         got = [as_bytes(r) for r in fit_hyperbolas(traces)]
         assert got == expected
 
-    def test_one_trace_case_raises_as_before(self, mix):
+    def test_a_trace_alone_gives_its_batch_outcome(self, mix):
         traces, expected = mix
         for t, e in list(zip(traces, expected))[:40]:
-            assert outcome(fit_hyperbola, *t) == e
+            assert [as_bytes(r) for r in fit_hyperbolas([t])] == [e]
 
     def test_empty_list(self):
         assert fit_hyperbolas([]) == []
@@ -281,6 +285,24 @@ class TestFitHyperbolas:
         traces, expected = small_mix
         got = fit_hyperbolas([traces[i] for i in order])
         assert [as_bytes(g) for g in got] == [expected[i] for i in order]
+
+
+class TestCanonicalSigns:
+    #: A covariance of (delta0, eps_i, gamma) with every entry distinct.
+    COV = np.array([[4.0, 1.5, -0.5], [1.5, 9.0, 2.5], [-0.5, 2.5, 16.0]])
+
+    @pytest.mark.parametrize("signs", [(-1, 1), (-1, -1)], ids=["delta0", "delta0-and-gamma"])
+    def test_the_covariance_is_reflected_with_the_parameters(self, signs):
+        # An LM that ends at Delta0 < 0 used to report |Delta0| with row
+        # and column 0 of the covariance unreflected.
+        s0, s2 = signs
+        v = np.linspace(-2e-3, 2e-3, 9)
+        f = np.hypot(0.01, 0.006 + 0.5 * v)
+        fit = _trace_fit(v, f, np.array([0.01 * s0, 0.006 * s2, 0.5 * s2]), self.COV)
+        assert (fit.delta0, fit.eps_at_zero, fit.gamma) == (0.01, 0.006, 0.5)
+        flip = np.diag([s0, s2, s2])
+        assert np.array_equal(fit.covariance, flip @ self.COV @ flip)
+        assert fit.residual_rms == 0.0
 
 
 def stacked(traces):

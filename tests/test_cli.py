@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -704,6 +705,54 @@ class TestExitCodes:
         assert "singular at the solution" in capsys.readouterr().err
         assert not (tmp_path / "coupled_fit.json").exists()
 
+    def test_coupled_fit_whose_start_overflows(self, coupled_run, tmp_path, capsys):
+        # chi2 overflows at both sign starts.  They used to count as
+        # converged with chi2 = inf: exit 5 for a singular J^T W J, after
+        # numpy's overflow and inf - inf warnings.
+        cfg = write_json(tmp_path / "coupled.json",
+                         {**json.loads((coupled_run[0] / "coupled.json").read_text()),
+                          "g_z0_mhz": 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("coupled", "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_COUPLED
+        err = capsys.readouterr().err
+        assert err == "coupled fit failed: no sign branch of the coupled fit converged\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_coupled_tls_records_need_no_version(self, coupled_run, tmp_path, capsys):
+        # A hand-written record without a schema_version used to exit 3;
+        # one of an unknown version still does.
+        cfg = json.loads((coupled_run[0] / "coupled.json").read_text())
+        for key in ("tls1", "tls2"):
+            del cfg[key]["schema_version"]
+        path = write_json(tmp_path / "coupled.json", cfg)
+        assert run("coupled", "--config", path, "--out", tmp_path / "out") == cli.EXIT_OK
+        assert (tmp_path / "out" / "coupled_fit.json").is_file()
+        cfg["tls2"]["schema_version"] = 99
+        path = write_json(tmp_path / "coupled.json", cfg)
+        assert run("coupled", "--config", path, "--out", tmp_path / "bad") == cli.EXIT_IO
+        assert "file error: TlsParams: unsupported schema_version 99" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    def test_panel_with_non_finite_held_v_p_is_a_file_error(self, coupled_run, tmp_path,
+                                                            capsys):
+        # The reader took a NaN as a number, and the fit at V_p = NaN
+        # exited 5 for a singular J^T W J.
+        out, _code = coupled_run
+        panel = tmp_path / "panel_0.csv"
+        shutil.copy(out / "panel_0.csv", panel)
+        meta = json.loads((out / "panel_0.csv.meta.json").read_text())
+        meta["segments"][0]["held"]["v_p"] = math.nan
+        write_json(tmp_path / "panel_0.csv.meta.json", meta)
+        cfg = write_json(tmp_path / "coupled.json",
+                         {**json.loads((out / "coupled.json").read_text()),
+                          "panels": [str(panel)]})
+        assert run("coupled", "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("file error: panel_0.csv.meta.json: holds a number that is not "
+                              "finite")
+        assert not (tmp_path / "out").exists()
+
     def test_panel_without_held_v_p_is_a_file_error(self, coupled_run, tmp_path, capsys):
         out, _code = coupled_run
         panel = tmp_path / "panel_0.csv"
@@ -939,6 +988,7 @@ def test_generate_loads_no_scipy(tmp_path):
 #: without scipy.
 BLOCK_SCIPY = """
 import sys
+import warnings
 
 class NoScipy:
     def find_spec(self, name, path=None, target=None):

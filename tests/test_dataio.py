@@ -263,6 +263,24 @@ class TestSidecarChecks:
         with pytest.raises(SchemaError, match=f"dataset.csv.meta.json: {needle}"):
             dataio.read_dataset(path)
 
+    @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("where", [("segments", 0, "held", "v_p"), ("note", 1, "a")],
+                             ids=["held", "nested"])
+    def test_non_finite_number_is_refused(self, written, number, where):
+        # write_json refuses these; the reader took a held NaN as a number.
+        _, path = written
+        sidecar = path.with_name(path.name + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        meta["note"] = [1.0, {}]
+        target = meta
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = "@"
+        sidecar.write_text(json.dumps(meta).replace('"@"', number))
+        with pytest.raises(SchemaError, match="dataset.csv.meta.json: holds a number that "
+                                              "is not finite"):
+            dataio.read_dataset(path)
+
     @pytest.mark.parametrize("old, new, ids", [
         ("\n0,sample,", "\n-1,sample,", [-1, 1, 2]),
         ("\n2,global,", "\n3,global,", [0, 1, 3]),

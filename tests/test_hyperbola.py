@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tls_scope.errors import DegenerateTrace
-from tls_scope.hyperbola import fit_hyperbola
-
+from tls_scope.hyperbola import fit_hyperbolas
 
 
 def fit_uniform(volts, freqs):
-    """``fit_hyperbola`` with uniform weights."""
-    return fit_hyperbola(volts, freqs, np.ones(np.size(freqs)))
+    """The fit of one trace with uniform weights; raises what
+    ``fit_hyperbolas`` returns in place of a fit."""
+    (fit,) = fit_hyperbolas([(volts, freqs, np.ones(np.size(freqs)))])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def hyperbola(v, delta0, eps_i, gamma):

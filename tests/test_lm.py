@@ -102,3 +102,13 @@ def test_no_convergence_is_flagged():
         5, residuals, jacobian, [0.0], ftol=0.0, xtol=0.0, gtol=0.0)
     assert not converged
     assert n_iter == 5 and np.isnan(cov).all()
+
+
+def test_a_start_whose_chi2_overflows_does_not_converge():
+    # Its gradient test, GTOL * max(1, inf), used to pass at iteration 1
+    # and flag the problem converged with chi2 = inf.
+    t = np.linspace(0.0, 1.0, 6)
+    params, cov, chi2, n_iter, converged = lm_one(
+        lambda x: 1e200 - x[0] * t, lambda x: -t[:, None], [0.0])
+    assert not converged and n_iter == 0 and chi2 == np.inf
+    assert params.tolist() == [0.0] and np.isnan(cov).all()

@@ -60,7 +60,8 @@ def score_seed(seed):
         report,
         cfg["volume_um3"],
     )
-    traces = [(t.bias, t.freq, t.weight) for track in result.tracks for t in track]
+    traces = [(ds.segments[t.segment].bias[t.bias_index], t.freq, t.weight)
+              for track in result.tracks for t in track]
     return score, [f for f in fit_hyperbolas(traces) if isinstance(f, TraceFit)], result
 
 

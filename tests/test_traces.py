@@ -77,21 +77,19 @@ def reference_extract_traces(ds, threshold=0.25, jump_limit=5.0, min_points=5,
             survivors = []
             for a in active:
                 if i - a["last_i"] > max_gap:
-                    traces.extend(reference_finalize(a, s, seg, min_points))
+                    traces.extend(reference_finalize(a, s, min_points))
                 else:
                     survivors.append(a)
             active = survivors
         for a in active:
-            traces.extend(reference_finalize(a, s, seg, min_points))
+            traces.extend(reference_finalize(a, s, min_points))
     return traces
 
 
-def reference_finalize(a, segment, seg, min_points):
+def reference_finalize(a, segment, min_points):
     if len(a["freq"]) < min_points:
         return []
-    return [Trace(segment=segment, control=seg.control,
-                  bias_index=np.array(a["bias_index"]),
-                  bias=np.array([float(seg.bias[j]) for j in a["bias_index"]]),
+    return [Trace(segment=segment, bias_index=np.array(a["bias_index"]),
                   freq=np.array(a["freq"]), weight=np.array(a["weight"]))]
 
 
@@ -107,8 +105,7 @@ def extract_with(ds, *, threshold=0.25, jump_limit=5.0, min_points=5, max_gap=2,
 def trace_bytes(traces):
     """Every field of every trace, floats as their exact bytes."""
     return [
-        (tr.segment, tr.control, np.asarray(tr.bias_index).tolist(),
-         np.array(tr.bias).tobytes(), np.array(tr.freq).tobytes(),
+        (tr.segment, np.asarray(tr.bias_index).tolist(), np.array(tr.freq).tobytes(),
          np.array(tr.weight).tobytes())
         for tr in traces
     ]
@@ -223,10 +220,8 @@ class TestExtraction:
         n = 30
         ds = dataset([t1_grid([line(5.95, 1.3, n)], n)])
         (tr,) = extract_traces(ds, JUMP_LIMIT)
-        assert tr.bias_index.tolist() == list(range(n))
-        assert tr.control == "sample"
+        assert (tr.segment, tr.bias_index.tolist()) == (0, list(range(n)))
         assert np.allclose(tr.freq, line(5.95, 1.3, n), atol=0.25 * STEP)
-        assert tr.bias.tolist() == ds.segments[0].bias.tolist()
 
     @pytest.mark.parametrize("line_segment", [0, 1])
     def test_a_segment_without_candidates_gives_no_trace(self, line_segment):
@@ -247,7 +242,7 @@ class TestExtraction:
         ds = dataset([t1_grid([line(6.0, 0.5, n, present)], n)])
         traces = extract_with(ds, max_gap=2)
         assert len(traces) == n_traces
-        assert sum(len(tr) for tr in traces) == n - missing
+        assert sum(tr.freq.size for tr in traces) == n - missing
 
     @pytest.mark.parametrize("shown, min_points, n_traces", [
         (4, 5, 0), (5, 5, 1), (5, 6, 0), (6, 6, 1),
@@ -322,9 +317,7 @@ class TestLinkTracks:
             controls=["sample", "piezo"],
         )
         traces = extract_traces(ds, JUMP_LIMIT)
-        assert [(tr.segment, tr.control) for tr in traces] == [
-            (0, "sample"), (1, "piezo"), (1, "piezo"),
-        ]
+        assert [tr.segment for tr in traces] == [0, 1, 1]
         tracks = link_tracks(traces, ds)
         assert len(tracks) == 2
         chained = next(t for t in tracks if len(t) == 2)
