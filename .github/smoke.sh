@@ -40,6 +40,11 @@ echo '{"v_p_range": [1e300, -30.0]}' > huge-range.json
 refused 2 bad.err tls-scope generate --config huge-range.json --out bad
 grep -q "v_p_range" bad.err
 test ! -e bad
+# 1/T1 overflows: the background rate is refused by the key it came from.
+echo '{"t1_qubit_us": 1e-320}' > tiny-t1.json
+refused 2 bad.err tls-scope generate --config tiny-t1.json --out bad
+grep -q "t1_qubit_us must be finite and > 0" bad.err
+test ! -e bad
 # The tracking rules are constants, not fit config keys.
 echo '{"threshold": 0.3}' > threshold.json
 refused 2 bad.err tls-scope fit g/dataset.csv --config threshold.json --out bad

@@ -229,9 +229,10 @@ def simulate(cfg: dict, seed: int):
                           f"(segments x n_bias x frequencies), more than {MAX_MAP_CELLS}")
     design = _sensor_design(cfg, "thickness_nm", "t1_qubit_us")
     ensemble = generate_ensemble(ensemble_config(cfg), seed=seed)
-    ds = t1_map(ensemble, design, sweep_plan(cfg), np.arange(band[0], stop, step),
-                gamma1_background=1.0 / cfg["t1_qubit_us"], noise_sigma=cfg["noise_sigma"],
-                seed=seed, meta_extra={"config": cfg})
+    with _keys_as_written(cfg, {"gamma1_background": "t1_qubit_us"}):
+        ds = t1_map(ensemble, design, sweep_plan(cfg), np.arange(band[0], stop, step),
+                    gamma1_background=1.0 / cfg["t1_qubit_us"], noise_sigma=cfg["noise_sigma"],
+                    seed=seed, meta_extra={"config": cfg})
     return ensemble, ds
 
 

@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import MHZ_PER_GHZ
 from .coupled import CoupledPair, transitions_truncated
 from .ensemble import Ensemble
-from .errors import ConfigError
+from .errors import ConfigError, OutOfRange
 from .stm import (
     V_S_LIMIT,
     SensorDesign,
@@ -39,9 +37,6 @@ from .stm import (
     coupling_mhz,
     energies,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 CONTROLS = ("piezo", "global", "sample")
 _CONTROL_ATTR = {"piezo": "v_p", "global": "v_g", "sample": "v_s"}
@@ -98,7 +93,7 @@ class SpectroscopyDataset:
         validate_freq_axis(self.freq_ghz)
         if len(self.t1_us) != len(self.segments):
             raise ValueError("one T1 grid per segment required")
-        for seg, t1 in zip(self.segments, self.t1_us):
+        for s, (seg, t1) in enumerate(zip(self.segments, self.t1_us)):
             if t1.shape != (seg.bias.size, self.freq_ghz.size):
                 raise ValueError("T1 grid shape mismatch")
             if np.any(np.isinf(t1)):
@@ -106,9 +101,10 @@ class SpectroscopyDataset:
             finite = np.isfinite(t1)
             if np.any(t1[finite] <= 0):
                 raise ConfigError("T1 values must be positive or NaN")
-            missing = 1.0 - finite.mean(axis=1)
-            if np.any(missing >= 0.5):
-                raise ConfigError("a trace is more than half missing")
+            half_missing = np.flatnonzero(1.0 - finite.mean(axis=1) >= 0.5)
+            if half_missing.size:
+                raise ConfigError(f"segment {s}, bias step {half_missing[0]}: half or more "
+                                  "of its T1 values are missing")
 
     @property
     def grid_step_ghz(self) -> float:
@@ -197,9 +193,9 @@ def default_sweep_plan(n_bias: int, order: tuple[str, ...], v_g_range: tuple[flo
 #: TLS whose terms a block computes per pass, the length of its term
 #: buffer: of 16, 32 and 64, 16 timed fastest on the 100x-volume map.
 _TLS_CHUNK = 16
-#: Bias steps per block, the unit of work of the map's thread pool.  Each
-#: block gets its own (16, 16, 451) float64 term buffer of about 1 MB,
-#: small enough to stay in a per-core L2 cache.
+#: Bias steps of a segment per task of the map's thread pool.  Each task
+#: holds its block's lines and a (16, 16, 451) float64 term buffer of
+#: about 1 MB, small enough to stay in a per-core L2 cache.
 _BIAS_BLOCK = 16
 #: Largest log-normal noise sigma.  numpy's normal draw is bounded,
 #: |z| <= 13.7 (its tail sample takes the log of a 53-bit uniform), so
@@ -216,37 +212,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _lorentzian_rate(
-    pool: Executor,
-    freq_ghz: np.ndarray,
-    f_tls_ghz: np.ndarray,
-    g_mhz: np.ndarray,
-    gamma2_per_us: np.ndarray,
-) -> Callable[[], np.ndarray]:
+def _lorentzian_rate(freq_ghz: np.ndarray, f_tls_ghz: np.ndarray, g_mhz: np.ndarray,
+                     gamma2_per_us: np.ndarray) -> np.ndarray:
     """Summed TLS relaxation-rate increment [1/us] on a (bias, freq) grid.
 
-    ``f_tls_ghz`` and ``g_mhz`` are (n_bias, n_tls).  The blocks of
-    :data:`_BIAS_BLOCK` bias steps are submitted to ``pool``; the
-    returned function waits for them (re-raising a block's exception)
-    and gives the (n_bias, n_freq) result.
+    ``f_tls_ghz`` and ``g_mhz`` are (n_bias, n_tls); the map passes one
+    block of at most :data:`_BIAS_BLOCK` bias steps at a time.
 
     Each map cell adds its TLS terms one at a time, in ensemble order, to
-    a running sum that starts at 0.  Within a block, the terms of
-    :data:`_TLS_CHUNK` TLS at a time are computed TLS-major into the
-    block's own (TLS, bias, freq) buffer with in-place ufuncs; the first
-    takes the running sum and ``np.add.reduce`` over the TLS axis adds
-    the rest slab by slab.  So the grid's bits depend on neither
-    :data:`_TLS_CHUNK` nor :data:`_BIAS_BLOCK`.
+    a running sum that starts at 0.  The terms of :data:`_TLS_CHUNK` TLS
+    at a time are computed TLS-major into one (TLS, bias, freq) buffer
+    with in-place ufuncs; the first takes the running sum and
+    ``np.add.reduce`` over the TLS axis adds the rest slab by slab.  So a
+    row's bits depend neither on :data:`_TLS_CHUNK` nor on the other rows
+    computed with it.
 
     The detunings of a chunk are one matrix product of the (pairs x 2)
     rows [f_tls, 1] with [1; -f], written into the buffer without
     reading it.  Both products are exact, so each cell is f_tls - f
     rounded once: the negative of f - f_tls, whose sign the square
     removes.  One product pass replaces the short inner loop that a
-    broadcast subtraction runs per (TLS, bias) pair.
-
-    The blocks write disjoint rows, so the bits do not depend on the
-    pool's size either; their ufuncs release the GIL.
+    broadcast subtraction runs per (TLS, bias) pair.  The ufuncs release
+    the GIL, so the map's blocks run in parallel threads.
     """
     n_b, n_tls = f_tls_ghz.shape
     n_f = freq_ghz.size
@@ -257,52 +244,45 @@ def _lorentzian_rate(
     gamma2_sq = (gamma2_per_us**2)[:, None, None]
     f_tls = f_tls_ghz.T
     minus_freq = np.stack((np.ones(n_f), -freq_ghz))
-
-    def block(b0: int) -> None:
-        b = slice(b0, b0 + _BIAS_BLOCK)
-        n_rows = min(_BIAS_BLOCK, n_b - b0)
-        pairs = np.ones((_TLS_CHUNK, n_rows, 2))
-        buf = np.empty((_TLS_CHUNK, n_rows, n_f))
-        for t0 in range(0, n_tls, _TLS_CHUNK):
-            t = slice(t0, t0 + _TLS_CHUNK)
-            k = min(_TLS_CHUNK, n_tls - t0)
-            pairs[:k, :, 0] = f_tls[t, b]
-            terms = buf[:k]
-            np.matmul(pairs[:k].reshape(-1, 2), minus_freq, out=terms.reshape(-1, n_f))
-            terms *= omega_per_ghz  # detuning -dw, rad/us
-            np.square(terms, out=terms)
-            terms += gamma2_sq[t]
-            np.divide(numer[t, b, None], terms, out=terms)
-            terms[0] += out[b]
-            np.add.reduce(terms, axis=0, out=out[b])
-
-    futures = [pool.submit(block, b0) for b0 in range(0, n_b, _BIAS_BLOCK)]
-
-    def result() -> np.ndarray:
-        for future in futures:
-            future.result()
-        return out
-
-    return result
+    pairs = np.ones((_TLS_CHUNK, n_b, 2))
+    buf = np.empty((_TLS_CHUNK, n_b, n_f))
+    for t0 in range(0, n_tls, _TLS_CHUNK):
+        t = slice(t0, t0 + _TLS_CHUNK)
+        k = min(_TLS_CHUNK, n_tls - t0)
+        pairs[:k, :, 0] = f_tls[t]
+        terms = buf[:k]
+        np.matmul(pairs[:k].reshape(-1, 2), minus_freq, out=terms.reshape(-1, n_f))
+        terms *= omega_per_ghz  # detuning -dw, rad/us
+        np.square(terms, out=terms)
+        terms += gamma2_sq[t]
+        np.divide(numer[t, :, None], terms, out=terms)
+        terms[0] += out
+        np.add.reduce(terms, axis=0, out=out)
+    return out
 
 
 def _simulate(plan, freq, lines, gamma1_background, noise_sigma, seeds, meta):
     """The dataset of T1 grids over the segments of ``plan``.
 
-    Per segment, ``lines(v_p, v_g, v_s)`` gives over its bias steps the
+    ``lines(v_p, v_g, v_s)`` gives over the bias steps it is passed the
     (bias, line) frequencies [GHz] and couplings [MHz] of the lines, and
     their Gamma2 [1/us], one per line.  T1 = 1/(Gamma1_bg + rate); with
     ``noise_sigma`` > 0 each segment draws its log-normal noise from its
     own ``SeedSequence`` of ``seeds``.  ``meta`` is added to the common
     sidecar keys and wins over them.
 
-    One thread pool serves the whole map, of one worker per usable CPU
-    and at most one per bias block of the plan.  A segment's blocks are
-    submitted before the previous segment is waited for, so no worker
-    idles at a segment's end, and at most two segments' lines are held.
-    A bias row whose line frequencies and couplings equal those of the
-    row before it has the same rate row, so only the first of each run
-    of equal rows is computed.
+    The map is one pass of a thread pool, of one worker per usable CPU
+    and at most one per task, over the (segment, bias block) tasks of
+    the plan.  A task computes the lines of its :data:`_BIAS_BLOCK` bias
+    steps and the rate rows of its block; a row whose line frequencies
+    and couplings equal those of the row before it in the block has the
+    same rate row, so only the first of each run of equal rows is
+    computed.  No more than one block of lines per worker is held.
+
+    Raises
+    ------
+    OutOfRange
+        On a ``gamma1_background`` that is not finite and > 0.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -311,31 +291,28 @@ def _simulate(plan, freq, lines, gamma1_background, noise_sigma, seeds, meta):
     if not 0 <= noise_sigma <= MAX_NOISE_SIGMA:
         raise ConfigError(f"noise_sigma must be non-negative and at most {MAX_NOISE_SIGMA}, "
                           f"got {noise_sigma}")
-    grids = []
+    if not 0 < gamma1_background < math.inf:
+        raise OutOfRange("gamma1_background", "must be finite and > 0", gamma1_background)
 
-    def finish(rate, rows, seed_seq):
-        t1 = 1.0 / (gamma1_background + rate()[rows])
-        if noise_sigma > 0:
-            z = np.random.default_rng(seed_seq).standard_normal(t1.shape)
-            t1 = t1 * np.exp(noise_sigma * z)
-        grids.append(t1)
-
-    def submit(pool, seg):
-        f_tls, g_mhz, gamma2 = lines(*seg.bias_vectors())
-        new = np.ones(seg.bias.size, dtype=bool)
+    def block(task):
+        seg, b0 = task
+        f_tls, g_mhz, gamma2 = lines(*(v[b0:b0 + _BIAS_BLOCK] for v in seg.bias_vectors()))
+        new = np.ones(f_tls.shape[0], dtype=bool)
         new[1:] = np.any((f_tls[1:] != f_tls[:-1]) | (g_mhz[1:] != g_mhz[:-1]), axis=1)
-        rate = _lorentzian_rate(pool, freq, f_tls[new], g_mhz[new], gamma2)
-        return rate, np.cumsum(new) - 1  # the computed row of each bias step
+        rate = _lorentzian_rate(freq, f_tls[new], g_mhz[new], gamma2)
+        return rate[np.cumsum(new) - 1]  # the computed row of each bias step
 
-    n_blocks = sum(-(-seg.bias.size // _BIAS_BLOCK) for seg in plan)
-    with ThreadPoolExecutor(min(_usable_cpus(), n_blocks)) as pool:
-        pending = None
-        for seg, seed_seq in zip(plan, seeds):
-            submitted = (*submit(pool, seg), seed_seq)
-            if pending:
-                finish(*pending)
-            pending = submitted
-        finish(*pending)
+    starts = [range(0, seg.bias.size, _BIAS_BLOCK) for seg in plan]
+    tasks = [(seg, b0) for seg, b0s in zip(plan, starts) for b0 in b0s]
+    grids = []
+    with ThreadPoolExecutor(min(_usable_cpus(), len(tasks))) as pool:
+        rates = pool.map(block, tasks)
+        for b0s, seed_seq in zip(starts, seeds):
+            t1 = 1.0 / (gamma1_background + np.concatenate([next(rates) for _ in b0s]))
+            if noise_sigma > 0:
+                z = np.random.default_rng(seed_seq).standard_normal(t1.shape)
+                t1 = t1 * np.exp(noise_sigma * z)
+            grids.append(t1)
     meta = {"noise_sigma": noise_sigma, "gamma1_background_per_us": gamma1_background,
             **meta}
     return SpectroscopyDataset(segments=tuple(plan), freq_ghz=freq, t1_us=tuple(grids),

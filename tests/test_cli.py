@@ -278,6 +278,10 @@ class TestExitCodes:
         ({"f10_ghz": 0}, "f10_ghz must be strictly positive, got 0, which is omega10 = 0.0"),
         ({"t1_qubit_us": 0},
          "t1_qubit_us must be strictly positive, got 0, which is t1_qubit = 0"),
+        # 1/T1 overflows to inf: this used to exit 2 with "T1 values must be
+        # positive or NaN", which names no key.
+        ({"t1_qubit_us": 1e-320},
+         "t1_qubit_us must be finite and > 0, got 1e-320, which is gamma1_background = inf"),
         ({"eps_r": 0}, "eps_r must be strictly positive, got 0"),
         ({"band_ghz": [6.0, 6.001]}, "frequency axis needs at least 2 points, got 1"),
         # The first used to exit 0 after numpy's "overflow encountered in
@@ -289,8 +293,8 @@ class TestExitCodes:
     ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit",
             "infinite-division", "nan-amplitude", "nan-global-range", "infinite-piezo-range",
             "long-band", "short-band", "short-global-range", "empty-order", "zero-thickness",
-            "zero-capacitance", "zero-area", "zero-frequency", "zero-t1", "zero-eps",
-            "one-point-band", "huge-piezo-range", "huge-global-range"])
+            "zero-capacitance", "zero-area", "zero-frequency", "zero-t1", "tiny-t1",
+            "zero-eps", "one-point-band", "huge-piezo-range", "huge-global-range"])
     def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
         # A refused run used to leave an empty output directory.
         cfg = write_json(tmp_path / "bad.json", {**SMALL, **override})

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tls_scope import dataio
+from tls_scope import cli, dataio
 from tls_scope.errors import SchemaError
 from tls_scope.spectro import SegmentSpec, SpectroscopyDataset
 
@@ -240,6 +240,38 @@ class TestRowChecks:
         path.write_text(path.read_text().split("\n")[0] + "\n")
         with pytest.raises(SchemaError, match="no rows"):
             dataio.read_dataset(path)
+
+    @staticmethod
+    def with_missing_cells(tmp_path, n_missing):
+        """A dataset file of two segments and 8 frequencies whose bias step
+        1 of segment 1 has ``n_missing`` cells ``nan``."""
+        n_freq = 8
+        ds = SpectroscopyDataset(
+            segments=(SegmentSpec("sample", np.array([1e-3, 2e-3]), {"v_p": 0.0, "v_g": 0.0}),
+                      SegmentSpec("piezo", np.array([1.0, 2.0, 3.0]),
+                                  {"v_g": 0.0, "v_s": 2e-3})),
+            freq_ghz=5.0 + 0.25 * np.arange(n_freq),
+            t1_us=(np.ones((2, n_freq)), np.ones((3, n_freq))),
+        )
+        path = tmp_path / "dataset.csv"
+        dataio.write_dataset(ds, path)
+        fields = path.read_text().split("\n")[4].split(",")  # file line 5
+        fields[3:3 + n_missing] = ["nan"] * n_missing
+        replace_line(path, 5, ",".join(fields))
+        return path
+
+    def test_half_a_bias_step_missing_is_refused(self, tmp_path, capsys):
+        # The check is "half or more"; it used to say "a trace is more than
+        # half missing" and name neither the segment nor the step.
+        path = self.with_missing_cells(tmp_path, 4)
+        assert cli.main(["fit", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "segment 1, bias step 1: half or more of its T1 values are missing" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_just_under_half_a_bias_step_missing_reads(self, tmp_path):
+        back = dataio.read_dataset(self.with_missing_cells(tmp_path, 3))
+        assert np.isnan(back.t1_us[1]).sum(axis=1).tolist() == [0, 3, 0]
 
 
 class TestSidecarChecks:

@@ -10,7 +10,7 @@ import pytest
 
 from tls_scope import cli, spectro
 from tls_scope.constants import MHZ_PER_GHZ
-from tls_scope.errors import ConfigError
+from tls_scope.errors import ConfigError, OutOfRange
 from tls_scope.ensemble import Ensemble, generate_ensemble
 from tls_scope.spectro import (
     _BIAS_BLOCK,
@@ -256,12 +256,6 @@ def sequential_lorentzian_rate(freq_ghz, f_tls_ghz, g_mhz, gamma2_per_us):
     return out
 
 
-def lorentzian_rate(*args):
-    """``_lorentzian_rate`` on a pool of ``_usable_cpus()`` workers, waited for."""
-    with concurrent.futures.ThreadPoolExecutor(spectro._usable_cpus()) as pool:
-        return _lorentzian_rate(pool, *args)()
-
-
 class TestLorentzianKernel:
     @pytest.mark.parametrize("n_bias", [1, _BIAS_BLOCK + 5, 80])
     @pytest.mark.parametrize("n_tls", [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 40])
@@ -271,7 +265,7 @@ class TestLorentzianKernel:
         f_tls = rng.uniform(5.7, 6.8, (n_bias, n_tls))
         g_mhz = rng.uniform(0.0, 2.0, (n_bias, n_tls))
         gamma2 = rng.uniform(1.0, 20.0, n_tls)
-        got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+        got = _lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
         want = sequential_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
         assert got.shape == (n_bias, FREQ.size)
         assert np.array_equal(got, want)
@@ -291,23 +285,21 @@ class TestLorentzianKernel:
         g_mhz = rng.uniform(0.0, 2.0, f_tls.shape)
         gamma2 = rng.uniform(1.0, 20.0, 40)
         monkeypatch.setattr(np, "empty", nan_empty)
-        got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+        got = _lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
         monkeypatch.undo()
         assert np.array_equal(got, sequential_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2))
 
     @pytest.mark.parametrize("n_tls", [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 40])
-    def test_bits_do_not_depend_on_chunk_block_or_worker_count(self, monkeypatch, n_tls):
+    def test_bits_do_not_depend_on_the_chunk(self, monkeypatch, n_tls):
         rng = np.random.default_rng(n_tls)
         f_tls = rng.uniform(5.7, 6.8, (80, n_tls))
         g_mhz = rng.uniform(0.0, 2.0, f_tls.shape)
         gamma2 = rng.uniform(1.0, 20.0, n_tls)
         want = sequential_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
-        for chunk, block, workers in itertools.product((1, 5, 16, 64), (1, 16, 50), (1, 2, 7)):
+        for chunk in (1, 5, 16, 64):
             monkeypatch.setattr(spectro, "_TLS_CHUNK", chunk)
-            monkeypatch.setattr(spectro, "_BIAS_BLOCK", block)
-            monkeypatch.setattr(spectro, "_usable_cpus", lambda n=workers: n)
-            got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
-            assert np.array_equal(got, want), (chunk, block, workers)
+            got = _lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+            assert np.array_equal(got, want), chunk
 
 
 def cut_plan(n_segments, n_bias):
@@ -317,19 +309,51 @@ def cut_plan(n_segments, n_bias):
     return [replace(seg, bias=seg.bias[:n_bias]) for seg in plan]
 
 
+def segment(control, bias):
+    held = {"v_p": 20.0, "v_g": 10.0, "v_s": 1e-3}
+    del held[{"piezo": "v_p", "global": "v_g", "sample": "v_s"}[control]]
+    return SegmentSpec(control=control, bias=np.asarray(bias, dtype=float), held=held)
+
+
+def reference_grids(ensemble, design, plan, gamma1_background):
+    """The noiseless T1 grids of ``t1_map``, every bias row of a segment
+    computed at once by the sequential reference."""
+    field = capacitor_field_rms(design)
+    table = TlsTable.of(ensemble.tls_list)
+    grids = []
+    for seg in plan:
+        v_p, v_g, v_s = seg.bias_vectors()
+        _, e_tls = energies(table, v_p[:, None], v_g[:, None], v_s[:, None])
+        g_mhz = coupling_mhz(table.p_parallel, table.delta0 / e_tls, field)
+        rate = sequential_lorentzian_rate(FREQ, e_tls, g_mhz, table.gamma2_tls)
+        grids.append(1.0 / (gamma1_background + rate))
+    return grids
+
+
+#: An interacting pair whose two branches cross inside the cold-end window.
+PAIR = CoupledPair(
+    TlsParams(delta0=5.957, gamma_s=161.95, gamma_p=0.022, p_parallel=0.335,
+              location=Location.SAMPLE_DIELECTRIC),
+    TlsParams(delta0=5.440, eps_i=2.55, gamma_s=92.25, p_parallel=0.191,
+              location=Location.SAMPLE_DIELECTRIC),
+    g_z=25.0, g_x=-19.0)
+PANEL_FREQ = np.arange(5.90, 6.05, 0.001)
+
+
 class TestWorkerCount:
-    """The bias blocks of a map run in one thread pool; the grids must not
-    depend on its size, and no thread may outlive a call."""
+    """A map is one thread pool's pass over (segment, bias block) tasks;
+    the grids must depend on neither the block size nor the pool's size,
+    and no thread may outlive a call."""
 
     #: About 60 TLS: several 16-TLS chunks, the last one partial.
     ENSEMBLE = generate_ensemble(
         replace(cli.ensemble_config(cli.GENERATE_DEFAULTS), volume_um3=9e-3), seed=3)
 
-    @pytest.mark.parametrize("n_bias", [1, _BIAS_BLOCK + 5, 80])
-    @pytest.mark.parametrize("n_segments", [1, 3, 8])
-    def test_grids_do_not_depend_on_the_worker_count(
-        self, monkeypatch, n_segments, n_bias
-    ):
+    @staticmethod
+    def grids_per_block_and_worker_count(monkeypatch, n_biases, simulate):
+        """The grid bytes of ``simulate()`` for each bias block of 1, 16 and
+        50 steps and each pool of 1, 2 and 7 workers; ``n_biases`` are the
+        segments' bias step counts."""
         sizes = []
 
         class SizedPool(concurrent.futures.ThreadPoolExecutor):
@@ -338,34 +362,54 @@ class TestWorkerCount:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SizedPool)
-        plan = cut_plan(n_segments, n_bias)
-        n_blocks = n_segments * -(-n_bias // _BIAS_BLOCK)
         grids = []
-        for workers in (1, 2, 7):
+        for block, workers in itertools.product((1, 16, 50), (1, 2, 7)):
+            monkeypatch.setattr(spectro, "_BIAS_BLOCK", block)
             monkeypatch.setattr(spectro, "_usable_cpus", lambda n=workers: n)
             sizes.clear()
-            ds = t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
-                        noise_sigma=0.1, seed=5, meta_extra={})
-            grids.append([t1.tobytes() for t1 in ds.t1_us])
-            assert sizes == [min(workers, n_blocks)]  # one pool per map
+            grids.append([t1.tobytes() for t1 in simulate().t1_us])
+            n_tasks = sum(-(-n // block) for n in n_biases)
+            assert sizes == [min(workers, n_tasks)], (block, workers)  # one pool per map
+        return grids
+
+    @pytest.mark.parametrize("n_bias", [1, _BIAS_BLOCK + 5, 80])
+    @pytest.mark.parametrize("n_segments", [1, 3, 8])
+    def test_grids_do_not_depend_on_blocks_or_workers(self, monkeypatch, n_segments, n_bias):
+        plan = cut_plan(n_segments, n_bias)
+        grids = self.grids_per_block_and_worker_count(
+            monkeypatch, [n_bias] * n_segments,
+            lambda: t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
+                           noise_sigma=0.1, seed=5, meta_extra={}))
         assert len(self.ENSEMBLE.tls_list) > 2 * spectro._TLS_CHUNK
-        assert grids[0] == grids[1] == grids[2]
+        assert all(g == grids[0] for g in grids)
+
+    @pytest.mark.parametrize("n_bias", [1, _BIAS_BLOCK + 5, 80])
+    def test_coupled_panel_does_not_depend_on_blocks_or_workers(self, monkeypatch, n_bias):
+        v_s = np.linspace(-2.4e-3, 2.4e-3, n_bias)
+        grids = self.grids_per_block_and_worker_count(
+            monkeypatch, [n_bias],
+            lambda: coupled_pair_t1_map(PAIR, v_s, 0.0, PANEL_FREQ, field_rms=90.0,
+                                        gamma1_background=1 / 4.3, noise_sigma=0.1, seed=3))
+        assert all(g == grids[0] for g in grids)
 
     def test_many_workers_with_frequent_switches(self, monkeypatch):
         # More workers than cores and a thread switch every microsecond: a
-        # block that wrote outside its own rows would lose updates.
+        # task whose rows landed in another block's place would show.
         monkeypatch.setattr(spectro, "_usable_cpus", lambda: 7)
-        rng = np.random.default_rng(11)
-        f_tls = rng.uniform(5.7, 6.8, (7 * _BIAS_BLOCK, 40))
-        g_mhz = rng.uniform(0.0, 2.0, f_tls.shape)
-        gamma2 = rng.uniform(1.0, 20.0, 40)
+        plan = [segment("piezo", np.linspace(-30.0, 90.0, 7 * _BIAS_BLOCK)),
+                segment("sample", np.linspace(-2e-3, 2e-3, 3 * _BIAS_BLOCK + 1))]
+        before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = lorentzian_rate(FREQ, f_tls, g_mhz, gamma2)
+            ds = t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
+                        noise_sigma=0.0, seed=0, meta_extra={})
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got, sequential_lorentzian_rate(FREQ, f_tls, g_mhz, gamma2))
+        assert threading.active_count() == before
+        want = reference_grids(self.ENSEMBLE, DESIGN, plan, 1 / 4.3)
+        for t1, want_t1 in zip(ds.t1_us, want, strict=True):
+            assert t1.tobytes() == want_t1.tobytes()
 
     def test_bias_limit_error_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(spectro, "_usable_cpus", lambda: 7)
@@ -383,63 +427,76 @@ class TestWorkerCount:
             raise FloatingPointError("block failed")
 
         monkeypatch.setattr(spectro, "_usable_cpus", lambda: 7)
-        f_tls = np.full((80, 3), 6.0)
         before = threading.active_count()
         monkeypatch.setattr(np, "matmul", broken)  # the detunings of each block
         with pytest.raises(FloatingPointError, match="block failed"):
-            lorentzian_rate(FREQ, f_tls, np.ones_like(f_tls), np.ones(3))
+            t1_map(self.ENSEMBLE, DESIGN, cut_plan(3, 80), FREQ, gamma1_background=0.2,
+                   noise_sigma=0.0, seed=0, meta_extra={})
         monkeypatch.undo()
         assert threading.active_count() == before
 
+    def test_no_line_computation_covers_more_than_a_block(self, monkeypatch):
+        # The lines of a bias step are computed in its block's task, once:
+        # no more than one block of lines per worker is held at a time.
+        rows = []
 
-def segment(control, bias):
-    held = {"v_p": 20.0, "v_g": 10.0, "v_s": 1e-3}
-    del held[{"piezo": "v_p", "global": "v_g", "sample": "v_s"}[control]]
-    return SegmentSpec(control=control, bias=np.asarray(bias, dtype=float), held=held)
+        def spy(tls, v_p, v_g, v_s):
+            rows.append(np.shape(v_p)[0])
+            return energies(tls, v_p, v_g, v_s)
+
+        monkeypatch.setattr(spectro, "energies", spy)
+        plan = sweep_plan()
+        t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
+               noise_sigma=0.1, seed=1, meta_extra={})
+        assert max(rows) == _BIAS_BLOCK
+        assert sum(rows) == sum(seg.bias.size for seg in plan)
+        rows.clear()
+        coupled_pair_t1_map(PAIR, np.linspace(-2.4e-3, 2.4e-3, 80), 0.0, PANEL_FREQ,
+                            field_rms=90.0, gamma1_background=1 / 4.3, noise_sigma=0.1,
+                            seed=1)
+        assert max(rows) == _BIAS_BLOCK
+        assert sum(rows) == 2 * 80  # each TLS of the pair once per bias step
 
 
 class TestRepeatedRows:
-    """A bias row with the lines of the row before it is computed once; the
-    grids keep the bits of computing every row."""
+    """A bias row with the lines of the row before it in its block is
+    computed once; the grids keep the bits of computing every row."""
 
     ENSEMBLE = TestWorkerCount.ENSEMBLE
     N = 2 * _BIAS_BLOCK + 3
     RAMP = np.linspace(-2e-3, 2e-3, N - 5)
+    #: Each plan with the rows computed per block of 16 bias steps.
     PLANS = {
         # gamma_g = 0 for every sample-dielectric defect
-        "global-all-repeat": ([segment("global", np.linspace(90.0, -30.0, N))], [1]),
+        "global-all-repeat": ([segment("global", np.linspace(90.0, -30.0, N))], [1, 1, 1]),
         "one-row": ([segment("sample", [1e-3])], [1]),
+        # RAMP starts and ends on the repeated values
         "repeats-at-ends": ([segment("sample", np.r_[[-2e-3] * 3, RAMP, [2e-3] * 2])],
-                            [N - 5]),
-        "no-repeats": ([segment("piezo", np.linspace(-30.0, 90.0, N))], [N]),
+                            [13, 16, 1]),
+        "no-repeats": ([segment("piezo", np.linspace(-30.0, 90.0, N))], [16, 16, 3]),
         "mixed": ([segment("global", np.linspace(90.0, -30.0, N)),
                    segment("sample", [1e-3]),
-                   segment("piezo", np.linspace(-30.0, 90.0, N))], [1, 1, N]),
+                   segment("piezo", np.linspace(-30.0, 90.0, N))], [1, 1, 1, 1, 16, 16, 3]),
     }
 
     @pytest.mark.parametrize("name", PLANS)
     def test_grids_equal_every_row_computed(self, monkeypatch, name):
-        plan, distinct = self.PLANS[name]
+        plan, per_block = self.PLANS[name]
         computed = []
 
-        def spy(pool, freq, f_tls, g_mhz, gamma2):
+        def spy(freq, f_tls, g_mhz, gamma2):
             computed.append(f_tls.shape[0])
-            return _lorentzian_rate(pool, freq, f_tls, g_mhz, gamma2)
+            return _lorentzian_rate(freq, f_tls, g_mhz, gamma2)
 
         monkeypatch.setattr(spectro, "_lorentzian_rate", spy)
+        monkeypatch.setattr(spectro, "_usable_cpus", lambda: 1)  # the blocks in order
         design, g1 = field_design(90.0), 1 / 4.3
-        field = capacitor_field_rms(design)
         ds = t1_map(self.ENSEMBLE, design, plan, FREQ, gamma1_background=g1,
                     noise_sigma=0.0, seed=0, meta_extra={})
-        assert computed == distinct
-        table = TlsTable.of(self.ENSEMBLE.tls_list)
-        for seg, t1 in zip(plan, ds.t1_us):
-            v_p, v_g, v_s = seg.bias_vectors()
-            _, e_tls = energies(table, v_p[:, None], v_g[:, None], v_s[:, None])
-            g_mhz = coupling_mhz(table.p_parallel, table.delta0 / e_tls, field)
-            want = 1.0 / (g1 + sequential_lorentzian_rate(FREQ, e_tls, g_mhz,
-                                                          table.gamma2_tls))
-            for row, want_row in zip(t1, want):
+        assert computed == per_block
+        for t1, want in zip(ds.t1_us, reference_grids(self.ENSEMBLE, design, plan, g1),
+                            strict=True):
+            for row, want_row in zip(t1, want, strict=True):
                 assert row.tobytes() == want_row.tobytes()
 
 
@@ -469,16 +526,32 @@ class TestCoupledPanel:
                                 seed=0)
 
     def test_two_branches_visible(self):
-        t1p = TlsParams(delta0=5.957, gamma_s=161.95, gamma_p=0.022, p_parallel=0.335,
-                        location=Location.SAMPLE_DIELECTRIC)
-        t2p = TlsParams(delta0=5.440, eps_i=2.55, gamma_s=92.25, p_parallel=0.191,
-                        location=Location.SAMPLE_DIELECTRIC)
-        pair = CoupledPair(t1p, t2p, g_z=25.0, g_x=-19.0)
-        freq = np.arange(5.90, 6.05, 0.001)
-        ds = coupled_pair_t1_map(pair, np.linspace(-2.4e-3, 2.4e-3, 80), 0.0,
-                                 freq, field_rms=90.0, gamma1_background=1 / 4.3,
+        ds = coupled_pair_t1_map(PAIR, np.linspace(-2.4e-3, 2.4e-3, 80), 0.0,
+                                 PANEL_FREQ, field_rms=90.0, gamma1_background=1 / 4.3,
                                  noise_sigma=0.0, seed=0)
         # at the crossing bias, two dips separated by ~|g_x|
         from tls_scope.coupled import transitions_truncated
         t1 = ds.t1_us[0]
         assert (t1 < 2.0).any()
+
+
+class TestBackgroundRate:
+    """Both maps refuse a background rate that is not finite and > 0, by
+    its name.  NaN used to end in "a trace is more than half missing", -1
+    and inf in "T1 values must be positive or NaN"; 0 ended in "T1 values
+    must be finite or NaN" on a defect map and drew a panel whose T1 only
+    the Lorentzian tails bounded."""
+
+    @pytest.mark.parametrize("gamma1", [float("nan"), -1.0, float("inf"), 0.0])
+    @pytest.mark.parametrize("simulate", [
+        lambda g1: t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
+                          gamma1_background=g1, noise_sigma=0.0, seed=0, meta_extra={}),
+        lambda g1: coupled_pair_t1_map(PAIR, np.linspace(-2.4e-3, 2.4e-3, 20), 0.0,
+                                       PANEL_FREQ, field_rms=90.0, gamma1_background=g1,
+                                       noise_sigma=0.1, seed=0),
+    ], ids=["t1_map", "coupled_pair_t1_map"])
+    def test_bad_background_rate_refused(self, simulate, gamma1):
+        with pytest.raises(OutOfRange, match=f"^gamma1_background must be finite and > 0, "
+                                             f"got {gamma1}$") as refused:
+            simulate(gamma1)
+        assert refused.value.name == "gamma1_background"
