@@ -16,7 +16,7 @@ g_x = g*s1*s2 (c_i = eps_i/E_i, s_i = Delta0_i/E_i) plus z-x cross terms
 that the truncated model drops.
 
 :func:`crossing_geometry` locates the avoided crossing along a sweep by
-re-gridding a bracket of the minimum splitting ever finer.
+safeguarded Newton steps on the splitting from the sweep's own minimum.
 
 Couplings g, g_z, g_x are in MHz (ordinary frequency); transition
 energies are in GHz like everywhere else in the package.
@@ -44,11 +44,10 @@ _SZSZ = np.kron(_SZ, _SZ)
 #: Width [V] below which :func:`crossing_geometry` stops narrowing its
 #: bracket, relative to max(1 V, |V|).
 BRACKET_TOL = 1e-12
-#: Points of each re-grid of the bracket in :func:`crossing_geometry`;
-#: each re-grid narrows the bracket at least 7.5-fold.  16 to 32 points
-#: time alike (0.8-1.3 ms per 241-point sweep on a 2-vCPU x86-64 VM);
-#: 8 points take more rounds and the sweep's own length more points.
-REGRID_POINTS = 16
+#: Half-width of the Newton stencil of :func:`crossing_geometry` relative
+#: to its starting bracket.  At 1e-5 the stencil's differences are float
+#: noise on 10-40 MHz pairs; at 1e-2 a zero-coupling crossing is 1e-5 MHz off.
+STENCIL = 1e-3
 #: Largest grid-minimum splitting [GHz] that :func:`crossing_geometry`
 #: still takes for a crossing.
 APPROACH_WINDOW = 0.5
@@ -77,6 +76,10 @@ class CoupledPair:
             raise ValueError("specify either g_localized or (g_z, g_x), not both")
         if eig and (self.g_z is None or self.g_x is None):
             raise ValueError("the eigenbasis parameterization needs both g_z and g_x")
+        for name in ("g_z", "g_x", "g_localized"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def transitions_truncated(
@@ -125,12 +128,18 @@ def crossing_geometry(pair: CoupledPair, sweep: Sequence[BiasPoint]) -> tuple[fl
     """Locate the avoided crossing along a one-control bias sweep.
 
     Exactly one control varies over the sweep, strictly monotonically;
-    the other two hold one value at every point.  The minimum splitting
-    between the two single-excitation transitions is bracketed by the
-    sweep grid's argmin and its neighbours; the bracket is re-gridded at
-    :data:`REGRID_POINTS` points and narrowed the same way until it is
-    :data:`BRACKET_TOL` wide.  ``v_min`` is the last grid's argmin: the
-    final bracket's midpoint, or the sweep's end where the minimum is.
+    the other two hold one value at every point.  The sweep grid's argmin
+    of the splitting s(V) between the two single-excitation transitions
+    and its neighbours bracket the minimum.  Newton steps narrow it:
+    central differences on a stencil V-h, V, V+h (h = :data:`STENCIL`
+    times the starting bracket) give s' and s'', the sign of s' moves one
+    end of the bracket to V, and the next V is V - s'/s'' if that stays
+    in the bracket, is at most half the step before and the dip is 10h
+    wide or more (s''*(10h)^2 < s), else the midpoint (a V is bisected).
+    The search ends at a Newton step below h, a bracket
+    :data:`BRACKET_TOL` wide, or a stencil that would leave the sweep.
+    ``v_min`` is the sweep's argmin or the last iterate, whichever splits
+    less, a tie keeping the sweep point: a sweep-end minimum is that end.
 
     Parameters
     ----------
@@ -166,17 +175,32 @@ def crossing_geometry(pair: CoupledPair, sweep: Sequence[BiasPoint]) -> tuple[fl
         lower, upper = pair_transitions(pair, **{**held, control: v})
         return upper - lower
 
-    grid, split = volts, splitting(volts)
+    split = splitting(volts)
     k = int(np.argmin(split))
     if split[k] > APPROACH_WINDOW:
         raise NoCrossingInRange(
             f"minimum splitting {split[k]:.4g} GHz exceeds the "
             f"{APPROACH_WINDOW:.4g} GHz window"
         )
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    while abs(hi - lo) > BRACKET_TOL * max(1.0, abs(lo), abs(hi)):
-        grid = np.linspace(lo, hi, REGRID_POINTS)
-        split = splitting(grid)
-        k = int(np.argmin(split))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, REGRID_POINTS - 1)]
-    return float(grid[k]), float(split[k]) * MHZ_PER_GHZ
+    lo, hi = sorted((volts[max(k - 1, 0)], volts[min(k + 1, len(volts) - 1)]))
+    first, last = sorted((volts[0], volts[-1]))
+    h = STENCIL * (hi - lo)
+    v, step = 0.5 * (lo + hi), hi - lo
+    while hi - lo > BRACKET_TOL * max(1.0, abs(lo), abs(hi)):
+        stencil = v + h * np.array([-1.0, 0.0, 1.0])
+        if stencil[0] < first or stencil[2] > last:
+            break
+        s_lo, s_v, s_hi = splitting(stencil)
+        slope, curv = (s_hi - s_lo) / (2 * h), (s_hi - 2 * s_v + s_lo) / (h * h)
+        lo, hi = (lo, v) if slope >= 0 else (v, hi)
+        resolved = 0 < curv * (10 * h) ** 2 < s_v
+        if resolved and abs(slope) <= 0.5 * step * curv and lo <= v - slope / curv <= hi:
+            step, v = abs(slope / curv), v - slope / curv
+            if step < h:
+                break
+        else:
+            step, v = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    candidates = np.array([volts[k], v])
+    split = splitting(candidates)
+    j = int(np.argmin(split))
+    return float(candidates[j]), float(split[j]) * MHZ_PER_GHZ

@@ -99,7 +99,7 @@ class EnsembleConfig:
     @property
     def mean_drawn(self) -> float:
         """Mean number of candidate defects drawn, in band or not; inf when
-        no part of the generation window lands in band."""
+        the in-band share rounds to 0 or a band edge squares to no float."""
         if self.mean_in_band == 0:
             return 0.0
         try:
@@ -129,21 +129,21 @@ def _in_band_probability(cfg: EnsembleConfig) -> float:
     """P(zero-bias transition in band) under the generation window.
 
     For fixed Delta0 the in-band asymmetries form two symmetric intervals
-    of total length 2*(sqrt(hi^2-D^2) - sqrt(lo^2-D^2)); averaging over
-    log-uniform Delta0 is a smooth 1-d quadrature.
+    of total length 2*(sqrt(hi^2-D^2) - sqrt(lo^2-D^2)) <= 2*w.  Over
+    log-uniform Delta0 in [D_min, hi] (D_min < lo) the mean is
+    (F(hi) - F(lo)) / (w * ln(hi/D_min)), F(a) = a*(ln((1 + t)/r) - t) the
+    integral of sqrt(a^2 - D^2) over ln D, r = D_min/a, t = sqrt(1 - r^2);
+    ln a - ln D_min stands for ln(1/r), whose 1/r may overflow.
     """
     lo, hi = cfg.band
-    d_lo = cfg.resolved_delta0_min()
-    w = cfg.resolved_eps_halfwidth()
-    logd = np.linspace(np.log(d_lo), np.log(hi), 2001)
-    d = np.exp(logd)
-    len_eps = 2.0 * (
-        np.sqrt(np.clip(hi**2 - d**2, 0.0, None))
-        - np.sqrt(np.clip(lo**2 - d**2, 0.0, None))
-    )
-    frac = np.clip(len_eps / (2.0 * w), 0.0, 1.0)
-    area = float(np.sum(0.5 * (frac[1:] + frac[:-1]) * np.diff(logd)))
-    return area / (logd[-1] - logd[0])
+    d_min = cfg.resolved_delta0_min()
+
+    def antiderivative(a):
+        t = math.sqrt(1.0 - (d_min / a) ** 2)
+        return a * (math.log1p(t) + math.log(a) - math.log(d_min) - t)
+
+    return ((antiderivative(hi) - antiderivative(lo))
+            / (cfg.resolved_eps_halfwidth() * (math.log(hi) - math.log(d_min))))
 
 
 def _truncnorm_left_ppf(u: np.ndarray, a: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,10 +98,8 @@ class TlsParams:
             raise ConfigError("junction TLS are screened from both E-fields")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["location"] = self.location.value
-        d["schema_version"] = SCHEMA_VERSION
-        return d
+        # A shallow copy of the fields: every value is a float or the enum.
+        return {**vars(self), "location": self.location.value, "schema_version": SCHEMA_VERSION}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TlsParams":
@@ -205,9 +203,7 @@ class SensorDesign:
             )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["schema_version"] = SCHEMA_VERSION
-        return d
+        return {**vars(self), "schema_version": SCHEMA_VERSION}
 
 
 # ---------------------------------------------------------------------------

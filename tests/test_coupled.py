@@ -350,6 +350,111 @@ class TestCrossingOracle:
         assert v_min == v_star == 0.2e-3
 
 
+def crossing_root(pair):
+    """V_s [V] where E1 = E2 at V_p = V_g = 0, inside +-2.5 mV: the root of
+    the quadratic E1^2 - E2^2 = 0, by the cancellation-free formula."""
+    (d1, e1, r1), (d2, e2, r2) = ((t.delta0, t.eps_i, t.gamma_s) for t in (pair.tls1, pair.tls2))
+    a, b, c = r1**2 - r2**2, 2 * (e1 * r1 - e2 * r2), e1**2 - e2**2 + d1**2 - d2**2
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4 * a * c), b))
+    (root,) = [r for r in (q / a, c / q) if abs(r) < 2.5e-3]
+    return root
+
+
+def spy_on_transitions():
+    """(calls, patch): the patch records the voltages of each
+    coupled.pair_transitions call, broadcast, in ``calls``."""
+    calls = []
+
+    def spy(pair, v_p, v_g, v_s):
+        calls.append(np.broadcast_arrays(v_p, v_g, v_s))
+        return pair_transitions(pair, v_p, v_g, v_s)
+
+    return calls, mock.patch.object(coupled, "pair_transitions", spy)
+
+
+class TestNewtonSearch:
+    """The Newton search that refines the sweep's minimum splitting."""
+
+    @pytest.mark.parametrize("n", [41, 241])
+    @pytest.mark.parametrize("g_z, g_x", [(25.0, -19.0), (0.0, 5.0), (-60.0, 60.0)])
+    def test_truncated_crossing_is_where_the_energies_meet(self, g_z, g_x, n):
+        # The truncated splitting is sqrt((E1 - E2)^2 + g_x^2): least, and
+        # equal to |g_x|, where E1 = E2.
+        pair = TestCrossingGeometry().tls_pair(g_z=g_z, g_x=g_x)
+        sweep = [BiasPoint(v_s=v) for v in np.linspace(-2.5e-3, 2.5e-3, n)]
+        v_min, s_min = crossing_geometry(pair, sweep)
+        assert abs(v_min - crossing_root(pair)) <= 1e-11
+        assert s_min == pytest.approx(abs(g_x), rel=1e-9)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_crossing_between_the_first_two_points(self, reverse):
+        # The grid's argmin is the sweep's first point, a third of a step
+        # before the crossing: the search starts inside the bracket, not
+        # at its end, where the stencil would leave the sweep.
+        pair = TestCrossingGeometry().tls_pair()
+        volts = crossing_root(pair) + 1e-4 * (np.arange(21) - 1 / 3)
+        sweep = [BiasPoint(v_s=v) for v in (volts[::-1] if reverse else volts)]
+        v_min, s_min = crossing_geometry(pair, sweep)
+        assert abs(v_min - crossing_root(pair)) <= 1e-11
+        assert s_min == pytest.approx(19.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [6, 11])
+    @pytest.mark.parametrize("g_x", [0.02, 0.05])
+    def test_dip_narrower_than_the_stencil(self, g_x, n):
+        # On a coarse sweep the stencil (1e-3 of the bracket) spans more
+        # than the dip, whose 3 points fit a parabola too wide: a Newton
+        # step from it stopped 2e-8 V short of the crossing for 0.05 MHz on
+        # 11 points, with a splitting 1.5e-4 too large.  Such a dip is
+        # bisected instead.
+        pair = TestCrossingGeometry().tls_pair(g_z=0.0, g_x=g_x)
+        sweep = [BiasPoint(v_s=v) for v in np.linspace(-2.5e-3, 2.5e-3, n)]
+        v_min, s_min = crossing_geometry(pair, sweep)
+        assert abs(v_min - crossing_root(pair)) <= 1e-9
+        assert s_min == pytest.approx(g_x, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [61, 241])
+    def test_evaluation_budget(self, n):
+        # After the sweep: a few 3-point stencils and the final comparison.
+        # The re-gridding search this replaced took 9 calls of 16 points.
+        sweep = [BiasPoint(v_s=v) for v in np.linspace(-1e-3, 1e-3, n)]
+        for seed in range(20):
+            calls, spy = spy_on_transitions()
+            with spy:
+                crossing_geometry(TestCrossingOracle().pair(seed), sweep)
+            refine = calls[1:]
+            assert len(refine) <= 6
+            assert sum(v_s.size for _, _, v_s in refine) <= 20
+
+    @pytest.mark.parametrize("v_lo, v_hi", [(-1e-3, 1e-3), (0.2e-3, 1e-3)])
+    def test_reversed_sweep_gives_the_same_crossing(self, v_lo, v_hi):
+        sweep = [BiasPoint(v_s=v) for v in np.linspace(v_lo, v_hi, 241)]
+        for seed in range(5):
+            pair = TestCrossingOracle().pair(seed)
+            assert crossing_geometry(pair, sweep[::-1]) == crossing_geometry(pair, sweep)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_no_point_outside_the_sweep(self, reverse):
+        # The minimum lies before the sweep's start, so the search closes
+        # in on that end; its stencils stop short of stepping past it.
+        sweep = [BiasPoint(v_s=v) for v in np.linspace(0.2e-3, 1e-3, 241)]
+        calls, spy = spy_on_transitions()
+        with spy:
+            v_min, _ = crossing_geometry(TestCrossingOracle().pair(0),
+                                         sweep[::-1] if reverse else sweep)
+        assert v_min == 0.2e-3
+        points = np.concatenate([v_s.ravel() for _, _, v_s in calls])
+        assert points.min() == 0.2e-3 and points.max() == 1e-3
+
+    def test_flat_splitting_returns_the_first_point(self):
+        # Neither TLS responds to the global gate: the splitting is one
+        # value along the sweep, and the tie keeps the sweep's first point.
+        pair = CoupledPair(TlsParams(delta0=5.0), TlsParams(delta0=5.1), g_z=0.0, g_x=10.0)
+        sweep = [BiasPoint(v_g=v) for v in np.linspace(-1.0, 1.0, 41)]
+        v_min, s_min = crossing_geometry(pair, sweep)
+        assert v_min == -1.0
+        assert s_min == pytest.approx(np.hypot(100.0, 10.0), rel=1e-12)
+
+
 class TestParameterization:
     def test_exactly_one_parameterization(self):
         t1, t2 = TlsParams(delta0=5.0), TlsParams(delta0=4.0)
@@ -359,3 +464,12 @@ class TestParameterization:
             CoupledPair(t1, t2, g_z=1.0, g_x=1.0, g_localized=1.0)
         with pytest.raises(ValueError):
             CoupledPair(t1, t2, g_z=1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["g_z", "g_x", "g_localized"])
+    def test_non_finite_coupling_refused(self, field, value):
+        # g_z = nan used to locate a crossing with a NaN splitting, and
+        # g_localized = nan ended in LinAlgError from eigvalsh.
+        given = {"g_z": 1.0, "g_x": 1.0} if field != "g_localized" else {}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            CoupledPair(TlsParams(delta0=5.0), TlsParams(delta0=4.0), **{**given, field: value})

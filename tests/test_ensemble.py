@@ -68,6 +68,34 @@ class TestGenerateEnsemble:
         dispersion = ((counts - counts.mean()) ** 2).sum() / counts.mean()
         assert abs(dispersion - (n_batches - 1)) <= 4 * np.sqrt(2 * (n_batches - 1))
 
+    @pytest.mark.parametrize("band", [(5.8, 6.7), (6.0, 6.0001)], ids=["default", "0.1-MHz"])
+    def test_in_band_probability_matches_quadrature(self, band):
+        # The closed form against scipy's adaptive quadrature of its
+        # defining integral; the 2001-point trapezoid it replaced was
+        # 1.22e-5 low at the default band.
+        from scipy.integrate import quad
+
+        cfg = config(band=band)
+        lo, hi = band
+        d_min, w = cfg.resolved_delta0_min(), cfg.resolved_eps_halfwidth()
+
+        def in_band_share(log_d):
+            d2 = np.exp(2 * log_d)
+            return (np.sqrt(hi**2 - d2) - np.sqrt(max(lo**2 - d2, 0.0))) / w
+
+        area, _ = quad(in_band_share, np.log(d_min), np.log(hi), points=[np.log(lo)],
+                       epsabs=0.0, epsrel=1e-13, limit=200)
+        want = area / np.log(hi / d_min)
+        rel = 1e-13 if band == (5.8, 6.7) else 1e-10  # F(hi) - F(lo) cancels
+        assert _in_band_probability(cfg) == pytest.approx(want, rel=rel)
+
+    def test_band_of_1e_300_ghz_is_drawn_from(self):
+        # Each 1e-300 GHz band edge squares to 0, which left the quadrature
+        # it replaced with no in-band share and "drawn from inf candidates".
+        cfg = config(band=(1e-300, 2e-300))
+        assert cfg.mean_drawn == pytest.approx(7.91, rel=1e-3)
+        assert len(generate_ensemble(cfg, seed=1).tls_list) == 9
+
     def test_all_sample_dielectric_with_consistent_rates(self):
         from tls_scope.stm import dipole_to_gamma_s as dipole_energy_rate
 
@@ -180,14 +208,17 @@ class TestDipoleSampler:
                 config(p0_target=p0)
 
     @pytest.mark.parametrize("band, p0, drawn", [
-        ((5.8, 5.8001), 1e9, "7.58e+06"),
-        ((1e-300, 1e-299), 1800.0, "inf"),
+        # 7.58e+06 by the 2001-point quadrature of the in-band share,
+        # which does not resolve its kink in a 0.1 MHz band.
+        ((5.8, 5.8001), 1e9, "7.47e+06"),
         ((5.8, 1e200), 1e-250, "inf"),
-    ], ids=["narrow-band", "window-misses-band", "band-edge-overflows"])
+        # D_min / 1e10 GHz rounds to 0, which the closed form must not divide by.
+        ((1e-320, 1e10), 1800.0, "4.05e+10"),
+    ], ids=["narrow-band", "band-edge-overflows", "band-edges-1e330-apart"])
     def test_bound_counts_the_candidates_drawn(self, band, p0, drawn):
         # The bound used to count only the in-band mean: the narrow band
-        # asks for 225 in band and passed it, to draw ~7.6M defects; the
-        # others ended in numpy's "lam value too large" or an OverflowError.
+        # asks for 225 in band and passed it, to draw ~7.5M defects; the
+        # other ended in an OverflowError.
         with pytest.raises(ConfigError, match=re.escape(f"drawn from {drawn} candidates")):
             config(band=band, p0_target=p0)
 
