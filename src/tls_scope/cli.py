@@ -357,12 +357,11 @@ def cmd_coupled(args) -> int:
 
 
 def _write_crossing(path, ds, panel, fit, tls1, tls2) -> None:
-    """Crossing CSV of one panel: model branches and, per bias step, the
-    nearest data point on each branch (NaN if none)."""
+    """Crossing CSV of one panel: model branches and, per bias step, the nearest
+    data point on each branch (NaN if none), a point at its tracker's bias step."""
     bias = ds.segments[0].bias
     lo, hi = fit.model_transitions(tls1, tls2, panel.v_p, bias)
-    step = np.argmin(np.abs(bias - panel.v_s[:, None]), axis=1)
-    f = panel.freq
+    step, f = panel.bias_index, panel.freq
     upper = nearer_branch(f, lo[step], hi[step], False, True)
     dist = np.abs(f - np.where(upper, hi[step], lo[step]))
     # Per (step, branch) the nearest point wins; a stable sort keeps the

@@ -40,16 +40,17 @@ DISTINCT_TOL = (0.1, 0.1, 1e-4)
 
 @dataclass(frozen=True)
 class CrossingPanel:
-    """Extracted resonance points of one V_s sweep at fixed strain."""
+    """Extracted resonance points of one V_s sweep at fixed strain, with their bias steps."""
 
     v_p: float
+    bias_index: np.ndarray
     v_s: np.ndarray
     freq: np.ndarray
     weight: np.ndarray
 
     def __post_init__(self):
-        if self.v_s.shape != self.freq.shape:
-            raise ValueError("v_s and freq must have matching shapes")
+        if not self.bias_index.shape == self.v_s.shape == self.freq.shape:
+            raise ValueError("bias_index, v_s and freq must have matching shapes")
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,11 @@ def panel_points_from_dataset(ds) -> CrossingPanel:
     traces = extract_traces(ds, PANEL_JUMP_LIMIT)
     if not traces:
         raise NoTracesFound("no resonance traces found in the panel")
-    bias = np.asarray(ds.segments[0].bias, dtype=float)
+    bias_index = np.concatenate([tr.bias_index for tr in traces])
     return CrossingPanel(
         v_p=v_p,
-        v_s=np.concatenate([bias[tr.bias_index] for tr in traces]),
+        bias_index=bias_index,
+        v_s=np.asarray(ds.segments[0].bias, dtype=float)[bias_index],
         freq=np.concatenate([tr.freq for tr in traces]),
         weight=np.concatenate([tr.weight for tr in traces]),
     )

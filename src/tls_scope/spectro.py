@@ -159,7 +159,7 @@ def default_sweep_plan(n_bias: int, order: tuple[str, ...], v_g_range: tuple[flo
     amp = v_s_source_amplitude / division_factor
     if abs(amp) > V_S_LIMIT:
         raise ConfigError(
-            f"source {v_s_source_amplitude:.4g} V divides to {amp * 1e3:.3f} mV "
+            f"source {v_s_source_amplitude:.4g} V divides to {amp * 1e3:.4g} mV "
             f"cold-end, above the {V_S_LIMIT * 1e3:.3f} mV limit"
         )
     counts = {c: order.count(c) for c in CONTROLS}

@@ -1,19 +1,20 @@
 """Resonance-trace extraction from T1 grids.
 
-Per bias step, local T1 minima deeper than a relative threshold become
-resonance candidates; candidates are linked across bias steps into
-traces by nearest-frequency continuity around a one-step linear
-prediction, which keeps steep traces intact and crossing traces apart.
-Sub-grid frequency refinement uses a three-point parabola on
-log(1/T1), whose peak is locally quadratic for a Lorentzian dip.  A
-segment's points are one flat record of (trace id, bias index, f, w),
-cut into array traces at its end; a trace keeps no voltage, as its
-segment holds the control and the bias of each step.  Traces leave in
-the order they close, those closing on one bias step in the order they
-opened, and the ones still open at the segment's end come last; traces
-shorter than the hyperbola fit's ``MIN_POINTS`` are dropped.  The tracking rules are the
-module constants below; only the match window ``jump_limit`` is an
-argument, as crossing panels need a wider one than the survey.
+One numpy pass per segment finds the resonance candidates of its (bias,
+freq) grid: local T1 minima deeper than a relative threshold below their
+bias step's median, refined to sub-grid frequency by a three-point
+parabola on log(1/T1), whose peak is locally quadratic for a Lorentzian
+dip.  A tracker walks that flat (bias index, f, w) table a bias step at a
+time, linking candidates into traces by nearest-frequency continuity
+around a one-step linear prediction, which keeps steep traces intact and
+crossing traces apart.  A trace's id is the index of its opening
+candidate.  Traces leave in the order they close, those closing on one
+bias step in the order they opened, and the ones still open at the
+segment's end come last; traces shorter than the hyperbola fit's
+``MIN_POINTS`` are dropped.  A trace keeps no voltage: its segment holds
+the control and the bias of each step.  The tracking rules are the module
+constants below; only the match window ``jump_limit`` is an argument, as
+crossing panels need a wider one than the survey.
 """
 
 from __future__ import annotations
@@ -50,22 +51,24 @@ class Trace:
     weight: np.ndarray
 
 
-def _row_candidates(t1_row: np.ndarray, freq: np.ndarray):
-    """(freq, weight) arrays of significant local T1 minima in one bias step."""
-    baseline = np.nanmedian(t1_row)
+def _candidates(t1: np.ndarray, freq: np.ndarray):
+    """(bias index, freq, weight) flat arrays, in bias order, of the
+    significant local T1 minima of a segment's (bias, freq) grid."""
+    baseline = np.nanmedian(t1, axis=1, keepdims=True)
     limit = (1.0 - THRESHOLD) * baseline
-    clipped = np.clip(t1_row, 1e-12, None)
+    clipped = np.clip(t1, 1e-12, None)
     y = np.log(1.0 / clipped)
-    inner = t1_row[1:-1]
-    is_min = (inner < t1_row[:-2]) & (inner <= t1_row[2:]) & (inner < limit)
-    idx = np.nonzero(is_min)[0] + 1
-    ym, y0, yp = y[idx - 1], y[idx], y[idx + 1]
+    inner = t1[:, 1:-1]
+    is_min = (inner < t1[:, :-2]) & (inner <= t1[:, 2:]) & (inner < limit)
+    row, idx = np.nonzero(is_min)
+    idx += 1
+    ym, y0, yp = y[row, idx - 1], y[row, idx], y[row, idx + 1]
     denom = ym + yp - 2.0 * y0
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.clip((ym - yp) / (2.0 * denom), -0.5, 0.5)
     shift[denom == 0] = 0.0
-    depth = baseline / clipped[idx] - 1.0
-    return freq[idx] + shift * (freq[1] - freq[0]), depth * depth
+    depth = baseline[row, 0] / clipped[row, idx] - 1.0
+    return row, freq[idx] + shift * (freq[1] - freq[0]), depth * depth
 
 
 def extract_traces(ds: SpectroscopyDataset, jump_limit: float) -> list[Trace]:
@@ -74,23 +77,29 @@ def extract_traces(ds: SpectroscopyDataset, jump_limit: float) -> list[Trace]:
     step = ds.grid_step_ghz
     traces: list[Trace] = []
     for s, (seg, t1) in enumerate(zip(ds.segments, ds.t1_us)):
-        # Open traces in the order they were opened: the id and state of each.
-        ids = last_i = n_pts = np.empty(0, dtype=np.intp)
-        last_f = slope = np.empty(0)
-        n_ids = 0
-        # Every candidate joins a trace: per bias step, (trace id, i, f, w).
-        record, done = [], []
+        rows, f_all, w_all = _candidates(t1, ds.freq_ghz)
+        bounds = np.searchsorted(rows, np.arange(seg.bias.size + 1))
+        # Per candidate, the id of its trace; per trace id, the index of
+        # its last candidate and its slope.  ``ids`` holds the open traces
+        # in the order they were opened.
+        trace = np.full(rows.size, -1, dtype=np.intp)
+        last = np.empty(rows.size, dtype=np.intp)
+        slope = np.empty(rows.size)
+        ids = np.empty(0, dtype=np.intp)
+        done = []
         for i in range(seg.bias.size):
-            f_c, w_c = _row_candidates(t1[i], ds.freq_ghz)
-            cand_id = np.full(f_c.size, -1, dtype=np.intp)
+            lo, hi = bounds[i], bounds[i + 1]
+            f_c = f_all[lo:hi]
             if ids.size and f_c.size:
                 # Predict each open trace forward and greedily match the
                 # globally closest (trace, candidate) pairs first; ties
                 # go to the earlier trace, then the earlier candidate.
-                gap = i - last_i
-                pred = last_f + slope * gap
+                end = last[ids]
+                gap = i - rows[end]
+                pred = f_all[end] + slope[ids] * gap
                 window = jump_limit * step * gap
-                window = np.where(n_pts == 1, window * FIRST_LINK_FACTOR, window)
+                # A trace whose last point is its first has no slope yet.
+                window = np.where(end == ids, window * FIRST_LINK_FACTOR, window)
                 dist = np.abs(f_c[None, :] - pred[:, None])
                 a_idx, c_idx = np.nonzero(dist <= window[:, None])
                 order = np.lexsort((c_idx, a_idx, dist[a_idx, c_idx]))
@@ -102,36 +111,25 @@ def extract_traces(ds: SpectroscopyDataset, jump_limit: float) -> list[Trace]:
                     used_a[a] = used_c[c] = True
                     matched_a.append(a)
                     matched_c.append(c)
-                if matched_a:
-                    ma = np.array(matched_a, dtype=np.intp)
-                    cand_id[matched_c] = ids[ma]
-                    f_new = f_c[matched_c]
-                    slope[ma] = (f_new - last_f[ma]) / gap[ma]
-                    last_f[ma] = f_new
-                    last_i[ma] = i
-                    n_pts[ma] += 1
+                ma, mc = ids[matched_a], lo + np.array(matched_c, dtype=np.intp)
+                trace[mc] = ma
+                slope[ma] = (f_all[mc] - f_all[last[ma]]) / gap[matched_a]
+                last[ma] = mc
             # Unmatched candidates open traces; closed ones leave, into ``done``.
-            fresh = np.flatnonzero(cand_id < 0)
+            fresh = lo + np.flatnonzero(trace[lo:hi] < 0)
             if fresh.size:
-                cand_id[fresh] = np.arange(n_ids, n_ids + fresh.size)
-                n_ids += fresh.size
-                ids = np.concatenate((ids, cand_id[fresh]))
-                last_f = np.concatenate((last_f, f_c[fresh]))
-                slope = np.concatenate((slope, np.zeros(fresh.size)))
-                last_i = np.concatenate((last_i, np.full(fresh.size, i)))
-                n_pts = np.concatenate((n_pts, np.ones(fresh.size, dtype=np.intp)))
-            record.append((cand_id, np.full(f_c.size, i), f_c, w_c))
-            closed = i - last_i > MAX_GAP
+                trace[fresh] = last[fresh] = fresh
+                slope[fresh] = 0.0
+                ids = np.concatenate((ids, fresh))
+            closed = i - rows[last[ids]] > MAX_GAP
             if closed.any():
                 done.extend(ids[closed].tolist())
-                ids, last_f, slope, last_i, n_pts = (
-                    a[~closed] for a in (ids, last_f, slope, last_i, n_pts))
+                ids = ids[~closed]
         done.extend(ids.tolist())
         # One stable sort by id groups each trace's points in bias order.
-        rec_id, bias_index, freq, weight = (np.concatenate(col) for col in zip(*record))
-        order = np.argsort(rec_id, kind="stable")
-        bias_index, freq, weight = bias_index[order], freq[order], weight[order]
-        counts = np.bincount(rec_id, minlength=n_ids)
+        order = np.argsort(trace, kind="stable")
+        bias_index, freq, weight = rows[order], f_all[order], w_all[order]
+        counts = np.bincount(trace, minlength=rows.size)
         ends = np.cumsum(counts)
         for k in done:
             if counts[k] >= MIN_POINTS:

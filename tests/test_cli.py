@@ -253,6 +253,9 @@ class TestExitCodes:
         ({"division_factor": 0.0}, "division_factor must be > 0"),
         ({"v_s_source_amplitude": 0.6},
          "source 0.6 V divides to 2.927 mV cold-end, above the 2.500 mV limit"),
+        # Used to print the divided amplitude with all of its 300 digits.
+        ({"division_factor": 1e-300},
+         "source 0.5 V divides to 5e+302 mV cold-end, above the 2.500 mV limit"),
         # Infinity used to flatten every sample segment (exit 0), and NaN
         # ended in "a trace is more than half missing".  The config loader
         # refuses them now, by the key as written.
@@ -295,8 +298,8 @@ class TestExitCodes:
         ({"v_g_range": [90.0, -1e5]},
          "v_g_range ends must lie within +-10000 V, got (90.0, -100000.0)"),
     ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit",
-            "infinite-division", "nan-amplitude", "nan-global-range", "infinite-piezo-range",
-            "long-band", "short-band", "short-global-range", "empty-order", "zero-thickness",
+            "tiny-division", "infinite-division", "nan-amplitude", "nan-global-range",
+            "infinite-piezo-range", "long-band", "short-band", "short-global-range", "empty-order", "zero-thickness",
             "zero-capacitance", "zero-area", "zero-frequency", "zero-t1", "tiny-t1",
             "zero-eps", "one-point-band", "tiny-band", "huge-piezo-range", "huge-global-range"])
     def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
@@ -884,6 +887,29 @@ class TestCoupled:
             bias = dataio.read_dataset(out / f"panel_{k}.csv").segments[0].bias
             assert lines[0] == "bias_V,transition1_GHz,transition2_GHz,model1_GHz,model2_GHz"
             assert [float(line.split(",")[0]) for line in lines[1:]] == bias.tolist()
+
+    def test_a_repeated_bias_step_keeps_its_points(self, coupled_run, tmp_path):
+        # Panel 1 with each bias step taken twice.  The crossing table used
+        # to find a point's step again from its V_s, which put every point
+        # on the first of two equal steps and left the second one empty.
+        out, code = coupled_run
+        assert code == cli.EXIT_OK
+        ds = dataio.read_dataset(out / "panel_1.csv")
+        (seg,) = ds.segments
+        twice = replace(ds, segments=(replace(seg, bias=np.repeat(seg.bias, 2)),),
+                        t1_us=(np.repeat(ds.t1_us[0], 2, axis=0),))
+        dataio.write_dataset(twice, tmp_path / "panel.csv")
+        cfg = json.loads((out / "coupled.json").read_text())
+        cfg["panels"][1] = str(tmp_path / "panel.csv")
+        cfg = write_json(tmp_path / "coupled.json", cfg)
+        assert run("coupled", "--config", cfg, "--out", tmp_path) == cli.EXIT_OK
+        table = np.genfromtxt(tmp_path / "crossing_panel_1.csv", delimiter=",", skip_header=1)
+        assert table.shape == (2 * seg.bias.size, 5)
+        filled = np.isfinite(table[:, 1:3])
+        # Both copies of a step hold the same candidates, so they fill the
+        # same branches (80 and 60 of 80 steps, on either copy).
+        assert filled[0::2].sum() > seg.bias.size
+        assert (filled[1::2] == filled[0::2]).all()
 
 
 def cell_by_cell_table_csv(path, header, columns):

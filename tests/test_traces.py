@@ -155,6 +155,19 @@ def crowded_grid(seed, n_bias=60, n_lines=40, noise=0.1):
     return t1_grid(lines, n_bias, noise=noise, rng=rng)
 
 
+def nan_grid():
+    """``crowded_grid(3)`` with 5% of its cells NaN."""
+    grid = crowded_grid(3)
+    rng = np.random.default_rng(4)
+    grid[rng.uniform(size=grid.shape) < 0.05] = np.nan
+    return grid
+
+
+def last_row_grid(n=12):
+    """One line, shown on the last bias step only."""
+    return t1_grid([line(6.0, 0.0, n, present=np.arange(n) == n - 1)], n)
+
+
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_crowded_grid(self, seed):
@@ -164,10 +177,7 @@ class TestMatchesReferenceLoop:
         assert trace_bytes(extract_traces(ds, JUMP_LIMIT)) == trace_bytes(want)
 
     def test_grid_with_nan_cells(self):
-        grid = crowded_grid(3)
-        rng = np.random.default_rng(4)
-        grid[rng.uniform(size=grid.shape) < 0.05] = np.nan
-        ds = dataset([grid])
+        ds = dataset([nan_grid()])
         want = reference_extract_traces(ds)
         assert want
         assert trace_bytes(extract_traces(ds, JUMP_LIMIT)) == trace_bytes(want)
@@ -213,6 +223,33 @@ class TestMatchesReferenceLoop:
         assert [tr.bias_index[-1] for tr in traces] == [n - 4, n - 1, n - 3]
         assert np.allclose([tr.freq[0] for tr in traces], [6.00, 5.90, 6.10])
         assert trace_bytes(traces) == trace_bytes(reference_extract_traces(ds, max_gap=2))
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("grid", [
+        lambda: crowded_grid(0), lambda: crowded_grid(1), lambda: crowded_grid(2),
+        lambda: crowded_grid(10, n_bias=45), lambda: crowded_grid(11, n_bias=45),
+        lambda: crowded_grid(12, n_bias=45), nan_grid, last_row_grid,
+    ], ids=["crowded-0", "crowded-1", "crowded-2", "crowded-10", "crowded-11", "crowded-12",
+            "nan-cells", "last-row"])
+    def test_table_is_the_row_reference_row_by_row(self, grid):
+        grid = grid()
+        want = [(i, f, w) for i, row in enumerate(grid)
+                for f, w in reference_row_candidates(row, FREQ, tracing.THRESHOLD)]
+        assert want
+        rows, freq, weight = tracing._candidates(grid, FREQ)
+        assert rows.tolist() == [i for i, _, _ in want]
+        assert freq.tobytes() == np.array([f for _, f, _ in want]).tobytes()
+        assert weight.tobytes() == np.array([w for _, _, w in want]).tobytes()
+
+    def test_a_last_row_candidate_opens_a_trace(self):
+        grid = last_row_grid()
+        last = grid.shape[0] - 1
+        rows, f, _ = tracing._candidates(grid, FREQ)
+        assert rows.tolist() == [last]
+        assert f == pytest.approx([6.0], abs=0.25 * STEP)
+        (tr,) = extract_with(dataset([grid]), min_points=1)
+        assert tr.bias_index.tolist() == [last]
 
 
 class TestExtraction:
