@@ -140,6 +140,10 @@ def crossing_geometry(pair: CoupledPair, sweep: Sequence[BiasPoint]) -> tuple[fl
     :data:`BRACKET_TOL` wide, or a stencil that would leave the sweep.
     ``v_min`` is the sweep's argmin or the last iterate, whichever splits
     less, a tie keeping the sweep point: a sweep-end minimum is that end.
+    The sweep must resolve each dip: its three-point starting bracket is
+    to hold one E1 = E2 root, that of the deepest dip.  Of a pair with two
+    roots the search refines the dip its bracket holds, which on a coarse
+    sweep can be the shallower one.
 
     Parameters
     ----------

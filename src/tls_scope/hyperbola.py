@@ -4,28 +4,29 @@ A TLS tuned by one control voltage V traces
 
     f(V) = sqrt(Delta0^2 + (eps_i + gamma*V)^2)
 
-in swap-spectroscopy data.  The fit linearizes f^2 as a quadratic in V
-for the starting point, one stacked least-squares solve for all traces
-of a length, and refines with damped Gauss-Newton using the analytic
-Jacobian, all traces of a dataset in one lockstep LM:
-:func:`fit_hyperbolas` is the one fit, of one trace or of many.  A trace
-whose f^2 is flat within the noise (or that has fewer than three
-distinct biases), curves down, or has its minimum at or below zero is no
-hyperbola and gets a ``DegenerateTrace``.  The model is blind to the
-sign of Delta0 and to the joint flip (eps_i, gamma) -> (-eps_i, -gamma);
-fits are canonicalized to Delta0 >= 0 and gamma >= 0.
-Delta0 is the fitted value whether or not the sweep reached the vertex;
-its sigma from the covariance says how well the trace determines it.
+in swap-spectroscopy data.  :func:`fit_hyperbolas` is the one fit, of
+one trace or of many, on one zero-padded batch of every trace in length
+order: a stacked least-squares solve of f^2 as a quadratic in V per run
+of equal lengths gives the starts, and one lockstep LM with the analytic
+Jacobian refines every hyperbolic row.  A trace whose f^2 is flat within
+the noise (or that has fewer than three distinct biases), curves down,
+or has its minimum at or below zero is no hyperbola and gets a
+``DegenerateTrace``.  The model is blind to the sign of Delta0 and to
+the joint flip (eps_i, gamma) -> (-eps_i, -gamma); fits are
+canonicalized to Delta0 >= 0 and gamma >= 0.  Delta0 is the fitted
+value whether or not the sweep reached the vertex; its sigma from the
+covariance says how well the trace determines it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateTrace, NoConvergence
-from .lm import _runs, lm_batch
+from .lm import _chi2, _runs, lm_batch
 
 #: Fewest points of a fittable trace: three parameters and two degrees
 #: of freedom.
@@ -47,7 +48,7 @@ class TraceFit:
     residual_rms: float
     n_points: int
 
-    @property
+    @cached_property
     def sigma(self) -> np.ndarray:
         """1-sigma uncertainties of (delta0, eps_at_zero, gamma)."""
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
@@ -119,8 +120,8 @@ def fit_hyperbolas(traces) -> list:
     :class:`NoConvergence` if the refinement stalls (rare once the start
     is a hyperbola) or ends where J^T W J is singular, so without a
     covariance.  A trace's result does not depend on the other traces:
-    every trace with a hyperbolic start runs in one lockstep LM, sorted
-    by length and padded to the longest.
+    the starts, the LM's sums and the residual rms run per run of equal
+    lengths of the one padded batch.
 
     Raises
     ------
@@ -130,8 +131,12 @@ def fit_hyperbolas(traces) -> list:
         non-negative value per point.
     """
     out: list = [None] * len(traces)
-    checked = []
-    for i in np.argsort([np.size(t[1]) for t in traces], kind="stable").tolist():
+    # One zero-padded (volts, freqs, weights) batch in length order.
+    n = np.array([np.size(t[1]) for t in traces], dtype=int)
+    order = np.argsort(n, kind="stable")
+    n = n[order]
+    batch = np.zeros((3, n.size, n.max(initial=0)))
+    for j, i in enumerate(order.tolist()):
         v, f, w = traces[i]
         v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
         if v.shape != f.shape or v.ndim != 1:
@@ -141,54 +146,48 @@ def fit_hyperbolas(traces) -> list:
         w = np.asarray(w, dtype=float)
         if w.shape != f.shape or np.any(w < 0):
             raise ValueError("weights must be one non-negative value per point")
-        checked.append((i, v, f, w))
-    if not checked:
-        return out
-    data, x0 = [], []
-    for rows, _k in _runs([f.size for _i, _v, f, _w in checked]):
-        run = checked[rows]
-        _i, *columns = zip(*run)
-        for trace, start in zip(run, _quadratic_starts(*map(np.array, columns))):
+        batch[:, j, :n[j]] = v, f, w
+    x0, hyperbolic = np.empty((n.size, 3)), np.ones(n.size, dtype=bool)
+    for rows, k in _runs(n):
+        for j, start in enumerate(_quadratic_starts(*batch[:, rows, :k]), rows.start):
             if isinstance(start, DegenerateTrace):
-                out[trace[0]] = start
+                out[order[j]], hyperbolic[j] = start, False
             else:
-                data.append(trace)
-                x0.append(start)
-    if not data:
+                x0[j] = start
+    if not hyperbolic.any():
         return out
-    n = [f.size for _i, _v, f, _w in data]
-    volts, freqs, weights = np.zeros((3, len(data), n[-1]))
-    for j, (_i, v, f, w) in enumerate(data):
-        volts[j, :v.size], freqs[j, :v.size], weights[j, :v.size] = v, f, w
+    # The LM gets the hyperbolic rows, padded to the longest of them.
+    order, n = order[hyperbolic], n[hyperbolic]
+    volts, freqs, weights = batch[:, hyperbolic, :n[-1]]
 
     def jacobian(x, sub):
         v = volts[sub]
-        eps = x[:, 1:2] + x[:, 2:] * v
-        f = np.hypot(x[:, :1], eps)
+        eps, f = _hyperbola(x, v)
         jac = np.stack((x[:, :1] / f, eps / f, eps * v / f), axis=-1)
         return np.negative(jac, out=jac)
 
-    params, cov, _chi2, n_iter, converged = lm_batch(
-        lambda x, sub: freqs[sub] - np.hypot(x[:, :1], x[:, 1:2] + x[:, 2:] * volts[sub]),
-        jacobian, np.array(x0), weights, n,
+    params, cov, _, n_iter, converged = lm_batch(
+        lambda x, sub: freqs[sub] - _hyperbola(x, volts[sub])[1],
+        jacobian, x0[hyperbolic], weights, n,
     )
-    for j, (i, v, f, _w) in enumerate(data):
+    # Canonical signs, Delta0 >= 0 and gamma >= 0, to which the model is
+    # blind; the covariance is reflected with the parameters.
+    flip = np.where(np.signbit(params), -1.0, 1.0)[:, [0, 2, 2]]
+    params *= flip
+    cov *= flip[:, :, None] * flip[:, None, :]
+    rms = np.sqrt(_chi2(1.0, freqs - _hyperbola(params, volts)[1], n) / n)
+    for j, i in enumerate(order.tolist()):
         if not converged[j]:
             out[i] = NoConvergence(f"no convergence after {n_iter[j]} iterations")
         elif not np.isfinite(cov[j]).all():
             out[i] = NoConvergence("J^T W J is singular at the solution: no covariance")
         else:
-            out[i] = _trace_fit(v, f, params[j], cov[j])
+            out[i] = TraceFit(*params[j].tolist(), covariance=cov[j],
+                              residual_rms=float(rms[j]), n_points=int(n[j]))
     return out
 
 
-def _trace_fit(volts, freqs, x, cov) -> TraceFit:
-    # Canonical signs, Delta0 >= 0 and gamma >= 0: the model is invariant
-    # under Delta0 -> -Delta0 and under the joint flip of (eps_i, gamma),
-    # and the covariance is reflected with the parameters.
-    flip = np.where(np.signbit(x), -1.0, 1.0)[[0, 2, 2]]
-    d0, eps_i, gamma = flip * x
-    cov = cov * np.outer(flip, flip)
-    rms = float(np.sqrt(np.mean((freqs - np.hypot(d0, eps_i + gamma * volts)) ** 2)))
-    return TraceFit(delta0=float(d0), eps_at_zero=float(eps_i), gamma=float(gamma),
-                    covariance=cov, residual_rms=rms, n_points=int(volts.size))
+def _hyperbola(x, volts):
+    """(eps, f) = (eps_i + gamma*V, hypot(Delta0, eps)) of rows ``x`` on ``volts``."""
+    eps = x[:, 1:2] + x[:, 2:] * volts
+    return eps, np.hypot(x[:, :1], eps)

@@ -89,7 +89,7 @@ def lm_batch(residuals, jacobian, x0, weights, lengths):
 def _runs(n) -> list[tuple[slice, int]]:
     """(rows, length) of each run of equal lengths in ``n``."""
     cuts = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), len(n)]
-    return [(slice(lo, hi), int(n[lo])) for lo, hi in zip(cuts, cuts[1:])]
+    return [(slice(lo, hi), int(n[lo])) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
 def _chi2(w, r, n) -> np.ndarray:

@@ -5,11 +5,11 @@ freq) grid: local T1 minima deeper than a relative threshold below their
 bias step's median, refined to sub-grid frequency by a three-point
 parabola on log(1/T1), whose peak is locally quadratic for a Lorentzian
 dip.  A tracker walks that flat (bias index, f, w) table a bias step at a
-time, linking candidates into traces by nearest-frequency continuity
-around a one-step linear prediction, which keeps steep traces intact and
-crossing traces apart.  A trace's id is the index of its opening
-candidate.  Traces leave in the order they close, those closing on one
-bias step in the order they opened, and the ones still open at the
+time, linking candidates into traces around a one-step linear prediction,
+closest pair first by one stable sort of the distances, which keeps steep
+traces intact and crossing traces apart.  A trace's id is the index of its
+opening candidate.  Traces leave in the order they close, those closing on
+one bias step in the order they opened, and the ones still open at the
 segment's end come last; traces shorter than the hyperbola fit's
 ``MIN_POINTS`` are dropped.  A trace keeps no voltage: its segment holds
 the control and the bias of each step.  The tracking rules are the module
@@ -92,8 +92,8 @@ def extract_traces(ds: SpectroscopyDataset, jump_limit: float) -> list[Trace]:
             f_c = f_all[lo:hi]
             if ids.size and f_c.size:
                 # Predict each open trace forward and greedily match the
-                # globally closest (trace, candidate) pairs first; ties
-                # go to the earlier trace, then the earlier candidate.
+                # globally closest (trace, candidate) pairs first; ties keep
+                # ``np.nonzero``'s order: earlier trace, then earlier candidate.
                 end = last[ids]
                 gap = i - rows[end]
                 pred = f_all[end] + slope[ids] * gap
@@ -102,7 +102,7 @@ def extract_traces(ds: SpectroscopyDataset, jump_limit: float) -> list[Trace]:
                 window = np.where(end == ids, window * FIRST_LINK_FACTOR, window)
                 dist = np.abs(f_c[None, :] - pred[:, None])
                 a_idx, c_idx = np.nonzero(dist <= window[:, None])
-                order = np.lexsort((c_idx, a_idx, dist[a_idx, c_idx]))
+                order = np.argsort(dist[a_idx, c_idx], kind="stable")
                 used_a, used_c = [False] * ids.size, [False] * f_c.size
                 matched_a, matched_c = [], []
                 for a, c in zip(a_idx[order].tolist(), c_idx[order].tolist()):

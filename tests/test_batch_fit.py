@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tls_scope.errors import DegenerateTrace, NoConvergence
-from tls_scope.hyperbola import TraceFit, _quadratic_starts, _trace_fit, fit_hyperbolas
+from tls_scope import hyperbola
+from tls_scope.hyperbola import TraceFit, _quadratic_starts, fit_hyperbolas
 from tls_scope import lm
 from tls_scope.lm import LAM0, LAM_FACTOR, _each, lm_batch
 
@@ -298,7 +299,13 @@ class TestCanonicalSigns:
         s0, s2 = signs
         v = np.linspace(-2e-3, 2e-3, 9)
         f = np.hypot(0.01, 0.006 + 0.5 * v)
-        fit = _trace_fit(v, f, np.array([0.01 * s0, 0.006 * s2, 0.5 * s2]), self.COV)
+
+        def lm_ending_at_the_flipped_signs(residuals, jacobian, x0, weights, lengths):
+            x = np.array([[0.01 * s0, 0.006 * s2, 0.5 * s2]])
+            return x, self.COV[None].copy(), np.zeros(1), np.ones(1, dtype=int), np.ones(1, bool)
+
+        with mock.patch.object(hyperbola, "lm_batch", lm_ending_at_the_flipped_signs):
+            (fit,) = fit_hyperbolas([(v, f, np.ones(v.size))])
         assert (fit.delta0, fit.eps_at_zero, fit.gamma) == (0.01, 0.006, 0.5)
         flip = np.diag([s0, s2, s2])
         assert np.array_equal(fit.covariance, flip @ self.COV @ flip)

@@ -349,6 +349,20 @@ class TestCrossingOracle:
         v_min, v_star = self.assert_matches_oracle(self.pair(0), 0.2e-3, 1e-3)
         assert v_min == v_star == 0.2e-3
 
+    def test_two_roots_give_the_deeper_dip(self):
+        # E1 = E2 at V_s = -1.66 and +1.46 mV, with dips of 29.14 and
+        # 29.40 MHz, each 0.54 mV wide where it splits less than sqrt(2)
+        # times its minimum.  A sweep that resolves each dip (241 points,
+        # 26 in each) starts its search at the deeper one; at 21 points it
+        # returned the 29.40 MHz dip.
+        pair = CoupledPair(TlsParams(delta0=5.0, gamma_s=600.0),
+                           TlsParams(delta0=5.05, eps_i=0.6, gamma_s=-60.0), g_localized=30.0)
+        _v, s_left, _dv = localized_oracle(pair, -2.5e-3, 0.0)
+        _v, s_right, _dv = localized_oracle(pair, 0.0, 2.5e-3)
+        assert s_left < s_right - 0.2
+        v_min, v_star = self.assert_matches_oracle(pair, -2.5e-3, 2.5e-3)
+        assert v_min < 0 and v_star < 0
+
 
 def crossing_root(pair):
     """V_s [V] where E1 = E2 at V_p = V_g = 0, inside +-2.5 mV: the root of

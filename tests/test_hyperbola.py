@@ -47,6 +47,13 @@ class TestNoiselessRoundTrip:
         assert fit.gamma == pytest.approx(120.0, rel=1e-6)
         assert fit.eps_at_zero == pytest.approx(-0.2, rel=1e-6)
 
+    def test_sigma_is_computed_once(self):
+        v = np.linspace(-2e-3, 2e-3, 30)
+        rng = np.random.default_rng(3)
+        fit = fit_uniform(v, hyperbola(v, 5.0, 0.2, 120.0) + rng.normal(0, 1e-3, v.size))
+        assert fit.sigma is fit.sigma
+        assert np.array_equal(fit.sigma, np.sqrt(np.diag(fit.covariance)))
+
 
 class TestDegenerateAndErrors:
     def test_points_at_vertex_only(self):

@@ -318,6 +318,23 @@ class TestExtraction:
             [5, 6, 7, 8, 9], [0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15]]
         assert traces[1].freq.tolist() == [freq[97]] * 5 + [freq[100]] * 6
 
+    def test_tie_goes_to_the_earlier_candidate(self):
+        # On the same dyadic grid, trace A (rows 0-4 at index 100, slope 0)
+        # predicts index 100 on row 5, exactly 2 steps from both of row 5's
+        # candidates at 98 and 102.  Every cell is 1 or a lone 0.5 dip, so
+        # each candidate sits on its grid point.
+        freq = 6.0 + np.arange(200) * 2.0**-9
+        n = 10
+        grid = np.ones((n, freq.size))
+        grid[:5, 100] = 0.5
+        grid[5:, 98] = grid[5:, 102] = 0.5
+        ds = dataset([grid], freq=freq)
+        traces = extract_traces(ds, JUMP_LIMIT)
+        assert [tr.bias_index.tolist() for tr in traces] == [list(range(n)), list(range(5, n))]
+        assert traces[0].freq.tolist() == [freq[100]] * 5 + [freq[98]] * 5
+        assert traces[1].freq.tolist() == [freq[102]] * 5
+        assert trace_bytes(traces) == trace_bytes(reference_extract_traces(ds))
+
     def test_first_link_factor_finds_the_second_point(self):
         # 10 grid steps per bias step: beyond jump_limit (5 steps) around
         # the flat first prediction, inside the widened first window.
