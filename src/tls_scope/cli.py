@@ -231,8 +231,7 @@ def simulate(cfg: dict, seed: int):
     ensemble = generate_ensemble(ensemble_config(cfg), seed=seed)
     with _keys_as_written(cfg, {"gamma1_background": "t1_qubit_us"}):
         ds = t1_map(ensemble, design, sweep_plan(cfg), np.arange(band[0], stop, step),
-                    gamma1_background=1.0 / cfg["t1_qubit_us"], noise_sigma=cfg["noise_sigma"],
-                    seed=seed, meta_extra={"config": cfg})
+                    noise_sigma=cfg["noise_sigma"], seed=seed, meta_extra={"config": cfg})
     return ensemble, ds
 
 
@@ -399,7 +398,7 @@ def cmd_design(args) -> int:
             raise ConfigError(f"design parameter {key} must be positive")
     design = _sensor_design(cfg, "d_nm", "t1_us")
     v_rms = vacuum_voltage(design)
-    d_rule = design_thickness(cfg["p_min_ea"], cfg["t1_us"] * 1e-6, v_rms)
+    d_rule = design_thickness(cfg["p_min_ea"], design.t1_qubit * 1e-6, v_rms)
     c_s = sample_capacitance(design)
     p_s = metrics.participation_ratio(design)
     gamma1 = metrics.relaxation_budget(

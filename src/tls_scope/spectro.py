@@ -324,7 +324,6 @@ def t1_map(
     design: SensorDesign,
     plan: list[SegmentSpec],
     freq_ghz: np.ndarray,
-    gamma1_background: float,
     noise_sigma: float,
     seed: int,
     meta_extra: dict,
@@ -336,13 +335,13 @@ def t1_map(
     ensemble : Ensemble
         TLS population (sample-capacitor defects).
     design : SensorDesign
-        Sets the rms qubit field in the capacitor.
+        Sets the rms qubit field in the capacitor and the qubit's rate away
+        from any TLS, 1/``t1_qubit`` (refused as ``gamma1_background`` if
+        it overflows).
     plan : list of SegmentSpec
         Sweep segments, e.g. from :func:`default_sweep_plan`.
     freq_ghz : ndarray
         Qubit frequency axis [GHz], strictly increasing, uniform.
-    gamma1_background : float
-        Qubit relaxation rate away from any TLS [1/us].
     noise_sigma : float
         Log-normal noise scale on T1, >= 0; 0 disables noise entirely.
     seed : int
@@ -362,7 +361,7 @@ def t1_map(
 
     meta = {"seed": seed, "field_rms_v_per_m": field, "design": design.to_dict(),
             **meta_extra}
-    return _simulate(plan, freq_ghz, lines, gamma1_background, noise_sigma,
+    return _simulate(plan, freq_ghz, lines, 1.0 / design.t1_qubit, noise_sigma,
                      np.random.SeedSequence(seed).spawn(len(plan)), meta)
 
 

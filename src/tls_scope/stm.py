@@ -65,8 +65,8 @@ class TlsParams:
     p_parallel : float
         Electric dipole moment projection [e*Angstrom], >= 0; the sign of
         the projection is absorbed into ``gamma_s``.
-    gamma1_tls, gamma2_tls : float
-        Energy relaxation and dephasing rates [1/us].
+    gamma2_tls : float
+        Dephasing rate [1/us], finite and > 0: the half width of the T1 dip.
     location : Location
         Host location, if known.
     """
@@ -77,17 +77,14 @@ class TlsParams:
     gamma_g: float = 0.0
     gamma_s: float = 0.0
     p_parallel: float = 0.0
-    gamma1_tls: float = 0.0
     gamma2_tls: float = 2.0 * math.pi  # 2*pi MHz expressed in 1/us
     location: Location = Location.UNCLASSIFIED
 
     def __post_init__(self):
         if not self.delta0 > 0:
             raise ConfigError(f"delta0 must be > 0, got {self.delta0}")
-        if self.gamma1_tls < 0:
-            raise ConfigError(f"gamma1_tls must be >= 0, got {self.gamma1_tls}")
-        if self.gamma2_tls < self.gamma1_tls / 2:
-            raise ConfigError(f"gamma2_tls must be >= gamma1_tls/2, got {self.gamma2_tls}")
+        if not 0 < self.gamma2_tls < math.inf:
+            raise ConfigError(f"gamma2_tls must be finite and > 0, got {self.gamma2_tls}")
         if self.p_parallel < 0:
             raise ConfigError("p_parallel is a magnitude; sign lives in gamma_s")
         if self.location is Location.SAMPLE_DIELECTRIC and self.gamma_s == 0:
@@ -173,7 +170,8 @@ class SensorDesign:
     omega10 : float
         Qubit plasma frequency [rad/s].
     t1_qubit : float
-        Energy relaxation time of the isolated qubit [us].
+        Energy relaxation time of the isolated qubit [us], the one home of
+        its T1: the T1 map's background rate is 1/``t1_qubit``.
     """
 
     d: float

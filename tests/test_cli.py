@@ -35,14 +35,16 @@ SMALL = {"band_ghz": [6.0, 6.4], "freq_step_ghz": 0.004, "n_bias": 30,
 #: ``delta0_lower_bound_only`` key went, and ``dataset.csv``,
 #: ``fit_report.json`` and ``material_report.json`` when the T1 map began
 #: to add its TLS one at a time in ensemble order instead of numpy's
-#: pairwise order per 16 TLS (last bits of the T1 grid, so of the fits).
+#: pairwise order per 16 TLS (last bits of the T1 grid, so of the fits);
+#: ``ground_truth.json`` alone when each record's unread ``gamma1_tls``
+#: key went.
 EXPECTED_SHA256 = {
     "dataset.csv":
         "22aef9129b9fbc8736f3df4864391695d742980951a79e11de86e39dcfa34e5a",
     "dataset.csv.meta.json":
         "c1f19a43f3c01fbb56d8409a0cc1eee09c16fe230236263cb22743b335f0bb93",
     "ground_truth.json":
-        "1f367622bc76c3e28cb3e9f9c85e5bf74e8ae21bc7977bbf6207227596fb4b56",
+        "cbc7742bad895027cdae30a2b862b8daa4b760987770f336b5081057b823fdbc",
     "fit_report.json":
         "be3660806809f02b879d060d0be4512e17b7de5f8fd52f8f45aa0c441ae9644f",
     "material_report.json":
@@ -55,7 +57,8 @@ EXPECTED_SHA256 = {
 #: rows all repeat, and its output sha256 for `--seed 1` (numpy 2.4,
 #: x86-64), recorded before the T1-map pool became one per map;
 #: ``dataset.csv`` re-recorded for the one-line-per-bias-step layout, and
-#: again when the T1 map began to add its TLS in ensemble order.
+#: again when the T1 map began to add its TLS in ensemble order;
+#: ``ground_truth.json`` when each record's unread ``gamma1_tls`` key went.
 CROWDED = {"volume_um3": 0.225, "band_ghz": [6.0, 6.1], "n_bias": 24}
 CROWDED_SHA256 = {
     "dataset.csv":
@@ -63,7 +66,7 @@ CROWDED_SHA256 = {
     "dataset.csv.meta.json":
         "c45f2cfa7759a3d4b834abc7b7d0c19bc0d85ed6466699d7ff5a1b3092636d66",
     "ground_truth.json":
-        "3abfc9d7647cef0a77fc1c72ac911e9ccffc7def97971e70e3dc5d5b03631a17",
+        "fbb79675ae0e5e29fddd47ad71e85bc52de4049df335b013927208957b6161e4",
 }
 
 
@@ -217,6 +220,9 @@ class TestExitCodes:
         ({"gamma_s": {"a": 1}}, ["panel.csv"], "'tls1': gamma_s must be a number, got {'a': 1}"),
         ({"eps_i": "1"}, ["panel.csv"], "'tls1': eps_i must be a number, got '1'"),
         ({"delta0": True}, ["panel.csv"], "'tls1': delta0 must be a number, got True"),
+        # A record copied from a ground_truth.json that still has the key.
+        ({"gamma1_tls": 0.0}, ["panel.csv"], "unexpected keyword argument 'gamma1_tls'"),
+        ({"gamma2_tls": 0}, ["panel.csv"], "'tls1': gamma2_tls must be finite and > 0, got 0"),
     ])
     def test_malformed_coupled_config(self, tmp_path, capsys, tls1, panels, needle):
         tls = {"schema_version": 1, "delta0": 5.9}
@@ -456,6 +462,43 @@ class TestExitCodes:
             argv.insert(1, small_run / "dataset.csv")
         assert run(*argv) == cli.EXIT_CONFIG
         assert "config error: config not found: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, needle", [
+        ("{not json", "config error: config is not valid JSON: "),
+        ("[1, 2]", "config error: config must be a JSON object\n"),
+    ], ids=["not-json", "a-list"])
+    @pytest.mark.parametrize("command", ["generate", "fit", "coupled", "design"])
+    def test_every_command_refuses_a_config_that_is_no_json_object(
+            self, small_run, tmp_path, capsys, command, text, needle):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        argv = [command, "--config", cfg, "--out", tmp_path / "out"]
+        if command == "fit":
+            argv.insert(1, small_run / "dataset.csv")
+        assert run(*argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(needle)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("damage, needle", [
+        ("no-sidecar", "file error: missing sidecar dataset.csv.meta.json\n"),
+        ("list-sidecar", "file error: dataset.csv.meta.json: expected a JSON object\n"),
+        # The one route into main's OSError branch: the sidecar is read
+        # first, then opening the CSV fails.
+        ("no-csv", "I/O error: [Errno 2] No such file or directory: "),
+    ])
+    def test_fit_refuses_a_dataset_without_its_pair(self, small_run, tmp_path, capsys, damage,
+                                                   needle):
+        csv = copy_dataset(small_run, tmp_path / "data")
+        sidecar = csv.with_name("dataset.csv.meta.json")
+        if damage == "no-sidecar":
+            sidecar.unlink()
+        elif damage == "list-sidecar":
+            sidecar.write_text("[1, 2]")
+        else:
+            csv.unlink()
+        assert run("fit", csv, "--out", tmp_path / "out") == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith(needle)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("slack, expected", [(0, cli.EXIT_OK), (-1, cli.EXIT_CONFIG)],

@@ -301,6 +301,10 @@ class TestCrossingGeometry:
         with pytest.raises(ValueError):
             crossing_geometry(pair, bad)
 
+    def test_two_point_sweep_refused(self):
+        with pytest.raises(ValueError, match="^sweep needs at least 3 points$"):
+            crossing_geometry(self.tls_pair(), self.sweep(2))
+
 
 def localized_oracle(pair, v_lo, v_hi, n=4001):
     """(v*, splitting* [MHz], step) of a localized pair on an n-point V_s

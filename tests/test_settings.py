@@ -17,7 +17,7 @@ from tls_scope.traces import extract_traces, link_tracks
 #: Settable values under src/tls_scope when this ratchet was last moved.
 #: Lower it when a value goes; a new knob has to pay for itself by
 #: removing another.
-MAX_SETTABLE = 16
+MAX_SETTABLE = 15
 
 
 def settable_values():

@@ -35,6 +35,8 @@ DESIGN = SensorDesign(
     d=50e-9, area=0.25e-6 * 0.30e-6, eps_r=10.0, c_tot=100e-15,
     omega10=2 * math.pi * 6.2e9, t1_qubit=4.3,
 )
+#: DESIGN with a qubit T1 of 5 us, a background rate of 0.2/us.
+DESIGN_5US = replace(DESIGN, t1_qubit=5.0)
 FREQ = np.arange(5.8, 6.7, 0.002)
 
 
@@ -137,8 +139,8 @@ class TestControlChain:
 
 class TestT1Map:
     def test_flat_reference_qubit(self):
-        ds = t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
-                    gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
+        ds = t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ, noise_sigma=0.0, seed=0,
+                    meta_extra={})
         assert np.allclose(ds.t1_us[0], 4.3, rtol=1e-12)
 
     def test_on_resonance_increment_closed_form(self):
@@ -155,29 +157,39 @@ class TestT1Map:
         ens = one_tls_ensemble(
             TlsParams(delta0=6.25, p_parallel=0.3, gamma2_tls=2 * (2 * math.pi))
         )
-        g10 = 0.1
-        ds = t1_map(ens, field_design(field), seg, freq, gamma1_background=g10,
-                    noise_sigma=0.0, seed=0, meta_extra={})
+        design, g10 = replace(field_design(field), t1_qubit=10.0), 0.1
+        ds = t1_map(ens, design, seg, freq, noise_sigma=0.0, seed=0, meta_extra={})
         idx = np.argmin(np.abs(freq - 6.25))
         on_res = ds.t1_us[0][0, idx]
         expected = 1.0 / (g10 + 2 * math.pi)
         assert on_res == pytest.approx(expected, rel=1e-9)
 
+    def test_line_on_a_grid_frequency_is_finite(self):
+        # At Gamma2 = 0 (refused now) the on-resonance cell was 0/0: a NaN
+        # column and a RuntimeWarning, an error under pytest's config.
+        tls = TlsParams(delta0=6.0, p_parallel=0.4)
+        freq = np.array([5.998, 6.0, 6.002])
+        ds = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(), freq, noise_sigma=0.0,
+                    seed=0, meta_extra={})
+        t1 = ds.t1_us[0]
+        assert np.all(np.isfinite(t1)) and np.all(t1 > 0)
+        assert np.all(t1[:, 1] < t1[:, [0, 2]].min(axis=1))  # the dip is on resonance
+
     def test_far_detuned_lorentzian_tail(self):
         tls = TlsParams(delta0=60.0, p_parallel=0.4)  # 50+ GHz away
         ds = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(), FREQ,
-                    gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
+                    noise_sigma=0.0, seed=0, meta_extra={})
         assert np.allclose(ds.t1_us[0], 4.3, rtol=1e-6)
 
     def test_superposition_far_detuned_tls(self):
         # Adding a defect > 100 linewidths away changes no cell by > 0.1%.
         near = TlsParams(delta0=6.2, p_parallel=0.4)
         base = t1_map(one_tls_ensemble(near), DESIGN, sample_segment(), FREQ,
-                      gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
+                      noise_sigma=0.0, seed=0, meta_extra={})
         # linewidth Gamma2/(2pi) = 1 MHz; 150 linewidths above the band top
         far = TlsParams(delta0=FREQ[-1] + 0.150, p_parallel=0.15)
         both = t1_map(Ensemble(tls_list=(near, far)), DESIGN, sample_segment(), FREQ,
-                      gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
+                      noise_sigma=0.0, seed=0, meta_extra={})
         rel = np.abs(both.t1_us[0] - base.t1_us[0]) / base.t1_us[0]
         assert rel.max() < 1e-3
 
@@ -185,7 +197,7 @@ class TestT1Map:
         tls = TlsParams(delta0=5.9, gamma_s=400.0, p_parallel=0.4,
                         location=Location.SAMPLE_DIELECTRIC)
         ds = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(120), FREQ,
-                    gamma1_background=1 / 4.3, noise_sigma=0.0, seed=0, meta_extra={})
+                    noise_sigma=0.0, seed=0, meta_extra={})
         t1 = ds.t1_us[0]
         dips = t1.min(axis=1)
         mid = np.argmin(np.abs(ds.segments[0].bias))
@@ -194,53 +206,51 @@ class TestT1Map:
     def test_determinism_and_noise_reproducibility(self):
         tls = TlsParams(delta0=6.0, gamma_s=300.0, p_parallel=0.4,
                         location=Location.SAMPLE_DIELECTRIC)
-        kwargs = dict(gamma1_background=1 / 4.3, noise_sigma=0.1, seed=9, meta_extra={})
+        kwargs = dict(noise_sigma=0.1, seed=9, meta_extra={})
         a = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(), FREQ, **kwargs)
         b = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(), FREQ, **kwargs)
         assert all(np.array_equal(x, y) for x, y in zip(a.t1_us, b.t1_us))
         c = t1_map(one_tls_ensemble(tls), DESIGN, sample_segment(), FREQ,
-                   gamma1_background=1 / 4.3, noise_sigma=0.1, seed=10, meta_extra={})
+                   noise_sigma=0.1, seed=10, meta_extra={})
         assert not np.array_equal(a.t1_us[0], c.t1_us[0])
 
     def test_bias_limit_enforced(self):
         seg = [SegmentSpec(control="sample", bias=np.linspace(-4e-3, 4e-3, 10),
                            held={"v_p": 0.0, "v_g": 0.0})]
         with pytest.raises(ValueError):
-            t1_map(empty_ensemble(), DESIGN, seg, FREQ,
-                   gamma1_background=0.2, noise_sigma=0.0, seed=0, meta_extra={})
+            t1_map(empty_ensemble(), DESIGN_5US, seg, FREQ, noise_sigma=0.0, seed=0, meta_extra={})
 
     @pytest.mark.parametrize("noise", [-1.0, -1e-9, float("nan")])
     def test_negative_noise_refused(self, noise):
         with pytest.raises(ValueError, match="noise_sigma must be non-negative"):
-            t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
-                   gamma1_background=0.2, noise_sigma=noise, seed=0, meta_extra={})
+            t1_map(empty_ensemble(), DESIGN_5US, sample_segment(), FREQ,
+                   noise_sigma=noise, seed=0, meta_extra={})
 
     @pytest.mark.parametrize("noise", [np.nextafter(spectro.MAX_NOISE_SIGMA, np.inf), 1e30,
                                        float("inf")], ids=["just-above", "huge", "inf"])
     def test_noise_above_the_bound_refused(self, noise):
         with pytest.raises(ConfigError, match="noise_sigma must be non-negative and at most 50.0"):
-            t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
-                   gamma1_background=0.2, noise_sigma=noise, seed=0, meta_extra={})
+            t1_map(empty_ensemble(), DESIGN_5US, sample_segment(), FREQ,
+                   noise_sigma=noise, seed=0, meta_extra={})
 
     def test_largest_noise_stays_finite(self):
         # exp(sigma * z) at the bound neither overflows nor underflows to
         # zero; an overflow warning would be an error under pytest's config.
-        ds = t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ, gamma1_background=0.2,
+        ds = t1_map(empty_ensemble(), DESIGN_5US, sample_segment(), FREQ,
                     noise_sigma=spectro.MAX_NOISE_SIGMA, seed=0, meta_extra={})
         t1 = ds.t1_us[0]
         assert np.all(np.isfinite(t1)) and np.all(t1 > 0)
 
     def test_freq_axis_validation(self):
         with pytest.raises(ValueError):
-            t1_map(empty_ensemble(), DESIGN, sample_segment(),
-                   np.array([6.0, 5.9, 6.1]), gamma1_background=0.2,
-                   noise_sigma=0.0, seed=0, meta_extra={})
+            t1_map(empty_ensemble(), DESIGN_5US, sample_segment(),
+                   np.array([6.0, 5.9, 6.1]), noise_sigma=0.0, seed=0, meta_extra={})
         # NaN fails the "increasing" and "uniform" comparisons silently.
         for axis in ([5.8, np.nan, 6.0], [5.8, 5.9, np.inf], [np.nan, np.nan],
                      [-np.inf, 5.9, 6.0]):
             with pytest.raises(ValueError, match="frequency axis must be finite"):
-                t1_map(empty_ensemble(), DESIGN, sample_segment(), np.array(axis),
-                       gamma1_background=0.2, noise_sigma=0.0, seed=0, meta_extra={})
+                t1_map(empty_ensemble(), DESIGN_5US, sample_segment(), np.array(axis),
+                       noise_sigma=0.0, seed=0, meta_extra={})
 
 
 def sequential_lorentzian_rate(freq_ghz, f_tls_ghz, g_mhz, gamma2_per_us):
@@ -378,8 +388,8 @@ class TestWorkerCount:
         plan = cut_plan(n_segments, n_bias)
         grids = self.grids_per_block_and_worker_count(
             monkeypatch, [n_bias] * n_segments,
-            lambda: t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
-                           noise_sigma=0.1, seed=5, meta_extra={}))
+            lambda: t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, noise_sigma=0.1, seed=5,
+                           meta_extra={}))
         assert len(self.ENSEMBLE.tls_list) > 2 * spectro._TLS_CHUNK
         assert all(g == grids[0] for g in grids)
 
@@ -402,8 +412,7 @@ class TestWorkerCount:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ds = t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
-                        noise_sigma=0.0, seed=0, meta_extra={})
+            ds = t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, noise_sigma=0.0, seed=0, meta_extra={})
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
@@ -418,8 +427,8 @@ class TestWorkerCount:
         before = threading.active_count()
         with pytest.raises(ValueError,
                            match="^segment exceeds the cold-end sample-bias limit$"):
-            t1_map(self.ENSEMBLE, DESIGN, sample_segment() + [too_far], FREQ,
-                   gamma1_background=0.2, noise_sigma=0.0, seed=0, meta_extra={})
+            t1_map(self.ENSEMBLE, DESIGN_5US, sample_segment() + [too_far], FREQ,
+                   noise_sigma=0.0, seed=0, meta_extra={})
         assert threading.active_count() == before
 
     def test_block_error_propagates_and_leaves_no_thread(self, monkeypatch):
@@ -430,8 +439,8 @@ class TestWorkerCount:
         before = threading.active_count()
         monkeypatch.setattr(np, "matmul", broken)  # the detunings of each block
         with pytest.raises(FloatingPointError, match="block failed"):
-            t1_map(self.ENSEMBLE, DESIGN, cut_plan(3, 80), FREQ, gamma1_background=0.2,
-                   noise_sigma=0.0, seed=0, meta_extra={})
+            t1_map(self.ENSEMBLE, DESIGN_5US, cut_plan(3, 80), FREQ, noise_sigma=0.0, seed=0,
+                   meta_extra={})
         monkeypatch.undo()
         assert threading.active_count() == before
 
@@ -446,8 +455,7 @@ class TestWorkerCount:
 
         monkeypatch.setattr(spectro, "energies", spy)
         plan = sweep_plan()
-        t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, gamma1_background=1 / 4.3,
-               noise_sigma=0.1, seed=1, meta_extra={})
+        t1_map(self.ENSEMBLE, DESIGN, plan, FREQ, noise_sigma=0.1, seed=1, meta_extra={})
         assert max(rows) == _BIAS_BLOCK
         assert sum(rows) == sum(seg.bias.size for seg in plan)
         rows.clear()
@@ -491,8 +499,7 @@ class TestRepeatedRows:
         monkeypatch.setattr(spectro, "_lorentzian_rate", spy)
         monkeypatch.setattr(spectro, "_usable_cpus", lambda: 1)  # the blocks in order
         design, g1 = field_design(90.0), 1 / 4.3
-        ds = t1_map(self.ENSEMBLE, design, plan, FREQ, gamma1_background=g1,
-                    noise_sigma=0.0, seed=0, meta_extra={})
+        ds = t1_map(self.ENSEMBLE, design, plan, FREQ, noise_sigma=0.0, seed=0, meta_extra={})
         assert computed == per_block
         for t1, want in zip(ds.t1_us, reference_grids(self.ENSEMBLE, design, plan, g1),
                             strict=True):
@@ -537,21 +544,34 @@ class TestCoupledPanel:
 
 class TestBackgroundRate:
     """Both maps refuse a background rate that is not finite and > 0, by
-    its name.  NaN used to end in "a trace is more than half missing", -1
-    and inf in "T1 values must be positive or NaN"; 0 ended in "T1 values
-    must be finite or NaN" on a defect map and drew a panel whose T1 only
-    the Lorentzian tails bounded."""
+    name.  The defect map takes its rate from the design, 1/``t1_qubit``,
+    so there a bad value is a bad T1, which ``SensorDesign`` refuses.  NaN
+    used to end in "a trace is more than half missing", -1 and inf in "T1
+    values must be positive or NaN"; 0 ended in "T1 values must be finite
+    or NaN" on a defect map and drew a panel whose T1 only the Lorentzian
+    tails bounded."""
 
-    @pytest.mark.parametrize("gamma1", [float("nan"), -1.0, float("inf"), 0.0])
-    @pytest.mark.parametrize("simulate", [
-        lambda g1: t1_map(empty_ensemble(), DESIGN, sample_segment(), FREQ,
-                          gamma1_background=g1, noise_sigma=0.0, seed=0, meta_extra={}),
-        lambda g1: coupled_pair_t1_map(PAIR, np.linspace(-2.4e-3, 2.4e-3, 20), 0.0,
-                                       PANEL_FREQ, field_rms=90.0, gamma1_background=g1,
-                                       noise_sigma=0.1, seed=0),
-    ], ids=["t1_map", "coupled_pair_t1_map"])
-    def test_bad_background_rate_refused(self, simulate, gamma1):
-        with pytest.raises(OutOfRange, match=f"^gamma1_background must be finite and > 0, "
-                                             f"got {gamma1}$") as refused:
-            simulate(gamma1)
-        assert refused.value.name == "gamma1_background"
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"), 0.0])
+    @pytest.mark.parametrize("simulate, name, rule", [
+        pytest.param(lambda t1: t1_map(empty_ensemble(), replace(DESIGN, t1_qubit=t1),
+                                       sample_segment(), FREQ, noise_sigma=0.0, seed=0,
+                                       meta_extra={}),
+                     "t1_qubit", "must be (strictly positive|finite)", id="t1_map"),
+        pytest.param(lambda g1: coupled_pair_t1_map(PAIR, np.linspace(-2.4e-3, 2.4e-3, 20),
+                                                    0.0, PANEL_FREQ, field_rms=90.0,
+                                                    gamma1_background=g1, noise_sigma=0.1,
+                                                    seed=0),
+                     "gamma1_background", "must be finite and > 0", id="coupled_pair_t1_map"),
+    ])
+    def test_bad_background_rate_refused(self, simulate, name, rule, bad):
+        with pytest.raises(OutOfRange, match=f"^{name} {rule}, got {bad}$") as refused:
+            simulate(bad)
+        assert refused.value.name == name
+
+    def test_t1_map_refuses_a_rate_that_overflows(self):
+        # A T1 of 1e-320 us is positive and finite, but its rate is not.
+        design = replace(DESIGN, t1_qubit=1e-320)
+        with pytest.raises(OutOfRange, match="^gamma1_background must be finite and > 0, "
+                                             "got inf$"):
+            t1_map(empty_ensemble(), design, sample_segment(), FREQ, noise_sigma=0.0, seed=0,
+                   meta_extra={})

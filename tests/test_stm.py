@@ -196,9 +196,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             TlsParams(delta0=0.0)
 
-    def test_gamma2_vs_gamma1(self):
-        with pytest.raises(ValueError):
-            TlsParams(delta0=1.0, gamma1_tls=4.0, gamma2_tls=1.0)
+    def test_gamma2_finite_and_positive(self):
+        # Gamma2 = 0 used to pass, and a line exactly on a grid frequency
+        # then made the T1 map divide 0 by 0 (a NaN column); an infinite
+        # Gamma2 divides inf by inf at every cell.
+        for gamma2 in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError,
+                               match=f"^gamma2_tls must be finite and > 0, got {gamma2}$"):
+                TlsParams(delta0=1.0, gamma2_tls=gamma2)
 
     def test_dipole_magnitude(self):
         with pytest.raises(ValueError):
