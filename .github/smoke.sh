@@ -16,6 +16,14 @@ refused() {
 }
 
 tls-scope design --out design
+# design reads the sensor by generate's keys; its own old keys are gone.
+echo '{"thickness_nm": 100}' > thick.json
+tls-scope design --config thick.json --out thick
+grep -q '"d_chosen_nm": 100' thick/design_report.json
+echo '{"t1_us": 1.0}' > old-t1.json
+refused 2 bad.err tls-scope design --config old-t1.json --out bad
+grep -q "unknown config keys: \['t1_us'\]" bad.err
+test ! -e bad
 tls-scope generate --seed 1 --out g
 # One line per bias step: the header and 8 segments of 80 steps.
 test "$(wc -l < g/dataset.csv)" -eq 641
@@ -40,11 +48,13 @@ echo '{"v_p_range": [1e300, -30.0]}' > huge-range.json
 refused 2 bad.err tls-scope generate --config huge-range.json --out bad
 grep -q "v_p_range" bad.err
 test ! -e bad
-# 1/T1 overflows: the background rate is refused by the key it came from.
+# 1/T1 overflows: the T1 is refused by its key, by generate and design alike.
 echo '{"t1_qubit_us": 1e-320}' > tiny-t1.json
-refused 2 bad.err tls-scope generate --config tiny-t1.json --out bad
-grep -q "t1_qubit_us must be finite and > 0" bad.err
-test ! -e bad
+for command in generate design; do
+    refused 2 bad.err tls-scope "$command" --config tiny-t1.json --out bad
+    grep -q "t1_qubit_us must be large enough that 1/t1_qubit is finite" bad.err
+    test ! -e bad
+done
 # The tracking rules are constants, not fit config keys.
 echo '{"threshold": 0.3}' > threshold.json
 refused 2 bad.err tls-scope fit g/dataset.csv --config threshold.json --out bad
@@ -111,7 +121,7 @@ test ! -e bad
 # A removed command exits 2 with argparse's refusal.
 refused 2 gone.err tls-scope plotdata
 
-python - design g c <<'PY'
+python - design thick g c <<'PY'
 import json, pathlib, sys
 def refuse(constant):
     raise ValueError(f"non-finite number {constant}")

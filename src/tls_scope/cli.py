@@ -9,10 +9,12 @@ written.
 Each config default is written once.  The library takes every
 simulation value from its caller, ``generate`` from ``GENERATE_DEFAULTS``
 through :func:`ensemble_config` and :func:`sweep_plan`; ``fit`` and
-``design`` take the film and sensor values from that table.  ``fit``
-takes only the film keys; its tracking rules are constants of
-:mod:`~tls_scope.traces`.  :func:`simulate` and :func:`analyze` are the
-in-memory forms of ``generate`` and ``fit``.
+``design`` take their film and sensor keys, names and defaults alike,
+from that table, so ``design`` sizes the sensor that ``generate``
+simulates, qubit T1 included.  ``fit`` takes only the film keys; its
+tracking rules are constants of :mod:`~tls_scope.traces`.
+:func:`simulate` and :func:`analyze` are the in-memory forms of
+``generate`` and ``fit``.
 """
 
 from __future__ import annotations
@@ -168,20 +170,19 @@ GENERATE_DEFAULTS = {
 }
 
 
-def _sensor_design(cfg: dict, d_key: str, t1_key: str) -> SensorDesign:
-    """SI sensor of a ``generate`` or ``design`` config; its only unit
-    conversion.  ``d_key`` and ``t1_key`` name the config's thickness [nm]
-    and qubit T1 [us], and a refused value is named by its key."""
-    keys = {"d": d_key, "area": "area_um2", "c_tot": "c_tot_fF", "omega10": "f10_ghz",
-            "t1_qubit": t1_key}
+def _sensor_design(cfg: dict) -> SensorDesign:
+    """SI sensor of a ``generate`` or ``design`` config, which share its
+    keys; its only unit conversion.  A refused value is named by its key."""
+    keys = {"d": "thickness_nm", "area": "area_um2", "c_tot": "c_tot_fF",
+            "omega10": "f10_ghz", "t1_qubit": "t1_qubit_us"}
     with _keys_as_written(cfg, keys):
         return SensorDesign(
-            d=cfg[d_key] * 1e-9,
+            d=cfg["thickness_nm"] * 1e-9,
             area=cfg["area_um2"] * 1e-12,
             eps_r=cfg["eps_r"],
             c_tot=cfg["c_tot_fF"] * 1e-15,
             omega10=2 * math.pi * cfg["f10_ghz"] * 1e9,
-            t1_qubit=cfg[t1_key],
+            t1_qubit=cfg["t1_qubit_us"],
         )
 
 
@@ -227,11 +228,10 @@ def simulate(cfg: dict, seed: int):
     if cells > MAX_MAP_CELLS:
         raise ConfigError(f"freq_step_ghz {step} gives a T1 map of {cells:.3g} cells "
                           f"(segments x n_bias x frequencies), more than {MAX_MAP_CELLS}")
-    design = _sensor_design(cfg, "thickness_nm", "t1_qubit_us")
+    design = _sensor_design(cfg)
     ensemble = generate_ensemble(ensemble_config(cfg), seed=seed)
-    with _keys_as_written(cfg, {"gamma1_background": "t1_qubit_us"}):
-        ds = t1_map(ensemble, design, sweep_plan(cfg), np.arange(band[0], stop, step),
-                    noise_sigma=cfg["noise_sigma"], seed=seed, meta_extra={"config": cfg})
+    ds = t1_map(ensemble, design, sweep_plan(cfg), np.arange(band[0], stop, step),
+                noise_sigma=cfg["noise_sigma"], seed=seed, meta_extra={"config": cfg})
     return ensemble, ds
 
 
@@ -378,44 +378,36 @@ def _write_crossing(path, ds, panel, fit, tls1, tls2) -> None:
 
 
 DESIGN_DEFAULTS = {
-    "f10_ghz": GENERATE_DEFAULTS["f10_ghz"],
-    "c_tot_fF": GENERATE_DEFAULTS["c_tot_fF"],
+    **{key: GENERATE_DEFAULTS[key] for key in
+       ("f10_ghz", "c_tot_fF", "t1_qubit_us", "thickness_nm", "area_um2", "eps_r")},
     "p_min_ea": 0.1,
-    "t1_us": 1.0,
-    "d_nm": GENERATE_DEFAULTS["thickness_nm"],
-    "area_um2": GENERATE_DEFAULTS["area_um2"],
-    "eps_r": GENERATE_DEFAULTS["eps_r"],
     "tan_delta0": 1.6e-3,
-    "gamma_background_per_us": 0.1,
 }
 
 
 def cmd_design(args) -> int:
     cfg = _load_config(args.config, DESIGN_DEFAULTS)
-    # The sensor keys are checked by SensorDesign.
-    for key in ("p_min_ea", "tan_delta0", "gamma_background_per_us"):
-        if cfg[key] <= 0 and (key != "tan_delta0" or cfg[key] < 0):
-            raise ConfigError(f"design parameter {key} must be positive")
-    design = _sensor_design(cfg, "d_nm", "t1_us")
+    # The sensor keys are checked by SensorDesign, tan_delta0 by relaxation_budget.
+    if not cfg["p_min_ea"] > 0:
+        raise OutOfRange("p_min_ea", "must be > 0", cfg["p_min_ea"])
+    design = _sensor_design(cfg)
     v_rms = vacuum_voltage(design)
     d_rule = design_thickness(cfg["p_min_ea"], design.t1_qubit * 1e-6, v_rms)
     c_s = sample_capacitance(design)
     p_s = metrics.participation_ratio(design)
-    gamma1 = metrics.relaxation_budget(
-        design, cfg["tan_delta0"], cfg["gamma_background_per_us"]
-    )
-    gamma_diel = gamma1 - cfg["gamma_background_per_us"]
+    gamma1 = metrics.relaxation_budget(design, cfg["tan_delta0"])
+    gamma_bg = 1.0 / design.t1_qubit
     # (label, design_report.json key, value, template)
     rows = [
         ("V_rms [uV]", "V_rms_uV", v_rms * 1e6, "{:.3f}"),
         ("d (detectability rule) [nm]", "d_rule_nm", d_rule * 1e9, "{:.1f}"),
-        ("d (configured) [nm]", "d_chosen_nm", cfg["d_nm"], "{:.1f}"),
+        ("d (configured) [nm]", "d_chosen_nm", cfg["thickness_nm"], "{:.1f}"),
         ("C_s [fF]", "C_s_fF", c_s * 1e15, "{:.4f}"),
         ("participation p_s", "p_s", p_s, "{:.3e}"),
         ("Gamma1 [1/us]", "Gamma1_per_us", gamma1, "{:.4f}"),
         ("T1 budget [us]", "T1_budget_us", 1.0 / gamma1, "{:.3f}"),
-        ("dielectric-limited", "dielectric_limited",
-         bool(gamma_diel > cfg["gamma_background_per_us"]), None),
+        # The dielectric rate, Gamma1 less the qubit's own 1/T1, exceeds 1/T1.
+        ("dielectric-limited", "dielectric_limited", bool(gamma1 - gamma_bg > gamma_bg), None),
     ]
     overflow = [key for _label, key, value, _template in rows if not math.isfinite(value)]
     if overflow:

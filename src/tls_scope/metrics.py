@@ -2,7 +2,8 @@
 
 Converts trace densities into volume densities, and those into the
 intrinsic loss tangent; also evaluates the participation-ratio
-relaxation budget used to size the sample capacitor.  Dipole moments
+relaxation budget used to size the sample capacitor, against the
+qubit's one T1, ``SensorDesign.t1_qubit``.  Dipole moments
 come from the tuning rates through :func:`tls_scope.stm.gamma_s_to_dipole`.
 The numbers are the raw ones, with no correction for the defects the
 extraction misses; the detectability rule g*T1 = 1 lives in
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from .constants import EPS0, J_PER_GHZ, CM_PER_EA
-from .errors import ConfigError
+from .errors import ConfigError, OutOfRange
 from .stm import Location, SensorDesign, sample_capacitance
 
 
@@ -47,19 +48,18 @@ def participation_ratio(design: SensorDesign) -> float:
     return sample_capacitance(design) / design.c_tot
 
 
-def relaxation_budget(
-    design: SensorDesign, tan_delta0: float, gamma_background: float
-) -> float:
+def relaxation_budget(design: SensorDesign, tan_delta0: float) -> float:
     """Qubit relaxation rate [1/us] with dielectric loss of the capacitor.
 
-    Gamma1 = omega10 * p_s * tan_delta0 + Gamma1_bg, with p_s the sample
-    capacitor's participation ratio.  ``gamma_background`` collects all
-    other loss channels [1/us].
+    Gamma1 = omega10 * p_s * tan_delta0 + 1/T1, with p_s the sample
+    capacitor's participation ratio and T1 = ``design.t1_qubit`` [us]:
+    the qubit's rate from all other loss channels is the background that
+    the T1 map reads its dips against.
     """
-    if tan_delta0 < 0 or gamma_background < 0:
-        raise ConfigError("loss inputs must be non-negative")
+    if not tan_delta0 >= 0:
+        raise OutOfRange("tan_delta0", "must be >= 0", tan_delta0)
     p_s = participation_ratio(design)
-    return design.omega10 * p_s * tan_delta0 / 1e6 + gamma_background
+    return design.omega10 * p_s * tan_delta0 / 1e6 + 1.0 / design.t1_qubit
 
 
 def material_report(analysis, volume_um3: float, eps_r: float, thickness_nm: float) -> dict:

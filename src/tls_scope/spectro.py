@@ -336,8 +336,7 @@ def t1_map(
         TLS population (sample-capacitor defects).
     design : SensorDesign
         Sets the rms qubit field in the capacitor and the qubit's rate away
-        from any TLS, 1/``t1_qubit`` (refused as ``gamma1_background`` if
-        it overflows).
+        from any TLS, 1/``t1_qubit``.
     plan : list of SegmentSpec
         Sweep segments, e.g. from :func:`default_sweep_plan`.
     freq_ghz : ndarray

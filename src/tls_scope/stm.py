@@ -51,7 +51,7 @@ class Location(enum.Enum):
 
 @dataclass(frozen=True)
 class TlsParams:
-    """Parameters of one TLS.
+    """Parameters of one TLS; every field but ``location`` must be finite.
 
     Attributes
     ----------
@@ -85,6 +85,10 @@ class TlsParams:
             raise ConfigError(f"delta0 must be > 0, got {self.delta0}")
         if not 0 < self.gamma2_tls < math.inf:
             raise ConfigError(f"gamma2_tls must be finite and > 0, got {self.gamma2_tls}")
+        for f in fields(self):  # pairfit's array of trial gamma_p is its own
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise OutOfRange(f.name, "must be finite", value)
         if self.p_parallel < 0:
             raise ConfigError("p_parallel is a magnitude; sign lives in gamma_s")
         if self.location is Location.SAMPLE_DIELECTRIC and self.gamma_s == 0:
@@ -171,7 +175,8 @@ class SensorDesign:
         Qubit plasma frequency [rad/s].
     t1_qubit : float
         Energy relaxation time of the isolated qubit [us], the one home of
-        its T1: the T1 map's background rate is 1/``t1_qubit``.
+        its T1: the T1 map's background rate and the relaxation budget's
+        non-dielectric rate are both 1/``t1_qubit``, which must be finite.
     """
 
     d: float
@@ -188,6 +193,9 @@ class SensorDesign:
                 raise OutOfRange(name, "must be strictly positive", value)
             if not math.isfinite(value):
                 raise OutOfRange(name, "must be finite", value)
+        if not 1.0 / self.t1_qubit < math.inf:
+            raise OutOfRange("t1_qubit", "must be large enough that 1/t1_qubit is finite",
+                             self.t1_qubit)
         c_s = sample_capacitance(self)
         if self.c_tot <= c_s:
             raise ConfigError(

@@ -89,15 +89,15 @@ COUPLED_SHA256 = {
 #: design_report.json it writes (numpy 2.4, x86-64).
 DESIGN_STDOUT = """\
 V_rms [uV]                   4.532
-d (detectability rule) [nm]  68.9
+d (detectability rule) [nm]  296.1
 d (configured) [nm]          50.0
 C_s [fF]                     0.1328
 participation p_s            1.328e-03
-Gamma1 [1/us]                0.1828
-T1 budget [us]               5.471
+Gamma1 [1/us]                0.3153
+T1 budget [us]               3.171
 dielectric-limited           no
 """
-DESIGN_SHA256 = "d67dac68fd532de502c4b2509dd486154deac62de7e44eba454c100ac1a2eb3b"
+DESIGN_SHA256 = "edd055957f61cd4d491a2237b30ad343f90d93c1dfefa49f7815eabbb462baa8"
 
 #: stdout of `fit` on the SMALL dataset of `generate --seed 1`.
 FIT_STDOUT = """\
@@ -288,9 +288,10 @@ class TestExitCodes:
         ({"t1_qubit_us": 0},
          "t1_qubit_us must be strictly positive, got 0, which is t1_qubit = 0"),
         # 1/T1 overflows to inf: this used to exit 2 with "T1 values must be
-        # positive or NaN", which names no key.
-        ({"t1_qubit_us": 1e-320},
-         "t1_qubit_us must be finite and > 0, got 1e-320, which is gamma1_background = inf"),
+        # positive or NaN", which names no key, and then with "must be
+        # finite and > 0, got 1e-320", which contradicts itself.
+        ({"t1_qubit_us": 1e-320}, "t1_qubit_us must be large enough that 1/t1_qubit is "
+                                  "finite, got 1e-320, which is t1_qubit = 1e-320"),
         ({"eps_r": 0}, "eps_r must be strictly positive, got 0"),
         ({"band_ghz": [6.0, 6.001]}, "frequency axis needs at least 2 points, got 1"),
         # The ensemble draws about 8 candidates for this band.  The 2001-point
@@ -400,13 +401,27 @@ class TestExitCodes:
         # These used to write Infinity into design_report.json.
         ("design", {"f10_ghz": 1e300},
          "f10_ghz must be finite, got 1e+300, which is omega10 = inf"),
-        ("design", {"d_nm": 0}, "d_nm must be strictly positive, got 0, which is d = 0.0"),
-        ("design", {"t1_us": 0}, "t1_us must be strictly positive, got 0, which is t1_qubit = 0"),
+        ("design", {"thickness_nm": 0},
+         "thickness_nm must be strictly positive, got 0, which is d = 0.0"),
+        ("design", {"t1_qubit_us": 0},
+         "t1_qubit_us must be strictly positive, got 0, which is t1_qubit = 0"),
         ("design", {"tan_delta0": 1e308},
          "design outputs ['Gamma1_per_us'] overflow for this config"),
         ("design", {"p_min_ea": 1e308}, "design outputs ['d_rule_nm'] overflow for this config"),
-        ("design", {"tan_delta0": 0, "gamma_background_per_us": 1e-320},
-         "design outputs ['T1_budget_us'] overflow for this config"),
+        # The T1 budget is at most T1, so it can no longer overflow; a T1
+        # whose rate does is refused by its key, as generate refuses it.
+        ("design", {"t1_qubit_us": 1e-320}, "t1_qubit_us must be large enough that "
+                                            "1/t1_qubit is finite, got 1e-320"),
+        # design and generate name the sensor by the same keys; the film
+        # and T1 keys of design's own and its second background rate are gone.
+        ("design", {"d_nm": 50.0}, "unknown config keys: ['d_nm']"),
+        ("design", {"t1_us": 1.0}, "unknown config keys: ['t1_us']"),
+        ("design", {"gamma_background_per_us": 0.1},
+         "unknown config keys: ['gamma_background_per_us']"),
+        ("design", {"p_min_ea": 0}, "p_min_ea must be > 0, got 0"),
+        # Used to read "design parameter tan_delta0 must be positive",
+        # though 0 is accepted.
+        ("design", {"tan_delta0": -1e-3}, "tan_delta0 must be >= 0, got -0.001"),
     ], ids=["fit-removed-threshold", "fit-threshold-in-use", "fit-removed-jump",
             "fit-removed-gap", "fit-removed-first-link", "fit-removed-min-points",
             "fit-two-removed-keys", "fit-removed-boundary",
@@ -414,8 +429,9 @@ class TestExitCodes:
             "fit-tiny-volume", "fit-tiny-eps", "fit-huge-thickness",
             "coupled-removed-threshold", "coupled-removed-jump", "design-loaded-qubit",
             "design-huge-frequency", "design-zero-thickness", "design-zero-t1",
-            "design-huge-loss", "design-huge-dipole",
-            "design-tiny-background"])
+            "design-huge-loss", "design-huge-dipole", "design-tiny-t1",
+            "design-removed-thickness", "design-removed-t1", "design-removed-background",
+            "design-zero-dipole", "design-negative-loss"])
     @pytest.mark.filterwarnings("ignore:sample capacitor holds")
     def test_refuses_bad_setting(self, small_run, coupled_run, tmp_path, capsys, command,
                                  override, needle):
@@ -500,6 +516,31 @@ class TestExitCodes:
         assert run("fit", csv, "--out", tmp_path / "out") == cli.EXIT_IO
         assert capsys.readouterr().err.startswith(needle)
         assert not (tmp_path / "out").exists()
+
+    def test_fit_refuses_a_frequency_axis_that_is_not_uniform(self, small_run, tmp_path,
+                                                              capsys):
+        csv = copy_dataset(small_run, tmp_path / "data")
+        header, rest = csv.read_text().split("\n", 1)
+        columns = header.split(",")
+        columns[4] = repr(float(columns[4]) + 1e-3)  # the second frequency
+        csv.write_text(",".join(columns) + "\n" + rest)
+        assert run("fit", csv, "--out", tmp_path / "out") == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            "file error: dataset.csv: frequency axis must be uniform\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_design_and_generate_describe_one_sensor(self):
+        assert (cli._sensor_design(cli.DESIGN_DEFAULTS)
+                == cli._sensor_design(cli.GENERATE_DEFAULTS))
+        shared = set(cli.DESIGN_DEFAULTS) & set(cli.GENERATE_DEFAULTS)
+        assert set(cli.DESIGN_DEFAULTS) - shared == {"p_min_ea", "tan_delta0"}
+        assert all(cli.DESIGN_DEFAULTS[k] == cli.GENERATE_DEFAULTS[k] for k in shared)
+
+    def test_design_without_dielectric_loss_keeps_the_qubit_t1(self, tmp_path, capsys):
+        # tan_delta0 = 0 is accepted: the budget is the qubit's own T1.
+        cfg = write_json(tmp_path / "design.json", {"tan_delta0": 0, "t1_qubit_us": 2.5})
+        assert run("design", "--config", cfg) == cli.EXIT_OK
+        assert "T1 budget [us]               2.500\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("slack, expected", [(0, cli.EXIT_OK), (-1, cli.EXIT_CONFIG)],
                              ids=["at-limit", "one-cell-over"])

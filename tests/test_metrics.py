@@ -12,6 +12,7 @@ from tls_scope.metrics import (
     loss_tangent,
     material_report,
     participation_ratio,
+    relaxation_budget,
     volume_density,
 )
 from tls_scope.pipeline import AnalysisResult, TlsRecord
@@ -47,6 +48,23 @@ def test_loss_tangent_by_hand():
 def test_input_errors(call):
     with pytest.raises(ValueError):
         call()
+
+
+class TestRelaxationBudget:
+    """Gamma1 = omega10 * p_s * tan_delta0 + 1/T1 [1/us], T1 the design's."""
+
+    def test_closed_form(self):
+        p_s = EPS0 * 10.0 * 0.075e-12 / 50e-9 / 100e-15
+        expected = 2 * math.pi * 6.2e9 * p_s * 1.6e-3 / 1e6 + 1 / 4.3
+        assert relaxation_budget(DESIGN, 1.6e-3) == pytest.approx(expected, rel=1e-12)
+
+    def test_without_dielectric_loss_the_rate_is_the_qubit_t1(self):
+        assert relaxation_budget(DESIGN, 0.0) == 1 / DESIGN.t1_qubit
+
+    @pytest.mark.parametrize("tan_delta0", [-1e-3, float("nan")])
+    def test_negative_loss_tangent_refused(self, tan_delta0):
+        with pytest.raises(ConfigError, match=f"^tan_delta0 must be >= 0, got {tan_delta0}$"):
+            relaxation_budget(DESIGN, tan_delta0)
 
 
 def test_participation_ratio_needs_c_tot_above_c_s():

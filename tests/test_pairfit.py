@@ -19,7 +19,7 @@ from test_cli import PAIR, PANEL_FREQ, PANEL_V_S, TLS
 from tls_scope import cli
 from tls_scope.constants import MHZ_PER_GHZ
 from tls_scope.coupled import CoupledPair, transitions_truncated
-from tls_scope.errors import AmbiguousSigns, NoConvergence
+from tls_scope.errors import AmbiguousSigns, ConfigError, NoConvergence
 from tls_scope.pairfit import (
     DISTINCT_TOL,
     PairFitResult,
@@ -194,6 +194,11 @@ def test_positive_gx_start_flips_gx_and_its_covariance():
     assert (pos.g_z, pos.gamma_p2, pos.chi2) == (neg.g_z, neg.gamma_p2, neg.chi2)
     flip = np.array([1.0, -1.0, 1.0])
     assert np.array_equal(pos.covariance, neg.covariance * np.outer(flip, flip))
+
+
+def test_no_panel_refused():
+    with pytest.raises(ConfigError, match="^need at least one panel$"):
+        fit_coupled_pair([], TLS, TLS, **STARTS)
 
 
 def test_start_values_are_required():

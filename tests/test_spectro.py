@@ -136,6 +136,10 @@ class TestControlChain:
         with pytest.raises(ValueError, match="division_factor must be > 0"):
             sweep_plan(division_factor=factor)
 
+    def test_nan_source_amplitude_refused(self):
+        with pytest.raises(ConfigError, match="^v_s_source_amplitude must be finite, got nan$"):
+            sweep_plan(v_s_source_amplitude=float("nan"))
+
 
 class TestT1Map:
     def test_flat_reference_qubit(self):
@@ -508,6 +512,10 @@ class TestRepeatedRows:
 
 
 class TestEmptySegment:
+    def test_empty_plan_refused(self):
+        with pytest.raises(ConfigError, match="^sweep plan is empty$"):
+            t1_map(empty_ensemble(), DESIGN, [], FREQ, noise_sigma=0.0, seed=0, meta_extra={})
+
     def test_segment_without_bias_steps_refused(self):
         with pytest.raises(ValueError, match="a segment needs at least one bias step"):
             SegmentSpec(control="sample", bias=np.array([]), held={"v_p": 0.0, "v_g": 0.0})
@@ -530,6 +538,14 @@ class TestCoupledPanel:
         with pytest.raises(ValueError, match="noise_sigma must be non-negative"):
             coupled_pair_t1_map(pair, np.linspace(-1e-3, 1e-3, 5), 0.0, FREQ,
                                 field_rms=90.0, gamma1_background=0.2, noise_sigma=-1.0,
+                                seed=0)
+
+    def test_localized_pair_refused(self):
+        # The panel's couplings use the (g_z, g_x) hybridization angle.
+        pair = CoupledPair(PAIR.tls1, PAIR.tls2, g_localized=10.0)
+        with pytest.raises(ValueError, match="use the \\(g_z, g_x\\) parameterization"):
+            coupled_pair_t1_map(pair, np.linspace(-1e-3, 1e-3, 5), 0.0, PANEL_FREQ,
+                                field_rms=90.0, gamma1_background=0.2, noise_sigma=0.0,
                                 seed=0)
 
     def test_two_branches_visible(self):
@@ -569,9 +585,11 @@ class TestBackgroundRate:
         assert refused.value.name == name
 
     def test_t1_map_refuses_a_rate_that_overflows(self):
-        # A T1 of 1e-320 us is positive and finite, but its rate is not.
-        design = replace(DESIGN, t1_qubit=1e-320)
-        with pytest.raises(OutOfRange, match="^gamma1_background must be finite and > 0, "
-                                             "got inf$"):
-            t1_map(empty_ensemble(), design, sample_segment(), FREQ, noise_sigma=0.0, seed=0,
-                   meta_extra={})
+        # A T1 of 1e-320 us is positive and finite, but its rate is not:
+        # the design refuses it by its own name, before any map.  It used
+        # to reach the map and be refused as "gamma1_background must be
+        # finite and > 0, got inf".
+        with pytest.raises(OutOfRange, match="^t1_qubit must be large enough that "
+                                             "1/t1_qubit is finite, got 1e-320$"):
+            t1_map(empty_ensemble(), replace(DESIGN, t1_qubit=1e-320), sample_segment(), FREQ,
+                   noise_sigma=0.0, seed=0, meta_extra={})

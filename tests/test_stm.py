@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tls_scope.errors import SchemaError
+from tls_scope.errors import OutOfRange, SchemaError
 from tls_scope.stm import (
     BiasPoint,
     Location,
@@ -205,6 +205,17 @@ class TestValidation:
                                match=f"^gamma2_tls must be finite and > 0, got {gamma2}$"):
                 TlsParams(delta0=1.0, gamma2_tls=gamma2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta0", math.inf), ("eps_i", math.nan), ("gamma_p", math.nan),
+        ("gamma_g", -math.inf), ("gamma_s", math.inf), ("p_parallel", math.nan),
+    ])
+    def test_every_number_finite(self, field, value):
+        # Each used to construct; a NaN p_parallel then ended in "half or
+        # more of its T1 values are missing", which names no field.
+        with pytest.raises(OutOfRange, match=f"^{field} must be finite, got {value}$") as exc:
+            TlsParams(**{"delta0": 1.0, field: value})
+        assert exc.value.name == field
+
     def test_dipole_magnitude(self):
         with pytest.raises(ValueError):
             TlsParams(delta0=1.0, p_parallel=-0.1)
@@ -222,6 +233,14 @@ class TestValidation:
     def test_design_positive(self):
         with pytest.raises(ValueError):
             design(d=-1e-9)
+
+    def test_t1_whose_rate_overflows_refused(self):
+        # 1e-320 is finite and > 0, but 1/T1, the qubit's background rate,
+        # is not.
+        with pytest.raises(OutOfRange, match="^t1_qubit must be large enough that "
+                                             "1/t1_qubit is finite, got 1e-320$"):
+            design(t1=1e-320)
+        assert 1.0 / design(t1=1e-300).t1_qubit == pytest.approx(1e300)
 
     @pytest.mark.parametrize("share", [1.0, 2.0], ids=["equal", "above"])
     def test_sample_capacitance_must_stay_below_c_tot(self, share):
