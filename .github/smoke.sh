@@ -24,6 +24,18 @@ echo '{"t1_us": 1.0}' > old-t1.json
 refused 2 bad.err tls-scope design --config old-t1.json --out bad
 grep -q "unknown config keys: \['t1_us'\]" bad.err
 test ! -e bad
+# The capacitor's film is the volume generate draws its TLS in: 100x the
+# default volume makes the sample capacitor dominate the qubit's loss.
+echo '{"volume_um3": 0.225}' > dense.json
+tls-scope design --config dense.json --out dense
+grep -q '"dielectric_limited": true' dense/design_report.json
+# Its plate area is volume / thickness, no key of its own.
+echo '{"area_um2": 0.075}' > area.json
+for command in generate design; do
+    refused 2 bad.err tls-scope "$command" --config area.json --out bad
+    grep -q "unknown config keys: \['area_um2'\]" bad.err
+    test ! -e bad
+done
 tls-scope generate --seed 1 --out g
 # One line per bias step: the header and 8 segments of 80 steps.
 test "$(wc -l < g/dataset.csv)" -eq 641
@@ -121,7 +133,7 @@ test ! -e bad
 # A removed command exits 2 with argparse's refusal.
 refused 2 gone.err tls-scope plotdata
 
-python - design thick g c <<'PY'
+python - design thick dense g c <<'PY'
 import json, pathlib, sys
 def refuse(constant):
     raise ValueError(f"non-finite number {constant}")

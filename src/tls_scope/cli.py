@@ -9,10 +9,10 @@ written.
 Each config default is written once.  The library takes every
 simulation value from its caller, ``generate`` from ``GENERATE_DEFAULTS``
 through :func:`ensemble_config` and :func:`sweep_plan`; ``fit`` and
-``design`` take their film and sensor keys, names and defaults alike,
-from that table, so ``design`` sizes the sensor that ``generate``
-simulates, qubit T1 included.  ``fit`` takes only the film keys; its
-tracking rules are constants of :mod:`~tls_scope.traces`.
+``design`` take their film (:data:`FILM_KEYS`) and sensor keys, names and
+defaults alike, from that table, so ``design`` sizes the capacitor whose
+film ``generate`` draws its TLS in, qubit T1 included.  ``fit`` takes only
+the film keys; its tracking rules are constants of :mod:`~tls_scope.traces`.
 :func:`simulate` and :func:`analyze` are the in-memory forms of
 ``generate`` and ``fit``.
 """
@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -109,14 +108,9 @@ def _same_kind(value, default) -> bool:
 
 
 def _tls_from_config(cfg: dict, key: str) -> TlsParams:
-    """The TlsParams under ``cfg[key]``; a bad key or value is a config error.
-    Every field but ``location`` must be a JSON number (a bool is none)."""
+    """The TlsParams under ``cfg[key]``; a bad key or value is a config error."""
     try:
-        spec = dict(cfg[key])
-        for f in fields(TlsParams):
-            if f.name != "location" and f.name in spec and not dataio.is_number(spec[f.name]):
-                raise TypeError(f"{f.name} must be a number, got {spec[f.name]!r}")
-        return TlsParams.from_dict(spec)
+        return TlsParams.from_dict(cfg[key])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad or missing {key!r}: {exc}") from None
 
@@ -166,19 +160,21 @@ GENERATE_DEFAULTS = {
     "f10_ghz": 6.2,
     "t1_qubit_us": 4.3,
     "eps_r": 10.0,
-    "area_um2": 0.075,
 }
+
+#: The sample film, the dielectric of the sensor's sample capacitor.
+FILM_KEYS = ("thickness_nm", "volume_um3", "eps_r")
 
 
 def _sensor_design(cfg: dict) -> SensorDesign:
     """SI sensor of a ``generate`` or ``design`` config, which share its
     keys; its only unit conversion.  A refused value is named by its key."""
-    keys = {"d": "thickness_nm", "area": "area_um2", "c_tot": "c_tot_fF",
+    keys = {"d": "thickness_nm", "volume": "volume_um3", "c_tot": "c_tot_fF",
             "omega10": "f10_ghz", "t1_qubit": "t1_qubit_us"}
     with _keys_as_written(cfg, keys):
         return SensorDesign(
             d=cfg["thickness_nm"] * 1e-9,
-            area=cfg["area_um2"] * 1e-12,
+            volume=cfg["volume_um3"] * 1e-18,
             eps_r=cfg["eps_r"],
             c_tot=cfg["c_tot_fF"] * 1e-15,
             omega10=2 * math.pi * cfg["f10_ghz"] * 1e9,
@@ -248,7 +244,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-FIT_DEFAULTS = {key: GENERATE_DEFAULTS[key] for key in ("thickness_nm", "volume_um3", "eps_r")}
+FIT_DEFAULTS = {key: GENERATE_DEFAULTS[key] for key in FILM_KEYS}
 
 
 def analyze(cfg: dict, ds):
@@ -379,7 +375,7 @@ def _write_crossing(path, ds, panel, fit, tls1, tls2) -> None:
 
 DESIGN_DEFAULTS = {
     **{key: GENERATE_DEFAULTS[key] for key in
-       ("f10_ghz", "c_tot_fF", "t1_qubit_us", "thickness_nm", "area_um2", "eps_r")},
+       ("f10_ghz", "c_tot_fF", "t1_qubit_us", *FILM_KEYS)},
     "p_min_ea": 0.1,
     "tan_delta0": 1.6e-3,
 }
@@ -387,12 +383,11 @@ DESIGN_DEFAULTS = {
 
 def cmd_design(args) -> int:
     cfg = _load_config(args.config, DESIGN_DEFAULTS)
-    # The sensor keys are checked by SensorDesign, tan_delta0 by relaxation_budget.
-    if not cfg["p_min_ea"] > 0:
-        raise OutOfRange("p_min_ea", "must be > 0", cfg["p_min_ea"])
+    # SensorDesign, design_thickness and relaxation_budget check the keys.
     design = _sensor_design(cfg)
     v_rms = vacuum_voltage(design)
-    d_rule = design_thickness(cfg["p_min_ea"], design.t1_qubit * 1e-6, v_rms)
+    with _keys_as_written(cfg, {"p_min": "p_min_ea"}):
+        d_rule = design_thickness(cfg["p_min_ea"], design.t1_qubit * 1e-6, v_rms)
     c_s = sample_capacitance(design)
     p_s = metrics.participation_ratio(design)
     gamma1 = metrics.relaxation_budget(design, cfg["tan_delta0"])

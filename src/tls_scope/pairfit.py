@@ -27,7 +27,7 @@ from .constants import MHZ_PER_GHZ
 from .coupled import CoupledPair, pair_transitions, transitions_truncated
 from .errors import AmbiguousSigns, ConfigError, NoConvergence, NoTracesFound, SchemaError
 from .lm import lm_batch
-from .stm import TlsParams, energies
+from .stm import TlsParams, TlsTable, energies
 
 #: ``extract_traces``'s match window on crossing panels [grid steps per
 #: bias step]; not the survey's ``JUMP_LIMIT``: the branches bend sharply.
@@ -160,10 +160,11 @@ def fit_coupled_pair(
         raise ConfigError("need at least one panel")
     v_p, v_s, f_data, w = _stack(panels)
     _, e1 = energies(tls1, v_p, 0.0, v_s)
+    table2 = TlsTable.of([tls2])  # a table holds the trial gamma_p2 column
 
     def model(x):
         """(lower, upper) branches, eps2 and E2 of each row (g_z, g_x, gamma_p2) of x."""
-        eps2, e2 = energies(replace(tls2, gamma_p=x[:, 2:]), v_p, 0.0, v_s)
+        eps2, e2 = energies(replace(table2, gamma_p=x[:, 2:]), v_p, 0.0, v_s)
         return transitions_truncated(e1, e2, x[:, :1], x[:, 1:2]), eps2, e2
 
     def residuals(x, _rows):

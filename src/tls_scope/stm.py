@@ -51,7 +51,7 @@ class Location(enum.Enum):
 
 @dataclass(frozen=True)
 class TlsParams:
-    """Parameters of one TLS; every field but ``location`` must be finite.
+    """Parameters of one TLS; every field but ``location`` must be a finite number.
 
     Attributes
     ----------
@@ -81,14 +81,17 @@ class TlsParams:
     location: Location = Location.UNCLASSIFIED
 
     def __post_init__(self):
+        numbers = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "location"]
+        for name, value in numbers:  # a bool is no number
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not self.delta0 > 0:
             raise ConfigError(f"delta0 must be > 0, got {self.delta0}")
         if not 0 < self.gamma2_tls < math.inf:
             raise ConfigError(f"gamma2_tls must be finite and > 0, got {self.gamma2_tls}")
-        for f in fields(self):  # pairfit's array of trial gamma_p is its own
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise OutOfRange(f.name, "must be finite", value)
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise OutOfRange(name, "must be finite", value)
         if self.p_parallel < 0:
             raise ConfigError("p_parallel is a magnitude; sign lives in gamma_s")
         if self.location is Location.SAMPLE_DIELECTRIC and self.gamma_s == 0:
@@ -158,15 +161,16 @@ class TlsTable:
 class SensorDesign:
     """Geometry and electrical parameters of the sample-capacitor sensor.
 
-    Every parameter must be positive and finite, and ``c_tot`` must exceed
-    the sample capacitance; a sample capacitor above 5 % of ``c_tot`` warns.
+    The sample film is the capacitor's dielectric.  Every parameter must be
+    positive and finite, and ``c_tot`` must exceed the sample capacitance;
+    a sample capacitor above 5 % of ``c_tot`` warns.
 
     Attributes
     ----------
     d : float
         Sample dielectric thickness [m].
-    area : float
-        Capacitor plate area [m^2].
+    volume : float
+        Film volume [m^3], the volume the TLS are drawn in; area = volume/d.
     eps_r : float
         Relative permittivity of the sample dielectric.
     c_tot : float
@@ -180,14 +184,14 @@ class SensorDesign:
     """
 
     d: float
-    area: float
+    volume: float
     eps_r: float
     c_tot: float
     omega10: float
     t1_qubit: float
 
     def __post_init__(self):
-        for name in ("d", "area", "eps_r", "c_tot", "omega10", "t1_qubit"):
+        for name in ("d", "volume", "eps_r", "c_tot", "omega10", "t1_qubit"):
             value = getattr(self, name)
             if not value > 0:
                 raise OutOfRange(name, "must be strictly positive", value)
@@ -202,11 +206,9 @@ class SensorDesign:
                 f"total capacitance must exceed the sample capacitance {c_s:.4g} F")
         ratio = c_s / self.c_tot
         if ratio > 0.05:
-            warnings.warn(
-                f"sample capacitor holds {ratio:.1%} of the total capacitance; "
-                "it will load the qubit",
-                stacklevel=2,
-            )
+            # stacklevel 3 names the line that called the dataclass's __init__.
+            warnings.warn(f"sample capacitor holds {ratio:.1%} of the total capacitance; "
+                          "it will load the qubit", stacklevel=3)
 
     def to_dict(self) -> dict:
         return {**vars(self), "schema_version": SCHEMA_VERSION}
@@ -256,18 +258,19 @@ def design_thickness(p_min: float, t1: float, v_rms: float) -> float:
     v_rms : float
         Vacuum voltage fluctuation on the qubit island [V].
     """
-    if p_min <= 0 or t1 <= 0 or v_rms <= 0:
-        raise ConfigError(f"p_min, t1 and v_rms must be positive, got {p_min}, {t1}, {v_rms}")
+    for name, value in (("p_min", p_min), ("t1", t1), ("v_rms", v_rms)):
+        if not value > 0:
+            raise OutOfRange(name, "must be > 0", value)
     return p_min * CM_PER_EA * t1 * v_rms / HBAR
 
 
 def sample_capacitance(design: SensorDesign) -> float:
-    """Parallel-plate capacitance eps0*eps_r*A/d [F].
+    """Parallel-plate capacitance eps0*eps_r*A/d [F] of plate area A = V/d.
 
-    No fringe-field correction is applied; measured values of overlap
-    capacitors run 10-20% above this.
+    V/d/d, since d**2 of a tiny d is 0.  No fringe-field correction is
+    applied; measured values of overlap capacitors run 10-20% above this.
     """
-    return EPS0 * design.eps_r * design.area / design.d
+    return EPS0 * design.eps_r * design.volume / design.d / design.d
 
 
 def capacitor_field_rms(design: SensorDesign) -> float:

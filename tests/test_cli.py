@@ -37,12 +37,14 @@ SMALL = {"band_ghz": [6.0, 6.4], "freq_step_ghz": 0.004, "n_bias": 30,
 #: to add its TLS one at a time in ensemble order instead of numpy's
 #: pairwise order per 16 TLS (last bits of the T1 grid, so of the fits);
 #: ``ground_truth.json`` alone when each record's unread ``gamma1_tls``
-#: key went.
+#: key went; ``dataset.csv.meta.json`` alone when the sensor's film became
+#: the ensemble's volume (``config.area_um2`` gone, ``design.volume`` in
+#: place of ``design.area``).
 EXPECTED_SHA256 = {
     "dataset.csv":
         "22aef9129b9fbc8736f3df4864391695d742980951a79e11de86e39dcfa34e5a",
     "dataset.csv.meta.json":
-        "c1f19a43f3c01fbb56d8409a0cc1eee09c16fe230236263cb22743b335f0bb93",
+        "147a5b94c5cec95d3cea5c0011ac6557d2fc17bbfbfc3e875e45c2e447ef9851",
     "ground_truth.json":
         "cbc7742bad895027cdae30a2b862b8daa4b760987770f336b5081057b823fdbc",
     "fit_report.json":
@@ -58,13 +60,15 @@ EXPECTED_SHA256 = {
 #: x86-64), recorded before the T1-map pool became one per map;
 #: ``dataset.csv`` re-recorded for the one-line-per-bias-step layout, and
 #: again when the T1 map began to add its TLS in ensemble order;
-#: ``ground_truth.json`` when each record's unread ``gamma1_tls`` key went.
+#: ``ground_truth.json`` when each record's unread ``gamma1_tls`` key went;
+#: ``dataset.csv.meta.json`` when the sensor's film became the ensemble's
+#: volume.  Its 100x film makes C_s 8.0% of C_tot, so generate warns.
 CROWDED = {"volume_um3": 0.225, "band_ghz": [6.0, 6.1], "n_bias": 24}
 CROWDED_SHA256 = {
     "dataset.csv":
         "d361a16afd914d7a5d6f2bdfb7830ffbcc0037bdc50c22203ec90a4e6321bfa8",
     "dataset.csv.meta.json":
-        "c45f2cfa7759a3d4b834abc7b7d0c19bc0d85ed6466699d7ff5a1b3092636d66",
+        "7060597b44759e3c46b0e7c98f7ec03ba46ed39308f4ac1aec15263f348ec05f",
     "ground_truth.json":
         "fbb79675ae0e5e29fddd47ad71e85bc52de4049df335b013927208957b6161e4",
 }
@@ -86,18 +90,20 @@ COUPLED_SHA256 = {
 
 
 #: stdout of `design` with the default config, and the sha256 of the
-#: design_report.json it writes (numpy 2.4, x86-64).
+#: design_report.json it writes (numpy 2.4, x86-64).  Re-recorded when the
+#: capacitor's film became generate's 2.25e-3 um^3 (it was 0.075 um^2 x
+#: 50 nm = 3.75e-3 um^3): C_s, p_s, Gamma1 and the T1 budget moved.
 DESIGN_STDOUT = """\
 V_rms [uV]                   4.532
 d (detectability rule) [nm]  296.1
 d (configured) [nm]          50.0
-C_s [fF]                     0.1328
-participation p_s            1.328e-03
-Gamma1 [1/us]                0.3153
-T1 budget [us]               3.171
+C_s [fF]                     0.0797
+participation p_s            7.969e-04
+Gamma1 [1/us]                0.2822
+T1 budget [us]               3.543
 dielectric-limited           no
 """
-DESIGN_SHA256 = "edd055957f61cd4d491a2237b30ad343f90d93c1dfefa49f7815eabbb462baa8"
+DESIGN_SHA256 = "55a3196cb18c70fd3141c469427b304f9527b77791e5823e71fac10615bba04f"
 
 #: stdout of `fit` on the SMALL dataset of `generate --seed 1`.
 FIT_STDOUT = """\
@@ -279,11 +285,12 @@ class TestExitCodes:
         ({"band_ghz": [6.0]}, "config key 'band_ghz' has the wrong type or length: [6.0]"),
         ({"v_g_range": [1.0]}, "config key 'v_g_range' has the wrong type or length: [1.0]"),
         ({"segment_order": []}, "the segment order is empty"),
-        # These used to name the SensorDesign field: d, c_tot, area,
-        # omega10 and t1_qubit.
+        # These used to name the SensorDesign field: d, c_tot, volume,
+        # omega10 and t1_qubit.  A zero film is no capacitor: it used to
+        # draw an empty ensemble and exit 0.
         ({"thickness_nm": 0}, "thickness_nm must be strictly positive, got 0, which is d = 0.0"),
         ({"c_tot_fF": 0}, "c_tot_fF must be strictly positive, got 0, which is c_tot = 0.0"),
-        ({"area_um2": 0}, "area_um2 must be strictly positive, got 0, which is area = 0.0"),
+        ({"volume_um3": 0}, "volume_um3 must be strictly positive, got 0, which is volume = 0.0"),
         ({"f10_ghz": 0}, "f10_ghz must be strictly positive, got 0, which is omega10 = 0.0"),
         ({"t1_qubit_us": 0},
          "t1_qubit_us must be strictly positive, got 0, which is t1_qubit = 0"),
@@ -307,7 +314,7 @@ class TestExitCodes:
     ], ids=["n_bias-0", "n_bias-1", "negative-noise", "zero-division", "over-limit",
             "tiny-division", "infinite-division", "nan-amplitude", "nan-global-range",
             "infinite-piezo-range", "long-band", "short-band", "short-global-range", "empty-order", "zero-thickness",
-            "zero-capacitance", "zero-area", "zero-frequency", "zero-t1", "tiny-t1",
+            "zero-capacitance", "zero-volume", "zero-frequency", "zero-t1", "tiny-t1",
             "zero-eps", "one-point-band", "tiny-band", "huge-piezo-range", "huge-global-range"])
     def test_generate_refuses_bad_value(self, tmp_path, capsys, override, needle):
         # A refused run used to leave an empty output directory.
@@ -325,7 +332,9 @@ class TestExitCodes:
         ({"gamma_p_max_ghz_per_v": float("inf")},
          "config key 'gamma_p_max_ghz_per_v' must be finite, got inf"),
         ({"volume_um3": float("nan")}, "config key 'volume_um3' must be finite, got nan"),
-        ({"volume_um3": -1.0}, "volume_um3 must be finite and >= 0, got -1.0"),
+        # The sensor refuses it before the ensemble does.
+        ({"volume_um3": -1.0},
+         "volume_um3 must be strictly positive, got -1.0, which is volume = -1e-18"),
         ({"volume_um3": float("inf")}, "config key 'volume_um3' must be finite, got inf"),
         # Used to end in numpy's "lam value too large" from the Poisson draw.
         ({"p0_per_um3_ghz": 1e30}, "p0_target * volume_um3 * bandwidth asks for 1.8e+27 "
@@ -419,6 +428,9 @@ class TestExitCodes:
         ("design", {"gamma_background_per_us": 0.1},
          "unknown config keys: ['gamma_background_per_us']"),
         ("design", {"p_min_ea": 0}, "p_min_ea must be > 0, got 0"),
+        # The film is the ensemble's volume; its plate area is no key.
+        ("generate", {"area_um2": 0.075}, "unknown config keys: ['area_um2']"),
+        ("design", {"area_um2": 0.075}, "unknown config keys: ['area_um2']"),
         # Used to read "design parameter tan_delta0 must be positive",
         # though 0 is accepted.
         ("design", {"tan_delta0": -1e-3}, "tan_delta0 must be >= 0, got -0.001"),
@@ -431,7 +443,8 @@ class TestExitCodes:
             "design-huge-frequency", "design-zero-thickness", "design-zero-t1",
             "design-huge-loss", "design-huge-dipole", "design-tiny-t1",
             "design-removed-thickness", "design-removed-t1", "design-removed-background",
-            "design-zero-dipole", "design-negative-loss"])
+            "design-zero-dipole", "generate-removed-area", "design-removed-area",
+            "design-negative-loss"])
     @pytest.mark.filterwarnings("ignore:sample capacitor holds")
     def test_refuses_bad_setting(self, small_run, coupled_run, tmp_path, capsys, command,
                                  override, needle):
@@ -535,6 +548,18 @@ class TestExitCodes:
         shared = set(cli.DESIGN_DEFAULTS) & set(cli.GENERATE_DEFAULTS)
         assert set(cli.DESIGN_DEFAULTS) - shared == {"p_min_ea", "tan_delta0"}
         assert all(cli.DESIGN_DEFAULTS[k] == cli.GENERATE_DEFAULTS[k] for k in shared)
+        # fit's keys, the film, are a part of design's, key and value alike.
+        assert cli.FIT_DEFAULTS.items() <= cli.DESIGN_DEFAULTS.items()
+        assert tuple(cli.FIT_DEFAULTS) == cli.FILM_KEYS == ("thickness_nm", "volume_um3", "eps_r")
+
+    @pytest.mark.parametrize("override", [{}, {"volume_um3": 0.225}], ids=["default", "dense"])
+    @pytest.mark.filterwarnings("ignore:sample capacitor holds")
+    def test_the_sensor_film_is_the_ensemble_film(self, override):
+        # The capacitor is built from the volume the TLS are drawn in.
+        cfg = {**cli.GENERATE_DEFAULTS, **override}
+        design = cli._sensor_design(cfg)
+        assert design.volume == cfg["volume_um3"] * 1e-18
+        assert design.d == cli.ensemble_config(cfg).thickness_m
 
     def test_design_without_dielectric_loss_keeps_the_qubit_t1(self, tmp_path, capsys):
         # tan_delta0 = 0 is accepted: the budget is the qubit's own T1.
@@ -1029,7 +1054,8 @@ class TestDeterminism:
 
     def test_crowded_generate_matches_recorded_hashes(self, tmp_path):
         cfg = write_json(tmp_path / "crowded.json", CROWDED)
-        assert run("generate", "--seed", 1, "--config", cfg, "--out", tmp_path) == cli.EXIT_OK
+        with pytest.warns(UserWarning, match="sample capacitor holds 8.0% of the total"):
+            assert run("generate", "--seed", 1, "--config", cfg, "--out", tmp_path) == cli.EXIT_OK
         got = {name: sha256(tmp_path / name) for name in CROWDED_SHA256}
         assert got == CROWDED_SHA256
 

@@ -24,7 +24,7 @@ E = 1.602176634e-19  # C
 EPS0 = 8.8541878188e-12  # F/m
 
 DESIGN = SensorDesign(
-    d=50e-9, area=0.075e-12, eps_r=10.0, c_tot=100e-15,
+    d=50e-9, volume=0.075e-12 * 50e-9, eps_r=10.0, c_tot=100e-15,
     omega10=2 * math.pi * 6.2e9, t1_qubit=4.3,
 )
 

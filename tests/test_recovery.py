@@ -118,8 +118,10 @@ def test_a_track_holds_one_trace_per_segment(scored):
 
 
 def test_a_dense_track_holds_one_trace_per_segment():
-    # The benchmark's dense workload, seed 1: 100x the default volume.
-    _ensemble, ds = cli.simulate({**cli.GENERATE_DEFAULTS, "volume_um3": 0.225}, 1)
+    # The benchmark's dense workload, seed 1: 100x the default volume, a
+    # sample capacitor of 8.0% of the total capacitance.
+    with pytest.warns(UserWarning, match="sample capacitor holds 8.0% of the total"):
+        _ensemble, ds = cli.simulate({**cli.GENERATE_DEFAULTS, "volume_um3": 0.225}, 1)
     result, _report = cli.analyze(cli.FIT_DEFAULTS, ds)
     assert len(result.tracks) > 500
     assert_one_trace_per_segment(result)

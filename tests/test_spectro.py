@@ -32,7 +32,7 @@ from tls_scope.stm import (
 )
 
 DESIGN = SensorDesign(
-    d=50e-9, area=0.25e-6 * 0.30e-6, eps_r=10.0, c_tot=100e-15,
+    d=50e-9, volume=0.25e-6 * 0.30e-6 * 50e-9, eps_r=10.0, c_tot=100e-15,
     omega10=2 * math.pi * 6.2e9, t1_qubit=4.3,
 )
 #: DESIGN with a qubit T1 of 5 us, a background rate of 0.2/us.

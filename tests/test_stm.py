@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tls_scope.errors import OutOfRange, SchemaError
+from tls_scope.errors import ConfigError, OutOfRange, SchemaError
 from tls_scope.stm import (
     BiasPoint,
     Location,
@@ -28,9 +28,13 @@ def e_of(tls, v_p=0.0, v_g=0.0, v_s=0.0):
     return energies(tls, v_p, v_g, v_s)[1]
 
 
-def design(d=50e-9, area=0.25e-6 * 0.30e-6, eps_r=10.0, c_tot=100e-15,
+#: Plates of the second-generation sample capacitor, 0.25 x 0.30 um [m^2].
+AREA = 0.25e-6 * 0.30e-6
+
+
+def design(d=50e-9, volume=AREA * 50e-9, eps_r=10.0, c_tot=100e-15,
            f10=6.2e9, t1=4.3):
-    return SensorDesign(d=d, area=area, eps_r=eps_r, c_tot=c_tot,
+    return SensorDesign(d=d, volume=volume, eps_r=eps_r, c_tot=c_tot,
                         omega10=2 * math.pi * f10, t1_qubit=t1)
 
 
@@ -158,23 +162,52 @@ class TestDesignRules:
     def test_thickness_big_dipole(self):
         assert design_thickness(0.335, 1e-6, 4.5e-6) * 1e9 == pytest.approx(229.0, rel=5e-3)
 
+    @pytest.mark.parametrize("value", [0.0, math.nan, -1.0])
+    @pytest.mark.parametrize("name", ["p_min", "t1", "v_rms"])
+    def test_thickness_rule_refuses_each_argument_by_name(self, name, value):
+        # A NaN used to pass "p_min <= 0 or t1 <= 0 or v_rms <= 0" and come
+        # back as a NaN thickness; a refusal named none of the three alone.
+        args = {"p_min": 0.1, "t1": 1e-6, "v_rms": 4.5e-6, name: value}
+        with pytest.raises(OutOfRange, match=f"^{name} must be > 0, got {value}$") as exc:
+            design_thickness(**args)
+        assert exc.value.name == name
+
     def test_sample_capacitance_second_generation(self):
         c = sample_capacitance(design())
         assert c * 1e15 == pytest.approx(0.1328, rel=1e-3)
         assert c * 1e15 == pytest.approx(0.15, rel=0.2)
 
     def test_sample_capacitance_linear_in_area(self):
+        # At a fixed thickness, twice the film volume is twice the plate area.
         c1 = sample_capacitance(design())
-        c2 = sample_capacitance(design(area=2 * 0.25e-6 * 0.30e-6))
+        c2 = sample_capacitance(design(volume=2 * AREA * 50e-9))
         assert c2 == pytest.approx(2 * c1, rel=1e-15)
 
+    def test_sample_capacitance_is_eps_volume_over_d_squared(self):
+        # The default film of generate: 2.25e-3 um^3, 50 nm thick, eps_r 10.
+        c = sample_capacitance(design(volume=2.25e-21))
+        assert c == pytest.approx(8.8541878188e-12 * 10.0 * 2.25e-21 / (50e-9) ** 2, rel=1e-14)
+        assert c == pytest.approx(7.96877e-17, rel=1e-6)
+        # At a fixed volume the plates shrink as the film thickens: C_s ~ 1/d^2.
+        assert sample_capacitance(design(d=100e-9, volume=2.25e-21)) == pytest.approx(
+            c / 4, rel=1e-14)
+
+    def test_tiny_thickness_is_refused_by_the_capacitance_rule(self):
+        # (1e-309 m)**2 is 0; dividing by d twice gives an infinite C_s
+        # instead of a ZeroDivisionError.
+        with pytest.raises(ConfigError, match="must exceed the sample capacitance inf F"):
+            design(d=1e-309)
+
     def test_sample_capacitance_first_generation(self):
-        big = design(area=0.3e-6 * 2.1e-6)
+        big = design(volume=0.3e-6 * 2.1e-6 * 50e-9)
         assert sample_capacitance(big) * 1e15 == pytest.approx(1.1156, rel=1e-3)
 
     def test_loading_warning_when_capacitor_dominates(self):
-        with pytest.warns(UserWarning):
-            design(area=40 * 0.3e-6 * 2.1e-6)  # C_s > 5% of C_tot
+        with pytest.warns(UserWarning, match="holds 44.6% of the total") as record:
+            design(volume=40 * 0.3e-6 * 2.1e-6 * 50e-9)  # C_s > 5% of C_tot
+        # The warning names the line that built the sensor, not the
+        # dataclass's generated __init__ ("<string>").
+        assert record[0].filename == __file__
 
 
 class TestDipoleConversion:
@@ -215,6 +248,21 @@ class TestValidation:
         with pytest.raises(OutOfRange, match=f"^{field} must be finite, got {value}$") as exc:
             TlsParams(**{"delta0": 1.0, field: value})
         assert exc.value.name == field
+
+    @pytest.mark.parametrize("field, value", [
+        ("eps_i", "x"), ("gamma_s", True), ("delta0", False), ("p_parallel", None),
+        ("gamma2_tls", [1.0]), ("gamma_p", np.array([[0.01], [np.nan]])),
+    ])
+    def test_every_field_a_number(self, field, value):
+        # The string, True and the array used to construct, None and the
+        # list ended in a TypeError, and False read "delta0 must be > 0":
+        # only a float was checked, for pairfit's array of trial gamma_p.
+        with pytest.raises(ConfigError, match=f"^{field} must be a number, got "):
+            TlsParams(**{"delta0": 1.0, field: value})
+
+    def test_ints_and_numpy_floats_are_numbers(self):
+        tls = TlsParams(delta0=5, gamma_s=np.float64(90.0), gamma2_tls=6)
+        assert (tls.delta0, tls.gamma_s) == (5, 90.0)
 
     def test_dipole_magnitude(self):
         with pytest.raises(ValueError):
